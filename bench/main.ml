@@ -13,7 +13,7 @@
               dune exec bench/main.exe -- macro   (experiment tables only)
               dune exec bench/main.exe -- cluster (1-vs-4-worker scatter/gather)
               dune exec bench/main.exe -- ingest  (ADDB batch-size sweep)
-              dune exec bench/main.exe -- gather  (worker x fold-strategy sweep)
+              dune exec bench/main.exe -- gather  (worker-count sweep, idle vs live)
               dune exec bench/main.exe -- repl    (replication-factor sweep)
               dune exec bench/main.exe -- wal     (journal fsync-policy sweep)
               dune exec bench/main.exe -- window  (WIN window-length sweep)
@@ -332,7 +332,7 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-let cluster_env ?(batch = 64) ?(count = 300) ?gather_domains ?wal ?(wal_group = 1)
+let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(wal_group = 1)
     ?(domains = 1) ?(proto = Delphic_cluster.Rpc.V1) ?(replicas = 1) ~n_workers
     ~seed () =
   let spool n =
@@ -358,7 +358,7 @@ let cluster_env ?(batch = 64) ?(count = 300) ?gather_domains ?wal ?(wal_group = 
         (s, Server.start s))
   in
   let coord =
-    Coordinator.create ~batch ?gather_domains ~proto ~replicas
+    Coordinator.create ~batch ~proto ~replicas
       ~workers:(List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers)
       ~seed ()
   in
@@ -446,53 +446,38 @@ let run_cluster ?(json = "BENCH_cluster.json") () =
   print_rows ~title:"Cluster scatter/gather (loopback, in-process workers)" rows;
   write_json ~path:json rows
 
-(* Gather sweep: 1/2/4/8 workers crossed with the fold strategy — serial
-   left-fold on the calling thread (gather_domains=1) vs the domain-parallel
-   merge tree.  Two query regimes per cell: est-idle (no ingest between
-   queries; after the first fold the coordinator's memo makes this
-   RPC-bound) and live (32 scattered adds per query, every worker's sketch
-   changed, full decode + fold every time). *)
+(* Gather sweep over 1/2/4/8 workers, two query regimes per pool size:
+   est-idle (no ingest between queries; after the first fold the
+   coordinator's memo makes this RPC-bound) and live (32 scattered adds per
+   query, every worker's sketch changed, full decode + one-pass fold every
+   time). *)
 let run_gather ?(json = "BENCH_gather.json") () =
   let sweep = [ 1; 2; 4; 8 ] in
-  let folds = [ ("serial-fold", 1); ("tree-fold", 4) ] in
   let envs =
-    List.concat_map
-      (fun k ->
-        List.map
-          (fun (fold_name, domains) ->
-            let env =
-              cluster_env ~gather_domains:domains ~n_workers:k
-                ~seed:(80 + (10 * k) + domains) ()
-            in
-            (k, fold_name, env))
-          folds)
-      sweep
+    List.map (fun k -> (k, cluster_env ~n_workers:k ~seed:(81 + (10 * k)) ())) sweep
   in
   (* warm the worker wire caches and the coordinator's fold memo so the
      est-idle rows measure the steady state *)
-  List.iter
-    (fun (_, _, (coord, _, _)) ->
-      ignore (Coordinator.estimate coord ~name:"bench"))
-    envs;
+  List.iter (fun (_, (coord, _, _)) -> ignore (Coordinator.estimate coord ~name:"bench")) envs;
   let idle =
     List.map
-      (fun (k, fold_name, (coord, _, _)) ->
+      (fun (k, (coord, _, _)) ->
         Test.make
-          ~name:(Printf.sprintf "est-idle/%d-workers/%s" k fold_name)
+          ~name:(Printf.sprintf "est-idle/%d-workers" k)
           (Staged.stage (fun () -> idle_gather coord ())))
       envs
   in
   let live =
     List.map
-      (fun (k, fold_name, (coord, payloads, _)) ->
+      (fun (k, (coord, payloads, _)) ->
         Test.make
-          ~name:(Printf.sprintf "live/%d-workers/%s" k fold_name)
+          ~name:(Printf.sprintf "live/%d-workers" k)
           (Staged.stage (live_gather ~ingest:32 coord payloads)))
       envs
   in
   let rows = run_bechamel (Test.make_grouped ~name:"gather" (idle @ live)) in
-  List.iter (fun (_, _, (_, _, teardown)) -> teardown ()) envs;
-  print_rows ~title:"Gather sweep (workers x fold strategy, idle vs live)" rows;
+  List.iter (fun (_, (_, _, teardown)) -> teardown ()) envs;
+  print_rows ~title:"Gather sweep (workers, idle vs live)" rows;
   write_json ~path:json rows
 
 (* Replication sweep: the 4-worker scatter/gather path at R = 1, 2, 3

@@ -694,19 +694,12 @@ let coord_cmd =
     in
     Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let gather_domains =
-    let doc =
-      "Domains spent on the gather's sketch decode/merge tree ($(b,1) keeps \
-       the fold on the calling thread; the folded sketch is identical either \
-       way).  Defaults to the machine's recommended domain count, capped at 4."
-    in
-    Arg.(value & opt (some int) None & info [ "gather-domains" ] ~docv:"N" ~doc)
-  in
   let proto =
     let doc =
       "Wire protocol toward the workers: $(b,v1) (newline-delimited text) or \
-       $(b,v2) (length-prefixed CRC-framed binary; ADDB payloads travel raw \
-       and workers journal them by splicing the received frame)."
+       $(b,v2) (length-prefixed CRC-framed binary; ADDB payloads and SKETCH \
+       tokens travel raw, and workers journal ADDB by splicing the received \
+       frame)."
     in
     let proto_conv =
       Arg.conv
@@ -721,12 +714,12 @@ let coord_cmd =
     Arg.(value & opt proto_conv Delphic_cluster.Rpc.V2 & info [ "proto" ] ~docv:"VERSION" ~doc)
   in
   let run seed port host workers shard timeout replicas dial_timeout epoch
-      standby_of lease_interval batch gather_domains proto max_conns domains =
+      standby_of lease_interval batch proto max_conns domains =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
     let domains = resolve_domains domains in
     let coord =
       Delphic_cluster.Coordinator.create ~sharding:shard ~replicas ~timeout
-        ~dial_timeout ~epoch ~batch ?gather_domains ~proto ~workers ~seed ()
+        ~dial_timeout ~epoch ~batch ~proto ~workers ~seed ()
     in
     let failover =
       Option.map
@@ -779,7 +772,7 @@ let coord_cmd =
     Term.(
       const run $ seed $ port_arg $ host_arg $ workers_arg $ shard $ timeout
       $ replicas $ dial_timeout $ epoch $ standby_of $ lease_interval $ batch
-      $ gather_domains $ proto $ max_conns_arg $ domains_arg)
+      $ proto $ max_conns_arg $ domains_arg)
 
 (* query: one-shot client for the service. *)
 

@@ -1,7 +1,6 @@
 module P = Delphic_server.Protocol
 module Families = Delphic_server.Families
 module Io = Delphic_core.Snapshot_io
-module Parallel = Delphic_harness.Parallel
 module Rng = Delphic_util.Rng
 
 let log_src = Logs.Src.create "delphic.cluster" ~doc:"scatter/gather coordinator"
@@ -45,7 +44,8 @@ type worker = {
          Shipped as ADDL log appends rather than full ADDB updates. *)
   pending : batch Queue.t; (* frames on the wire, one reply line owed each *)
   mutable in_flight : int; (* payload units across [pending] *)
-  last_good : (string, Io.t) Hashtbl.t; (* session -> last fetched sketch *)
+  last_good : (string, string) Hashtbl.t;
+      (* session -> the worker's last cleanly decoded full sketch token *)
 }
 
 type session_info = {
@@ -62,7 +62,7 @@ type session_info = {
   (* Memoised fold: the cutoff and wire tokens of the last all-fresh gather
      and the sketch they folded to.  Workers encode lazily
      ({!Registry.fetch}'s wire cache), so a quiescent cluster answers every
-     worker with a byte-identical token and the whole decode + merge tree is
+     worker with a byte-identical token and the whole decode + fold is
      skipped — repeated EST (and repeated WIN at a stable cutoff bucket) on
      an idle cluster costs the RPCs alone. *)
   mutable fold_cache : (float option * string array * Families.t) option;
@@ -73,16 +73,19 @@ type t = {
   sharding : sharding;
   replicas : int;
       (* copies of each payload: routed to this many distinct live workers,
-         walking the ring from the shard's home position.  Union estimation
-         is duplicate-insensitive, so replication is semantically free — a
-         lagging replica is stale, never wrong. *)
+         walking the ring from the shard's home position.  Replication buys
+         availability, not accuracy: a VATIC gather folds every replica's
+         sketch, and copies of one element on two workers carry independent
+         coins, so at R = 2 the sketch-regime answer is roughly doubled (the
+         merge caveat in DESIGN.md §3; ROADMAP item 1 tracks the fix).
+         Exact-regime answers are unaffected — their tables union
+         exactly. *)
   timeout : float;
   dial_timeout : float; (* TCP connect budget, separate from [timeout] *)
   retries : int;
   backoff : float; (* first retry delay; doubles per consecutive failure *)
   window : int; (* unacked payload units per worker before a drain *)
   batch : int; (* max payloads per ADDB frame; the flush high-water mark *)
-  gather_domains : int; (* domains for the gather decode/merge tree *)
   clock : unit -> float; (* query instant for un-pinned WIN / EXPR w= *)
   cutoff_bucket : float; (* window cutoffs quantize down to this grain *)
   seed : int;
@@ -130,7 +133,7 @@ type t = {
 
 let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
     ?(dial_timeout = 2.0) ?(retries = 3) ?(backoff = 0.05) ?(window = 256)
-    ?(batch = 64) ?gather_domains ?(io = Rpc.default_io) ?(proto = Rpc.V1)
+    ?(batch = 64) ?(io = Rpc.default_io) ?(proto = Rpc.V2)
     ?(clock = Unix.gettimeofday) ?(cutoff_bucket = 1.0) ?(epoch = 0)
     ?(read_only = false) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
@@ -143,13 +146,6 @@ let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
   if batch < 1 then invalid_arg "Coordinator.create: need batch >= 1";
   if not (cutoff_bucket > 0.0) then
     invalid_arg "Coordinator.create: need cutoff_bucket > 0";
-  let gather_domains =
-    match gather_domains with
-    | None -> Parallel.default_domains ()
-    | Some d ->
-      if d < 1 then invalid_arg "Coordinator.create: need gather_domains >= 1";
-      d
-  in
   {
     workers =
       Array.of_list
@@ -178,7 +174,6 @@ let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
     backoff;
     window;
     batch;
-    gather_domains;
     clock;
     cutoff_bucket;
     seed;
@@ -249,10 +244,10 @@ let full_resync t w conn =
         | Ok (P.Ok_reply _) -> (
           match Hashtbl.find_opt w.last_good name with
           | None -> ()
-          | Some io -> (
+          | Some token -> (
             Log.info (fun m ->
                 m "worker %s: reinjecting last good sketch of %s" (address w) name);
-            match Rpc.call conn (P.Merge { session = name; encoded = Io.to_wire io }) with
+            match Rpc.call conn (P.Merge { session = name; encoded = token }) with
             | Ok (P.Ok_reply _) -> ()
             | Ok r ->
               Log.warn (fun m ->
@@ -787,8 +782,9 @@ let flush t =
    deadline: a slow worker can only burn whatever budget remains, and a
    fast worker's already-buffered reply is still collected at budget zero,
    so gather latency is max-of-workers, not sum-of-workers.  Phase three
-   decodes each sketch in its own task and folds them with a balanced merge
-   tree ({!Parallel.reduce}), O(log k) depth across [gather_domains].
+   decodes each token and folds all of them — fresh and stale alike — in
+   one k-way pass ({!Families.fold}): one table, one coin per distinct
+   element.
 
    [cutoff] makes the gather windowed: the absolute instant is computed once
    by the caller and shipped verbatim in every Fetch, so all replicas expire
@@ -865,7 +861,7 @@ let gather ?cutoff t si name =
         (fun i w ->
           let stale () =
             match Hashtbl.find_opt w.last_good name with
-            | Some io -> parts := (w, `Stale io) :: !parts
+            | Some token -> parts := (w, `Stale token) :: !parts
             | None -> ()
           in
           if expect.(i) < 0 then stale ()
@@ -916,7 +912,7 @@ let gather ?cutoff t si name =
                   quarantine t w;
                   stale ())))
         t.workers);
-  (* phase three: decode in parallel tasks, fold with a balanced merge tree *)
+  (* phase three: decode every token, fold them all in one pass *)
   match List.rev !parts with
   | [] ->
     ignore (coverage ());
@@ -948,83 +944,43 @@ let gather ?cutoff t si name =
       ignore (coverage ());
       Ok (folded, false, [])
     | None ->
-    let parts = Array.of_list parts_list in
-    let k = Array.length parts in
-    (* Leaves run in domains but [next_seed] mutates [t], so the seeds are
-       drawn up front and claimed through an atomic cursor (≤ k decodes +
-       ≤ k stale fallbacks + k-1 merges < 3k). *)
-    let seeds = Array.init (3 * k) (fun _ -> next_seed t) in
-    let cursor = Atomic.make 0 in
-    let seed () = seeds.(Atomic.fetch_and_add cursor 1) in
-    let fresh_io = Array.make k None in
-    let bad_wire = Array.make k None in
-    let contributed = Array.make k false in
-    (* [Ok None] = this worker contributes nothing (bad token, no fallback);
-       [Error] aborts the whole fold, as a family mismatch always did. *)
-    let leaf i : (Families.t option, string) result =
-      let w, part = parts.(i) in
-      let finish = function
-        | Ok fam ->
-          contributed.(i) <- true;
-          Ok (Some fam)
-        | Error msg -> Error msg
-      in
-      match part with
-      | `Stale io -> finish (Families.of_io io ~seed:(seed ()))
-      | `Fresh encoded -> (
-        match Io.of_wire encoded with
-        | Ok io ->
-          fresh_io.(i) <- Some io;
-          finish (Families.of_io io ~seed:(seed ()))
-        | Error msg -> (
-          bad_wire.(i) <- Some msg;
-          match Hashtbl.find_opt w.last_good name with
-          | Some io -> finish (Families.of_io io ~seed:(seed ()))
-          | None -> Ok None))
+    let decode token = Result.to_option (Io.of_wire token) in
+    let last_good w = Option.bind (Hashtbl.find_opt w.last_good name) decode in
+    let decoded =
+      List.filter_map
+        (fun (w, part) ->
+          match part with
+          | `Stale token -> decode token
+          | `Fresh token -> (
+            match Io.of_wire token with
+            | Ok io ->
+              (* a windowed token is a restricted view: never the fallback *)
+              if cutoff = None then Hashtbl.replace w.last_good name token;
+              Some io
+            | Error msg ->
+              (* a token that would not decode is no fresher than no token *)
+              fresh.(w.wid) <- false;
+              Log.warn (fun m -> m "worker %s: bad sketch: %s" (address w) msg);
+              last_good w))
+        parts_list
     in
-    let merge a b =
-      match (a, b) with
-      | (Error _ as e), _ | _, (Error _ as e) -> e
-      | Ok None, x | x, Ok None -> x
-      | Ok (Some x), Ok (Some y) -> (
-        match Families.merge x y ~seed:(seed ()) with
-        | Ok m -> Ok (Some m)
-        | Error msg -> Error msg)
-    in
-    let root =
-      Parallel.reduce ~domains:t.gather_domains ~map:leaf ~merge (List.init k Fun.id)
-    in
-    (* leaf side effects land only after the join above *)
-    Array.iteri
-      (fun i (w, _) ->
-        (match bad_wire.(i) with
-        | Some msg ->
-          (* a token that would not decode is no fresher than no token *)
-          fresh.(w.wid) <- false;
-          Log.warn (fun m -> m "worker %s: bad sketch: %s" (address w) msg)
-        | None -> ());
-        match fresh_io.(i) with
-        | Some io when cutoff = None -> Hashtbl.replace w.last_good name io
-        | Some _ | None -> ())
-      parts;
     let stale_shards = coverage () in
     let degraded = stale_shards <> [] in
-    (match root with
-    | None | Some (Ok None) ->
-      Error (P.Server_error "no worker holds any data for this session")
-    | Some (Error msg) -> Error (P.Server_error msg)
-    | Some (Ok (Some folded)) ->
-      let folds =
-        Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 contributed
-      in
-      si.merges <- si.merges + Stdlib.max 0 (folds - 1);
-      (* only a gather where every token decoded cleanly may seed the memo —
-         bad_wire clears [fresh] after the join, so re-check *)
-      (match all_fresh with
-      | Some encs when Array.for_all Fun.id fresh ->
-        si.fold_cache <- Some (cutoff, encs, folded)
-      | _ -> ());
-      Ok (folded, degraded, stale_shards)))
+    match decoded with
+    | [] -> Error (P.Server_error "no worker holds any data for this session")
+    | _ -> (
+      match
+        Families.fold (List.map (fun v -> Families.Decoded v) decoded) ~seed:(next_seed t)
+      with
+      | Error msg -> Error (P.Server_error msg)
+      | Ok folded ->
+        si.merges <- si.merges + (List.length decoded - 1);
+        (* only a gather where every token decoded cleanly may seed the memo *)
+        (match all_fresh with
+        | Some encs when Array.for_all Fun.id fresh ->
+          si.fold_cache <- Some (cutoff, encs, folded)
+        | _ -> ());
+        Ok (folded, degraded, stale_shards)))
 
 let estimate t ~name =
   with_lock t (fun () ->
@@ -1173,14 +1129,12 @@ let expr_query ?w t ~expr ~m =
                 match leaves with
                 | [] -> Error (P.Bad_params "expression names no sessions")
                 | [ (_, f) ] -> Ok f
-                | (_, first) :: rest ->
-                  List.fold_left
-                    (fun acc (_, f) ->
-                      Result.bind acc (fun u ->
-                          Result.map_error
-                            (fun msg -> P.Bad_params msg)
-                            (Families.merge u f ~seed:(next_seed t))))
-                    (Ok first) rest
+                | _ ->
+                  Result.map_error
+                    (fun msg -> P.Bad_params msg)
+                    (Families.fold
+                       (List.map (fun (_, f) -> Families.Live f) leaves)
+                       ~seed:(next_seed t))
               in
               match folded with
               | Ok u ->
@@ -1205,16 +1159,12 @@ let fetch ?cutoff t ~name =
       | Ok si -> (
         match gather ?cutoff t si name with
         | Error e -> Error e
-        | Ok (folded, _, _) -> (
-          let io = Families.to_io ~merges:si.merges folded in
+        | Ok (folded, _, _) ->
           (* restrict the encoded fold too: a degraded gather may have folded
              in a stale, un-windowed fallback *)
-          let io =
-            match cutoff with None -> io | Some c -> Io.restrict ~cutoff:c io
-          in
-          match Io.to_wire io with
-          | encoded -> Ok encoded
-          | exception Invalid_argument msg -> Error (P.Server_error msg))))
+          Result.map_error
+            (fun msg -> P.Server_error msg)
+            (Families.encode ~merges:si.merges ?cutoff folded)))
 
 let snapshot_to t ~name ~path =
   with_lock t (fun () ->

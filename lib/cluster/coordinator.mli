@@ -11,8 +11,9 @@
       shipped as one coalesced write when the staging queue hits the batch
       high-water mark, with a bounded window of unacknowledged payloads;
     - [EST]/[STATS]/[SNAPSHOT] gather: every worker ships its sketch
-      ([SNAPSHOT <sid>] wire form) and the coordinator folds them with
-      {!Delphic_server.Families.merge}.
+      ([SNAPSHOT <sid>] wire form, a binary snapshot token) and the
+      coordinator folds all of them in one pass with
+      {!Delphic_server.Families.fold}.
 
     Failure handling: every RPC is bounded by a timeout ({!Rpc}); a worker
     that fails is quarantined with exponential backoff and its staged
@@ -52,7 +53,6 @@ val create :
   ?backoff:float ->
   ?window:int ->
   ?batch:int ->
-  ?gather_domains:int ->
   ?io:Rpc.io ->
   ?proto:Rpc.proto ->
   ?clock:(unit -> float) ->
@@ -68,8 +68,10 @@ val create :
     live workers — the shard's home ring position and its successors, dead
     positions skipped — so any single worker can be lost with no estimate
     degradation: a gather is fresh for a position as long as {e any} of its
-    R-successor window answered (clamped to the pool size; replication is
-    semantically free because union sketches are duplicate-insensitive).
+    R-successor window answered (clamped to the pool size).  Replication
+    buys availability, not accuracy: in the sketch regime a gather folds
+    every replica's bucket with independent coins, so R = 2 roughly doubles
+    the answer (DESIGN.md §3, the merge caveat).
     [dial_timeout] (default 2s) bounds each TCP connect separately from the
     per-reply [timeout]; a dial that times out (black-holed host) skips the
     in-round retries and quarantines at once.
@@ -84,9 +86,10 @@ val create :
     every worker connection — the fault-injection hook: the chaos tests
     pass [Delphic_harness.Chaos] wrappers here and the coordinator's
     retry/quarantine/rejoin machinery runs against a deliberately lossy
-    transport.  [proto] (default {!Rpc.V1}) selects the wire protocol for
-    every worker connection; [Rpc.V2] ships ADDB batches as binary frames
-    (no %-armoring, splice-journalled by the worker).
+    transport.  [proto] (default {!Rpc.V2}, what the CLI speaks) selects
+    the wire protocol for every worker connection: v2 ships ADDB batches
+    and SKETCH replies as binary records (no %-armoring, ADDB
+    splice-journalled by the worker); [Rpc.V1] is the text protocol.
     [timeout] (default 2s) bounds every connect/send/recv — a gather gives
     the {e whole} collect phase one [timeout] as a shared absolute deadline,
     so one slow worker costs at most one timeout however many are slow;
@@ -95,11 +98,7 @@ val create :
     unacknowledged-payload depth per worker; [batch] (default 64) is both
     the per-worker staging high-water mark and the maximum payloads per
     [ADDB] frame — [batch = 1] degenerates to the unbatched one-ADD-per-line
-    pipeline; [gather_domains] (default
-    {!Delphic_harness.Parallel.default_domains}) bounds the domains spent on
-    the gather's decode/merge tree — [1] keeps the fold on the calling
-    thread (the merge-tree shape, hence the folded sketch, is the same
-    either way).  [clock] (default [Unix.gettimeofday]) supplies the query
+    pipeline.  [clock] (default [Unix.gettimeofday]) supplies the query
     instant for un-pinned [WIN] and [EXPR w=] — injectable for deterministic
     tests; [cutoff_bucket] (default 1s) quantizes clock-derived window
     cutoffs down to that grain, so repeated idle-cluster windowed queries

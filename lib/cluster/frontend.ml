@@ -39,9 +39,10 @@ let srvstats t =
     }
 
 (* The frontend is pure request → response plumbing: parse, dispatch,
-   render.  No journal, so [raw] is unused and every reply is immediate —
-   both protocols share one path.  [ctx] is unused: clients are never
-   epoch-fenced at the front door (fencing is a worker-side concern). *)
+   render (a v2 SKETCH as the binary record, like a worker's).  No journal,
+   so [raw] is unused and every reply is immediate.  [ctx] is unused:
+   clients are never epoch-fenced at the front door (fencing is a
+   worker-side concern). *)
 let handle t dispatch ~ctx:_ ~proto ~raw:_ ~body =
   let parsed =
     match proto with
@@ -57,7 +58,7 @@ let handle t dispatch ~ctx:_ ~proto ~raw:_ ~body =
       | resp -> resp
       | exception exn -> P.Error_reply (P.Server_error (Printexc.to_string exn)))
   in
-  Evloop.Reply (P.render_response response)
+  Delphic_server.Server.reply ~proto response
 
 let create ?(host = "127.0.0.1") ?max_conns ?domains ?(shard_fresh = fun () -> [])
     ~port ~dispatch () =

@@ -46,12 +46,17 @@ type t = {
   scratch : Frame.sink;
   (* Reads bypass in_channel: a raw [Unix.read] surfaces EAGAIN from
      SO_RCVTIMEO as a typed timeout instead of a Sys_error string, which is
-     what lets [recv_timeout] tell "slow" from "dead".  [pend] holds bytes
-     received but not yet consumed as a line (always starting at a line
-     boundary); [scanned] is the prefix of [pend] already known to hold no
-     newline, so a line arriving across several reads is scanned once. *)
-  rbuf : Bytes.t;
-  mutable pend : string;
+     what lets [recv_timeout] tell "slow" from "dead".  Received bytes
+     accumulate in one growable buffer: [rbuf.[rpos .. rlen-1]] is received
+     but not yet consumed, always starting at a reply boundary.  A reply
+     spanning many reads is appended chunk by chunk in place and cut out
+     once; [scanned] is the absolute offset up to which the v1 newline
+     search already came up empty, so a long line is scanned once.  The
+     buffer grows to the largest reply seen (bounded by {!Frame.max_body}
+     plus one read) and is reused. *)
+  mutable rbuf : Bytes.t;
+  mutable rpos : int;
+  mutable rlen : int;
   mutable scanned : int;
   (* the SO_RCVTIMEO value currently armed on [fd]: re-arming costs a
      syscall per read, and in the steady state every recv wants the same
@@ -88,6 +93,9 @@ let resolve host =
     | { Unix.h_addr_list; _ } -> Ok h_addr_list.(0)
     | exception Not_found -> Error (Printf.sprintf "cannot resolve %S" host))
 
+(* Bytes asked of the kernel per read. *)
+let read_size = 65536
+
 let make_conn fd ~io ~host ~port ~proto ~timeout =
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
   let t =
@@ -100,8 +108,9 @@ let make_conn fd ~io ~host ~port ~proto ~timeout =
       timeout;
       buf = Buffer.create 4096;
       scratch = Frame.sink_create 256;
-      rbuf = Bytes.create 65536;
-      pend = "";
+      rbuf = Bytes.create (2 * read_size);
+      rpos = 0;
+      rlen = 0;
       scanned = 0;
       armed = 0.0;
     }
@@ -190,13 +199,31 @@ let send t req =
   stage t req;
   flush_staged t
 
-(* One chunk off the socket, with SO_RCVTIMEO armed to whatever remains of
-   [deadline] (clamped to 1ms: a zero timeout means block forever, and
-   bytes already delivered to the kernel buffer are returned regardless, so
-   an exhausted budget still collects a reply that has in fact arrived).
-   The setsockopt is skipped when the armed value is already within 10% of
-   the budget — a stale-armed EAGAIN before the deadline just re-arms and
-   retries, so the skip can delay a timeout by at most that 10%. *)
+(* Room for one more [read_size] read at [rlen]: slide the unconsumed
+   bytes to the front first, and only grow when a single reply outgrows
+   the buffer. *)
+let reserve t =
+  if Bytes.length t.rbuf - t.rlen < read_size then begin
+    let live = t.rlen - t.rpos in
+    let buf =
+      if live + read_size <= Bytes.length t.rbuf then t.rbuf
+      else Bytes.create (2 * (live + read_size))
+    in
+    Bytes.blit t.rbuf t.rpos buf 0 live;
+    t.rbuf <- buf;
+    t.scanned <- t.scanned - t.rpos;
+    t.rpos <- 0;
+    t.rlen <- live
+  end
+
+(* One chunk off the socket, appended at [rlen], with SO_RCVTIMEO armed to
+   whatever remains of [deadline] (clamped to 1ms: a zero timeout means
+   block forever, and bytes already delivered to the kernel buffer are
+   returned regardless, so an exhausted budget still collects a reply that
+   has in fact arrived).  The setsockopt is skipped when the armed value is
+   already within 10% of the budget — a stale-armed EAGAIN before the
+   deadline just re-arms and retries, so the skip can delay a timeout by at
+   most that 10%. *)
 let rec read_chunk t ~deadline =
   let remaining = deadline -. Unix.gettimeofday () in
   let budget = if remaining < 0.001 then 0.001 else remaining in
@@ -205,9 +232,12 @@ let rec read_chunk t ~deadline =
      with Unix.Unix_error _ -> ());
     t.armed <- budget
   end;
-  match t.io.io_read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
+  reserve t;
+  match t.io.io_read t.fd t.rbuf t.rlen read_size with
   | 0 -> Error (Closed "connection closed by peer")
-  | k -> Ok (Bytes.sub_string t.rbuf 0 k)
+  | k ->
+    t.rlen <- t.rlen + k;
+    Ok ()
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
     ->
     if Unix.gettimeofday () < deadline -. 0.0005 then read_chunk t ~deadline
@@ -215,69 +245,71 @@ let rec read_chunk t ~deadline =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk t ~deadline
   | exception Unix.Unix_error (e, _, _) -> Error (Closed (Unix.error_message e))
 
-let rec read_line t ~deadline =
-  match String.index_from_opt t.pend t.scanned '\n' with
-  | Some i ->
-    let line = String.sub t.pend 0 i in
-    t.pend <- String.sub t.pend (i + 1) (String.length t.pend - i - 1);
-    t.scanned <- 0;
-    Ok line
-  | None -> (
-    t.scanned <- String.length t.pend;
-    match read_chunk t ~deadline with
-    | Ok chunk ->
-      t.pend <- (if t.pend = "" then chunk else t.pend ^ chunk);
-      read_line t ~deadline
-    | Error _ as e -> e)
+(* Consume [n] bytes; an emptied buffer rewinds to its start for free. *)
+let consume t n =
+  t.rpos <- t.rpos + n;
+  if t.rpos = t.rlen then begin
+    t.rpos <- 0;
+    t.rlen <- 0
+  end;
+  t.scanned <- t.rpos
 
-(* v2 replies are length-prefixed frames; [pend] accumulates across reads
-   exactly as for lines, with [scanned] unused (the header says how much is
-   missing, no rescan needed).  A CRC mismatch means the stream can no
-   longer be trusted to stay framed — same verdict as an unparseable line. *)
-let rec read_frame t ~deadline =
-  let n = String.length t.pend in
-  let complete =
-    n >= 8
-    &&
-    let len = Frame.read_be32 t.pend 0 in
-    len <= Frame.max_body && n >= 8 + len
+let rec read_line t ~deadline =
+  let rec find i =
+    if i >= t.rlen then None
+    else if Bytes.unsafe_get t.rbuf i = '\n' then Some i
+    else find (i + 1)
   in
-  if complete then begin
-    let len = Frame.read_be32 t.pend 0 in
-    let crc = Frame.read_be32 t.pend 4 in
-    let body = String.sub t.pend 8 len in
-    t.pend <- String.sub t.pend (8 + len) (n - 8 - len);
-    t.scanned <- 0;
-    if Frame.crc32 body <> crc then Error (Closed "CRC mismatch on reply frame")
-    else Ok body
+  match find (Stdlib.max t.scanned t.rpos) with
+  | Some i ->
+    let line = Bytes.sub_string t.rbuf t.rpos (i - t.rpos) in
+    consume t (i + 1 - t.rpos);
+    Ok (P.parse_response line)
+  | None -> (
+    t.scanned <- t.rlen;
+    if t.rlen - t.rpos > Frame.max_body then Error (Closed "oversized reply line")
+    else
+      match read_chunk t ~deadline with
+      | Ok () -> read_line t ~deadline
+      | Error _ as e -> e)
+
+(* v2 replies are length-prefixed frames: the header says how much is
+   missing, so no rescan is needed; the CRC is checked and the body decoded
+   in place.  A CRC mismatch means the stream can no longer be trusted to
+   stay framed — same verdict as an unparseable line. *)
+let rec read_frame t ~deadline =
+  let avail = t.rlen - t.rpos in
+  let len = if avail >= 8 then Frame.read_be32_bytes t.rbuf t.rpos else -1 in
+  if len > Frame.max_body then Error (Closed "oversized reply frame")
+  else if len >= 0 && avail >= 8 + len then begin
+    let crc = Frame.read_be32_bytes t.rbuf (t.rpos + 4) in
+    let pos = t.rpos + 8 in
+    consume t (8 + len);
+    (* [consume] moved only the indices: the body is still in place *)
+    if Frame.crc32_bytes t.rbuf ~pos ~len <> crc then
+      Error (Closed "CRC mismatch on reply frame")
+    else Ok (P.parse_reply_frame t.rbuf ~pos ~len)
   end
-  else if n >= 8 && Frame.read_be32 t.pend 0 > Frame.max_body then
-    Error (Closed "oversized reply frame")
-  else begin
+  else
     match read_chunk t ~deadline with
-    | Ok chunk ->
-      t.pend <- (if t.pend = "" then chunk else t.pend ^ chunk);
-      read_frame t ~deadline
+    | Ok () -> read_frame t ~deadline
     | Error _ as e -> e
-  end
 
 let recv_timeout ?deadline t =
   let deadline =
     match deadline with Some d -> d | None -> Unix.gettimeofday () +. t.timeout
   in
-  let line =
+  let reply =
     match t.proto with
     | V1 -> read_line t ~deadline
     | V2 -> read_frame t ~deadline
   in
-  match line with
+  match reply with
   | Error _ as e -> e
-  | Ok line -> (
-    match P.parse_response line with
-    | Ok _ as ok -> ok
-    (* an unparseable line means the stream is misframed — the connection is
-       as good as dead even though the socket is open *)
-    | Error msg -> Error (Closed msg))
+  | Ok (Ok _ as ok) -> ok
+  (* an unparseable reply means the stream is misframed — the connection is
+     as good as dead even though the socket is open *)
+  | Ok (Error msg) -> Error (Closed msg)
 
 let recv t = Result.map_error describe_recv_error (recv_timeout t)
 

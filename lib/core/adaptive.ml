@@ -226,82 +226,6 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       Printf.sprintf "sketch (max bucket %d, %d sets skipped)" (max_bucket_size t)
         (skipped_sets t)
 
-  (* Sharded-stream merge of two adaptive estimators over the same family
-     and parameters.  Exact tables union while both sides are exact and the
-     result fits the budget; otherwise the merged estimator runs on the
-     merged sketch.  Sketches are lazy ([process]), so an exact-mode
-     shard's sketch is empty — when the merged result needs a sketch, each
-     exact side is first replayed into a fresh one (a valid sketch of that
-     shard's stream, same argument as the hand-over in [deactivate]);
-     when both sides are still exact the merged sketch stays lazy too
-     (an empty one, rebuilt by [deactivate] if the merged table ever
-     overflows). *)
-  let merge a b ~seed =
-    if
-      a.epsilon <> b.epsilon || a.delta <> b.delta
-      || a.log2_universe <> b.log2_universe
-      || a.mode <> b.mode || a.capacity <> b.capacity
-    then invalid_arg "Adaptive.merge: parameter mismatch";
-    let fresh_like v ~seed =
-      let p = Vatic.params v in
-      Vatic.create ~mode:p.Params.mode ~capacity_scale:p.Params.capacity_scale
-        ~coupon_scale:p.Params.coupon_scale ~epsilon:p.Params.epsilon
-        ~delta:p.Params.delta ~log2_universe:p.Params.log2_universe ~seed ()
-    in
-    let effective side v ~seed =
-      if side.exact_active then begin
-        let fresh = fresh_like v ~seed in
-        replay_into side.exact fresh;
-        fresh
-      end
-      else v
-    in
-    let sketch =
-      match (a.sketch, b.sketch) with
-      | Some x, Some y ->
-        if a.exact_active && b.exact_active then Some (fresh_like x ~seed:(seed + 1))
-        else
-          Some
-            (Vatic.merge
-               (effective a x ~seed:(seed + 2))
-               (effective b y ~seed:(seed + 3))
-               ~seed:(seed + 1))
-      | None, None -> None
-      | _ -> invalid_arg "Adaptive.merge: sketch presence mismatch"
-    in
-    let t =
-      {
-        mode = a.mode;
-        epsilon = a.epsilon;
-        delta = a.delta;
-        log2_universe = a.log2_universe;
-        capacity = a.capacity;
-        coupon_factor = a.coupon_factor;
-        rng = Rng.create ~seed;
-        exact = Tbl.create 256;
-        exact_active = a.exact_active && b.exact_active;
-        sketch;
-        items = a.items + b.items;
-      }
-    in
-    if t.exact_active then begin
-      let absorb x ts =
-        match Tbl.find_opt t.exact x with
-        | Some old_ts -> Tbl.replace t.exact x (Float.max old_ts ts)
-        | None -> Tbl.replace t.exact x ts
-      in
-      Tbl.iter absorb a.exact;
-      Tbl.iter absorb b.exact;
-      if Tbl.length t.exact > t.capacity then begin
-        if Option.is_none t.sketch then
-          failwith
-            "Adaptive.merge: merged union exceeds exact capacity on a universe too small for sketching"
-        else deactivate t
-      end
-    end
-    else t.exact <- Tbl.create 1;
-    t
-
   type sketch_snapshot = {
     capacity_scale : float;
     coupon_scale : float;
@@ -326,7 +250,40 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     sketch : sketch_snapshot option;
   }
 
-  let snapshot (t : t) =
+  let sketch_snapshot_of (s : Vatic.snapshot) =
+    {
+      capacity_scale = s.Vatic.capacity_scale;
+      coupon_scale = s.Vatic.coupon_scale;
+      sketch_items = s.Vatic.items;
+      max_bucket = s.Vatic.max_bucket;
+      skipped = s.Vatic.skipped;
+      membership_calls = s.Vatic.calls.membership;
+      cardinality_calls = s.Vatic.calls.cardinality;
+      sampling_calls = s.Vatic.calls.sampling;
+      sketch_entries = s.Vatic.entries;
+    }
+
+  let vatic_snapshot_of (s : snapshot) (sk : sketch_snapshot) =
+    {
+      Vatic.mode = s.mode;
+      capacity_scale = sk.capacity_scale;
+      coupon_scale = sk.coupon_scale;
+      epsilon = s.epsilon;
+      delta = s.delta;
+      log2_universe = s.log2_universe;
+      items = sk.sketch_items;
+      max_bucket = sk.max_bucket;
+      skipped = sk.skipped;
+      calls =
+        {
+          Vatic.membership = sk.membership_calls;
+          cardinality = sk.cardinality_calls;
+          sampling = sk.sampling_calls;
+        };
+      entries = sk.sketch_entries;
+    }
+
+  let snapshot_with (t : t) ~exact_entries ~sketch_of =
     {
       mode = t.mode;
       epsilon = t.epsilon;
@@ -335,69 +292,157 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       exact_capacity = t.capacity;
       items = t.items;
       exact_active = t.exact_active;
-      exact_entries = Tbl.fold (fun x ts acc -> (x, ts) :: acc) t.exact [];
-      sketch =
-        Option.map
-          (fun v ->
-            let s = Vatic.snapshot v in
-            {
-              capacity_scale = s.Vatic.capacity_scale;
-              coupon_scale = s.Vatic.coupon_scale;
-              sketch_items = s.Vatic.items;
-              max_bucket = s.Vatic.max_bucket;
-              skipped = s.Vatic.skipped;
-              membership_calls = s.Vatic.calls.membership;
-              cardinality_calls = s.Vatic.calls.cardinality;
-              sampling_calls = s.Vatic.calls.sampling;
-              sketch_entries = s.Vatic.entries;
-            })
-          t.sketch;
+      exact_entries;
+      sketch = Option.map (fun v -> sketch_snapshot_of (sketch_of v)) t.sketch;
     }
 
-  let restore s ~seed =
-    if (not s.exact_active) && Option.is_none s.sketch then
-      invalid_arg "Adaptive.restore: snapshot is in sketch mode but has no sketch";
-    let sketch =
-      Option.map
-        (fun (sk : sketch_snapshot) ->
-          Vatic.restore
-            {
-              Vatic.mode = s.mode;
-              capacity_scale = sk.capacity_scale;
-              coupon_scale = sk.coupon_scale;
-              epsilon = s.epsilon;
-              delta = s.delta;
-              log2_universe = s.log2_universe;
-              items = sk.sketch_items;
-              max_bucket = sk.max_bucket;
-              skipped = sk.skipped;
-              calls =
-                {
-                  Vatic.membership = sk.membership_calls;
-                  cardinality = sk.cardinality_calls;
-                  sampling = sk.sampling_calls;
-                };
-              entries = sk.sketch_entries;
-            }
-            ~seed:(seed + 1))
-        s.sketch
+  let snapshot (t : t) =
+    snapshot_with t
+      ~exact_entries:(Tbl.fold (fun x ts acc -> (x, ts) :: acc) t.exact [])
+      ~sketch_of:Vatic.snapshot
+
+  (* ---- the fold: k entry sources into one estimator ---- *)
+
+  type source = {
+    header : snapshot;
+    exact_size : int;
+    iter_exact : (F.elt -> float -> unit) -> unit;
+    sketch_min_level : int;
+    sketch_size : int;
+    iter_sketch : (F.elt -> int -> float -> unit) -> unit;
+  }
+
+  let source (t : t) =
+    let vs = Option.map Vatic.source t.sketch in
+    {
+      header =
+        snapshot_with t ~exact_entries:[] ~sketch_of:(fun v -> (Vatic.source v).Vatic.header);
+      exact_size = Tbl.length t.exact;
+      iter_exact = (fun f -> Tbl.iter f t.exact);
+      sketch_min_level = (match vs with Some s -> s.Vatic.min_level | None -> 0);
+      sketch_size = (match vs with Some s -> s.Vatic.size | None -> 0);
+      iter_sketch = (fun f -> match vs with Some s -> s.Vatic.iter f | None -> ());
+    }
+
+  let source_of_snapshot (s : snapshot) =
+    let sk_entries = match s.sketch with Some sk -> sk.sketch_entries | None -> [] in
+    {
+      header = s;
+      exact_size = List.length s.exact_entries;
+      iter_exact = (fun f -> List.iter (fun (x, ts) -> f x ts) s.exact_entries);
+      sketch_min_level = List.fold_left (fun m (_, l, _) -> Stdlib.max m l) 0 sk_entries;
+      sketch_size = List.length sk_entries;
+      iter_sketch = (fun f -> List.iter (fun (x, l, ts) -> f x l ts) sk_entries);
+    }
+
+  let vatic_source s =
+    Option.map
+      (fun sk ->
+        {
+          Vatic.header = vatic_snapshot_of s.header { sk with sketch_entries = [] };
+          min_level = s.sketch_min_level;
+          size = s.sketch_size;
+          iter = s.iter_sketch;
+        })
+      s.header.sketch
+
+  (* Sharded-stream fold of k adaptive estimators over the same family and
+     parameters, in one pass over their entries:
+
+     - a single source is copied verbatim (restore is this case);
+     - while every source is exact, the tables union (newest timestamp per
+       element) and the result stays exact if it fits the budget — the
+       lazy sketch stays empty, rebuilt by [deactivate] on overflow
+       exactly as a single stream hands over;
+     - otherwise the result runs on a sketch: the exact sources' tables
+       union into one and are replayed into a fresh sketch (a valid sketch
+       of those shards' streams, the hand-over argument of [deactivate]),
+       which goes first in one {!Vatic.fold} with every sketching source. *)
+  let fold sources ~seed =
+    let h =
+      match sources with
+      | [] -> invalid_arg "Adaptive.fold: no sources"
+      | s :: _ -> s.header
     in
-    if s.exact_capacity <= 0 then invalid_arg "Adaptive.restore: exact_capacity must be positive";
-    let t =
+    List.iter
+      (fun s ->
+        let q = s.header in
+        if
+          q.epsilon <> h.epsilon || q.delta <> h.delta
+          || q.log2_universe <> h.log2_universe
+          || q.mode <> h.mode || q.exact_capacity <> h.exact_capacity
+        then invalid_arg "Adaptive.merge: parameter mismatch";
+        if Option.is_some q.sketch <> Option.is_some h.sketch then
+          invalid_arg "Adaptive.merge: sketch presence mismatch";
+        if (not q.exact_active) && Option.is_none q.sketch then
+          invalid_arg "Adaptive.restore: snapshot is in sketch mode but has no sketch")
+      sources;
+    if h.exact_capacity <= 0 then invalid_arg "Adaptive.restore: exact_capacity must be positive";
+    let empty_sketch ~seed =
+      Option.map
+        (fun sk -> Vatic.restore (vatic_snapshot_of h { sk with sketch_entries = [] }) ~seed)
+        h.sketch
+    in
+    let union srcs =
+      let tbl =
+        Tbl.create (Stdlib.max 256 (List.fold_left (fun n s -> n + s.exact_size) 0 srcs))
+      in
+      List.iter
+        (fun s ->
+          s.iter_exact (fun x ts ->
+              match Tbl.find_opt tbl x with
+              | Some old_ts -> if ts > old_ts then Tbl.replace tbl x ts
+              | None -> Tbl.add tbl x ts))
+        srcs;
+      tbl
+    in
+    let make ~exact ~exact_active ~sketch =
       {
-        mode = s.mode;
-        epsilon = s.epsilon;
-        delta = s.delta;
-        log2_universe = s.log2_universe;
-        capacity = s.exact_capacity;
-        coupon_factor = log 4.0 +. (s.log2_universe *. log 2.0) -. log s.delta;
+        mode = h.mode;
+        epsilon = h.epsilon;
+        delta = h.delta;
+        log2_universe = h.log2_universe;
+        capacity = h.exact_capacity;
+        coupon_factor = log 4.0 +. (h.log2_universe *. log 2.0) -. log h.delta;
         rng = Rng.create ~seed;
-        exact = Tbl.create (Stdlib.max 256 (2 * List.length s.exact_entries));
-        exact_active = s.exact_active;
+        exact;
+        exact_active;
         sketch;
-        items = s.items;
+        items = List.fold_left (fun n s -> n + s.header.items) 0 sources;
       }
     in
-    List.iter (fun (x, ts) -> Tbl.replace t.exact x ts) s.exact_entries;
-    t
+    match sources with
+    | [ s ] ->
+      make ~exact:(union [ s ]) ~exact_active:h.exact_active
+        ~sketch:(Option.map (fun v -> Vatic.fold [ v ] ~seed:(seed + 1)) (vatic_source s))
+    | _ when List.for_all (fun s -> s.header.exact_active) sources ->
+      let t =
+        make ~exact:(union sources) ~exact_active:true ~sketch:(empty_sketch ~seed:(seed + 1))
+      in
+      if Tbl.length t.exact > t.capacity then begin
+        if Option.is_none t.sketch then
+          failwith
+            "Adaptive.merge: merged union exceeds exact capacity on a universe too small for sketching"
+        else deactivate t
+      end;
+      t
+    | _ ->
+      let exact_side = List.filter (fun s -> s.header.exact_active) sources in
+      let replayed =
+        match (exact_side, empty_sketch ~seed:(seed + 2)) with
+        | [], _ | _, None -> []
+        | _, Some fresh ->
+          replay_into (union exact_side) fresh;
+          [ Vatic.source fresh ]
+      in
+      let sketching =
+        List.filter_map
+          (fun s -> if s.header.exact_active then None else vatic_source s)
+          sources
+      in
+      make ~exact:(Tbl.create 1) ~exact_active:false
+        ~sketch:(Some (Vatic.fold (replayed @ sketching) ~seed:(seed + 1)))
+
+  let restore s ~seed = fold [ source_of_snapshot s ] ~seed
+  let merge a b ~seed = fold [ source a; source b ] ~seed
 end

@@ -136,15 +136,42 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
   val snapshot : t -> snapshot
 
   val restore : snapshot -> seed:int -> t
-  (** Raises [Invalid_argument] on internally inconsistent snapshots (e.g.
-      sketch mode without a sketch, or parameters {!create} would refuse). *)
+  (** The one-source {!fold}.  Raises [Invalid_argument] on internally
+      inconsistent snapshots (e.g. sketch mode without a sketch, or
+      parameters {!create} would refuse). *)
+
+  type source = {
+    header : snapshot;
+        (** parameters and counters; its [exact_entries] and the sketch's
+            [sketch_entries] are ignored *)
+    exact_size : int;  (** entries [iter_exact] yields *)
+    iter_exact : (F.elt -> float -> unit) -> unit;
+        (** (element, last-occurrence timestamp) of the exact table *)
+    sketch_min_level : int;  (** highest level [iter_sketch] yields (0 when empty) *)
+    sketch_size : int;  (** entries [iter_sketch] yields *)
+    iter_sketch : (F.elt -> int -> float -> unit) -> unit;
+        (** (element, level, last-occurrence timestamp) of the sketch bucket *)
+  }
+  (** An estimator seen through iterators: a live one ({!source}) or a
+      decoded snapshot token whose elements are decoded on the fly — the
+      cluster folds k worker tokens without restoring an estimator per
+      token. *)
+
+  val source : t -> source
+  (** The estimator's own tables, iterated in place (no copy). *)
+
+  val fold : source list -> seed:int -> t
+  (** The one fold behind {!restore} and {!merge}.  A single source is
+      copied verbatim.  With several, exact tables union while every
+      source is exact and the result fits the budget (an overflow hands
+      over to the sketch exactly as a single stream does); otherwise the
+      exact sources' union is replayed into a fresh sketch and folded with
+      every sketching source in one {!Vatic.Make.fold} pass — one coin per
+      distinct element at the first holder's level, newest timestamp wins.
+      Sources are unchanged.  Raises [Invalid_argument] on an empty list,
+      a parameter mismatch or an inconsistent header, [Failure] if an
+      exact-only (unsketchable) union outgrows the budget. *)
 
   val merge : t -> t -> seed:int -> t
-  (** Sharded-stream merge (the cluster's gather/fold step): exact tables
-      union while both sides are exact and the result fits the budget,
-      otherwise the merged estimator runs on {!Vatic.Make.merge} of the two
-      shadow sketches — which saw both shards' whole streams, so the
-      hand-over loses nothing.  Inputs are unchanged.  Raises
-      [Invalid_argument] on a parameter mismatch, [Failure] if an exact-only
-      (unsketchable) union outgrows the budget. *)
+  (** The two-source {!fold} — the sharded-stream merge. *)
 end

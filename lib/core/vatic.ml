@@ -7,19 +7,22 @@ let log_src = Logs.Src.create "delphic.vatic" ~doc:"VATIC estimator internals"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Make (F : Delphic_family.Family.FAMILY) = struct
-  module Tbl = Hashtbl.Make (struct
+  module Key = struct
     type t = F.elt
 
     let equal = F.equal_elt
     let hash = F.hash_elt
-  end)
+  end
+
+  module Tbl = Hashtbl.Make (Key)
+  module Bucket = Entry_table.Make (Key)
 
   type oracle_calls = { membership : int; cardinality : int; sampling : int }
 
   type t = {
     params : Params.t;
     rng : Rng.t;
-    bucket : (int * float) Tbl.t;
+    bucket : Bucket.t;
         (* element -> (sampling level ℓ, i.e. p = 2^-ℓ,
                        ingest timestamp of the element's last occurrence) *)
     scratch : unit Tbl.t;
@@ -36,15 +39,15 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     mutable sampling_calls : int;
   }
 
-  let create ?mode ?capacity_scale ?coupon_scale ~epsilon ~delta ~log2_universe ~seed
-      () =
+  let make ?mode ?capacity_scale ?coupon_scale ?(size = 1024) ~epsilon ~delta
+      ~log2_universe ~seed () =
     let params =
       Params.create ?mode ?capacity_scale ?coupon_scale ~epsilon ~delta ~log2_universe ()
     in
     {
       params;
       rng = Rng.create ~seed;
-      bucket = Tbl.create 1024;
+      bucket = Bucket.create size;
       scratch = Tbl.create 256;
       counts = Array.make (Stdlib.max 8 (params.Params.max_level + 2)) 0;
       top = -1;
@@ -56,8 +59,11 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       sampling_calls = 0;
     }
 
+  let create ?mode ?capacity_scale ?coupon_scale ~epsilon ~delta ~log2_universe ~seed () =
+    make ?mode ?capacity_scale ?coupon_scale ~epsilon ~delta ~log2_universe ~seed ()
+
   let params t = t.params
-  let bucket_size t = Tbl.length t.bucket
+  let bucket_size t = Bucket.length t.bucket
   let max_bucket_size t = t.max_bucket
   let items_processed t = t.items
   let skipped_sets t = t.skipped
@@ -89,15 +95,9 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   (* Re-inserting an element keeps the newest timestamp seen for it: a
      retained entry must never look older than the element's last occurrence,
      or window expiry would under-count (DESIGN.md, "Windowed estimation"). *)
-  let bucket_add ?(ts = 0.0) t x l =
-    let ts =
-      match Tbl.find_opt t.bucket x with
-      | Some (old, old_ts) ->
-          note_remove t old;
-          Float.max old_ts ts
-      | None -> ts
-    in
-    Tbl.replace t.bucket x (l, ts);
+  let bucket_add t x l ts =
+    let old = Bucket.upsert t.bucket x l ts in
+    if old >= 0 then note_remove t old;
     note_add t l
 
   let level_for t occupancy =
@@ -132,13 +132,13 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   let remove_covered t s =
     t.membership_calls <- t.membership_calls + bucket_size t;
     (* single in-place pass: no doomed-list allocation, no second traversal *)
-    Tbl.filter_map_inplace
-      (fun x ((l, _) as e) ->
+    Bucket.filter_levels
+      (fun x l ->
         if F.mem s x then begin
           note_remove t l;
-          None
+          -1
         end
-        else Some e)
+        else l)
       t.bucket
 
   let process ?(ts = 0.0) t s =
@@ -185,7 +185,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
           if not (Tbl.mem fresh y) then Tbl.replace fresh y ()
         done;
         t.sampling_calls <- t.sampling_calls + !drawn;
-        Tbl.iter (fun y () -> bucket_add ~ts t y !level) fresh;
+        Tbl.iter (fun y () -> bucket_add t y !level ts) fresh;
         Tbl.clear fresh;
         if bucket_size t > t.max_bucket then t.max_bucket <- bucket_size t
       end
@@ -202,11 +202,11 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   let process_element ?(ts = 0.0) t x =
     t.items <- t.items + 1;
     t.membership_calls <- t.membership_calls + 1;
-    (match Tbl.find_opt t.bucket x with
-    | Some (l, _) ->
-      Tbl.remove t.bucket x;
-      note_remove t l
-    | None -> ());
+    (match Bucket.level t.bucket x with
+    | -1 -> ()
+    | l ->
+      Bucket.remove t.bucket x;
+      note_remove t l);
     let level = ref (current_level t) in
     t.cardinality_calls <- t.cardinality_calls + 1;
     let n =
@@ -229,7 +229,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     end
     else if !n >= 1.0 then begin
       t.sampling_calls <- t.sampling_calls + 1;
-      bucket_add ~ts t x !level;
+      bucket_add t x !level ts;
       if bucket_size t > t.max_bucket then t.max_bucket <- bucket_size t
     end
 
@@ -239,9 +239,8 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   let subsample t =
     let p0_level = min_sampling_level t in
     let kept = ref 0 in
-    Tbl.iter
-      (fun _ (l, _) ->
-        if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - p0_level)) then incr kept)
+    Bucket.iter_levels
+      (fun _ l -> if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - p0_level)) then incr kept)
       t.bucket;
     (p0_level, !kept)
 
@@ -276,9 +275,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      fold rather than an O(top) loop. *)
   let estimate_window t ~cutoff =
     let acc = ref 0.0 in
-    Tbl.iter
-      (fun _ (l, ts) -> if ts >= cutoff then acc := !acc +. Float.ldexp 1.0 l)
-      t.bucket;
+    Bucket.iter (fun _ l ts -> if ts >= cutoff then acc := !acc +. Float.ldexp 1.0 l) t.bucket;
     !acc
 
   (* Destructive expiry: drop every entry whose last occurrence predates the
@@ -286,20 +283,20 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      a query-time window restriction must use {!estimate_window} so a small
      window never corrupts later, larger-window queries. *)
   let expire t ~cutoff =
-    Tbl.filter_map_inplace
-      (fun _ ((l, ts) as e) ->
+    Bucket.filter_map_inplace
+      (fun _ l ts ->
         if ts < cutoff then begin
           note_remove t l;
-          None
+          -1
         end
-        else Some e)
+        else l)
       t.bucket
 
   (* Membership probe for the expression evaluator: the bucket never holds
      an element outside ∪S_i, and holds x ∈ ∪S_i at level ℓ with probability
      2^-ℓ, so 1[held]·2^ℓ is an unbiased Horvitz-Thompson estimate of the
      membership indicator with no false positives. *)
-  let probe_level t x = Option.map fst (Tbl.find_opt t.bucket x)
+  let probe_level t x = match Bucket.level t.bucket x with -1 -> None | l -> Some l
 
   (* One pass over the bucket materialising the level-p0 subsample, then n
      uniform index draws — i.i.d. with replacement over the subsample, at
@@ -310,8 +307,8 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       let p0_level = min_sampling_level t in
       let survivors = ref [] in
       let kept = ref 0 in
-      Tbl.iter
-        (fun x (l, _) ->
+      Bucket.iter_levels
+        (fun x l ->
           if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - p0_level)) then begin
             incr kept;
             survivors := x :: !survivors
@@ -341,7 +338,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     entries : (F.elt * int * float) list;
   }
 
-  let snapshot t =
+  let snapshot_with t entries =
     let p = t.params in
     {
       mode = p.Params.mode;
@@ -354,102 +351,167 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       max_bucket = t.max_bucket;
       skipped = t.skipped;
       calls = oracle_calls t;
-      entries = Tbl.fold (fun x (l, ts) acc -> (x, l, ts) :: acc) t.bucket [];
+      entries;
     }
 
-  let restore s ~seed =
-    let t =
-      create ~mode:s.mode ~capacity_scale:s.capacity_scale ~coupon_scale:s.coupon_scale
-        ~epsilon:s.epsilon ~delta:s.delta ~log2_universe:s.log2_universe ~seed ()
-    in
-    List.iter (fun (x, l, ts) -> bucket_add ~ts t x l) s.entries;
-    t.items <- s.items;
-    t.max_bucket <- s.max_bucket;
-    t.skipped <- s.skipped;
-    t.membership_calls <- s.calls.membership;
-    t.cardinality_calls <- s.calls.cardinality;
-    t.sampling_calls <- s.calls.sampling;
-    t
+  let snapshot t =
+    snapshot_with t (Bucket.fold (fun x l ts acc -> (x, l, ts) :: acc) t.bucket [])
 
-  (* Sharded-stream union: the two sketches sample disjoint (or overlapping)
-     sub-streams of one logical stream.  Downsample both buckets to the
-     common minimum sampling probability p0 = 2^-l0, union with dedup, then
-     re-apply the capacity/halving rule so the merged bucket obeys the same
-     occupancy invariant a single-stream sketch would.
+  let header t = snapshot_with t []
 
-     Coverage shared between the two shards is double-counted in expectation
+  (* ---- the fold: k entry sources into one bucket ----
+
+     A source is a bucket seen through an iterator — a live estimator's
+     table or a decoded token's entry list — plus the snapshot header
+     carrying its parameters and counters ([entries] unused).  Folding is
+     the one merge primitive: [restore] is the one-source case, [merge] the
+     two-source case, and a cluster gather hands all k worker tokens over in
+     one call. *)
+
+  type source = {
+    header : snapshot;
+    min_level : int;
+    size : int;
+    iter : (F.elt -> int -> float -> unit) -> unit;
+  }
+
+  let source t =
+    {
+      header = header t;
+      min_level = min_sampling_level t;
+      size = bucket_size t;
+      iter = (fun f -> Bucket.iter f t.bucket);
+    }
+
+  let source_of_snapshot (s : snapshot) =
+    {
+      header = { s with entries = [] };
+      min_level = List.fold_left (fun m (_, l, _) -> Stdlib.max m l) 0 s.entries;
+      size = List.length s.entries;
+      iter = (fun f -> List.iter (fun (x, l, ts) -> f x l ts) s.entries);
+    }
+
+  (* Halve until the occupancy fits the capacity at its own level, exactly
+     as [process] does for an insertion; past the probability floor the
+     bucket is kept over-full rather than discarding data.  Every entry sits
+     at the pre-increment [l0], so survivors migrate level in place — no
+     rebuild. *)
+  let rehalve t l0 =
+    let l0 = ref l0 in
+    let max_level = t.params.Params.max_level in
+    while level_for t (bucket_size t) > !l0 && !l0 < max_level do
+      incr l0;
+      Bucket.filter_levels
+        (fun _ l ->
+          note_remove t l;
+          if Rng.bool t.rng then begin
+            note_add t !l0;
+            !l0
+          end
+          else -1)
+        t.bucket
+    done
+
+  (* Sharded-stream union of k sketches that sample disjoint (or
+     overlapping) sub-streams of one logical stream.  Every entry is
+     downsampled to the common minimum sampling probability p0 = 2^-L0, L0
+     the largest of the sources' minimum sampling levels, in one pass:
+
+     - each distinct element gets exactly one coin, 2^(l-L0) at the level l
+       of the first source holding it — a later source's copy is visible as
+       a duplicate and flips nothing, since a second independent coin would
+       push its inclusion probability above 2^-L0;
+     - its newest timestamp across all sources wins (the element's last
+       occurrence across the sharded stream);
+
+     then the capacity/halving rule is re-applied so the folded bucket obeys
+     the same occupancy invariant a single-stream sketch would.
+
+     Coverage shared between shards is still double-counted in expectation
      (inclusion events are independent across shards — there is no shared
-     hash as in theta sketches), so the merged estimate lies between |∪| and
+     hash as in theta sketches), so the folded estimate lies between |∪| and
      the sum of the per-shard union sizes; hash-of-set sharding keeps the
-     gap to the geometric overlap between distinct sets.  An element retained
-     by BOTH buckets is visible as a duplicate, though, and gets exactly one
-     downsampling coin (at shard a's level) — two independent coins would
-     push its inclusion probability above 2^-l0 on top of that inherent
-     cross-shard caveat.  A merge with an empty sketch is the exact
+     gap to the geometric overlap between distinct sets.  Empty sources are
+     skipped, and a single non-empty source is copied verbatim — no coin,
+     no halving — so restore and a merge with an empty sketch are the exact
      identity. *)
-  let merge a b ~seed =
-    let pa = a.params and pb = b.params in
-    if
-      pa.Params.epsilon <> pb.Params.epsilon
-      || pa.Params.delta <> pb.Params.delta
-      || pa.Params.log2_universe <> pb.Params.log2_universe
-      || pa.Params.mode <> pb.Params.mode
-      || pa.Params.bucket_capacity <> pb.Params.bucket_capacity
-    then invalid_arg "Vatic.merge: parameter mismatch";
-    let t =
-      create ~mode:pa.Params.mode ~capacity_scale:pa.Params.capacity_scale
-        ~coupon_scale:pa.Params.coupon_scale ~epsilon:pa.Params.epsilon
-        ~delta:pa.Params.delta ~log2_universe:pa.Params.log2_universe ~seed ()
+  let fold sources ~seed =
+    let h =
+      match sources with
+      | [] -> invalid_arg "Vatic.fold: no sources"
+      | s :: _ -> s.header
     in
-    (if bucket_size a = 0 then
-       Tbl.iter (fun x (l, ts) -> bucket_add ~ts t x l) b.bucket
-     else if bucket_size b = 0 then
-       Tbl.iter (fun x (l, ts) -> bucket_add ~ts t x l) a.bucket
-     else begin
-       let l0 = ref (Stdlib.max (min_sampling_level a) (min_sampling_level b)) in
-       (* [dup] marks elements whose coin was already flipped while absorbing
-          the other shard — they must not get a second chance.  An element
-          held by both shards keeps the newest of the two timestamps (its
-          last occurrence across the sharded stream), looked up while
-          absorbing shard a so the single coin decides for both copies. *)
-       let ts_in other x ts =
-         match Tbl.find_opt other.bucket x with
-         | Some (_, other_ts) -> Float.max ts other_ts
-         | None -> ts
-       in
-       let absorb ~dup ~other src =
-         Tbl.iter
-           (fun x (l, ts) ->
-             if (not (dup x)) && Rng.bernoulli t.rng (Float.ldexp 1.0 (l - !l0))
-             then bucket_add ~ts:(ts_in other x ts) t x !l0)
-           src.bucket
-       in
-       absorb ~dup:(fun _ -> false) ~other:b a;
-       absorb ~dup:(Tbl.mem a.bucket) ~other:a b;
-       (* Halve until the merged occupancy fits the capacity at its own
-          level, exactly as process does for an insertion; past the
-          probability floor the bucket is kept over-full rather than
-          discarding data.  Every entry sits at the pre-increment l0, so
-          survivors migrate level in place — no rebuild. *)
-       let max_level = t.params.Params.max_level in
-       while level_for t (bucket_size t) > !l0 && !l0 < max_level do
-         incr l0;
-         Tbl.filter_map_inplace
-           (fun _ (l, ts) ->
-             note_remove t l;
-             if Rng.bool t.rng then begin
-               note_add t !l0;
-               Some (!l0, ts)
-             end
-             else None)
-           t.bucket
-       done
-     end);
-    t.items <- a.items + b.items;
-    t.max_bucket <- Stdlib.max (Stdlib.max a.max_bucket b.max_bucket) (bucket_size t);
-    t.skipped <- a.skipped + b.skipped;
-    t.membership_calls <- a.membership_calls + b.membership_calls;
-    t.cardinality_calls <- a.cardinality_calls + b.cardinality_calls;
-    t.sampling_calls <- a.sampling_calls + b.sampling_calls;
+    let t =
+      make ~mode:h.mode ~capacity_scale:h.capacity_scale ~coupon_scale:h.coupon_scale
+        ~size:(List.fold_left (fun n s -> n + s.size) 16 sources)
+        ~epsilon:h.epsilon ~delta:h.delta ~log2_universe:h.log2_universe ~seed ()
+    in
+    let p = t.params in
+    List.iter
+      (fun s ->
+        let q = s.header in
+        if
+          q.epsilon <> p.Params.epsilon
+          || q.delta <> p.Params.delta
+          || q.log2_universe <> p.Params.log2_universe
+          || q.mode <> p.Params.mode
+          || (Params.create ~mode:q.mode ~capacity_scale:q.capacity_scale
+                ~coupon_scale:q.coupon_scale ~epsilon:q.epsilon ~delta:q.delta
+                ~log2_universe:q.log2_universe ())
+               .Params.bucket_capacity
+             <> p.Params.bucket_capacity
+        then invalid_arg "Vatic.merge: parameter mismatch")
+      sources;
+    let max_level = p.Params.max_level in
+    let check_level l =
+      if l < 0 || l > max_level then
+        invalid_arg (Printf.sprintf "Vatic.fold: entry level %d outside [0, %d]" l max_level)
+    in
+    (match List.filter (fun s -> s.size > 0) sources with
+    | [] -> ()
+    | [ s ] ->
+      s.iter (fun x l ts ->
+          check_level l;
+          bucket_add t x l ts)
+    | live ->
+      let l0 = List.fold_left (fun m s -> Stdlib.max m s.min_level) 0 live in
+      let bucket = t.bucket in
+      (* level -2 marks an element whose coin came up tails: it stays in the
+         table until the pass ends so its later copies are recognised *)
+      let rec go = function
+        | [] -> ()
+        | s :: later ->
+          (* the last source's tails need no mark: no copy can follow *)
+          let mark = later <> [] in
+          s.iter (fun x l ts ->
+              check_level l;
+              if l > s.min_level then invalid_arg "Vatic.fold: entry above its source's level";
+              match Bucket.level bucket x with
+              | -2 -> ()
+              | -1 ->
+                if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - l0)) then Bucket.add bucket x l0 ts
+                else if mark then Bucket.add bucket x (-2) 0.0
+              | lv -> ignore (Bucket.upsert bucket x lv ts));
+          go later
+      in
+      go live;
+      Bucket.filter_levels
+        (fun _ l ->
+          if l >= 0 then note_add t l;
+          l)
+        bucket;
+      rehalve t l0;
+      Bucket.compact bucket);
+    let sum f = List.fold_left (fun acc s -> acc + f s.header) 0 sources in
+    t.items <- sum (fun h -> h.items);
+    t.max_bucket <-
+      List.fold_left (fun m s -> Stdlib.max m s.header.max_bucket) (bucket_size t) sources;
+    t.skipped <- sum (fun h -> h.skipped);
+    t.membership_calls <- sum (fun h -> h.calls.membership);
+    t.cardinality_calls <- sum (fun h -> h.calls.cardinality);
+    t.sampling_calls <- sum (fun h -> h.calls.sampling);
     t
+
+  let restore s ~seed = fold [ source_of_snapshot s ] ~seed
+  let merge a b ~seed = fold [ source a; source b ] ~seed
 end

@@ -149,30 +149,56 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
   }
 
   val snapshot : t -> snapshot
+
   val restore : snapshot -> seed:int -> t
+  (** The one-source {!fold}: the bucket is copied verbatim (no coins, no
+      halving).  Raises [Invalid_argument] on parameters {!create} refuses
+      or an entry level outside [[0, max_level]]. *)
 
   (** {2 Mergeability}
 
       The union operation is order- and partition-insensitive, so a stream
       may be sharded across workers and the per-worker sketches combined —
       the distributed-streams setting of Dasgupta et al.'s theta-sketch
-      framework, applied to VATIC's level-sampled bucket. *)
+      framework, applied to VATIC's level-sampled bucket.  Like a theta
+      sketch union, the combination is one pass over all k inputs at their
+      smallest common sampling probability. *)
 
-  val merge : t -> t -> seed:int -> t
-  (** [merge a b ~seed] is a sketch of the union of the two sharded
-      sub-streams: both buckets are downsampled to the common minimum
-      sampling probability [p₀], unioned with dedup, and the capacity/halving
-      rule is re-applied.  Inputs are unchanged; the result draws future
-      coins from [seed].  Merging with an empty sketch is the exact
-      identity on the bucket.
+  type source = {
+    header : snapshot;  (** parameters and counters; [entries] is ignored *)
+    min_level : int;  (** the highest level [iter] yields (0 when empty) *)
+    size : int;  (** how many entries [iter] yields *)
+    iter : (F.elt -> int -> float -> unit) -> unit;
+        (** calls back with (element, level, last-occurrence timestamp) *)
+  }
+  (** A bucket seen through an iterator: a live estimator's table
+      ({!source}) or any decoded entry list — the cluster folds worker
+      tokens without restoring an estimator per token. *)
+
+  val source : t -> source
+  (** The estimator's own table, iterated in place (no copy). *)
+
+  val fold : source list -> seed:int -> t
+  (** [fold sources ~seed] is a sketch of the union of the sources'
+      sharded sub-streams, built in one pass: with L0 the largest of the
+      non-empty sources' [min_level]s, each distinct element gets exactly
+      one coin [2^(ℓ-L0)] at the level [ℓ] of the first source holding it,
+      its newest timestamp across all sources wins, and the
+      capacity/halving rule is re-applied.  Empty sources are skipped; a
+      single non-empty source is copied verbatim (the exact identity).
+      Counters add up; the result draws future coins from [seed].
 
       Caveat: inclusion events are independent across shards (no shared
-      hash), so coverage shared by both shards is double-counted in
+      hash), so coverage shared by several shards is double-counted in
       expectation at small [p₀] — the estimate lies between [|∪|] and the
       sum of the shard union sizes.  Shard by hash-of-set so duplicate sets
       land on one worker and the gap stays bounded by the geometric overlap
       between {e distinct} sets.
 
-      Raises [Invalid_argument] if the two sketches were built with
-      different [(ε, δ, log2|Ω|, mode, B)] parameters. *)
+      Raises [Invalid_argument] on an empty list, on sources built with
+      different [(ε, δ, log2|Ω|, mode, B)] parameters, or on an entry level
+      outside [[0, max_level]] (or above its source's [min_level]). *)
+
+  val merge : t -> t -> seed:int -> t
+  (** The two-source {!fold}; inputs are unchanged. *)
 end

@@ -43,40 +43,3 @@ let map ?domains f items =
     Array.to_list
       (Array.map (function Some y -> y | None -> assert false) results)
   end
-
-(* Balanced binary merge tree: leaves run [map], inner nodes run [merge],
-   and with a budget of [domains] the two subtrees of a node execute in
-   different domains until the budget is spent, giving O(log n) depth on
-   enough cores.  The tree shape — and therefore the sequence of [merge]
-   applications — depends only on the item count, never on [domains], so a
-   merge that is associative-but-not-commutative still gives identical
-   results serial or parallel. *)
-let reduce ?domains ~map:leaf ~merge items =
-  match items with
-  | [] -> None
-  | [ x ] -> Some (leaf x)
-  | _ ->
-    let domains =
-      match domains with Some d -> Stdlib.max 1 d | None -> default_domains ()
-    in
-    let arr = Array.of_list items in
-    (* [go lo hi budget] folds [lo, hi), spending at most [budget] domains. *)
-    let rec go lo hi budget =
-      if hi - lo = 1 then leaf arr.(lo)
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        if budget <= 1 then merge (go lo mid 1) (go mid hi 1)
-        else begin
-          let right = Domain.spawn (fun () -> go mid hi (budget / 2)) in
-          let l =
-            match go lo mid (budget - (budget / 2)) with
-            | l -> l
-            | exception e ->
-              (try ignore (Domain.join right) with _ -> ());
-              raise e
-          in
-          merge l (Domain.join right)
-        end
-      end
-    in
-    Some (go 0 (Array.length arr) domains)

@@ -2,9 +2,9 @@
 
     Experiment trials are embarrassingly parallel — each builds its own
     estimator from its own seed — so the accuracy/failure-rate experiments
-    fan them out across domains, and the cluster coordinator folds worker
-    sketches with {!reduce}.  Only use with functions that touch no shared
-    mutable state (every estimator in this library is self-contained). *)
+    fan them out across domains.  Only use with functions that touch no
+    shared mutable state (every estimator in this library is
+    self-contained). *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map.  [domains] defaults to
@@ -15,18 +15,5 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     original index, so order is preserved.  Falls back to [List.map] for a
     single domain or short lists.  Exceptions in any worker re-raise in the
     caller. *)
-
-val reduce :
-  ?domains:int -> map:('a -> 'b) -> merge:('b -> 'b -> 'b) -> 'a list -> 'b option
-(** [reduce ~map ~merge items] folds [map item_0, ..., map item_{n-1}] with
-    a balanced binary merge tree: [None] on an empty list, and with enough
-    domains both [map] leaves and [merge] nodes of independent subtrees run
-    concurrently, for O(log n) critical-path depth instead of a serial left
-    fold's O(n).  The tree shape (hence the association of the [merge]
-    applications) depends only on [n], never on [domains] — for an
-    associative [merge] the result equals [List.fold_left] over the mapped
-    items, and even for a merge that is only associative (not commutative)
-    serial and parallel runs agree exactly.  Left subtrees always hold the
-    lower indices, so operand order is preserved. *)
 
 val default_domains : unit -> int

@@ -52,6 +52,7 @@ let gate_failed = 2
 
 type verdict =
   | Reply of string
+  | Record of { head : string; body : string }
   | Gated of { reply : string; on_fail : string; gate : gate }
 
 (* Replies queued behind an unresolved gate.  Ungated replies normally skip
@@ -294,6 +295,12 @@ let run_handler t c proto ~raw ~body =
   Atomic.incr t.dispatched;
   match t.handler ~ctx:c.ctx ~proto ~raw ~body with
   | Reply reply -> queue_reply c reply
+  | Record { head; body } ->
+    if Queue.is_empty c.outq && c.proto = Some V2 then begin
+      Frame.frame_parts_into c.pending ~head body;
+      if out_bytes c > hi_water then c.rd_paused <- true
+    end
+    else queue_reply c (head ^ body)
   | Gated { reply; on_fail; gate } -> queue_gated t c ~reply ~on_fail gate
   | exception exn ->
     (* the server's handler turns its own failures into ERR replies; an

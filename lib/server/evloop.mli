@@ -40,6 +40,11 @@ val gate_failed : int
 
 type verdict =
   | Reply of string  (** reply now, in request order *)
+  | Record of { head : string; body : string }
+      (** reply now with the v2 frame body [head ^ body], framed without
+          building the concatenation — a binary reply record (a short tag,
+          then a payload that can be hundreds of kilobytes).  For v2
+          connections only. *)
   | Gated of { reply : string; on_fail : string; gate : gate }
       (** hold the reply until [gate] resolves; [on_fail] replaces it when
           the gate resolves to {!gate_failed}.  Order is still preserved:

@@ -21,36 +21,48 @@ let map_result f l =
   | ys -> Ok ys
   | exception Map_error e -> Error e
 
-(* One Adaptive estimator per family plus the element codec Snapshot_io
-   needs; the functor writes the two conversions once instead of three
-   times. *)
+(* An undecodable element inside a token being folded: raised from the
+   entry iterators below and turned back into an [Error] by [guard]. *)
+exception Bad_element of string
+
+let guard f =
+  match f () with
+  | t -> Ok t
+  | exception Invalid_argument msg -> Error msg
+  | exception Failure msg -> Error msg
+  | exception Bad_element msg -> Error msg
+
+(* One Adaptive estimator per family plus its element codec — written once
+   here instead of three times.  The codec is the family's only element
+   format on disk and on the wire: [write_elt] appends an element's bytes
+   to a buffer, [decode_elt s pos len] reads one back from a slice, so a
+   token is written and folded without a string per element. *)
 module Bridge (X : sig
   module F : Delphic_family.Family.FAMILY
 
-  val encode_elt : F.elt -> string
-  val decode_elt : string -> (F.elt, string) result
+  val write_elt : Buffer.t -> F.elt -> unit
+  val decode_elt : string -> int -> int -> (F.elt, string) result
 end) =
 struct
   module A = Delphic_core.Adaptive.Make (X.F)
   module E = Delphic_expr.Expr.Eval (X.F)
 
-  let to_io ~family_token ~merges est =
-    let s = A.snapshot est in
+  let io_header ~family_token ~merges (src : A.source) ~min_level =
+    let h = src.A.header in
     {
       Io.family = family_token;
-      epsilon = s.A.epsilon;
-      delta = s.A.delta;
-      log2_universe = s.A.log2_universe;
-      exact_capacity = s.A.exact_capacity;
-      items = s.A.items;
+      epsilon = h.A.epsilon;
+      delta = h.A.delta;
+      log2_universe = h.A.log2_universe;
+      exact_capacity = h.A.exact_capacity;
+      items = h.A.items;
       merges;
-      exact_active = s.A.exact_active;
-      exact_entries = List.map (fun (x, ts) -> (ts, X.encode_elt x)) s.A.exact_entries;
+      exact_active = h.A.exact_active;
       sketch =
         Option.map
           (fun (sk : A.sketch_snapshot) ->
             {
-              Io.mode = s.A.mode;
+              Io.mode = h.A.mode;
               capacity_scale = sk.capacity_scale;
               coupon_scale = sk.coupon_scale;
               s_items = sk.sketch_items;
@@ -59,91 +71,195 @@ struct
               membership_calls = sk.membership_calls;
               cardinality_calls = sk.cardinality_calls;
               sampling_calls = sk.sampling_calls;
-              entries =
-                List.map (fun (x, level, ts) -> (level, ts, X.encode_elt x)) sk.sketch_entries;
+              min_level;
             })
-          s.A.sketch;
+          h.A.sketch;
     }
 
-  let of_io ~seed (io : Io.t) =
-    let* exact_entries =
-      map_result
-        (fun (ts, e) ->
-          let* x = X.decode_elt e in
-          Ok (x, ts))
-        io.Io.exact_entries
+  (* The token straight from the estimator's tables.  A window [cutoff]
+     keeps only entries last seen at or after it; the counts and the
+     minimum level of what is kept are taken in a first pass, since the
+     header precedes the entries. *)
+  let encode ~family_token ~merges ?cutoff est =
+    let src = A.source est in
+    let keep ts = match cutoff with None -> true | Some c -> ts >= c in
+    let n_exact, n_sketch, min_level =
+      match cutoff with
+      | None -> (src.A.exact_size, src.A.sketch_size, src.A.sketch_min_level)
+      | Some _ ->
+        let e = ref 0 and k = ref 0 and top = ref 0 in
+        src.A.iter_exact (fun _ ts -> if keep ts then incr e);
+        src.A.iter_sketch (fun _ level ts ->
+            if keep ts then begin
+              incr k;
+              if level > !top then top := level
+            end);
+        (!e, !k, !top)
     in
-    let* sketch =
-      match io.Io.sketch with
-      | None -> Ok None
-      | Some sk ->
-        let* sketch_entries =
-          map_result
-            (fun (level, ts, e) ->
-              let* x = X.decode_elt e in
-              Ok (x, level, ts))
-            sk.Io.entries
-        in
-        Ok
-          (Some
-             {
-               A.capacity_scale = sk.Io.capacity_scale;
-               coupon_scale = sk.Io.coupon_scale;
-               sketch_items = sk.Io.s_items;
-               max_bucket = sk.Io.max_bucket;
-               skipped = sk.Io.skipped;
-               membership_calls = sk.Io.membership_calls;
-               cardinality_calls = sk.Io.cardinality_calls;
-               sampling_calls = sk.Io.sampling_calls;
-               sketch_entries;
-             })
+    let w =
+      Io.writer (io_header ~family_token ~merges src ~min_level) ~exact:n_exact ~sketch:n_sketch
     in
-    let mode =
-      match io.Io.sketch with Some sk -> sk.Io.mode | None -> Params.Practical
-    in
-    match
-      A.restore
+    let elt = Buffer.create 64 in
+    src.A.iter_exact (fun x ts ->
+        if keep ts then begin
+          Buffer.clear elt;
+          X.write_elt elt x;
+          Io.add_exact w ts elt
+        end);
+    src.A.iter_sketch (fun x level ts ->
+        if keep ts then begin
+          Buffer.clear elt;
+          X.write_elt elt x;
+          Io.add_sketch w level ts elt
+        end);
+    Io.finish w
+
+  let decode s pos len =
+    match X.decode_elt s pos len with Ok x -> x | Error msg -> raise (Bad_element msg)
+
+  (* A decoded token as a fold source: elements are decoded from the token
+     in place as the fold walks them, straight into its table — no
+     estimator is restored per token. *)
+  let source_of_io (io : Io.t) =
+    let h = Io.header io in
+    {
+      A.header =
         {
-          A.mode;
-          epsilon = io.Io.epsilon;
-          delta = io.Io.delta;
-          log2_universe = io.Io.log2_universe;
-          exact_capacity = io.Io.exact_capacity;
-          items = io.Io.items;
-          exact_active = io.Io.exact_active;
-          exact_entries;
-          sketch;
-        }
-        ~seed
-    with
-    | t -> Ok t
-    | exception Invalid_argument msg -> Error msg
+          A.mode = (match h.Io.sketch with Some sk -> sk.Io.mode | None -> Params.Practical);
+          epsilon = h.Io.epsilon;
+          delta = h.Io.delta;
+          log2_universe = h.Io.log2_universe;
+          exact_capacity = h.Io.exact_capacity;
+          items = h.Io.items;
+          exact_active = h.Io.exact_active;
+          exact_entries = [];
+          sketch =
+            Option.map
+              (fun (sk : Io.sketch) ->
+                {
+                  A.capacity_scale = sk.Io.capacity_scale;
+                  coupon_scale = sk.Io.coupon_scale;
+                  sketch_items = sk.Io.s_items;
+                  max_bucket = sk.Io.max_bucket;
+                  skipped = sk.Io.skipped;
+                  membership_calls = sk.Io.membership_calls;
+                  cardinality_calls = sk.Io.cardinality_calls;
+                  sampling_calls = sk.Io.sampling_calls;
+                  sketch_entries = [];
+                })
+              h.Io.sketch;
+        };
+      exact_size = Io.exact_count io;
+      iter_exact = (fun f -> Io.iter_exact io (fun ts s pos len -> f (decode s pos len) ts));
+      sketch_min_level = (match h.Io.sketch with Some sk -> sk.Io.min_level | None -> 0);
+      sketch_size = Io.sketch_count io;
+      iter_sketch =
+        (fun f -> Io.iter_sketch io (fun level ts s pos len -> f (decode s pos len) level ts));
+    }
+end
+
+(* Rect points travel as their decimal coordinates, space-separated, and
+   both directions work in place — a gather decodes one point per sketch
+   entry, tens of thousands per token. *)
+module Rect_codec = struct
+  let write buf (p : int array) =
+    Array.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ' ';
+        if v < 0 then Buffer.add_string buf (string_of_int v)
+        else
+          let rec digits v =
+            if v >= 10 then digits (v / 10);
+            Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+          in
+          digits v)
+      p
+
+  (* Coordinates in [s.[pos .. pos+len-1]]: maximal runs of non-space
+     bytes. *)
+  let count s pos len =
+    let k = ref 0 in
+    let gap = ref true in
+    for i = pos to pos + len - 1 do
+      let space = String.unsafe_get s i = ' ' in
+      if !gap && not space then incr k;
+      gap := space
+    done;
+    !k
+
+  (* The plane point the encoder writes, "<digits> <digits>" with at most
+     18 digits each (no overflow), in one pass; [no_point] when the slice
+     has any other shape. *)
+  let no_point = [||]
+
+  let plane s pos stop =
+    let digit i = Char.code (String.unsafe_get s i) - 48 in
+    let i = ref pos and a = ref 0 in
+    while !i < stop && !i - pos < 18 && digit !i >= 0 && digit !i <= 9 do
+      a := (!a * 10) + digit !i;
+      incr i
+    done;
+    if !i = pos || !i >= stop || String.unsafe_get s !i <> ' ' then no_point
+    else begin
+      let start = !i + 1 in
+      let j = ref start and b = ref 0 in
+      while !j < stop && !j - start < 18 && digit !j >= 0 && digit !j <= 9 do
+        b := (!b * 10) + digit !j;
+        incr j
+      done;
+      if !j = start || !j <> stop then no_point else [| !a; !b |]
+    end
+
+  (* Any point: one pass per coordinate, optional '-', then decimal digits
+     up to the next space. *)
+  let general s pos len =
+    let stop = pos + len in
+    let k = count s pos len in
+    let p = Array.make k 0 in
+    let i = ref pos and slot = ref 0 and ok = ref (k > 0) in
+    while !ok && !slot < k do
+      while String.unsafe_get s !i = ' ' do
+        incr i
+      done;
+      let neg = String.unsafe_get s !i = '-' in
+      if neg then incr i;
+      let start = !i and acc = ref 0 in
+      while !ok && !i < stop && String.unsafe_get s !i <> ' ' do
+        let d = Char.code (String.unsafe_get s !i) - 48 in
+        if d < 0 || d > 9 || !acc > (max_int - d) / 10 then ok := false
+        else begin
+          acc := (!acc * 10) + d;
+          incr i
+        end
+      done;
+      if !i = start then ok := false;
+      p.(!slot) <- (if neg then - !acc else !acc);
+      incr slot
+    done;
+    if !ok then Ok p
+    else if k = 0 then Error "empty point"
+    else Error (Printf.sprintf "bad point %S" (String.sub s pos len))
+
+  let decode s pos len =
+    if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Rect_codec.decode";
+    let p = plane s pos (pos + len) in
+    if p != no_point then Ok p else general s pos len
 end
 
 module Rect_b = Bridge (struct
   module F = Rectangle
 
-  let encode_elt p = String.concat " " (List.map string_of_int (Array.to_list p))
-
-  let decode_elt s =
-    let rec ints n acc = function
-      | [] -> if n = 0 then Error "empty point" else Ok (Array.of_list (List.rev acc))
-      | "" :: rest -> ints n acc rest
-      | x :: rest -> (
-        match int_of_string_opt x with
-        | Some v -> ints (n + 1) (v :: acc) rest
-        | None -> Error (Printf.sprintf "bad point coordinate %S" x))
-    in
-    ints 0 [] (String.split_on_char ' ' s)
+  let write_elt = Rect_codec.write
+  let decode_elt = Rect_codec.decode
 end)
 
 module Dnf_b = Bridge (struct
   module F = Dnf
 
-  let encode_elt = Bitvec.to_string
+  let write_elt buf v = Buffer.add_string buf (Bitvec.to_string v)
 
-  let decode_elt s =
-    match Bitvec.of_string s with
+  let decode_elt s pos len =
+    match Bitvec.of_string (String.sub s pos len) with
     | v -> Ok v
     | exception Invalid_argument msg -> Error msg
 end)
@@ -151,12 +267,17 @@ end)
 module Cov_b = Bridge (struct
   module F = Coverage
 
-  let encode_elt (e : Coverage.elt) =
-    String.concat "," (List.map string_of_int (Array.to_list e.Coverage.positions))
-    ^ ":"
-    ^ Bitvec.to_string e.Coverage.pattern
+  let write_elt buf (e : Coverage.elt) =
+    Array.iteri
+      (fun i p ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int p))
+      e.Coverage.positions;
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (Bitvec.to_string e.Coverage.pattern)
 
-  let decode_elt s =
+  let decode_elt s pos len =
+    let s = String.sub s pos len in
     match String.index_opt s ':' with
     | None -> Error (Printf.sprintf "bad coverage element %S (no ':')" s)
     | Some i -> (
@@ -260,85 +381,123 @@ let describe = function
   | Dnf_s { est; _ } -> Dnf_b.A.describe est
   | Cov_s { est; _ } -> Cov_b.A.describe est
 
-let to_io ?(merges = 0) t =
+let encode_exn ?(merges = 0) ?cutoff t =
   let token = family_token t in
   match t with
-  | Rect_s { est; _ } -> Rect_b.to_io ~family_token:token ~merges est
-  | Dnf_s { est; _ } -> Dnf_b.to_io ~family_token:token ~merges est
-  | Cov_s { est; _ } -> Cov_b.to_io ~family_token:token ~merges est
+  | Rect_s { est; _ } -> Rect_b.encode ~family_token:token ~merges ?cutoff est
+  | Dnf_s { est; _ } -> Dnf_b.encode ~family_token:token ~merges ?cutoff est
+  | Cov_s { est; _ } -> Cov_b.encode ~family_token:token ~merges ?cutoff est
 
-let of_io (io : Io.t) ~seed =
-  let* family =
-    Result.map_error Protocol.describe_error (Protocol.family_of_token io.Io.family)
-  in
-  match family with
-  | Protocol.Rect ->
-    let* est = Rect_b.of_io ~seed io in
-    (* The dimension pin is recovered from any persisted element; a snapshot
-       with no entries ever processed none, so the next ADD re-pins it. *)
-    let point_dims s =
-      List.length (String.split_on_char ' ' s |> List.filter (fun x -> x <> ""))
-    in
-    let dims =
-      match (io.Io.exact_entries, io.Io.sketch) with
-      | (_, e) :: _, _ -> Some (point_dims e)
-      | [], Some { Io.entries = (_, _, e) :: _; _ } -> Some (point_dims e)
-      | [], _ -> None
-    in
-    Ok (Rect_s { est; dims })
-  | Protocol.Dnf { nvars } ->
-    let* est = Dnf_b.of_io ~seed io in
-    Ok (Dnf_s { est; nvars })
-  | Protocol.Cov { nbits; strength } ->
-    let* est = Cov_b.of_io ~seed io in
-    Ok (Cov_s { est; nbits; strength })
+let encode ?merges ?cutoff t = guard (fun () -> encode_exn ?merges ?cutoff t)
 
-(* Deep copy through the snapshot codec: an EXPR query probes and samples a
-   point-in-time clone of each leaf, so concurrent ADDs keep landing on the
-   live estimator while the query runs. *)
-let copy t ~seed = of_io (to_io t) ~seed
+(* A token this module just wrote always decodes. *)
+let decode_own token =
+  match Io.decode token with Ok io -> io | Error msg -> invalid_arg ("Families: " ^ msg)
+
+let to_io ?merges t = decode_own (encode_exn ?merges t)
+
+type source = Decoded of Io.t | Live of t
+
+(* The family (and, for rect, the point dimension) a source claims —
+   checked across all sources before any entry is folded. *)
+let source_shape = function
+  | Live t -> Ok (family t, match t with Rect_s r -> r.dims | _ -> None)
+  | Decoded v ->
+    let* family =
+      Result.map_error Protocol.describe_error
+        (Protocol.family_of_token (Io.header v).Io.family)
+    in
+    (* a rect snapshot's dimension is that of any persisted point; one with
+       no entries processed none, so the next ADD pins it *)
+    let exception Dims of int in
+    let first _ s pos len = raise (Dims (Rect_codec.count s pos len)) in
+    match
+      if family = Protocol.Rect then begin
+        Io.iter_exact v first;
+        Io.iter_sketch v (fun _ -> first)
+      end
+    with
+    | () -> Ok (family, None)
+    | exception Dims d -> Ok (family, Some d)
+
+let token_of = function
+  | Live t -> family_token t
+  | Decoded v -> (Io.header v).Io.family
+
+(* The cluster's one fold: k same-family sources — decoded tokens or live
+   sessions — into one new session, in a single pass over their entries
+   (Delphic_core.Adaptive.Make.fold).  Family and shape mismatches are
+   [Error]s the protocol relays verbatim, as are undecodable elements and
+   parameter mismatches. *)
+let fold sources ~seed =
+  let* shapes = map_result source_shape sources in
+  match shapes with
+  | [] -> Error "nothing to fold"
+  | (fam, _) :: _ -> (
+    let mismatch =
+      List.find_map
+        (fun ((f, _), src) ->
+          if f = fam then None
+          else
+            Some
+              (match (fam, f) with
+              | Protocol.Dnf { nvars = a }, Protocol.Dnf { nvars = b } ->
+                Printf.sprintf "cannot merge dnf:%d with dnf:%d" a b
+              | Protocol.Cov c, Protocol.Cov d ->
+                Printf.sprintf "cannot merge cov:%d:%d with cov:%d:%d" c.nbits c.strength
+                  d.nbits d.strength
+              | _ ->
+                Printf.sprintf "cannot merge a %s session with a %s session"
+                  (Protocol.family_to_token fam) (token_of src)))
+        (List.combine shapes sources)
+    in
+    match mismatch with
+    | Some msg -> Error msg
+    | None -> (
+      match fam with
+      | Protocol.Rect -> (
+        let dims = List.filter_map snd shapes in
+        match dims with
+        | d1 :: rest when List.exists (fun d -> d <> d1) rest ->
+          let d2 = List.find (fun d -> d <> d1) rest in
+          Error (Printf.sprintf "cannot merge rect sessions of %d and %d dimensions" d1 d2)
+        | _ ->
+          let src = function
+            | Live (Rect_s r) -> Rect_b.A.source r.est
+            | Live _ -> assert false
+            | Decoded v -> Rect_b.source_of_io v
+          in
+          let* est = guard (fun () -> Rect_b.A.fold (List.map src sources) ~seed) in
+          Ok (Rect_s { est; dims = (match dims with d :: _ -> Some d | [] -> None) }))
+      | Protocol.Dnf { nvars } ->
+        let src = function
+          | Live (Dnf_s d) -> Dnf_b.A.source d.est
+          | Live _ -> assert false
+          | Decoded v -> Dnf_b.source_of_io v
+        in
+        let* est = guard (fun () -> Dnf_b.A.fold (List.map src sources) ~seed) in
+        Ok (Dnf_s { est; nvars })
+      | Protocol.Cov { nbits; strength } ->
+        let src = function
+          | Live (Cov_s c) -> Cov_b.A.source c.est
+          | Live _ -> assert false
+          | Decoded v -> Cov_b.source_of_io v
+        in
+        let* est = guard (fun () -> Cov_b.A.fold (List.map src sources) ~seed) in
+        Ok (Cov_s { est; nbits; strength })))
+
+let of_io io ~seed = fold [ Decoded io ] ~seed
+let merge a b ~seed = fold [ Live a; Live b ] ~seed
+
+(* A point-in-time clone (the one-source fold of the live session): an EXPR
+   query probes and samples it while concurrent ADDs keep landing on the
+   live estimator. *)
+let copy t ~seed = fold [ Live t ] ~seed
 
 (* Query-time window restriction: a clone holding only the entries whose
    last occurrence is inside the window.  Windowed EXPR leaves go through
    this so the unchanged expression machinery answers over the window. *)
-let restrict t ~cutoff ~seed = of_io (Io.restrict ~cutoff (to_io t)) ~seed
-
-(* The cluster's fold step: combine two same-family sessions.  The
-   estimator-level merge (Adaptive.Make.merge) raises on parameter
-   mismatches; at this layer a family or shape mismatch is an [Error]
-   message the protocol can relay verbatim. *)
-let merge a b ~seed =
-  let guard f =
-    match f () with
-    | t -> Ok t
-    | exception Invalid_argument msg -> Error msg
-    | exception Failure msg -> Error msg
-  in
-  match (a, b) with
-  | Rect_s x, Rect_s y -> (
-    match (x.dims, y.dims) with
-    | Some d1, Some d2 when d1 <> d2 ->
-      Error (Printf.sprintf "cannot merge rect sessions of %d and %d dimensions" d1 d2)
-    | _ ->
-      let dims = match x.dims with Some _ -> x.dims | None -> y.dims in
-      guard (fun () -> Rect_s { est = Rect_b.A.merge x.est y.est ~seed; dims }))
-  | Dnf_s x, Dnf_s y ->
-    if x.nvars <> y.nvars then
-      Error (Printf.sprintf "cannot merge dnf:%d with dnf:%d" x.nvars y.nvars)
-    else guard (fun () -> Dnf_s { est = Dnf_b.A.merge x.est y.est ~seed; nvars = x.nvars })
-  | Cov_s x, Cov_s y ->
-    if x.nbits <> y.nbits || x.strength <> y.strength then
-      Error
-        (Printf.sprintf "cannot merge cov:%d:%d with cov:%d:%d" x.nbits x.strength
-           y.nbits y.strength)
-    else
-      guard (fun () ->
-          Cov_s
-            { est = Cov_b.A.merge x.est y.est ~seed; nbits = x.nbits; strength = x.strength })
-  | _ ->
-    Error
-      (Printf.sprintf "cannot merge a %s session with a %s session" (family_token a)
-         (family_token b))
+let restrict t ~cutoff ~seed = of_io (decode_own (encode_exn ~cutoff t)) ~seed
 
 (* The sample-and-probe evaluation step of an EXPR query.  [union] is the
    fold of every leaf (same family by construction of the fold, but checked

@@ -53,29 +53,47 @@ val is_exact : t -> bool
 
 val describe : t -> string
 
+val encode : ?merges:int -> ?cutoff:float -> t -> (string, string) result
+(** The session as one binary {!Delphic_core.Snapshot_io} token, written
+    straight from the estimator's tables — no intermediate record.
+    [merges] (default 0) stamps the snapshot's merge count (the session
+    registry tracks it, not the estimator).  With [cutoff], only entries
+    last seen at or after it are kept — the windowed fetch. *)
+
 val to_io : ?merges:int -> t -> Delphic_core.Snapshot_io.t
-(** [merges] (default 0) stamps the snapshot's merge count — the session
-    registry tracks it, not the estimator. *)
+(** {!encode}, decoded: the snapshot a spool file or checkpoint saves. *)
+
+type source =
+  | Decoded of Delphic_core.Snapshot_io.t
+      (** a decoded snapshot token, its entries read in place *)
+  | Live of t  (** a session's own estimator, read in place *)
+
+val fold : source list -> seed:int -> (t, string) result
+(** The one fold: k same-family sources into a new session in a single pass
+    over their entries ({!Delphic_core.Adaptive.Make.fold} — one coin per
+    distinct element at the first holder's level, newest timestamp wins;
+    exact tables union while everything is exact).  Token elements are
+    decoded straight into the folded table; no session is restored per
+    token.  A single source is copied verbatim.  Sources are unchanged.
+    [Error] on an empty list, a family, shape or parameter mismatch, an
+    unknown family token or an undecodable element. *)
 
 val of_io : Delphic_core.Snapshot_io.t -> seed:int -> (t, string) result
-(** Rebuild a session from a decoded snapshot; [Error] on an unknown family
-    token, an undecodable element, or parameters the estimator refuses.
-    The snapshot's [merges] count is the caller's to keep. *)
+(** The one-source {!fold} of a decoded snapshot.  The snapshot's [merges]
+    count is the caller's to keep. *)
 
 val merge : t -> t -> seed:int -> (t, string) result
-(** Combine two same-family sessions (the cluster coordinator's fold step,
-    see {!Delphic_core.Adaptive.Make.merge} for semantics).  Inputs are
-    unchanged.  [Error] on a family, shape, or parameter mismatch. *)
+(** The two-source {!fold} of live sessions. *)
 
 val copy : t -> seed:int -> (t, string) result
-(** Deep copy via the snapshot codec (the input is unchanged and shares no
-    mutable state with the copy).  An [EXPR] query clones each leaf under
+(** The one-source {!fold} of a live session: a deep copy sharing no
+    mutable state with the input.  An [EXPR] query clones each leaf under
     its session lock and then evaluates lock-free on the clones, so
     concurrent ingestion never blocks on a long query. *)
 
 val restrict : t -> cutoff:float -> seed:int -> (t, string) result
-(** {!copy} keeping only entries whose last occurrence is at or after
-    [cutoff] ({!Delphic_core.Snapshot_io.restrict} through the codec).  The
+(** A copy keeping only entries whose last occurrence is at or after
+    [cutoff] (the windowed {!encode}, folded back).  The
     input is unchanged; windowed [EXPR] queries restrict each cloned leaf
     and then run the ordinary expression machinery on the views. *)
 

@@ -3,33 +3,10 @@
    shape since PR 5; protocol v2 adopts it verbatim so a journalled mutation
    is a byte-for-byte splice of the wire frame — no re-render, no re-CRC. *)
 
-(* CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the standard zlib polynomial,
-   table-driven.  Stdlib has no checksum, and the journal cannot depend on
-   one: a torn tail must be detectable with what the binary always has. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
-
-let crc32_bytes b ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!c lsr 8)
-  done;
-  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
+(* CRC-32 (IEEE 802.3, the zlib polynomial): a torn tail must be
+   detectable with what the binary always has. *)
+let crc32 = Delphic_util.Crc32.string
+let crc32_bytes = Delphic_util.Crc32.bytes
 
 let be32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
@@ -65,6 +42,15 @@ let frame_into buf body =
   be32 buf (String.length body);
   be32 buf (crc32 body);
   Buffer.add_string buf body
+
+(* The frame of body [head ^ tail], written without building that
+   concatenation: a binary reply record is a short tag in front of a
+   payload that can be hundreds of kilobytes. *)
+let frame_parts_into buf ~head tail =
+  be32 buf (String.length head + String.length tail);
+  be32 buf (Delphic_util.Crc32.strings [ head; tail ]);
+  Buffer.add_string buf head;
+  Buffer.add_string buf tail
 
 (* A reusable growable scratch buffer.  Buffer.t would do, except
    Buffer.contents allocates a fresh string per use — on the v2 batch-1

@@ -16,6 +16,9 @@ val read_be32 : string -> int -> int
 (** Read 4 big-endian bytes at [off].  No bounds checking beyond the
     string's own. *)
 
+val read_be32_bytes : Bytes.t -> int -> int
+(** {!read_be32} over a byte buffer. *)
+
 val max_body : int
 (** Upper bound on a frame body; longer lengths are treated as desync. *)
 
@@ -24,6 +27,11 @@ val frame : string -> string
 
 val frame_into : Buffer.t -> string -> unit
 (** Append [frame body] to a buffer without the intermediate string. *)
+
+val frame_parts_into : Buffer.t -> head:string -> string -> unit
+(** [frame_parts_into buf ~head tail] appends [frame (head ^ tail)] without
+    building the concatenation — a short record tag in front of a large
+    payload. *)
 
 type sink
 (** A reusable growable byte scratch.  Unlike [Buffer.t], framing from a

@@ -153,56 +153,73 @@ let cut line =
 
 let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
 
-(* Batch payload armor: the same four-character percent-escape as the v2
-   sketch wire form (Snapshot_io.to_wire), so an arbitrary set line rides
-   inside an ADDB frame as one space-free token. *)
+(* Percent armor: turns any byte string into one token for a v1 text
+   line.  '%' and the bytes a line parser treats as whitespace — space, tab,
+   newline, form feed, carriage return — become %XX (uppercase hex); every
+   other byte rides raw, so a set line only escapes its spaces and a binary
+   sketch token grows by a few percent.  The decoder accepts any %XX
+   pair. *)
+let needs_escape = function '%' | ' ' | '\t' | '\n' | '\012' | '\r' -> true | _ -> false
+
+(* Both directions make one pass over the bytes and copy the clean runs
+   between escapes whole: a v1 SKETCH line carries a whole sketch token. *)
 let armor_payload payload =
   let n = String.length payload in
-  let extra = ref 0 in
-  String.iter
-    (function '%' | ' ' | '\n' | '\r' -> extra := !extra + 2 | _ -> ())
-    payload;
-  if !extra = 0 then payload
+  let buf = Buffer.create (n + 16) in
+  let hex = "0123456789ABCDEF" in
+  (* [run] = start of the clean run being scanned *)
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get payload i in
+    if needs_escape c then begin
+      Buffer.add_substring buf payload !run (i - !run);
+      Buffer.add_char buf '%';
+      Buffer.add_char buf hex.[Char.code c lsr 4];
+      Buffer.add_char buf hex.[Char.code c land 0xF];
+      run := i + 1
+    end
+  done;
+  if !run = 0 then payload
   else begin
-    let buf = Buffer.create (n + !extra) in
-    String.iter
-      (fun c ->
-        match c with
-        | '%' -> Buffer.add_string buf "%25"
-        | ' ' -> Buffer.add_string buf "%20"
-        | '\n' -> Buffer.add_string buf "%0A"
-        | '\r' -> Buffer.add_string buf "%0D"
-        | c -> Buffer.add_char buf c)
-      payload;
+    Buffer.add_substring buf payload !run (n - !run);
     Buffer.contents buf
   end
 
 let unarmor_payload token =
   let n = String.length token in
-  if not (String.contains token '%') then
-    if String.contains token ' ' then Error "unescaped space in payload token"
-    else Ok token
-  else begin
-    let buf = Buffer.create n in
-    let rec unescape i =
-      if i >= n then Ok (Buffer.contents buf)
-      else if token.[i] = '%' then
-        if i + 2 >= n then Error "truncated percent-escape in payload token"
-        else
-          match String.sub token (i + 1) 2 with
-          | "25" -> Buffer.add_char buf '%'; unescape (i + 3)
-          | "20" -> Buffer.add_char buf ' '; unescape (i + 3)
-          | "0A" -> Buffer.add_char buf '\n'; unescape (i + 3)
-          | "0D" -> Buffer.add_char buf '\r'; unescape (i + 3)
-          | esc -> Error (Printf.sprintf "unknown payload escape %%%s" esc)
-      else if token.[i] = ' ' then Error "unescaped space in payload token"
+  let nibble c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'A' .. 'F' -> Char.code c - 55
+    | 'a' .. 'f' -> Char.code c - 87
+    | _ -> -1
+  in
+  let buf = Buffer.create n in
+  let run = ref 0 and i = ref 0 and bad = ref None in
+  while !bad = None && !i < n do
+    match String.unsafe_get token !i with
+    | ' ' -> bad := Some "unescaped space in payload token"
+    | '%' ->
+      if !i + 2 >= n then bad := Some "truncated percent-escape in payload token"
       else begin
-        Buffer.add_char buf token.[i];
-        unescape (i + 1)
+        let hi = nibble token.[!i + 1] and lo = nibble token.[!i + 2] in
+        if hi < 0 || lo < 0 then
+          bad := Some (Printf.sprintf "unknown payload escape %%%s" (String.sub token (!i + 1) 2))
+        else begin
+          Buffer.add_substring buf token !run (!i - !run);
+          Buffer.add_char buf (Char.unsafe_chr ((hi lsl 4) lor lo));
+          i := !i + 3;
+          run := !i
+        end
       end
-    in
-    unescape 0
-  end
+    | _ -> incr i
+  done;
+  match !bad with
+  | Some msg -> Error msg
+  | None when !run = 0 -> Ok token
+  | None ->
+    Buffer.add_substring buf token !run (n - !run);
+    Ok (Buffer.contents buf)
 
 let parse_session name =
   if session_name_ok name then Ok name else Error (Bad_session_name name)
@@ -377,8 +394,11 @@ let parse_request line =
         Ok (Restore { session; path })
     | "MERGE" -> (
       match tokens rest with
-      | [ session; encoded ] ->
+      | [ session; token ] ->
         let* session = parse_session session in
+        let* encoded =
+          Result.map_error (fun msg -> Bad_params ("MERGE: " ^ msg)) (unarmor_payload token)
+        in
         Ok (Merge { session; encoded })
       | _ ->
         Error (Wrong_arity { command = "MERGE"; expected = "MERGE <session> <wire-snapshot>" }))
@@ -480,7 +500,7 @@ let render_request = function
     (match cutoff with
     | None -> "SNAPSHOT " ^ session
     | Some c -> Printf.sprintf "SNAPSHOT %s cut=%s" session (float_out c))
-  | Merge { session; encoded } -> Printf.sprintf "MERGE %s %s" session encoded
+  | Merge { session; encoded } -> Printf.sprintf "MERGE %s %s" session (armor_payload encoded)
   | Close { session } -> "CLOSE " ^ session
   | Expr { expr; m; w } ->
     "EXPR "
@@ -759,7 +779,7 @@ let render_response = function
       s.family s.items s.entries
       (if s.exact then "exact" else "sketch")
       (float_out s.last_estimate) s.parse_rejects s.merges
-  | Sketch encoded -> "SKETCH " ^ encoded
+  | Sketch encoded -> "SKETCH " ^ armor_payload encoded
   | Pong -> "PONG"
   | Hello_reply { generation; epoch } ->
     (* the epoch rides only when fencing is in play, so pre-failover probes
@@ -936,9 +956,11 @@ let parse_response line =
         | _ -> Error (Printf.sprintf "EXPR: missing fields in %S" rest)))
     | [] -> Error "EXPR: empty reply")
   | "SKETCH" ->
-    if rest = "" || String.contains rest ' ' then
-      Error (Printf.sprintf "SKETCH: want exactly one wire-snapshot token, got %S" rest)
-    else Ok (Sketch rest)
+    (* unarmoring rejects a space, so a second token is caught there *)
+    if rest = "" then Error "SKETCH: want exactly one wire-snapshot token"
+    else
+      Result.map_error (fun msg -> "SKETCH: " ^ msg) (unarmor_payload rest)
+      |> Result.map (fun token -> Sketch token)
   | "STATS" -> (
     let kv tok =
       match String.index_opt tok '=' with
@@ -1021,6 +1043,24 @@ let parse_response line =
     | Some e -> Ok (Error_reply e)
     | None -> Error (Printf.sprintf "ERR: unknown code %S" code))
   | _ -> Error (Printf.sprintf "unparseable response %S" line)
+
+(* ---- wire protocol v2 reply records ----
+
+   A v2 reply body is a v1 text line unless it starts with [binary_tag].
+   Only SKETCH has a binary shape — its token is the whole cost of a
+   gather's transport, and as a record it needs neither armor nor a line
+   parse:
+
+     '\x01' 'S' | token bytes (the rest of the frame body) *)
+
+let sketch_head = "\x01S"
+
+let parse_reply_frame buf ~pos ~len =
+  if len >= 1 && Bytes.get buf pos = binary_tag then
+    if len >= 2 && Bytes.get buf (pos + 1) = 'S' then
+      Ok (Sketch (Bytes.sub_string buf (pos + 2) (len - 2)))
+    else Error "unknown binary reply record"
+  else parse_response (Bytes.sub_string buf pos len)
 
 let expr_reply_of_outcome ~degraded (outcome : Expr_ast.outcome) =
   let quality_of = function

@@ -39,7 +39,7 @@
 
     [ADDB] is the batched ingestion verb: each [tok] is one [ADD] payload
     percent-armored into a single space-free token ({!armor_payload}, the
-    same escape scheme as the v2 sketch wire form), so a whole batch rides
+    escape every text-line token uses), so a whole batch rides
     on one line and is answered by one line.  The reply is
     [OKB <accepted> [ERRAT <i> <msg>]...] ({!Ok_batch}): [accepted] counts
     payloads the estimator took, and each [ERRAT] pinpoints a rejected
@@ -48,7 +48,8 @@
 
     [SNAPSHOT] with no path ({!Fetch}) and [MERGE] are the cluster verbs:
     any server can act as a worker, shipping its sketch to a coordinator as
-    the single space-free token of {!Delphic_core.Snapshot_io.to_wire}, or
+    a binary {!Delphic_core.Snapshot_io} token (percent-armored into one
+    space-free token on a v1 text line, raw bytes in a v2 reply record), or
     absorbing a peer's.
 
     [<family>] is [rect] (axis-parallel boxes, dimension fixed by the first
@@ -119,7 +120,8 @@ type request =
           instant are dropped from the reply (the cluster's windowed
           gather) *)
   | Merge of { session : string; encoded : string }
-      (** [encoded] is a {!Delphic_core.Snapshot_io.to_wire} token *)
+      (** [encoded] is the raw {!Delphic_core.Snapshot_io} token; the text
+          line carries it percent-armored ({!armor_payload}) *)
   | Close of { session : string }
   | Expr of { expr : Expr_ast.t; m : int option; w : float option }
       (** wire form [EXPR [m=<samples>] [w=<seconds>] <expression>]; [m]
@@ -259,7 +261,10 @@ type response =
           threshold [needed] (which is 0 on certified replies).  [samples]
           is the union draws evaluated, [degraded] as in {!Estimate}. *)
   | Stats_reply of stats
-  | Sketch of string  (** [SKETCH <wire-snapshot>], the reply to {!Fetch} *)
+  | Sketch of string
+      (** the reply to {!Fetch}: the raw {!Delphic_core.Snapshot_io} token.
+          A v1 text line is [SKETCH <armored token>]; a v2 reply is the
+          binary record [sketch_head ^ token] *)
   | Pong
   | Hello_reply of { generation : int; epoch : int }
       (** [HELLO <generation> [epoch=<e>]], the reply to {!Hello}; [epoch]
@@ -285,14 +290,17 @@ val session_name_ok : string -> bool
     [A-Za-z0-9_.-] only. *)
 
 val armor_payload : string -> string
-(** Percent-escape ['%'], [' '], ['\n'] and ['\r'] ([%25]/[%20]/[%0A]/[%0D])
-    so an arbitrary set line becomes one space-free token for an [ADDB]
-    frame.  A payload with none of those characters is returned as-is (no
+(** Percent-escape ['%'] and the whitespace bytes (space, tab, newline, form
+    feed, carriage return) as [%XX] (uppercase hex — a set line's spaces
+    become [%20]) so any byte string, a set line or a binary sketch token,
+    becomes one whitespace-free token for a text line; every other byte is
+    kept raw.  A payload with nothing to escape is returned as-is (no
     allocation). *)
 
 val unarmor_payload : string -> (string, string) result
 (** Inverse of {!armor_payload}: [unarmor_payload (armor_payload p) = Ok p].
-    Unknown escapes, truncated escapes and bare spaces are [Error]. *)
+    Any [%XX] hex pair decodes; non-hex or truncated escapes and bare spaces
+    are [Error]. *)
 
 val family_to_token : family -> string
 val family_of_token : string -> (family, error) result
@@ -328,6 +336,15 @@ val render_response : response -> string
 
 val parse_response : string -> (response, string) result
 (** Inverse of {!render_response}; used by the [delphic query] client. *)
+
+val sketch_head : string
+(** ["\x01S"]: the head of a v2 binary [SKETCH] reply record, whose frame
+    body is [sketch_head ^ token] — no armor, no line parse. *)
+
+val parse_reply_frame : Bytes.t -> pos:int -> len:int -> (response, string) result
+(** Decode the v2 reply body at [buf.[pos .. pos+len-1]]: a binary
+    [SKETCH] record is cut straight out of the buffer (one copy of the
+    token), anything else is a {!parse_response} text line.  Total. *)
 
 val error_code : error -> string
 (** The wire code, e.g. ["UNKNOWN-SESSION"] — stable, scriptable.  An

@@ -226,31 +226,27 @@ let fetch ?cutoff t ~name =
       match s.wire_cache with
       | Some (key, encoded) when key = cutoff -> Ok encoded
       | _ -> (
-        let io = Families.to_io ~merges:s.merges s.runner in
-        let io = match cutoff with None -> io | Some c -> Io.restrict ~cutoff:c io in
-        match Io.to_wire io with
-        | encoded ->
+        match Families.encode ~merges:s.merges ?cutoff s.runner with
+        | Ok encoded ->
           s.wire_cache <- Some (cutoff, encoded);
           Ok encoded
-        | exception Invalid_argument msg -> Error (Protocol.Server_error msg)))
+        | Error msg -> Error (Protocol.Server_error msg)))
 
 let merge_in t ~name ~encoded =
   with_session t name (fun s ->
       materialize s;
       match Io.of_wire encoded with
       | Error msg -> Error (Protocol.Bad_params msg)
-      | Ok io -> (
-        match Families.of_io io ~seed:(next_seed t) with
+      | Ok v -> (
+        match Families.fold [ Families.Live s.runner; Families.Decoded v ] ~seed:(next_seed t) with
         | Error msg -> Error (Protocol.Bad_params msg)
-        | Ok other -> (
-          match Families.merge s.runner other ~seed:(next_seed t) with
-          | Error msg -> Error (Protocol.Bad_params msg)
-          | Ok merged ->
-            s.runner <- merged;
-            s.adds <- s.adds + io.Io.items;
-            s.merges <- s.merges + 1 + io.Io.merges;
-            s.wire_cache <- None;
-            Ok ())))
+        | Ok merged ->
+          let io = Io.header v in
+          s.runner <- merged;
+          s.adds <- s.adds + io.Io.items;
+          s.merges <- s.merges + 1 + io.Io.merges;
+          s.wire_cache <- None;
+          Ok ()))
 
 let default_expr_samples = 256
 let max_expr_samples = 65536
@@ -297,14 +293,13 @@ let expr_query ?w t ~expr ~m =
     let* union =
       match leaves with
       | [] -> Error (Protocol.Bad_params "expression names no sessions")
-      | (_, first) :: rest ->
-        List.fold_left
-          (fun acc (_, c) ->
-            let* u = acc in
-            Result.map_error
-              (fun msg -> Protocol.Bad_params msg)
-              (Families.merge u c ~seed:(next_seed t)))
-          (Ok first) rest
+      | [ (_, only) ] -> Ok only
+      | _ ->
+        Result.map_error
+          (fun msg -> Protocol.Bad_params msg)
+          (Families.fold
+             (List.map (fun (_, c) -> Families.Live c) leaves)
+             ~seed:(next_seed t))
     in
     match Families.expr_estimate ~union ~leaves ~expr ~samples with
     | Ok outcome -> Ok outcome
@@ -325,10 +320,10 @@ let restore_session t ~name ~path =
           {
             slock = Mutex.create ();
             runner;
-            adds = io.Io.items;
+            adds = (Io.header io).Io.items;
             parse_rejects = 0;
             last_estimate = 0.0;
-            merges = io.Io.merges;
+            merges = (Io.header io).Io.merges;
             wire_cache = None;
             pending = Queue.create ();
             pending_n = 0;

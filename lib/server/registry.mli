@@ -83,16 +83,16 @@ val restore_from : t -> name:string -> path:string -> (unit, Protocol.error) res
 (** Opens session [name] from a snapshot file; fails if the name is taken. *)
 
 val fetch : ?cutoff:float -> t -> name:string -> (string, Protocol.error) result
-(** The session's state as one {!Delphic_core.Snapshot_io.to_wire} token —
+(** The session's state as one binary {!Delphic_core.Snapshot_io} token —
     the worker half of the cluster's gather step.  With [cutoff], entries
     last seen before that absolute instant are dropped from the token
-    ({!Delphic_core.Snapshot_io.restrict}) — the windowed gather.  The token
+    ({!Families.encode}) — the windowed gather.  The token
     is memoised per [(cutoff, state)] pair, so repeated idle gathers at a
     stable cutoff bucket encode once. *)
 
 val merge_in : t -> name:string -> encoded:string -> (unit, Protocol.error) result
-(** Fold a wire-encoded peer sketch into session [name]
-    ({!Families.merge} semantics); the session's item and merge counters
+(** Fold a snapshot token into session [name] (the two-source
+    {!Families.fold}); the session's item and merge counters
     absorb the peer's.  [Error (Bad_params _)] on an undecodable token or a
     family/parameter mismatch, leaving the session untouched. *)
 

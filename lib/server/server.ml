@@ -222,6 +222,12 @@ let fenced t (ctx : Evloop.ctx) req =
    record's bytes (and, under fsync always, the fsync) are behind it — the
    same journal-before-reply invariant, minus the per-record disk stall on
    the event-loop thread. *)
+let reply ~proto resp =
+  match (proto, resp) with
+  | Evloop.V2, Protocol.Sketch token ->
+    Evloop.Record { head = Protocol.sketch_head; body = token }
+  | _ -> Evloop.Reply (Protocol.render_response resp)
+
 let handle_request t ~ctx ~proto ~raw ~body =
   let render = Protocol.render_response in
   let parsed =
@@ -305,7 +311,7 @@ let handle_request t ~ctx ~proto ~raw ~body =
               (render
                  (Protocol.Error_reply
                     (Protocol.Io_error ("journal append failed: " ^ Printexc.to_string exn)))))
-      | _ -> Evloop.Reply (render resp))
+      | _ -> reply ~proto resp)
     | exception exn ->
       (* A handler crash must kill one request, not the server. *)
       Evloop.Reply (render (Protocol.Error_reply (Protocol.Server_error (Printexc.to_string exn)))))

@@ -23,6 +23,11 @@
 
 type t
 
+val reply : proto:Evloop.proto -> Protocol.response -> Evloop.verdict
+(** The verdict that answers [resp] on a [proto] connection: on v2 a
+    [SKETCH] leaves as the binary reply record ({!Protocol.sketch_head}
+    then the raw token), everything else as its text line. *)
+
 type wal_config = {
   dir : string;  (** journal + checkpoint home, created if missing *)
   fsync : Wal.fsync_policy;

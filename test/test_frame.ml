@@ -63,6 +63,28 @@ let test_crc_vector () =
   (* the standard CRC-32 check value *)
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926 (Frame.crc32 "123456789")
 
+(* The table-sliced CRC equals the textbook byte-at-a-time loop at every
+   length and offset (the block loop and the byte tail must meet exactly),
+   and checksumming pieces equals checksumming their concatenation. *)
+let crc_bytewise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let crc_matches_bytewise (s, cut) =
+  let module Crc = Delphic_util.Crc32 in
+  let cut = if String.length s = 0 then 0 else cut mod (String.length s + 1) in
+  Crc.string s = crc_bytewise s
+  && Crc.strings [ String.sub s 0 cut; String.sub s cut (String.length s - cut) ] = Crc.string s
+  && Crc.substring s ~pos:cut ~len:(String.length s - cut)
+     = crc_bytewise (String.sub s cut (String.length s - cut))
+
 let roundtrip (session, payloads, ts) =
   let req = P.Add_batch { session; payloads; ts } in
   let body = P.encode_request_v2 req in
@@ -240,6 +262,9 @@ let test_append_framed_validates () =
 let suite =
   [
     Alcotest.test_case "crc32 check vector" `Quick test_crc_vector;
+    qcheck_case "crc32 slicing = bytewise at every length"
+      QCheck.(pair (string_of_size (Gen.int_range 0 100)) small_nat)
+      crc_matches_bytewise;
     qcheck_case "binary ADDB round-trips (\\n, %, 0xFF payloads)" batch_arb roundtrip;
     qcheck_case "binary ADDL round-trips under the L tag" batch_arb roundtrip_log;
     Alcotest.test_case "non-batch requests encode as text" `Quick non_batch_falls_back;

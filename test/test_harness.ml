@@ -114,34 +114,6 @@ let test_parallel_map_skewed () =
   Alcotest.(check (list int)) "order preserved under skew" input (List.map fst out);
   Alcotest.(check int) "each item computed once" 64 (Atomic.get calls)
 
-let test_reduce_edges () =
-  let module Par = Delphic_harness.Parallel in
-  Alcotest.(check (option int)) "empty" None
-    (Par.reduce ~domains:4 ~map:Fun.id ~merge:( + ) []);
-  Alcotest.(check (option int)) "singleton maps, never merges" (Some 10)
-    (Par.reduce ~domains:4 ~map:(fun x -> x * 10) ~merge:(fun _ _ -> assert false) [ 1 ]);
-  Alcotest.(check (option string)) "single domain" (Some "abc")
-    (Par.reduce ~domains:1 ~map:Fun.id ~merge:( ^ ) [ "a"; "b"; "c" ])
-
-(* The contract the coordinator's gather leans on: for an associative merge
-   the tree fold equals the serial left fold, whatever the item count or
-   domain budget.  String concatenation is associative but not commutative,
-   so any leaf misordering or tree-shape asymmetry shows up verbatim. *)
-let qcheck_reduce_matches_fold =
-  QCheck.Test.make ~count:200 ~name:"Parallel.reduce = List.fold_left"
-    QCheck.(pair (list small_string) (int_range 1 8))
-    (fun (items, domains) ->
-      let mapped = List.map (fun s -> "<" ^ s ^ ">") items in
-      let expected =
-        match mapped with
-        | [] -> None
-        | x :: rest -> Some (List.fold_left ( ^ ) x rest)
-      in
-      Delphic_harness.Parallel.reduce ~domains
-        ~map:(fun s -> "<" ^ s ^ ">")
-        ~merge:( ^ ) items
-      = expected)
-
 let suite =
   [
     Alcotest.test_case "table alignment" `Quick test_table_alignment;
@@ -154,6 +126,4 @@ let suite =
     Alcotest.test_case "parallel map matches sequential" `Quick test_parallel_map_matches_sequential;
     Alcotest.test_case "parallel estimator trials" `Quick test_parallel_map_with_estimators;
     Alcotest.test_case "parallel map under skew" `Quick test_parallel_map_skewed;
-    Alcotest.test_case "reduce edge cases" `Quick test_reduce_edges;
-    QCheck_alcotest.to_alcotest qcheck_reduce_matches_fold;
   ]

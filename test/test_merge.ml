@@ -202,6 +202,134 @@ let test_sharded_dnf () =
     ~log2_universe:20.0 ~truth ~pool
     (module Delphic_sets.Dnf)
 
+(* --- the k-way fold --------------------------------------------------- *)
+
+module Families = Delphic_server.Families
+module P = Delphic_server.Protocol
+module Io = Delphic_core.Snapshot_io
+
+let payload_of box =
+  let lo = Delphic_sets.Rectangle.lo box and hi = Delphic_sets.Rectangle.hi box in
+  Printf.sprintf "%d %d %d %d" lo.(0) hi.(0) lo.(1) hi.(1)
+
+let session ?(log2_universe = 34.0) ~seed boxes =
+  match Families.create ~family:P.Rect ~epsilon:0.2 ~delta:0.1 ~log2_universe ~seed with
+  | Error msg -> Alcotest.fail msg
+  | Ok f ->
+    List.iteri (fun i b -> Families.add ~ts:(float_of_int i) f ~lineno:(i + 1) (payload_of b)) boxes;
+    f
+
+let ok = function Ok v -> v | Error msg -> Alcotest.fail msg
+
+let sorted_entries f =
+  let io = Families.to_io f in
+  (List.sort compare (Io.exact_entries io), List.sort compare (Io.sketch_entries io))
+
+(* Three exact-regime shards with overlapping content fold — live, as
+   decoded tokens, or mixed — to exactly the union: the same count, the
+   same elements, each at its newest timestamp across the shards. *)
+let test_fold_exact_k3 () =
+  let pool = rect_pool ~seed:41 ~count:60 ~max_side:12 () in
+  let shard j = List.filteri (fun i _ -> i mod 3 = j || i mod 5 = j) pool in
+  let fs = List.init 3 (fun j -> session ~seed:(70 + j) (shard j)) in
+  List.iter (fun f -> Alcotest.(check bool) "shard exact" true (Families.is_exact f)) fs;
+  let truth = B.to_float (Exact.rectangle_union (List.concat_map shard [ 0; 1; 2 ])) in
+  (* the union table built by hand: newest timestamp per element *)
+  let expected =
+    let tbl = Hashtbl.create 1024 in
+    List.iter
+      (fun f ->
+        List.iter
+          (fun (ts, e) ->
+            match Hashtbl.find_opt tbl e with
+            | Some old when old >= ts -> ()
+            | _ -> Hashtbl.replace tbl e ts)
+          (Io.exact_entries (Families.to_io f)))
+      fs;
+    List.sort compare (Hashtbl.fold (fun e ts acc -> (ts, e) :: acc) tbl [])
+  in
+  let tokens = List.map (fun f -> Families.Decoded (ok (Io.decode (ok (Families.encode f))))) fs in
+  let check name sources =
+    let folded = ok (Families.fold sources ~seed:5) in
+    Alcotest.(check bool) (name ^ ": still exact") true (Families.is_exact folded);
+    Alcotest.(check (float 0.0)) (name ^ ": exact union") truth (Families.estimate folded);
+    Alcotest.(check bool) (name ^ ": union entries, newest timestamps") true
+      (fst (sorted_entries folded) = expected)
+  in
+  check "live" (List.map (fun f -> Families.Live f) fs);
+  check "tokens" tokens;
+  check "mixed" (Families.Live (List.hd fs) :: List.tl tokens)
+
+(* An element held by every source gets one coin, at the first holder's
+   level, and keeps its newest timestamp.  k sources share N elements at
+   level 0; one more element at level L sets the fold level L0 = L, so a
+   shared element survives with probability 2^-L — one coin — where k
+   independent coins would keep about k times as many. *)
+let test_fold_one_coin_k () =
+  let module V = V_rect in
+  let n = 4096 and level = 3 in
+  let shared = List.init n (fun i -> [| i; i |]) in
+  let header =
+    V.snapshot (V.create ~epsilon:0.2 ~delta:0.1 ~log2_universe:34.0 ~seed:1 ())
+  in
+  let src k =
+    let entries =
+      ([| -1; k |], level, 0.0) :: List.map (fun x -> (x, 0, float_of_int k)) shared
+    in
+    {
+      V.header;
+      min_level = level;
+      size = List.length entries;
+      iter = (fun f -> List.iter (fun (x, l, ts) -> f x l ts) entries);
+    }
+  in
+  List.iter
+    (fun k ->
+      let folded = V.fold (List.init k src) ~seed:(100 + k) in
+      let survivors =
+        List.filter (fun (x, _, _) -> x.(0) >= 0) (V.snapshot folded).V.entries
+      in
+      let kept = List.length survivors in
+      let expected = n lsr level in
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d: %d shared survivors, one coin each expects %d" k kept expected)
+        true
+        (abs (kept - expected) < 100);
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d: survivors at the fold level, newest timestamp" k)
+        true
+        (List.for_all (fun (_, l, ts) -> l = level && ts = float_of_int (k - 1)) survivors))
+    [ 2; 3; 5 ]
+
+(* Over seeded sketch-regime runs the one-pass k-way fold's mean estimate
+   matches the pairwise fold's: the same inclusion probability 2^(l-L0)
+   per element.  (The k-way fold can only be lower: an element held by
+   shards 1 and 3 but dropped by the first pairwise merge gets a second
+   coin there, and none in one pass.) *)
+let test_fold_k_vs_pairwise () =
+  let gen = Rng.create ~seed:43 in
+  let pool = Workload.Rectangles.uniform gen ~universe:20_000 ~dim:2 ~count:90 ~max_side:2_000 in
+  let shard j = List.filter (fun b -> Hashtbl.hash (payload_of b) mod 3 = j) pool in
+  let trials = 30 in
+  let kway = ref 0.0 and pair = ref 0.0 in
+  for t = 0 to trials - 1 do
+    let fs = List.init 3 (fun j -> session ~log2_universe:29.0 ~seed:(1000 + (10 * t) + j) (shard j)) in
+    List.iter (fun f -> Alcotest.(check bool) "shard sketching" false (Families.is_exact f)) fs;
+    let folded = ok (Families.fold (List.map (fun f -> Families.Live f) fs) ~seed:(7 * t)) in
+    let pairwise =
+      List.fold_left
+        (fun acc f -> ok (Families.merge acc f ~seed:(7 * t)))
+        (List.hd fs) (List.tl fs)
+    in
+    kway := !kway +. Families.estimate folded;
+    pair := !pair +. Families.estimate pairwise
+  done;
+  let kway = !kway /. float_of_int trials and pair = !pair /. float_of_int trials in
+  Alcotest.(check bool)
+    (Printf.sprintf "k-way mean %.0f within 10%% of pairwise mean %.0f" kway pair)
+    true
+    (Float.abs (kway -. pair) <= 0.1 *. pair)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bottom_k_lattice;
@@ -219,4 +347,7 @@ let suite =
       test_sharded_rect_overlapping;
     Alcotest.test_case "sharded VATIC: overlapping DNF" `Quick
       test_sharded_dnf;
+    Alcotest.test_case "k=3 exact fold = exact union" `Quick test_fold_exact_k3;
+    Alcotest.test_case "k-way fold: one coin per element" `Quick test_fold_one_coin_k;
+    Alcotest.test_case "k-way fold mean = pairwise mean" `Quick test_fold_k_vs_pairwise;
   ]

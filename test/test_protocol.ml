@@ -76,9 +76,9 @@ let test_parse_requests () =
   Alcotest.check request "snapshot without path is a fetch"
     (P.Fetch { session = "s1"; cutoff = None })
     (parse_ok "SNAPSHOT s1");
-  Alcotest.check request "merge"
-    (P.Merge { session = "s1"; encoded = "delphic-snapshot%20v2%0A..." })
-    (parse_ok "MERGE s1 delphic-snapshot%20v2%0A...");
+  Alcotest.check request "merge unarmors its token"
+    (P.Merge { session = "s1"; encoded = "delphic-snapshot v2\n\000..." })
+    (parse_ok "MERGE s1 delphic-snapshot%20v2%0A%00...");
   Alcotest.check request "restore"
     (P.Restore { session = "s2"; path = "x.snap" })
     (parse_ok "RESTORE s2 x.snap");
@@ -226,6 +226,73 @@ let test_payload_armor () =
   match P.unarmor_payload "abc%ZZ" with
   | Error _ -> ()
   | Ok s -> Alcotest.failf "unknown escape must not decode (got %S)" s
+
+(* A sketch token is arbitrary bytes.  The v1 text line armors it into one
+   printable token, the v2 reply is a binary record carrying it raw; both
+   must hand the client the identical bytes — codec-level, then through a
+   live server answering a v1 and a v2 connection. *)
+let test_sketch_token_paths () =
+  let module Io = Delphic_core.Snapshot_io in
+  let module Frame = Delphic_server.Frame in
+  let module Server = Delphic_server.Server in
+  let module Rpc = Delphic_cluster.Rpc in
+  let token = String.init 1024 (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  let line = P.render_response (P.Sketch token) in
+  Alcotest.(check bool) "v1 line carries one whitespace-free token" true
+    (not
+       (String.exists
+          (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\012' || c = '\r')
+          (String.sub line 7 (String.length line - 7))));
+  Alcotest.check response "v1 line" (P.Sketch token)
+    (match P.parse_response line with Ok r -> r | Error e -> Alcotest.fail e);
+  let body =
+    match Server.reply ~proto:Delphic_server.Evloop.V2 (P.Sketch token) with
+    | Delphic_server.Evloop.Record { head; body } ->
+      Alcotest.(check string) "record head" P.sketch_head head;
+      let buf = Buffer.create 16 in
+      Frame.frame_parts_into buf ~head body;
+      let framed = Buffer.contents buf in
+      (match Frame.scan (Bytes.of_string framed) ~pos:0 ~len:(String.length framed) with
+      | Frame.Got { body; _ } -> body
+      | _ -> Alcotest.fail "v2 record did not frame")
+    | _ -> Alcotest.fail "v2 SKETCH must be a binary record"
+  in
+  Alcotest.check response "v2 record" (P.Sketch token)
+    (match P.parse_reply_frame (Bytes.of_string body) ~pos:0 ~len:(String.length body) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e);
+  (* a live server: one session fetched over both protocols *)
+  let spool =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "delphic-test-token-%d" (Unix.getpid ()))
+  in
+  let srv = Server.create ~port:0 ~spool ~seed:3 () in
+  let th = Server.start srv in
+  let fetch proto =
+    match Rpc.connect ~proto ~host:"127.0.0.1" ~port:(Server.port srv) ~timeout:5.0 () with
+    | Error e -> Alcotest.fail (Rpc.describe_connect_error e)
+    | Ok c ->
+      Fun.protect
+        ~finally:(fun () -> Rpc.close c)
+        (fun () ->
+          if proto = Rpc.V1 then begin
+            ignore (Rpc.call c (P.Open { session = "t"; family = P.Rect; epsilon = 0.3; delta = 0.2; log2_universe = 20.0 }));
+            ignore (Rpc.call c (P.Add_batch { session = "t"; payloads = [ "0 9 0 9"; "5 40 3 7" ]; ts = Some 2.5 }))
+          end;
+          match Rpc.call c (P.Fetch { session = "t"; cutoff = None }) with
+          | Ok (P.Sketch tok) -> tok
+          | Ok r -> Alcotest.failf "SNAPSHOT: %s" (P.render_response r)
+          | Error e -> Alcotest.fail e)
+  in
+  let v1 = fetch Rpc.V1 and v2 = fetch Rpc.V2 in
+  Server.request_stop srv;
+  Thread.join th;
+  if Sys.file_exists spool then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat spool f)) (Sys.readdir spool);
+    Unix.rmdir spool
+  end;
+  Alcotest.(check bool) "v1 and v2 deliver identical token bytes" true (String.equal v1 v2);
+  Alcotest.(check bool) "the token decodes" true (Result.is_ok (Io.decode v1))
 
 let test_session_names () =
   Alcotest.(check bool) "plain ok" true (P.session_name_ok "run-2.b_7");
@@ -863,11 +930,11 @@ let test_dispatch_fetch_merge () =
     | r -> Alcotest.failf "SNAPSHOT b: %s" (P.render_response r)
   in
   Alcotest.(check bool)
-    "wire token is space-free" false
-    (String.exists (fun c -> c = ' ' || c = '\n') encoded);
+    "fetch answers a binary snapshot token" true
+    (Result.is_ok (Delphic_core.Snapshot_io.decode encoded));
   Alcotest.check response "merge b into a"
     (P.Ok_reply (Some "merged into a"))
-    (dispatch reg (Printf.sprintf "MERGE a %s" encoded));
+    (dispatch reg (Printf.sprintf "MERGE a %s" (P.armor_payload encoded)));
   (* both squares are 10x10, overlapping on a 5x10 strip: union 150 *)
   Alcotest.check response "merged exact union"
     (P.Estimate { value = 150.0; degraded = false; stale_shards = [] })
@@ -886,7 +953,7 @@ let test_dispatch_fetch_merge () =
   | P.Error_reply (P.Bad_params _) -> ()
   | r -> Alcotest.failf "garbage MERGE: %s" (P.render_response r));
   ignore (dispatch reg "OPEN d dnf:10 0.3 0.2 10");
-  (match dispatch reg (Printf.sprintf "MERGE d %s" encoded) with
+  (match dispatch reg (Printf.sprintf "MERGE d %s" (P.armor_payload encoded)) with
   | P.Error_reply (P.Bad_params _) -> ()
   | r -> Alcotest.failf "family-mismatch MERGE: %s" (P.render_response r));
   Alcotest.check response "fetch of unknown session"
@@ -1117,6 +1184,7 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "parse windowed errors" `Quick test_parse_window_errors;
     Alcotest.test_case "payload armor" `Quick test_payload_armor;
+    Alcotest.test_case "sketch token: v1 line = v2 record" `Quick test_sketch_token_paths;
     Alcotest.test_case "session names" `Quick test_session_names;
     Alcotest.test_case "family tokens" `Quick test_family_tokens;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;

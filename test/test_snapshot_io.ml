@@ -1,8 +1,10 @@
-(* Versioned snapshot codec: exact text round-trips (qcheck), atomic file
-   persistence, decode robustness, and estimator snapshot/restore parity for
-   the Adaptive wrapper and EXT-VATIC. *)
+(* Versioned snapshot codec: exact v4 round-trips (qcheck, per family),
+   v1..v3 text compatibility, atomic file persistence, decode robustness
+   (every truncation and byte flip of a token is an [Error]), and estimator
+   snapshot/restore parity for the Adaptive wrapper and EXT-VATIC. *)
 
 module Io = Delphic_core.Snapshot_io
+module Families = Delphic_server.Families
 module Params = Delphic_core.Params
 module Rng = Delphic_util.Rng
 module Range1d = Delphic_sets.Range1d
@@ -12,7 +14,7 @@ module A = Delphic_core.Adaptive.Make (Range1d)
 module Wrap = Delphic_sets.Approx_wrap.Make (Range1d)
 module Ext = Delphic_core.Ext_vatic.Make (Wrap)
 
-let sample_io =
+let sample_header =
   {
     Io.family = "cov:14:2";
     epsilon = 0.2;
@@ -22,7 +24,6 @@ let sample_io =
     items = 123;
     merges = 4;
     exact_active = false;
-    exact_entries = [ (8.0, "3 7"); (0.0, "0 0"); (12.5, "12 40") ];
     sketch =
       Some
         {
@@ -35,46 +36,44 @@ let sample_io =
           membership_calls = 14;
           cardinality_calls = 123;
           sampling_calls = 9;
-          entries = [ (3, 1.5, "1,2:1010"); (3, 0.0, "5:0001"); (4, 2.5e5, "9,9:1111") ];
+          min_level = 4;
         };
   }
 
+let sample_exact = [ (8.0, "3 7"); (0.0, "0 0"); (12.5, "12 40") ]
+let sample_sketch = [ (3, 1.5, "1,2:1010"); (3, 0.0, "5:0001"); (4, 2.5e5, "9,9:1111") ]
+let sample_io = Io.make sample_header ~exact:sample_exact ~sketch:sample_sketch
+
 let check_roundtrip name io =
   match Io.decode (Io.encode io) with
-  | Ok io' -> Alcotest.(check bool) name true (io = io')
+  | Ok io' -> Alcotest.(check bool) name true (Io.equal io io')
   | Error msg -> Alcotest.failf "%s: decode failed: %s" name msg
 
 let test_fixed_roundtrips () =
   check_roundtrip "with sketch" sample_io;
   check_roundtrip "exact only"
-    {
-      sample_io with
-      Io.family = "rect";
-      exact_active = true;
-      sketch = None;
-      exact_entries = [];
-    };
-  (* Element strings are opaque: spaces and punctuation must survive. *)
+    (Io.make
+       { sample_header with Io.family = "rect"; exact_active = true; sketch = None }
+       ~exact:[] ~sketch:[]);
+  (* Element strings are opaque bytes: spaces, newlines, NULs survive. *)
   check_roundtrip "awkward elements"
-    {
-      sample_io with
-      Io.exact_entries = [ (0.25, " leading space"); (0.0, "trailing "); (3.0, "in ner") ];
-      sketch =
-        Some
-          {
-            (Option.get sample_io.Io.sketch) with
-            Io.mode = Params.Paper;
-            entries = [ (0, 1.0, "a b c"); (-1, 0.0, "") ];
-          };
-    }
+    (Io.make
+       {
+         sample_header with
+         Io.sketch =
+           Some { (Option.get sample_header.Io.sketch) with Io.mode = Params.Paper };
+       }
+       ~exact:[ (0.25, " leading space"); (0.0, "new\nline"); (3.0, "nul\000\255") ]
+       ~sketch:[ (0, 1.0, "a b c"); (2, infinity, ""); (1, neg_infinity, "\r\n") ]);
+  (* a decoded token re-encodes to its own bytes *)
+  let tok = Io.encode sample_io in
+  match Io.decode tok with
+  | Ok io -> Alcotest.(check string) "decoded token re-encodes verbatim" tok (Io.encode io)
+  | Error msg -> Alcotest.fail msg
 
 let test_header () =
-  Alcotest.(check bool)
-    "magic + version first line" true
-    (String.length (Io.encode sample_io) > 0
-    && String.sub (Io.encode sample_io) 0
-         (String.length "delphic-snapshot v3")
-       = "delphic-snapshot v3")
+  Alcotest.(check int) "current version" 4 Io.version;
+  Alcotest.(check string) "v4 magic first" "\000DS4" (String.sub (Io.encode sample_io) 0 4)
 
 (* v1 snapshots (no merges line) must keep decoding, with merges = 0. *)
 let v1_text =
@@ -86,10 +85,10 @@ let test_decode_v1 () =
   match Io.decode v1_text with
   | Error msg -> Alcotest.failf "v1 decode: %s" msg
   | Ok io ->
-    Alcotest.(check int) "v1 merges default" 0 io.Io.merges;
-    Alcotest.(check int) "v1 items" 2 io.Io.items;
+    Alcotest.(check int) "v1 merges default" 0 (Io.header io).Io.merges;
+    Alcotest.(check int) "v1 items" 2 (Io.header io).Io.items;
     Alcotest.(check bool) "v1 entries at t=0" true
-      (io.Io.exact_entries = [ (0.0, "3 7"); (0.0, "0 0") ])
+      (Io.exact_entries io = [ (0.0, "3 7"); (0.0, "0 0") ])
 
 (* v2 snapshots (merges line, no timestamps) decode with every ts = 0. *)
 let v2_text =
@@ -103,42 +102,81 @@ let test_decode_v2 () =
   match Io.decode v2_text with
   | Error msg -> Alcotest.failf "v2 decode: %s" msg
   | Ok io ->
-    Alcotest.(check int) "v2 merges kept" 2 io.Io.merges;
+    Alcotest.(check int) "v2 merges kept" 2 (Io.header io).Io.merges;
     Alcotest.(check bool) "v2 exact entries at t=0" true
-      (io.Io.exact_entries = [ (0.0, "3 7") ]);
-    (match io.Io.sketch with
-    | None -> Alcotest.fail "v2 sketch lost"
-    | Some sk ->
-      Alcotest.(check bool) "v2 sketch entries at t=0" true
-        (sk.Io.entries = [ (3, 0.0, "17 42"); (5, 0.0, "0 0") ]));
-    (* re-encoding a v2 decode produces a v3 snapshot that round-trips *)
-    Alcotest.(check bool) "upgraded round-trip" true
-      (Io.decode (Io.encode io) = Ok io)
+      (Io.exact_entries io = [ (0.0, "3 7") ]);
+    Alcotest.(check bool) "v2 sketch entries at t=0" true
+      (Io.sketch_entries io = [ (3, 0.0, "17 42"); (5, 0.0, "0 0") ]);
+    (* re-encoding a v2 decode produces a v4 token that round-trips *)
+    check_roundtrip "upgraded round-trip" io
+
+(* v3 text snapshots — what spool files and checkpoints held before the
+   binary format — keep loading, timestamps and all. *)
+let v3_text =
+  "delphic-snapshot v3\nfamily rect\nepsilon 0x1p-2\ndelta 0x1p-3\n\
+   log2-universe 0x1.4p5\nexact-capacity 10\nitems 5\nmerges 1\n\
+   exact-active false\nexact-entries 1\nE 0x1.8p3 3 7\n\
+   sketch practical 0x1p0 0x1.4p1 5 12 0 4 3 1\nsketch-entries 2\n\
+   3 0x1.4p1 17 42\n5 0x0p+0 0 0\nend\n"
+
+let test_decode_v3 () =
+  match Io.decode v3_text with
+  | Error msg -> Alcotest.failf "v3 decode: %s" msg
+  | Ok io ->
+    Alcotest.(check int) "v3 merges kept" 1 (Io.header io).Io.merges;
+    Alcotest.(check bool) "v3 exact entry timestamped" true
+      (Io.exact_entries io = [ (12.0, "3 7") ]);
+    Alcotest.(check bool) "v3 sketch entries timestamped" true
+      (Io.sketch_entries io = [ (3, 2.5, "17 42"); (5, 0.0, "0 0") ]);
+    Alcotest.(check int) "min level derived from the entries" 5
+      (Option.get (Io.header io).Io.sketch).Io.min_level;
+    check_roundtrip "upgraded round-trip" io;
+    (* and it still restores into a live session *)
+    match Families.of_io io ~seed:1 with
+    | Ok f -> Alcotest.(check int) "restored entries" 2 (Families.entries f)
+    | Error msg -> Alcotest.failf "v3 restore: %s" msg
 
 let test_restrict () =
   let r = Io.restrict ~cutoff:1.0 sample_io in
   Alcotest.(check bool) "exact entries filtered" true
-    (r.Io.exact_entries = [ (8.0, "3 7"); (12.5, "12 40") ]);
-  (match r.Io.sketch with
-  | None -> Alcotest.fail "restrict dropped the sketch record"
-  | Some sk ->
-    Alcotest.(check bool) "sketch entries filtered" true
-      (sk.Io.entries = [ (3, 1.5, "1,2:1010"); (4, 2.5e5, "9,9:1111") ]);
-    Alcotest.(check int) "counters untouched" 123 sk.Io.s_items);
-  Alcotest.(check int) "items untouched" 123 r.Io.items;
-  Alcotest.(check bool) "neg_infinity cutoff is the identity" true
-    (Io.restrict ~cutoff:neg_infinity sample_io = sample_io)
+    (Io.exact_entries r = [ (8.0, "3 7"); (12.5, "12 40") ]);
+  Alcotest.(check bool) "sketch entries filtered" true
+    (Io.sketch_entries r = [ (3, 1.5, "1,2:1010"); (4, 2.5e5, "9,9:1111") ]);
+  let sk = Option.get (Io.header r).Io.sketch in
+  Alcotest.(check int) "counters untouched" 123 sk.Io.s_items;
+  Alcotest.(check int) "min level follows the entries" 4 sk.Io.min_level;
+  Alcotest.(check int) "items untouched" 123 (Io.header r).Io.items;
+  Alcotest.(check bool) "neg_infinity cutoff keeps everything" true
+    (Io.equal (Io.restrict ~cutoff:neg_infinity sample_io) sample_io);
+  (* restricting a decoded token reads its entries in place *)
+  match Io.decode (Io.encode sample_io) with
+  | Ok io -> Alcotest.(check bool) "same view of a token" true (Io.equal (Io.restrict ~cutoff:1.0 io) r)
+  | Error msg -> Alcotest.fail msg
 
 (* --- qcheck: decode . encode = Ok, over random snapshots --- *)
 
-let gen_elt =
+(* Elements as each served family encodes them, plus arbitrary bytes: the
+   token treats elements as opaque, length-prefixed strings. *)
+let gen_family_elt family =
   QCheck.Gen.(
-    string_size (int_range 0 20)
-      ~gen:(oneofl [ '0'; '9'; ' '; ','; ':'; '-'; 'x' ]))
+    let bits n = string_size (return n) ~gen:(oneofl [ '0'; '1' ]) in
+    match family with
+    | "rect" ->
+      map2 (Printf.sprintf "%d %d") (int_range 0 1_000_000) (int_range (-5) 1_000_000)
+    | "dnf:40" -> bits 40
+    | _ ->
+      map2
+        (fun (a, b) pat -> Printf.sprintf "%d,%d:%s" a (a + b) pat)
+        (pair (int_range 0 12) (int_range 1 2))
+        (bits 2))
 
-let gen_io =
+let gen_bytes = QCheck.Gen.(string_size (int_range 0 20) ~gen:char)
+
+(* (header, exact entries, sketch entries) *)
+let gen_parts ~elt =
   QCheck.Gen.(
     let* family = oneofl [ "rect"; "dnf:40"; "cov:14:2" ] in
+    let elt = elt family in
     let* epsilon = float_range 0.001 0.999 in
     let* delta = float_range 0.001 0.999 in
     let* log2_universe = float_range 1.0 128.0 in
@@ -146,8 +184,9 @@ let gen_io =
     let* items = int_range 0 1_000_000 in
     let* merges = int_range 0 1000 in
     let* exact_active = bool in
-    let* exact_entries =
-      list_size (int_range 0 20) (pair (float_range 0.0 2e9) gen_elt)
+    let* exact = list_size (int_range 0 20) (pair (float_range 0.0 2e9) elt) in
+    let* sketch_entries =
+      list_size (int_range 0 20) (triple (int_range 0 60) (float_range 0.0 2e9) elt)
     in
     let* sketch =
       oneof
@@ -162,10 +201,6 @@ let gen_io =
            let* membership_calls = int_range 0 1_000_000 in
            let* cardinality_calls = int_range 0 1_000_000 in
            let* sampling_calls = int_range 0 1_000_000 in
-           let* entries =
-             list_size (int_range 0 20)
-               (triple (int_range (-4) 60) (float_range 0.0 2e9) gen_elt)
-           in
            return
              (Some
                 {
@@ -178,50 +213,123 @@ let gen_io =
                   membership_calls;
                   cardinality_calls;
                   sampling_calls;
-                  entries;
+                  min_level = 0;
                 }));
         ]
     in
     return
-      {
-        Io.family;
-        epsilon;
-        delta;
-        log2_universe;
-        exact_capacity;
-        items;
-        merges;
-        exact_active;
-        exact_entries;
-        sketch;
-      })
+      ( {
+          Io.family;
+          epsilon;
+          delta;
+          log2_universe;
+          exact_capacity;
+          items;
+          merges;
+          exact_active;
+          sketch;
+        },
+        exact,
+        if sketch = None then [] else sketch_entries ))
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"decode . encode = Ok (random)" ~count:300
-    (QCheck.make gen_io)
-    (fun io -> Io.decode (Io.encode io) = Ok io)
+    (QCheck.make (gen_parts ~elt:(fun _ -> gen_bytes)))
+    (fun (h, exact, sketch) ->
+      let io = Io.make h ~exact ~sketch in
+      match Io.decode (Io.encode io) with
+      | Ok io' ->
+        Io.equal io io' && Io.exact_entries io' = exact && Io.sketch_entries io' = sketch
+      | Error _ -> false)
 
-(* --- wire armor --- *)
-
-let prop_wire_roundtrip =
-  QCheck.Test.make ~name:"of_wire . to_wire = Ok (random)" ~count:300
-    (QCheck.make gen_io)
+(* A session restored from a token re-encodes to the same entries, for
+   each served family: the element codecs round-trip through the fold, and
+   the estimator's direct encoder writes what the record encoder writes.
+   Parameters are pinned to ones the estimator accepts; entries are
+   distinct elements at levels the sketch can hold. *)
+let prop_family_roundtrip =
+  let max_level =
+    (Params.create ~epsilon:0.2 ~delta:0.1 ~log2_universe:40.0 ()).Params.max_level
+  in
+  let gen =
+    QCheck.Gen.(
+      let* h, exact, sketch = gen_parts ~elt:gen_family_elt in
+      let exact = List.sort_uniq (fun (_, a) (_, b) -> compare a b) exact in
+      let sketch =
+        List.sort_uniq (fun (_, _, a) (_, _, b) -> compare a b) sketch
+        |> List.map (fun (l, ts, e) -> (min l max_level, ts, e))
+      in
+      return
+        (Io.make
+           {
+             h with
+             Io.epsilon = 0.2;
+             delta = 0.1;
+             log2_universe = 40.0;
+             exact_active = h.Io.exact_active || h.Io.sketch = None;
+             sketch =
+               Option.map
+                 (fun sk ->
+                   {
+                     sk with
+                     Io.capacity_scale = 1.0;
+                     coupon_scale = 1.0;
+                     max_bucket = sk.Io.max_bucket + List.length sketch;
+                   })
+                 h.Io.sketch;
+           }
+           ~exact ~sketch))
+  in
+  let sorted io =
+    Io.make (Io.header io)
+      ~exact:(List.sort compare (Io.exact_entries io))
+      ~sketch:(List.sort compare (Io.sketch_entries io))
+  in
+  QCheck.Test.make ~name:"of_wire . encode = Ok (families)" ~count:300
+    (QCheck.make gen)
     (fun io ->
-      let w = Io.to_wire io in
-      (* a wire token must survive a space-delimited line protocol *)
-      (not (String.exists (fun c -> c = ' ' || c = '\n' || c = '\r') w))
-      && Io.of_wire w = Ok io)
+      match Io.of_wire (Io.encode io) with
+      | Error _ -> false
+      | Ok decoded -> (
+        Io.equal decoded io
+        &&
+        match Families.of_io decoded ~seed:7 with
+        | Error msg -> QCheck.Test.fail_reportf "of_io: %s" msg
+        | Ok f -> (
+          let merges = (Io.header io).Io.merges in
+          Io.equal (sorted (Families.to_io ~merges f)) (sorted io)
+          &&
+          match Families.encode ~merges f with
+          | Error msg -> QCheck.Test.fail_reportf "encode: %s" msg
+          | Ok tok -> (
+            match Io.decode tok with
+            | Ok direct -> Io.equal (sorted direct) (sorted io)
+            | Error msg -> QCheck.Test.fail_reportf "direct token: %s" msg))))
 
 let test_wire_rejects () =
   let expect_error name s =
     match Io.of_wire s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: of_wire accepted garbage" name
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
   in
-  expect_error "raw space" "delphic snapshot";
-  expect_error "truncated escape" (Io.to_wire sample_io ^ "%2");
-  expect_error "unknown escape" "%ZZ";
-  expect_error "not a snapshot underneath" "hello-world"
+  expect_error "not a snapshot" "hello-world";
+  expect_error "bare magic" "\000DS4";
+  expect_error "future binary version" "\000DS9xxxxxxxx";
+  let token = Io.encode sample_io in
+  (* every proper prefix of a token, and every single-byte flip of it *)
+  for len = 0 to String.length token - 1 do
+    expect_error (Printf.sprintf "prefix %d" len) (String.sub token 0 len)
+  done;
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun mask ->
+          let b = Bytes.of_string token in
+          Bytes.set b i (Char.chr (Char.code c lxor mask));
+          expect_error (Printf.sprintf "byte %d ^ 0x%02x" i mask) (Bytes.to_string b))
+        [ 0x01; 0x80; 0xFF ])
+    token
 
 (* --- file persistence --- *)
 
@@ -230,7 +338,7 @@ let test_save_load () =
   Io.save ~path sample_io;
   Alcotest.(check bool) "no tmp left" false (Sys.file_exists (path ^ ".tmp"));
   (match Io.load ~path with
-  | Ok io -> Alcotest.(check bool) "load = save" true (io = sample_io)
+  | Ok io -> Alcotest.(check bool) "load = save" true (Io.equal io sample_io)
   | Error msg -> Alcotest.failf "load: %s" msg);
   Sys.remove path;
   match Io.load ~path with
@@ -258,14 +366,15 @@ let test_decode_rejects () =
      exact-entries 0\nsketch nonsense\nend\n"
 
 let test_encode_validates () =
-  Alcotest.check_raises "newline in element"
-    (Invalid_argument "Snapshot_io.encode: an exact entry contains a newline")
-    (fun () ->
-      ignore (Io.encode { sample_io with Io.exact_entries = [ (0.0, "a\nb") ] }));
+  let with_family f = Io.make { sample_header with Io.family = f } ~exact:[] ~sketch:[] in
+  Alcotest.check_raises "empty family"
+    (Invalid_argument
+       "Snapshot_io.encode: family token must be non-empty and space-free")
+    (fun () -> ignore (Io.encode (with_family "")));
   Alcotest.check_raises "space in family"
     (Invalid_argument
        "Snapshot_io.encode: family token must be non-empty and space-free")
-    (fun () -> ignore (Io.encode { sample_io with Io.family = "re ct" }))
+    (fun () -> ignore (Io.encode (with_family "re ct")))
 
 (* --- estimator snapshot/restore parity --- *)
 
@@ -365,9 +474,10 @@ let suite =
     Alcotest.test_case "header" `Quick test_header;
     Alcotest.test_case "v1 compatibility" `Quick test_decode_v1;
     Alcotest.test_case "v2 compatibility" `Quick test_decode_v2;
+    Alcotest.test_case "v3 compatibility" `Quick test_decode_v3;
     Alcotest.test_case "restrict" `Quick test_restrict;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+    QCheck_alcotest.to_alcotest prop_family_roundtrip;
     Alcotest.test_case "wire rejects garbage" `Quick test_wire_rejects;
     Alcotest.test_case "save/load" `Quick test_save_load;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects;
