@@ -38,10 +38,11 @@ type worker = {
       (* routed but not yet framed: (session, payload, ts, hops).  Nothing
          here has touched the socket; a death replays these verbatim. *)
   staged_log : (string * string * float option * int) Queue.t;
-      (* backup replica copies awaiting framing, kept apart from [staged]
-         so eager and log copies each coalesce into full-size frames
-         (interleaving them would break same-role runs every few payloads).
-         Shipped as ADDL log appends rather than full ADDB updates. *)
+      (* backup replica copies awaiting framing, shipped as ADDL frames.
+         The worker applies them on arrival just like ADDB; they stage
+         apart from [staged] only so each role coalesces into full-size
+         frames (the role alternates per payload hash, so one shared queue
+         would break same-role runs every few payloads). *)
   pending : batch Queue.t; (* frames on the wire, one reply line owed each *)
   mutable in_flight : int; (* payload units across [pending] *)
   last_good : (string, string) Hashtbl.t;
@@ -85,7 +86,9 @@ type t = {
   retries : int;
   backoff : float; (* first retry delay; doubles per consecutive failure *)
   window : int; (* unacked payload units per worker before a drain *)
-  batch : int; (* max payloads per ADDB frame; the flush high-water mark *)
+  batch : int;
+      (* max payloads per ADDB/ADDL frame, and the staging high-water mark
+         at which single ADDs are shipped (a client ADDB ships at once) *)
   clock : unit -> float; (* query instant for un-pinned WIN / EXPR w= *)
   cutoff_bucket : float; (* window cutoffs quantize down to this grain *)
   seed : int;
@@ -460,13 +463,16 @@ let rec drain_acks t w ~down_to =
         Log.warn (fun m -> m "worker %s: lost while draining acks: %s" (address w) msg);
         quarantine t w)
 
+let has_staged w = not (Queue.is_empty w.staged && Queue.is_empty w.staged_log)
+
 (* Frame [w.staged] into ADDB requests — consecutive same-session runs of up
-   to [t.batch] payloads each, a lone payload as a legacy ADD — stage them
+   to [t.batch] payloads each, a lone payload as a legacy ADD — and
+   [w.staged_log] into ADDL requests the same way, stage them
    all on the connection, and ship the accumulation as one coalesced write.
    Frames enter [w.pending] before the flush so a transport failure replays
    them via the quarantine path. *)
 let flush_worker t w =
-  if not (Queue.is_empty w.staged && Queue.is_empty w.staged_log) then
+  if has_staged w then
     match w.conn with
     | None ->
       (* connection already gone with payloads still staged: hand them to
@@ -514,16 +520,24 @@ let flush_worker t w =
         Log.warn (fun m -> m "worker %s: batch flush failed: %s" (address w) msg);
         quarantine t w)
 
+(* Ship [w]'s staged frames, then keep the pipe at most [t.window] units
+   deep: past it, drain down to half the window so the pipe never fully
+   stalls.  This bounds what a gather waits for on one worker. *)
+let ship_worker t w =
+  flush_worker t w;
+  if w.conn <> None && w.in_flight >= t.window then
+    drain_acks t w ~down_to:(t.window / 2)
+
 (* Route one payload to [t.replicas] distinct live workers, walking the
    ring from [start] (the shard's home position) and giving up a copy after
    every worker has been probed.  Dead ring positions are skipped, so under
    failures the copies land on the next live successors — the gather's
    coverage rule looks at the same successive window, and the union's
-   duplicate-insensitivity makes any extra placement harmless.  Routing only
-   stages — the socket is touched when a worker's staging queue reaches the
-   batch high-water mark (or at an explicit [flush]/gather).  [Ok] as soon
-   as one copy is staged: fewer live workers than replicas degrades
-   redundancy, not availability. *)
+   duplicate-insensitivity makes any extra placement harmless.  Routing
+   stages; a worker is shipped when its staging reaches the batch
+   high-water mark, and [add_batch] ships every worker before it returns.
+   [Ok] as soon as one copy is staged: fewer live workers than replicas
+   degrades redundancy, not availability. *)
 let route t si name payload ~ts ~start ~hops =
   let n = Array.length t.workers in
   if hops > n then begin
@@ -539,17 +553,13 @@ let route t si name payload ~ts ~start ~hops =
       (match ensure_conn t w with
       | None -> ()
       | Some _conn ->
-        (* copy 0 lands eagerly (the primary replica); later copies are
-           log appends — cheap redundancy that materialises on read *)
+        (* copy 0 is the primary (ADDB), later copies are backups (ADDL);
+           the worker applies both on arrival *)
         Queue.push (name, payload, ts, hops)
           (if !placed > 0 then w.staged_log else w.staged);
         incr placed;
-        if Queue.length w.staged + Queue.length w.staged_log >= t.batch then begin
-          flush_worker t w;
-          (* keep half the window in flight so the pipe never fully stalls *)
-          if w.conn <> None && w.in_flight >= t.window then
-            drain_acks t w ~down_to:(t.window / 2)
-        end);
+        if Queue.length w.staged + Queue.length w.staged_log >= t.batch then
+          ship_worker t w);
       incr i
     done;
     if !placed = 0 then begin
@@ -609,8 +619,7 @@ let () =
 let call_sync t w req =
   flush_worker t w;
   drain_acks t w ~down_to:0;
-  if w.in_flight > 0 || not (Queue.is_empty w.staged && Queue.is_empty w.staged_log)
-  then Error "pending acks could not be drained"
+  if w.in_flight > 0 || has_staged w then Error "pending acks could not be drained"
   else
     match w.conn with
     | None -> Error "connection lost while draining pending acks"
@@ -727,7 +736,12 @@ let add ?ts t ~name ~payload =
 
 (* A whole client ADDB frame routed under one lock acquisition.  Each
    payload still shards independently (By_hash must keep duplicates
-   colocated), so a frame may fan out across workers and re-batch there. *)
+   colocated), so a frame may fan out across workers and re-batch there.
+   The frame is already a batch, so nothing is held back: every worker
+   with staged frames is shipped before the call returns, and the sets
+   reach the worker estimators without waiting for a read.  Shipping
+   repeats until nothing is staged, since a drain can park refused
+   payloads and re-routing them stages more (bounded like [flush]). *)
 let add_batch ?ts t ~name ~payloads =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
@@ -743,7 +757,12 @@ let add_batch ?ts t ~name ~payloads =
             | Ok () -> incr accepted
             | Error e -> errors := (i, P.describe_error e) :: !errors)
           payloads;
-        reroute_orphans t;
+        let rec ship attempts =
+          Array.iter (fun w -> if has_staged w then ship_worker t w) t.workers;
+          reroute_orphans t;
+          if attempts > 0 && Array.exists has_staged t.workers then ship (attempts - 1)
+        in
+        ship (Array.length t.workers + 2);
         Ok (!accepted, List.rev !errors))
 
 let flush t =
@@ -759,11 +778,7 @@ let flush t =
     reroute_orphans t;
     if
       attempts > 0
-      && Array.exists
-           (fun w ->
-             w.in_flight > 0
-             || not (Queue.is_empty w.staged && Queue.is_empty w.staged_log))
-           t.workers
+      && Array.exists (fun w -> w.in_flight > 0 || has_staged w) t.workers
     then go (attempts - 1)
   in
   go (Array.length t.workers + 2)
@@ -1388,7 +1403,7 @@ let dispatch t (req : P.request) : P.response =
   | P.Add { session; payload; ts } ->
     reply (Result.map (fun () -> P.Ok_reply None) (add ?ts t ~name:session ~payload))
   (* ADDL at the front door is just ingest: the coordinator re-routes with
-     its own replica roles, so the log-append hint does not pass through. *)
+     its own replica roles, so the backup-copy hint does not pass through. *)
   | P.Add_batch { session; payloads; ts } | P.Add_log { session; payloads; ts } ->
     reply
       (Result.map

@@ -141,7 +141,10 @@ val add_batch :
 (** A whole client [ADDB] frame under one lock acquisition.  Each payload
     still routes through {!sharding} independently, so a frame may fan out
     and re-batch per worker (only same-timestamp runs share a frame).
-    Returns [(accepted, errors)] where [errors] pairs a payload's 0-based
+    Every frame the call staged is written to its worker before it returns,
+    so the sets reach the worker estimators without waiting for a read; a
+    worker with [window] payload units unacked is drained to half that
+    first, which bounds what the next gather waits for.  Returns [(accepted, errors)] where [errors] pairs a payload's 0-based
     frame index with the routing failure; parse errors, as with {!add},
     surface later in [parse_rejects]. *)
 

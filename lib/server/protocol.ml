@@ -16,11 +16,10 @@ type request =
   | Add of { session : string; payload : string; ts : float option }
   | Add_batch of { session : string; payloads : string list; ts : float option }
   | Add_log of { session : string; payloads : string list; ts : float option }
-      (* The replica-log twin of [Add_batch]: the receiver appends the
-         payloads to the session's pending log and acks without updating
-         the estimator — materialisation happens on the first read or on
-         promotion.  Coordinators send backup copies this way so a replica
-         costs an append, not a full estimator update, on the ingest path. *)
+      (* The backup-copy twin of [Add_batch]: coordinators ship a payload's
+         replica copies this way.  The receiver applies them on arrival and
+         acks in the same [Ok_batch] shape, listing no errors — parse errors
+         are reported once, from the primary copy. *)
   | Est of { session : string }
   | Win of { session : string; seconds : float; at : float option }
   | Stats of { session : string }
@@ -521,7 +520,7 @@ let render_request = function
    Only the batched add verbs get a binary shape: they are the hot path,
    and their cost under v1 is exactly the %-armoring/unarmoring plus
    whitespace tokenization of a many-token line.  Binary ADDB — and its
-   replica-log twin ADDL, identical but for the tag byte — is
+   backup-copy twin ADDL, identical but for the tag byte — is
 
      '\x01' 'B'|'L' | u16 slen | session | u8 has_ts | [f64 ts] | u32 k
                     | k × (u32 len | payload)

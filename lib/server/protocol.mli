@@ -97,13 +97,12 @@ type request =
           carried verbatim in memory and armored only on the wire; [ts]
           stamps the whole frame *)
   | Add_log of { session : string; payloads : string list; ts : float option }
-      (** wire form [ADDL ...], the replica-log twin of [Add_batch]: the
-          receiver appends the payloads to the session's pending log and
-          acks (same [Ok_batch] shape) without touching the estimator —
-          they are materialised on the session's next read or promotion.
-          Coordinators ship backup replica copies this way, so redundancy
-          costs an append rather than a second full estimator update on
-          the ingest path. *)
+      (** wire form [ADDL ...], the backup-copy twin of [Add_batch]:
+          coordinators ship a payload's replica copies this way.  The
+          receiver applies the payloads to the estimator on arrival and
+          acks in the same [Ok_batch] shape with an empty error list — a
+          malformed payload only bumps the session's reject counter, since
+          the primary copy already reported it to the sender. *)
   | Est of { session : string }
   | Win of { session : string; seconds : float; at : float option }
       (** wire form [WIN <session> <seconds> [at=<abs-secs>]]: the union

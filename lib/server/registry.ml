@@ -15,13 +15,6 @@ type session = {
          until the next mutation: a coordinator polling EST (or WIN at a
          stable cutoff bucket) on a quiescent shard pays the snapshot encode
          once, not per gather *)
-  pending : (float option * string list) Queue.t;
-      (* the replica log: ADDL batches (frame ts, payloads) acked but not
-         yet absorbed into the estimator.  Every read materialises it
-         first, so answers are always as fresh as the acks; element
-         timestamps are the logged frame timestamps, so WIN semantics are
-         byte-identical to the eager path *)
-  mutable pending_n : int;
 }
 
 (* The table is striped: a session name hashes to one segment, whose mutex
@@ -84,40 +77,6 @@ let with_session t name f =
   | None -> Error (Protocol.Unknown_session name)
   | Some s -> with_mutex s.slock (fun () -> f s)
 
-(* Absorb the replica log into the estimator (call with [slock] held).
-   Malformed payloads only bump [parse_rejects]: the eager copy already
-   reported the parse error to the sender, the log replica's job is just
-   to not lose the well-formed ones. *)
-let materialize s =
-  if s.pending_n > 0 then begin
-    s.wire_cache <- None;
-    Queue.iter
-      (fun (ts, payloads) ->
-        List.iter
-          (fun payload ->
-            s.adds <- s.adds + 1;
-            match Families.add ?ts s.runner ~lineno:s.adds payload with
-            | () -> ()
-            | exception Parsers.Parse_error _ ->
-              s.parse_rejects <- s.parse_rejects + 1)
-          payloads)
-      s.pending;
-    Queue.clear s.pending;
-    s.pending_n <- 0
-  end
-
-(* Memory backstop for the replica log: past this many logged payloads the
-   session absorbs them inline, trading the deferred-CPU win for a bound. *)
-let max_pending = 131_072
-
-let add_log ?ts t ~name ~payloads =
-  with_session t name (fun s ->
-      let k = List.length payloads in
-      Queue.push (ts, payloads) s.pending;
-      s.pending_n <- s.pending_n + k;
-      if s.pending_n > max_pending then materialize s;
-      Ok k)
-
 let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
   let seg = segment_of t name in
   with_mutex seg.seg_lock (fun () ->
@@ -135,8 +94,6 @@ let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
               last_estimate = 0.0;
               merges = 0;
               wire_cache = None;
-              pending = Queue.create ();
-              pending_n = 0;
             };
           Ok ())
 
@@ -170,9 +127,15 @@ let add_batch ?ts t ~name ~payloads =
         payloads;
       Ok (!accepted, List.rev !errors))
 
+(* A backup replica copy lands in the estimator on arrival, exactly like an
+   ADDB frame.  The ack counts every payload and lists no errors: the
+   primary copy already reported any parse error to the sender, so here a
+   malformed payload only bumps [parse_rejects]. *)
+let add_log ?ts t ~name ~payloads =
+  Result.map (fun _ -> List.length payloads) (add_batch ?ts t ~name ~payloads)
+
 let estimate t ~name =
   with_session t name (fun s ->
-      materialize s;
       let v = Families.estimate s.runner in
       s.last_estimate <- v;
       Ok v)
@@ -183,13 +146,11 @@ let estimate t ~name =
    full-stream STATS figure, so WIN leaves it alone. *)
 let win t ~name ~seconds ~at =
   with_session t name (fun s ->
-      materialize s;
       let at = match at with Some a -> a | None -> now t in
       Ok (Families.estimate_window s.runner ~cutoff:(at -. seconds)))
 
 let stats t ~name =
   with_session t name (fun s ->
-      materialize s;
       Ok
         {
           Protocol.family = Families.family_token s.runner;
@@ -211,7 +172,6 @@ let close t ~name =
       else Error (Protocol.Unknown_session name))
 
 let snapshot_session ?fsync s ~path =
-  materialize s;
   match Io.save ?fsync ~path (Families.to_io ~merges:s.merges s.runner) with
   | () -> Ok ()
   | exception Sys_error msg -> Error (Protocol.Io_error msg)
@@ -222,7 +182,6 @@ let snapshot_to t ~name ~path =
 
 let fetch ?cutoff t ~name =
   with_session t name (fun s ->
-      materialize s;
       match s.wire_cache with
       | Some (key, encoded) when key = cutoff -> Ok encoded
       | _ -> (
@@ -234,7 +193,6 @@ let fetch ?cutoff t ~name =
 
 let merge_in t ~name ~encoded =
   with_session t name (fun s ->
-      materialize s;
       match Io.of_wire encoded with
       | Error msg -> Error (Protocol.Bad_params msg)
       | Ok v -> (
@@ -278,7 +236,6 @@ let expr_query ?w t ~expr ~m =
       | name :: rest -> (
         let copied =
           with_session t name (fun s ->
-              materialize s;
               Result.map_error
                 (fun msg -> Protocol.Server_error msg)
                 (match cutoff with
@@ -325,8 +282,6 @@ let restore_session t ~name ~path =
             last_estimate = 0.0;
             merges = (Io.header io).Io.merges;
             wire_cache = None;
-            pending = Queue.create ();
-            pending_n = 0;
           };
         Ok ())
 
@@ -453,8 +408,8 @@ let dispatch t (req : Protocol.request) : Protocol.response =
       (Result.map
          (fun (accepted, errors) -> Protocol.Ok_batch { accepted; errors })
          (add_batch ?ts t ~name:session ~payloads))
-  (* Replica-log append: same ack shape as ADDB so coordinator pipelining
-     treats both uniformly; parse errors surface at materialisation. *)
+  (* A backup replica copy: same ack shape as ADDB so coordinator pipelining
+     treats both uniformly; its parse errors only bump the reject counter. *)
   | Protocol.Add_log { session; payloads; ts } ->
     reply
       (Result.map

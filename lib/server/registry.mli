@@ -54,14 +54,12 @@ val add_batch :
 
 val add_log :
   ?ts:float -> t -> name:string -> payloads:string list -> (int, Protocol.error) result
-(** Append an [ADDL] frame to the session's replica log without touching
-    the estimator: O(1) per frame, acked immediately.  The log is absorbed
-    ("materialised") by the session's next read — EST, WIN, STATS,
-    SNAPSHOT, MERGE, EXPR — or inline past a memory backstop, with element
-    timestamps taken from each logged frame, so answers and window
-    semantics are identical to the eager path.  Parse errors surface as
-    reject-counter bumps at materialisation (the eager replica already
-    reported them to the sender).  Returns the payload count. *)
+(** Apply an [ADDL] frame — a backup replica copy — to the estimator on
+    arrival, exactly as {!add_batch} would, so every acknowledged set is
+    already in the estimator when the next read comes.  The ack lists no
+    errors: a malformed payload only bumps the session's reject counter,
+    because the primary copy already reported it to the sender.  Returns
+    the payload count. *)
 
 val estimate : t -> name:string -> (float, Protocol.error) result
 

@@ -10,6 +10,7 @@ module P = Delphic_server.Protocol
 module Registry = Delphic_server.Registry
 module Coordinator = Delphic_cluster.Coordinator
 module Frontend = Delphic_cluster.Frontend
+module Rpc = Delphic_cluster.Rpc
 module Rng = Delphic_util.Rng
 module Bigint = Delphic_util.Bigint
 module Rectangle = Delphic_sets.Rectangle
@@ -438,6 +439,107 @@ let test_frontend_protocol () =
   List.iter stop_worker workers;
   List.iteri (fun n _ -> rm_rf (spool (10 + n))) workers
 
+(* --- ingest lands before the read -------------------------------------- *)
+
+(* A worker's own view of a session, asked directly rather than through
+   the coordinator, so the question never triggers a coordinator flush. *)
+let worker_items port name =
+  match Rpc.connect ~host:"127.0.0.1" ~port ~timeout:2.0 () with
+  | Error e -> Alcotest.failf "dial worker: %s" (Rpc.describe_connect_error e)
+  | Ok conn ->
+    Fun.protect
+      ~finally:(fun () -> Rpc.close conn)
+      (fun () ->
+        match Rpc.call conn (P.Stats { session = name }) with
+        | Ok (P.Stats_reply s) -> s.P.items
+        | Ok r -> Alcotest.failf "worker STATS: %s" (P.render_response r)
+        | Error msg -> Alcotest.failf "worker STATS: %s" msg)
+
+(* A client ADDB is already a batch, so the coordinator writes the frames it
+   routed before [add_batch] returns: with no further coordinator call, each
+   worker's STATS must show the items.  Ten payloads sit far below the
+   64-payload staging mark, so a coordinator that held them until the next
+   gather would leave both workers empty.  At R = 2 over two workers every
+   payload lands on both — once as the primary (ADDB), once as the backup
+   (ADDL), which the worker applies on arrival. *)
+let test_add_batch_ships_without_read () =
+  let workers = List.init 2 (fun n -> start_worker (50 + n) ~seed:(600 + n)) in
+  let ports = List.map (fun (s, _) -> Server.port s) workers in
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout:5.0 ~backoff:0.01
+      ~workers:(List.map (fun p -> ("127.0.0.1", p)) ports)
+      ~seed:61 ()
+  in
+  ok
+    (Coordinator.open_session coord ~name:"ship" ~family:P.Rect ~epsilon:0.3
+       ~delta:0.2 ~log2_universe:17.0);
+  let gen = Rng.create ~seed:29 in
+  let boxes =
+    Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:10 ~max_side:6
+  in
+  let accepted, errors =
+    ok (Coordinator.add_batch coord ~name:"ship" ~payloads:(List.map payload_of boxes))
+  in
+  Alcotest.(check int) "every payload routed" 10 accepted;
+  Alcotest.(check int) "no routing errors" 0 (List.length errors);
+  List.iteri
+    (fun i port ->
+      wait_for ~timeout:2.0
+        (Printf.sprintf "worker %d never saw the acknowledged sets" i)
+        (fun () -> if worker_items port "ship" = 10 then Some () else None))
+    ports;
+  Coordinator.shutdown coord;
+  List.iter stop_worker workers;
+  List.iteri (fun n _ -> rm_rf (spool (50 + n))) workers
+
+(* The replica-log backlog failure, scaled down.  Backup copies that a
+   worker only logged were absorbed by the next read, inline, so a long
+   stream of big sketch-regime boxes with no read in between made that
+   read's FETCH outlast the gather deadline on every replica: the answer
+   came back DEGRADED, or "no worker holds any data" when no earlier
+   gather had left a fallback.  With copies applied on arrival a gather
+   waits for at most [window] unacked payload units per worker.  The
+   backlog (2 600 E1-sized boxes, about 0.6 s of estimator work per worker
+   at ε = 0.2) is sized against a 0.4 s timeout; the small window keeps the
+   fresh side far inside it. *)
+let test_backlog_gather_is_fresh () =
+  let workers = List.init 2 (fun n -> start_worker (60 + n) ~seed:(700 + n)) in
+  let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout:0.4 ~backoff:0.01 ~batch:16 ~window:32
+      ~workers:addrs ~seed:67 ()
+  in
+  ok
+    (Coordinator.open_session coord ~name:"big" ~family:P.Rect ~epsilon:0.2
+       ~delta:0.2 ~log2_universe:40.0);
+  let gen = Rng.create ~seed:41 in
+  let boxes =
+    Workload.Rectangles.uniform gen ~universe:1_000_000 ~dim:2 ~count:2600
+      ~max_side:60_000
+  in
+  let rec frames = function
+    | [] -> ()
+    | l ->
+      let frame = List.filteri (fun i _ -> i < 64) l in
+      let _, errors =
+        ok (Coordinator.add_batch coord ~name:"big" ~payloads:(List.map payload_of frame))
+      in
+      Alcotest.(check int) "no routing errors" 0 (List.length errors);
+      frames (List.filteri (fun i _ -> i >= 64) l)
+  in
+  frames boxes;
+  (match Coordinator.estimate coord ~name:"big" with
+  | Ok (v, degraded, stale) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "fresh after the backlog (stale shards [%s])"
+         (String.concat "," (List.map string_of_int stale)))
+      false degraded;
+    Alcotest.(check bool) "a positive estimate" true (v > 0.0)
+  | Error e -> Alcotest.failf "EST after the backlog: %s" (P.render_response (P.Error_reply e)));
+  Coordinator.shutdown coord;
+  List.iter stop_worker workers;
+  List.iteri (fun n _ -> rm_rf (spool (60 + n))) workers
+
 (* --- EXPR over a live cluster ----------------------------------------- *)
 
 (* Set-expression queries against three sharded sessions, evaluated
@@ -757,4 +859,8 @@ let suite =
       test_frontend_protocol;
     Alcotest.test_case "kill -9 mid-stream recovers from the WAL" `Quick
       test_kill9_wal_recovery;
+    Alcotest.test_case "acknowledged sets reach the workers without a read" `Quick
+      test_add_batch_ships_without_read;
+    Alcotest.test_case "a gather after a big-box backlog is fresh" `Quick
+      test_backlog_gather_is_fresh;
   ]

@@ -746,9 +746,9 @@ let test_dispatch_batch () =
     (P.Error_reply (P.Unknown_session "ghost"))
     (dispatch reg "ADDB ghost 1 0%209%200%209")
 
-(* ADDL through the registry: the replica-log path acks each frame without
-   touching the estimator, and the session's next read absorbs the log —
-   same answers and counters as eager ADDB under the same seed. *)
+(* ADDL through the registry: a backup copy is applied on arrival and acked
+   in the ADDB shape — same answers and counters as eager ADDB under the
+   same seed. *)
 let test_dispatch_log () =
   let reg_eager = Registry.create ~seed:53 () in
   let reg_log = Registry.create ~seed:53 () in
@@ -758,11 +758,11 @@ let test_dispatch_log () =
   Alcotest.check response "log frame acked in the ADDB shape"
     (P.Ok_batch { accepted = 2; errors = [] })
     (dispatch reg_log "ADDL s1 2 0%209%200%209 5%2014%200%209");
-  Alcotest.check response "read materialises the log"
+  Alcotest.check response "log frame lands like ADDB"
     (dispatch reg_eager "EST s1")
     (dispatch reg_log "EST s1");
-  (* malformed payloads are acked blind — the eager replica already told the
-     sender — and only surface as reject counts at materialisation *)
+  (* malformed payloads are acked blind — the primary copy already told the
+     sender — and only surface as reject counts *)
   Alcotest.check response "bad payload still acked"
     (P.Ok_batch { accepted = 3; errors = [] })
     (Registry.dispatch reg_log
@@ -770,13 +770,13 @@ let test_dispatch_log () =
           { session = "s1";
             payloads = [ "20 29 0 9"; "bogus 9 0 9"; "30 39 0 9" ];
             ts = None }));
-  Alcotest.check response "good payloads landed at next read"
+  Alcotest.check response "good payloads landed"
     (P.Estimate { value = 350.0; degraded = false; stale_shards = [] })
     (dispatch reg_log "EST s1");
   (match dispatch reg_log "STATS s1" with
   | P.Stats_reply s ->
     Alcotest.(check int) "accepted payloads processed" 4 s.P.items;
-    Alcotest.(check int) "reject surfaced at materialisation" 1 s.P.parse_rejects
+    Alcotest.(check int) "reject counted" 1 s.P.parse_rejects
   | r -> Alcotest.failf "STATS: %s" (P.render_response r));
   Alcotest.check response "unknown session refuses the log frame"
     (P.Error_reply (P.Unknown_session "ghost"))
@@ -829,10 +829,11 @@ let prop_batch_equivalence =
       let s2 = Registry.dispatch reg_batch (P.Stats { session = "s" }) in
       e1 = e2 && s1 = s2)
 
-(* The replica-log equivalence: deferring arbitrary ADDL chops and absorbing
-   them at the first read must leave the registry in exactly the state
-   singleton ADDs produce — the materialisation replays payloads in arrival
-   order under the session RNG, so estimates and counters agree. *)
+(* The backup-copy equivalence: feeding a stream as arbitrary ADDL chops
+   must leave the registry in exactly the state singleton ADDs produce —
+   each frame is applied on arrival, in order, under the session RNG, so
+   estimates and counters agree.  (The test name predates on-arrival
+   application and is kept.) *)
 let prop_log_equivalence =
   QCheck.Test.make ~name:"ADDL frames absorbed at read match singleton ADDs"
     ~count:60
