@@ -332,9 +332,8 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(wal_group = 1)
-    ?(domains = 1) ?(proto = Delphic_cluster.Rpc.V1) ?(replicas = 1) ~n_workers
-    ~seed () =
+let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(domains = 1)
+    ?(proto = Delphic_cluster.Rpc.V1) ?(replicas = 1) ~n_workers ~seed () =
   let spool n =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -349,7 +348,7 @@ let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(wal_group = 1)
         let wal =
           Option.map
             (fun (fsync, checkpoint_every) ->
-              { Server.dir = wal_dir n; fsync; checkpoint_every; group = wal_group })
+              { Server.dir = wal_dir n; fsync; checkpoint_every })
             wal
         in
         let s =
@@ -575,25 +574,19 @@ let run_ingest ?(json = "BENCH_ingest.json") () =
    sets; the checkpoint row adds the periodic spool-and-truncate on top. *)
 
 let run_wal ?(json = "BENCH_wal.json") () =
-  (* (name, wal (fsync, ckpt), group): group > 1 routes the appends through
-     the group-commit writer domain, which is what lets fsync-always amortise
-     its fsync across a whole batch instead of paying one per record. *)
+  (* (name, wal (fsync, ckpt)) *)
   let configs =
     [
-      ("no-wal", None, 1);
-      ("wal/fsync-never", Some (Wal.Never, 0), 1);
-      ("wal/fsync-interval", Some (Wal.Interval 0.2, 0), 1);
-      ("wal/fsync-interval-ckpt512", Some (Wal.Interval 0.2, 512), 1);
-      ("wal/fsync-always", Some (Wal.Always, 0), 1);
-      ("wal/fsync-never-group64", Some (Wal.Never, 0), 64);
-      ("wal/fsync-interval-group64", Some (Wal.Interval 0.2, 0), 64);
-      ("wal/fsync-always-group64", Some (Wal.Always, 0), 64);
+      ("no-wal", None);
+      ("wal/fsync-never", Some (Wal.Never, 0));
+      ("wal/fsync-interval", Some (Wal.Interval 0.2, 0));
+      ("wal/fsync-interval-ckpt512", Some (Wal.Interval 0.2, 512));
+      ("wal/fsync-always", Some (Wal.Always, 0));
     ]
   in
   let envs =
     List.mapi
-      (fun i (name, wal, wal_group) ->
-        (name, cluster_env ?wal ~wal_group ~n_workers:1 ~seed:(120 + i) ()))
+      (fun i (name, wal) -> (name, cluster_env ?wal ~n_workers:1 ~seed:(120 + i) ()))
       configs
   in
   let tests =
@@ -608,15 +601,6 @@ let run_wal ?(json = "BENCH_wal.json") () =
   let rows = run_bechamel tests in
   List.iter (fun (_, (_, _, teardown)) -> teardown ()) envs;
   print_rows ~title:"WAL overhead sweep (batch-64 scatter, 1-worker loopback)" rows;
-  (match
-     ( List.assoc_opt "wal/scatter-add/batch-64/wal/fsync-always-group64" rows,
-       List.assoc_opt "wal/scatter-add/batch-64/wal/fsync-never-group64" rows )
-   with
-  | Some always, Some never when never > 0.0 ->
-    Printf.printf "group commit: fsync-always = %.2fx fsync-never%s\n"
-      (always /. never)
-      (if always <= 1.3 *. never then "" else "  (above the 1.3x target)")
-  | _ -> ());
   write_json ~path:json rows
 
 (* EXPR query cost over a 3-worker cluster: expression depth crossed with
@@ -886,11 +870,10 @@ let run_conns ?(json = "BENCH_conns.json") () =
    client domains each pipelining batch-64 binary ADDB frames (protocol v2,
    explicit t= so the worker journals by splicing the received frame) into
    its own session.  Wall-clock throughput, reported as ns/set — the
-   sharding claim is the 4-domain row vs the 1-domain row, and the group
-   commit claim is fsync-always-group64 vs fsync-never-group64 at 4
-   domains.  NOTE: on a single-CPU host every row collapses to the serial
-   throughput (domains just take turns); the scaling targets are for a
-   >= 4-core runner. *)
+   sharding claim is the 4-domain row vs the 1-domain row; the wal-always
+   row prices journal-before-reply with one fsync per record.  NOTE: on a
+   single-CPU host every row collapses to the serial throughput (domains
+   just take turns); the scaling targets are for a >= 4-core runner. *)
 let run_mt ?(json = "BENCH_mt.json") () =
   let clients = 4 and pipe_depth = 8 and rounds = 40 and batch = 64 in
   let gen = Rng.create ~seed:53 in
@@ -913,10 +896,7 @@ let run_mt ?(json = "BENCH_mt.json") () =
     rm_rf sp;
     rm_rf wd;
     let wal =
-      Option.map
-        (fun (fsync, group) ->
-          { Server.dir = wd; fsync; checkpoint_every = 0; group })
-        wal
+      Option.map (fun fsync -> { Server.dir = wd; fsync; checkpoint_every = 0 }) wal
     in
     let s = Server.create ?wal ~port:0 ~spool:sp ~seed:(300 + domains) ~domains () in
     let th = Server.start s in
@@ -984,11 +964,7 @@ let run_mt ?(json = "BENCH_mt.json") () =
       ("mt/scatter-addb64/2-domains", bench_one ~tag:"d2" ~domains:2 ~wal:None);
       ("mt/scatter-addb64/4-domains", bench_one ~tag:"d4" ~domains:4 ~wal:None);
       ( "mt/scatter-addb64/4-domains/wal-always",
-        bench_one ~tag:"d4wa" ~domains:4 ~wal:(Some (Wal.Always, 1)) );
-      ( "mt/scatter-addb64/4-domains/wal-always-group64",
-        bench_one ~tag:"d4wag" ~domains:4 ~wal:(Some (Wal.Always, 64)) );
-      ( "mt/scatter-addb64/4-domains/wal-never-group64",
-        bench_one ~tag:"d4wng" ~domains:4 ~wal:(Some (Wal.Never, 64)) );
+        bench_one ~tag:"d4wa" ~domains:4 ~wal:(Some Wal.Always) );
     ]
   in
   print_rows
@@ -1006,15 +982,6 @@ let run_mt ?(json = "BENCH_mt.json") () =
     Printf.printf "scaling: 4 domains = %.2fx the 1-domain throughput%s\n" (d1 /. d4)
       (if d1 /. d4 >= 2.5 then ""
        else "  (below the 2.5x target; needs a >= 4-core runner)")
-  | _ -> ());
-  (match
-     ( List.assoc_opt "mt/scatter-addb64/4-domains/wal-always-group64" rows,
-       List.assoc_opt "mt/scatter-addb64/4-domains/wal-never-group64" rows )
-   with
-  | Some always, Some never when never > 0.0 ->
-    Printf.printf "group commit at 4 domains: fsync-always = %.2fx fsync-never%s\n"
-      (always /. never)
-      (if always <= 1.3 *. never then "" else "  (above the 1.3x target)")
   | _ -> ());
   write_json ~path:json rows
 

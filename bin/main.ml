@@ -478,22 +478,34 @@ let wal_term =
     in
     Arg.(value & opt int 512 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
-  let group =
-    let doc =
-      "Group-commit batch cap: journal appends go through a dedicated \
-       writer domain that coalesces up to $(docv) records into one write \
-       and at most one fsync, and OK/OKB replies wait for their record's \
-       durability.  $(b,1) restores the synchronous one-write-per-record \
-       path.  Only meaningful with $(b,--wal)."
+  (* Deprecated shim: older launch scripts pass [--wal-group 1]; any other
+     value asked for group commit, which no longer exists, so it is refused
+     rather than silently ignored. *)
+  let wal_group =
+    let only_one =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some 1 -> Ok ()
+            | _ ->
+              Error
+                (`Msg
+                   (Printf.sprintf
+                      "%s: group commit was removed; every journal append is \
+                       written before its reply, so only 1 is accepted" s))),
+          fun ppf () -> Format.pp_print_int ppf 1 )
     in
-    Arg.(value & opt int 64 & info [ "wal-group" ] ~docv:"N" ~doc)
+    let doc =
+      "Deprecated; accepts only $(b,1).  Group commit was removed: every \
+       journal append is written (and fsynced per $(b,--fsync)) before its \
+       OK/OKB leaves the socket."
+    in
+    Arg.(value & opt only_one () & info [ "wal-group" ] ~docv:"1" ~doc)
   in
-  let combine dir fsync checkpoint_every group =
-    Option.map
-      (fun dir -> { Delphic_server.Server.dir; fsync; checkpoint_every; group })
-      dir
+  let combine dir fsync checkpoint_every () =
+    Option.map (fun dir -> { Delphic_server.Server.dir; fsync; checkpoint_every }) dir
   in
-  Term.(const combine $ wal_dir $ fsync $ checkpoint_every $ group)
+  Term.(const combine $ wal_dir $ fsync $ checkpoint_every $ wal_group)
 
 let durability_banner = function
   | None -> ""

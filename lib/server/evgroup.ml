@@ -45,7 +45,6 @@ let domains t = Array.length t.loops
 let live_conns t = Evloop.live_conns t.shared
 let shed_count t = Evloop.shed_count t.shared
 let dispatched t = Array.map Evloop.dispatched t.loops
-let kick_all t = Array.iter Evloop.kick t.loops
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin

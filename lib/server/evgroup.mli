@@ -45,7 +45,3 @@ val shed_count : t -> int
 val dispatched : t -> int array
 (** Per-loop handled-request counts, index-aligned with the round-robin
     deal order — the [STATS] balance figures. *)
-
-val kick_all : t -> unit
-(** Wake every loop to re-examine gated replies — the WAL group-commit
-    writer calls this after completing a batch's durability tokens. *)

@@ -41,27 +41,9 @@ let wait_fd fd ~write ~timeout =
   in
   go ()
 
-(* A durability gate: 0 = pending, 1 = complete, 2 = failed.  The WAL
-   group-commit writer flips it from another domain after the record's
-   durability point, then {!kick}s the owning loop to release the reply. *)
-type gate = int Atomic.t
-
-let gate_pending = 0
-let gate_done = 1
-let gate_failed = 2
-
 type verdict =
   | Reply of string
   | Record of { head : string; body : string }
-  | Gated of { reply : string; on_fail : string; gate : gate }
-
-(* Replies queued behind an unresolved gate.  Ungated replies normally skip
-   this queue entirely (straight into the pending buffer); once a gated
-   item is in flight, later replies enqueue behind it — the per-connection
-   reply order must match the request order. *)
-type out_item = { text : string; fail : string; gate : gate }
-
-let resolved_gate : gate = Atomic.make gate_done
 
 (* Per-connection handler state.  The loop itself never reads it: the seam
    exists so a handler can remember something about the peer across
@@ -78,9 +60,7 @@ type conn = {
   mutable rpos : int; (* consumed prefix *)
   mutable rlen : int; (* valid bytes *)
   mutable rscan : int; (* v1: resume point for the newline scan *)
-  outq : out_item Queue.t; (* replies gated on durability (order-preserving) *)
-  mutable outq_bytes : int;
-  pending : Buffer.t; (* replies not yet promoted to [inflight] *)
+  pending : Buffer.t; (* replies not yet moved to [inflight] *)
   mutable inflight : string;
   mutable ioff : int;
   mutable reg_ev : int; (* events currently registered with the backend *)
@@ -123,7 +103,6 @@ type t = {
   on_bad_frame : string -> string option;
   shared : shared;
   conns : (int, conn) Hashtbl.t;
-  gated : (int, conn) Hashtbl.t; (* conns whose reply head waits on a gate *)
   injectq : Unix.file_descr Queue.t; (* fds handed over by an acceptor *)
   inject_lock : Mutex.t;
   stop_r : Unix.file_descr;
@@ -158,7 +137,6 @@ let create ?(max_conns = 16384) ?shared ?listen_fd ~handler
     on_bad_frame;
     shared;
     conns = Hashtbl.create 1024;
-    gated = Hashtbl.create 64;
     injectq = Queue.create ();
     inject_lock = Mutex.create ();
     stop_r;
@@ -183,11 +161,6 @@ let stop t =
     try ignore (Unix.single_write_substring t.stop_w "x" 0 1)
     with Unix.Unix_error _ -> ()
 
-(* kick: wake the loop so it re-examines gated replies.  Thread-safe and
-   cheap to call redundantly — [wake_flag] keeps the self-pipe at one
-   unread byte no matter how many batches complete between rounds. *)
-let kick t = wake t
-
 let backend_add t ifd ev = if t.epfd >= 0 then ignore (epoll_ctl t.epfd 0 ifd ev)
 let backend_del t ifd = if t.epfd >= 0 then ignore (epoll_ctl t.epfd 2 ifd 0)
 
@@ -196,18 +169,12 @@ let close_conn t c =
     c.dead <- true;
     backend_del t c.ifd;
     Hashtbl.remove t.conns c.ifd;
-    Hashtbl.remove t.gated c.ifd;
     Atomic.decr t.shared.live;
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
   end
 
-(* Bytes that still have to leave the socket, including replies parked
-   behind a durability gate. *)
-let out_bytes c =
-  String.length c.inflight - c.ioff + Buffer.length c.pending + c.outq_bytes
-
-(* Bytes that can be written right now (gated replies excluded). *)
-let flushable_bytes c = String.length c.inflight - c.ioff + Buffer.length c.pending
+(* Bytes that still have to leave the socket. *)
+let out_bytes c = String.length c.inflight - c.ioff + Buffer.length c.pending
 
 let frame_reply c text =
   match c.proto with
@@ -217,25 +184,10 @@ let frame_reply c text =
   | Some V2 -> Frame.frame_into c.pending text
   | None -> ()
 
-(* Move resolved queue heads into the pending buffer.  Stops at the first
-   gate still pending — per-connection reply order is request order. *)
-let promote c =
-  let continue = ref true in
-  while !continue && not (Queue.is_empty c.outq) do
-    let it = Queue.peek c.outq in
-    match Atomic.get it.gate with
-    | 0 (* pending *) -> continue := false
-    | st ->
-      ignore (Queue.pop c.outq);
-      c.outq_bytes <- c.outq_bytes - String.length it.text;
-      frame_reply c (if st = gate_done then it.text else it.fail)
-  done
-
-(* Promote pending replies and push them into the socket until it would
-   block.  EPIPE/ECONNRESET just kill the connection. *)
+(* Push pending replies into the socket until it would block.
+   EPIPE/ECONNRESET just kill the connection. *)
 let rec flush_out t c =
   if not c.dead then begin
-    promote c;
     if c.inflight = "" && Buffer.length c.pending > 0 then begin
       c.inflight <- Buffer.contents c.pending;
       c.ioff <- 0;
@@ -263,11 +215,9 @@ let update_interest t c =
     if c.rd_paused && out <= lo_water then c.rd_paused <- false;
     if c.closing && out = 0 then close_conn t c
     else begin
-      (* ev_out only when bytes can actually move: a reply parked behind a
-         pending gate must not spin the loop on a writable socket *)
       let ev =
         (if c.closing || c.rd_paused then 0 else ev_in)
-        lor (if flushable_bytes c > 0 then ev_out else 0)
+        lor (if out > 0 then ev_out else 0)
       in
       if ev <> c.reg_ev then begin
         if t.epfd >= 0 then ignore (epoll_ctl t.epfd 1 c.ifd ev);
@@ -277,18 +227,7 @@ let update_interest t c =
   end
 
 let queue_reply c reply =
-  if Queue.is_empty c.outq then frame_reply c reply
-  else begin
-    (* a gated reply is already queued: enqueue behind it to keep order *)
-    Queue.add { text = reply; fail = reply; gate = resolved_gate } c.outq;
-    c.outq_bytes <- c.outq_bytes + String.length reply
-  end;
-  if out_bytes c > hi_water then c.rd_paused <- true
-
-let queue_gated t c ~reply ~on_fail gate =
-  Queue.add { text = reply; fail = on_fail; gate } c.outq;
-  c.outq_bytes <- c.outq_bytes + String.length reply;
-  Hashtbl.replace t.gated c.ifd c;
+  frame_reply c reply;
   if out_bytes c > hi_water then c.rd_paused <- true
 
 let run_handler t c proto ~raw ~body =
@@ -296,12 +235,11 @@ let run_handler t c proto ~raw ~body =
   match t.handler ~ctx:c.ctx ~proto ~raw ~body with
   | Reply reply -> queue_reply c reply
   | Record { head; body } ->
-    if Queue.is_empty c.outq && c.proto = Some V2 then begin
+    if c.proto = Some V2 then begin
       Frame.frame_parts_into c.pending ~head body;
       if out_bytes c > hi_water then c.rd_paused <- true
     end
     else queue_reply c (head ^ body)
-  | Gated { reply; on_fail; gate } -> queue_gated t c ~reply ~on_fail gate
   | exception exn ->
     (* the server's handler turns its own failures into ERR replies; an
        exception here means the seam itself is broken — drop the conn *)
@@ -434,8 +372,6 @@ let register_conn t fd =
       rpos = 0;
       rlen = 0;
       rscan = 0;
-      outq = Queue.create ();
-      outq_bytes = 0;
       pending = Buffer.create 256;
       inflight = "";
       ioff = 0;
@@ -467,22 +403,6 @@ let drain_inject t =
     | None -> continue := false
     | Some fd -> register_conn t fd
   done
-
-(* Gates resolved since the last round: promote, flush, and drop conns
-   whose reply queue cleared. *)
-let revisit_gated t =
-  if Hashtbl.length t.gated > 0 then begin
-    let entries = Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.gated [] in
-    List.iter
-      (fun (k, c) ->
-        if c.dead then Hashtbl.remove t.gated k
-        else begin
-          flush_out t c;
-          if not c.dead then update_interest t c;
-          if c.dead || Queue.is_empty c.outq then Hashtbl.remove t.gated k
-        end)
-      entries
-  end
 
 let accept_ready t =
   match t.listen_fd with
@@ -519,16 +439,13 @@ let drain_stop_pipe t =
   in
   go ()
 
-(* The self-pipe fired: clear the wake dedup BEFORE draining so a kick
+(* The self-pipe fired: clear the wake dedup BEFORE draining so an adopt
    racing the drain leaves a byte for the next round, then handle whatever
-   the byte meant — stop, adopted fds, resolved gates. *)
+   the byte meant — stop or adopted fds. *)
 let handle_wake t =
   Atomic.set t.wake_flag false;
   drain_stop_pipe t;
-  if not (Atomic.get t.stop_flag) then begin
-    drain_inject t;
-    revisit_gated t
-  end
+  if not (Atomic.get t.stop_flag) then drain_inject t
 
 (* One readiness round on the poll backend: build the interleaved
    [fd; events] spec from live connections, mirror conns into an array so

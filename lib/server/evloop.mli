@@ -17,26 +17,16 @@
       from an acceptor running elsewhere ({!Evgroup} runs one loop per
       domain and distributes accepted fds round-robin).
 
-    Concurrency model: the handler runs on the loop thread.  A handler that
-    blocks stalls every connection on this loop — fine for a worker whose
-    only client is the coordinator, and for dispatch that is microseconds;
-    long-running work (checkpoint spools, fsync) belongs on its own
-    thread or domain.  A handler that must defer a reply past its own
-    return (journal group commit) returns {!Gated}: the reply is held in
-    per-connection order until the gate resolves, and whoever resolves it
-    calls {!kick} to wake the loop. *)
+    Concurrency model: the handler runs on the loop thread and its verdict
+    is the reply, queued in request order before the next request on that
+    connection is handled.  A handler that blocks stalls every connection on
+    this loop — fine for a worker whose only client is the coordinator,
+    and for dispatch that is microseconds plus one journal write (the
+    server appends a mutation's record, and applies the fsync policy,
+    before it returns); long-running work (checkpoint spools) belongs on
+    its own thread. *)
 
 type proto = V1 | V2
-
-type gate = int Atomic.t
-(** Durability gate for a {!Gated} reply: {!gate_pending} until the record
-    reaches its durability point, then {!gate_done} (send the reply) or
-    {!gate_failed} (send the failure reply instead).  Written by exactly
-    one completer (the WAL writer domain), read by the loop. *)
-
-val gate_pending : int
-val gate_done : int
-val gate_failed : int
 
 type verdict =
   | Reply of string  (** reply now, in request order *)
@@ -45,10 +35,6 @@ type verdict =
           building the concatenation — a binary reply record (a short tag,
           then a payload that can be hundreds of kilobytes).  For v2
           connections only. *)
-  | Gated of { reply : string; on_fail : string; gate : gate }
-      (** hold the reply until [gate] resolves; [on_fail] replaces it when
-          the gate resolves to {!gate_failed}.  Order is still preserved:
-          later replies on the same connection queue behind this one. *)
 
 type ctx = { mutable epoch : int }
 (** Per-connection handler state, created at registration and passed to
@@ -111,10 +97,6 @@ val adopt : t -> Unix.file_descr -> unit
     The loop registers it with its own backend on the next wakeup.  After
     {!stop}, adopted fds that never got registered are closed by {!run}'s
     teardown. *)
-
-val kick : t -> unit
-(** Wake the loop so it re-examines {!Gated} replies whose gates have
-    resolved.  Thread- and domain-safe; redundant kicks are coalesced. *)
 
 val conn_count : t -> int
 (** Connections registered with {e this} loop (see {!live_conns} for the

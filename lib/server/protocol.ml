@@ -66,8 +66,9 @@ type stats = {
 type expr_quality = Probes_exact | Probes_sketch
 
 (* Process-wide figures for the bare STATS verb: how the sharded front end
-   and the group-commit journal are actually doing.  [dispatched] is
-   per-domain, index-aligned with the acceptor's round-robin order. *)
+   is actually doing.  [dispatched] is per-domain, index-aligned with the
+   acceptor's round-robin order.  The [wal_*] fields are always 0, kept on
+   the wire for compatibility. *)
 type server_stats = {
   conns : int;
   shed : int;
@@ -353,7 +354,7 @@ let parse_request line =
           | "STATS" -> Stats { session }
           | _ -> Close { session })
       (* Bare STATS is the process-wide form: conns, sheds, per-domain
-         dispatch balance, WAL group-commit figures. *)
+         dispatch balance. *)
       | [] when command = "STATS" -> Ok Server_stats
       | _ ->
         Error

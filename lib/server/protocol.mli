@@ -139,9 +139,8 @@ type request =
           callers treat as "generation unknown, assume restart". *)
   | Server_stats
       (** wire form [STATS] with no session — process-wide figures: live
-          connections, sheds, per-domain dispatch balance, WAL group-commit
-          counters ({!Server_stats_reply}).  Older servers answer
-          [ERR ARITY]. *)
+          connections, sheds, per-domain dispatch balance
+          ({!Server_stats_reply}).  Older servers answer [ERR ARITY]. *)
   | Coord_epoch of { epoch : int }
       (** wire form [COORD <epoch>] — a coordinator announcing its fencing
           epoch on this connection.  The worker remembers the highest epoch
@@ -206,10 +205,10 @@ type expr_quality = Probes_exact | Probes_sketch
 
 (** Reply payload of the bare [STATS] verb.  [dispatched] is per event-loop
     domain, index-aligned with the acceptor's round-robin deal order — the
-    list length is the domain count.  [wal_queue] is the records currently
-    waiting in the group-commit queue, [wal_last_group] the size of the most
-    recent batch, [wal_groups] batches committed since start (all 0 when the
-    node journals synchronously or not at all). *)
+    list length is the domain count.  [wal_queue], [wal_last_group] and
+    [wal_groups] are always 0: they described the journal's group-commit
+    writer, which was removed, and stay on the wire and in this record only
+    for compatibility with readers that parse them. *)
 type server_stats = {
   conns : int;
   shed : int;

@@ -6,7 +6,6 @@ type wal_config = {
   dir : string;
   fsync : Wal.fsync_policy;
   checkpoint_every : int;
-  group : int; (* > 1: group commit via a dedicated writer domain *)
 }
 
 type t = {
@@ -174,24 +173,26 @@ let maybe_checkpoint t w cfg =
     end
   end
 
-(* Bare STATS: process-wide figures from the event-loop group and the
-   journal's group-commit writer.  Like HELLO, answered here rather than in
-   the registry, which has no process identity. *)
+(* Bare STATS: process-wide figures from the event-loop group.  Like HELLO,
+   answered here rather than in the registry, which has no process
+   identity.  The [wal_*] fields are compatibility zeros (see
+   {!Protocol.server_stats}). *)
 let server_stats t =
   let conns, shed, dispatched =
     match t.evg with
     | Some g -> (Evgroup.live_conns g, Evgroup.shed_count g, Array.to_list (Evgroup.dispatched g))
     | None -> (0, 0, [])
   in
-  let wal_queue, wal_last_group, wal_groups =
-    match t.wal with
-    | Some (w, _) ->
-      let s = Wal.group_stats w in
-      (s.Wal.queue_depth, s.Wal.last_group, s.Wal.groups)
-    | None -> (0, 0, 0)
-  in
   Protocol.Server_stats_reply
-    { conns; shed; dispatched; wal_queue; wal_last_group; wal_groups; shard_fresh = [] }
+    {
+      conns;
+      shed;
+      dispatched;
+      wal_queue = 0;
+      wal_last_group = 0;
+      wal_groups = 0;
+      shard_fresh = [];
+    }
 
 (* Highest-epoch-wins CAS: concurrent announces from several domains race,
    the max survives. *)
@@ -214,14 +215,9 @@ let fenced t (ctx : Evloop.ctx) req =
    v2 wire frame when there is one: if the request needed no server-side
    timestamp stamping, the journal record is that frame spliced verbatim
    ({!Wal.append_framed}) — zero re-render, zero re-CRC.  A stamped request
-   changed bytes, so it re-encodes (still binary, still armor-free).
-
-   Under group commit ([cfg.group > 1]) the append is asynchronous: the
-   record goes to the writer domain's queue and the reply is {!Evloop.Gated}
-   on the durability token, so the OK leaves the socket only after the
-   record's bytes (and, under fsync always, the fsync) are behind it — the
-   same journal-before-reply invariant, minus the per-record disk stall on
-   the event-loop thread. *)
+   changed bytes, so it re-encodes (still binary, still armor-free).  The
+   append runs here, on the loop thread, before the verdict is returned:
+   the OK cannot leave the socket ahead of its journal record. *)
 let reply ~proto resp =
   match (proto, resp) with
   | Evloop.V2, Protocol.Sketch token ->
@@ -268,49 +264,21 @@ let handle_request t ~ctx ~proto ~raw ~body =
          durability. *)
       match t.wal with
       | Some (w, cfg) when journaled_request resolved && mutation_succeeded resp -> (
-        let record () =
-          match proto with
-          | Evloop.V2 when resolved == req && raw <> "" -> `Framed raw
-          | Evloop.V2 -> `Body (Protocol.encode_request_v2 resolved)
-          | Evloop.V1 -> `Body (Protocol.render_request resolved)
-        in
-        if cfg.group > 1 then begin
-          match
-            (match record () with
-            | `Framed f -> Wal.append_framed_async w f
-            | `Body b -> Wal.append_async w b)
-          with
-          | gate ->
-            maybe_checkpoint t w cfg;
-            Evloop.Gated
-              {
-                reply = render resp;
-                on_fail =
-                  render (Protocol.Error_reply (Protocol.Io_error "journal append failed"));
-                gate;
-              }
-          | exception exn ->
-            Log.err (fun m -> m "journal enqueue failed: %s" (Printexc.to_string exn));
-            Evloop.Reply
-              (render
-                 (Protocol.Error_reply
-                    (Protocol.Io_error ("journal append failed: " ^ Printexc.to_string exn))))
-        end
-        else
-          match
-            (match record () with
-            | `Framed f -> Wal.append_framed w f
-            | `Body b -> Wal.append w b)
-          with
-          | () ->
-            maybe_checkpoint t w cfg;
-            Evloop.Reply (render resp)
-          | exception exn ->
-            Log.err (fun m -> m "journal append failed: %s" (Printexc.to_string exn));
-            Evloop.Reply
-              (render
-                 (Protocol.Error_reply
-                    (Protocol.Io_error ("journal append failed: " ^ Printexc.to_string exn)))))
+        match
+          (match proto with
+          | Evloop.V2 when resolved == req && raw <> "" -> Wal.append_framed w raw
+          | Evloop.V2 -> Wal.append w (Protocol.encode_request_v2 resolved)
+          | Evloop.V1 -> Wal.append w (Protocol.render_request resolved))
+        with
+        | () ->
+          maybe_checkpoint t w cfg;
+          Evloop.Reply (render resp)
+        | exception exn ->
+          Log.err (fun m -> m "journal append failed: %s" (Printexc.to_string exn));
+          Evloop.Reply
+            (render
+               (Protocol.Error_reply
+                  (Protocol.Io_error ("journal append failed: " ^ Printexc.to_string exn)))))
       | _ -> reply ~proto resp)
     | exception exn ->
       (* A handler crash must kill one request, not the server. *)
@@ -375,12 +343,6 @@ let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ?d
       ()
   in
   t.evg <- Some g;
-  (* group commit: the writer domain wakes every loop once a batch's
-     durability tokens resolve, releasing the gated OK/OKB replies *)
-  (match wal with
-  | Some (w, cfg) when cfg.group > 1 ->
-    Wal.start_writer w ~group:cfg.group ~on_durable:(fun () -> Evgroup.kick_all g)
-  | _ -> ());
   t
 
 let port t = t.port

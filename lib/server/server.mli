@@ -15,7 +15,9 @@
 
     With a {!wal_config}, the contract hardens from "graceful stop" to
     "kill -9": every accepted mutation is appended to a {!Wal} journal
-    {e before} its [OK]/[OKB] leaves the socket, a checkpoint is taken
+    {e before} its [OK]/[OKB] leaves the socket — synchronously, on the
+    event-loop thread that handled the request, one write (and under
+    [fsync always] one fsync) per record — a checkpoint is taken
     every [checkpoint_every] records (and on graceful stop), and {!create}
     recovers by loading the last checkpoint and replaying the journal tail.
     The spool directory is then unused — the WAL directory is the durable
@@ -34,12 +36,6 @@ type wal_config = {
   checkpoint_every : int;
       (** spool state and truncate the journal every this many records;
           [<= 0] disables periodic checkpoints (graceful-stop one remains) *)
-  group : int;
-      (** [> 1]: group commit — appends go through a dedicated writer
-          domain that coalesces up to this many records into one write and
-          at most one fsync, and OK/OKB replies are gated on per-record
-          durability tokens ({!Wal.start_writer}).  [<= 1]: the synchronous
-          one-write-per-record path. *)
 }
 
 val create :

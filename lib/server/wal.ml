@@ -25,29 +25,6 @@ let fsync_policy_to_string = function
    the on-disk record and the v2 wire message are the same bytes. *)
 let crc32 = Frame.crc32
 
-(* Durability token of a group-committed record: the same 0/1/2 protocol as
-   Evloop's reply gates (pending/done/failed), written once by the writer
-   domain, read by event loops deciding whether a gated reply may flush. *)
-type token = int Atomic.t
-
-let token_pending = 0
-let token_done = 1
-let token_failed = 2
-
-type pending = { framed : string; token : token }
-
-type writer = {
-  q : pending Queue.t; (* MPSC: loops push, the writer domain drains *)
-  qm : Mutex.t;
-  qc : Condition.t;
-  group : int; (* max records coalesced into one write + fsync *)
-  mutable wstop : bool;
-  mutable dom : unit Domain.t option;
-  on_durable : unit -> unit; (* called once per batch, after the tokens *)
-  last_group : int Atomic.t;
-  groups : int Atomic.t;
-}
-
 type t = {
   dir : string;
   mutable fd : Unix.file_descr; (* swapped when a checkpoint compacts the tail *)
@@ -59,7 +36,6 @@ type t = {
   mutable last_sync : float;
   mutable dirty : bool; (* bytes written since the last fsync *)
   mutable closed : bool;
-  mutable writer : writer option;
 }
 
 let with_lock t f =
@@ -144,7 +120,6 @@ let open_ ~dir ~fsync =
     last_sync = Unix.gettimeofday ();
     dirty = false;
     closed = false;
-    writer = None;
   }
 
 let generation t = t.gen
@@ -206,141 +181,6 @@ let append_framed t framed =
       t.dirty <- true;
       t.records <- t.records + 1;
       maybe_fsync t)
-
-(* ---- group commit ----
-
-   One write() and at most one fsync() per *batch* instead of per record:
-   event loops enqueue framed records on an MPSC queue and get back a
-   durability token; a dedicated writer domain drains up to [group] entries,
-   splices them into a single contiguous write under the journal lock,
-   applies the fsync policy once, then resolves every token and calls
-   [on_durable] (the server wires it to waking the event loops).  A token
-   resolves to [token_done] only at the record's durability point — after
-   the write, and under [Always] after the fsync too — so a reply gated on
-   the token can never precede what a crash could lose.  The tear story is
-   unchanged: a kill -9 mid-batch leaves a short or CRC-failing tail that
-   replay truncates at the first bad frame. *)
-
-let writer_loop t w =
-  let buf = Buffer.create 65536 in
-  let rec next () =
-    Mutex.lock w.qm;
-    while Queue.is_empty w.q && not w.wstop do
-      Condition.wait w.qc w.qm
-    done;
-    if Queue.is_empty w.q then Mutex.unlock w.qm (* stopped and drained *)
-    else begin
-      let batch = ref [] in
-      let k = ref 0 in
-      while !k < w.group && not (Queue.is_empty w.q) do
-        batch := Queue.pop w.q :: !batch;
-        incr k
-      done;
-      Mutex.unlock w.qm;
-      let batch = List.rev !batch in
-      Buffer.clear buf;
-      List.iter (fun p -> Buffer.add_string buf p.framed) batch;
-      let ok =
-        match
-          with_lock t (fun () ->
-              if t.closed then invalid_arg "Wal: group commit on closed journal";
-              write_all t.fd (Buffer.contents buf);
-              t.dirty <- true;
-              t.records <- t.records + !k;
-              maybe_fsync t)
-        with
-        | () -> true
-        | exception exn ->
-          Log.err (fun m -> m "group commit failed: %s" (Printexc.to_string exn));
-          false
-      in
-      let verdict = if ok then token_done else token_failed in
-      List.iter (fun p -> Atomic.set p.token verdict) batch;
-      Atomic.set w.last_group !k;
-      Atomic.incr w.groups;
-      w.on_durable ();
-      next ()
-    end
-  in
-  next ()
-
-let start_writer t ~group ~on_durable =
-  match t.writer with
-  | Some _ -> invalid_arg "Wal.start_writer: writer already running"
-  | None ->
-    let w =
-      {
-        q = Queue.create ();
-        qm = Mutex.create ();
-        qc = Condition.create ();
-        group = max 1 group;
-        wstop = false;
-        dom = None;
-        on_durable;
-        last_group = Atomic.make 0;
-        groups = Atomic.make 0;
-      }
-    in
-    t.writer <- Some w;
-    w.dom <- Some (Domain.spawn (fun () -> writer_loop t w))
-
-let stop_writer t =
-  match t.writer with
-  | None -> ()
-  | Some w ->
-    t.writer <- None;
-    Mutex.lock w.qm;
-    w.wstop <- true;
-    Condition.broadcast w.qc;
-    Mutex.unlock w.qm;
-    (* the loop drains everything already enqueued before exiting *)
-    (match w.dom with Some d -> Domain.join d | None -> ())
-
-let enqueue w framed =
-  let token = Atomic.make token_pending in
-  Mutex.lock w.qm;
-  Queue.push { framed; token } w.q;
-  Condition.signal w.qc;
-  Mutex.unlock w.qm;
-  token
-
-let completed_token = Atomic.make token_done
-
-let append_async t body =
-  match t.writer with
-  | Some w when not w.wstop ->
-    if String.length body = 0 || body.[0] <> '\x01' then
-      String.iter
-        (fun c ->
-          if c = '\n' || c = '\r' then invalid_arg "Wal.append_async: record contains a newline")
-        body;
-    enqueue w (frame body)
-  | _ ->
-    (* no writer (or shutting down): the synchronous path is the durability
-       point, so the token comes back already resolved *)
-    append t body;
-    completed_token
-
-let append_framed_async t framed =
-  let n = String.length framed in
-  if n < 8 || read_be32 framed 0 <> n - 8 then
-    invalid_arg "Wal.append_framed_async: not a whole frame";
-  match t.writer with
-  | Some w when not w.wstop -> enqueue w framed
-  | _ ->
-    append_framed t framed;
-    completed_token
-
-type group_stats = { queue_depth : int; last_group : int; groups : int }
-
-let group_stats t =
-  match t.writer with
-  | None -> { queue_depth = 0; last_group = 0; groups = 0 }
-  | Some w ->
-    Mutex.lock w.qm;
-    let queue_depth = Queue.length w.q in
-    Mutex.unlock w.qm;
-    { queue_depth; last_group = Atomic.get w.last_group; groups = Atomic.get w.groups }
 
 let read_whole fd =
   let len = (Unix.fstat fd).Unix.st_size in
@@ -514,9 +354,6 @@ let checkpoint t ~spool =
       outcomes)
 
 let close t =
-  (* drain and join the group-commit writer first: every enqueued record
-     reaches the file (and its token resolves) before the final fsync *)
-  stop_writer t;
   with_lock t (fun () ->
       if not t.closed then begin
         t.closed <- true;

@@ -83,9 +83,11 @@ val append : t -> string -> unit
 (** Append one record and apply the fsync policy.  Text bodies must be
     newline-free (one rendered request line per record); bodies starting
     with ['\x01'] are binary protocol-v2 records and may contain any
-    bytes.  Thread-safe.  Raises [Unix.Unix_error] if the disk refuses the
-    write — the caller should fail the request rather than acknowledge
-    state that is not durable. *)
+    bytes.  Thread-safe; the write (and, under {!Always}, the fsync) runs
+    on the calling thread, so a caller that replies afterwards never
+    acknowledges a record the journal does not hold.  Raises
+    [Unix.Unix_error] if the disk refuses the write — the caller should
+    fail the request rather than acknowledge state that is not durable. *)
 
 val append_framed : t -> string -> unit
 (** Append a complete, already-framed record — header and body exactly as
@@ -94,59 +96,6 @@ val append_framed : t -> string -> unit
     the socket go to the journal verbatim.  The caller vouches for the
     CRC (the event loop has just verified it on receive); only the length
     field is checked.  Raises [Invalid_argument] on a malformed frame. *)
-
-(** {2 Group commit}
-
-    The per-record path above takes the journal lock and issues one [write]
-    (plus, under {!Always}, one [fsync]) per record — correct, but at odds
-    with a sharded front end where several event-loop domains journal
-    concurrently.  Group commit moves the disk work to one dedicated writer
-    domain: {!append_async}/{!append_framed_async} enqueue the framed record
-    on an MPSC queue and return a durability {!token}; the writer drains up
-    to [group] records per round, splices them into a {e single} write and
-    at most one fsync, then resolves every token and invokes [on_durable].
-    [fsync always] thus amortises to one fsync per group while the
-    journal-before-reply invariant holds record by record: a token reads
-    {!token_done} only once its bytes (and, under {!Always}, the fsync)
-    are behind it. *)
-
-type token = int Atomic.t
-(** {!token_pending} until the record reaches its durability point, then
-    {!token_done} or {!token_failed} — numerically identical to
-    {!Evloop.gate}'s states, so a token can gate a reply directly. *)
-
-val token_pending : int
-val token_done : int
-val token_failed : int
-
-val start_writer : t -> group:int -> on_durable:(unit -> unit) -> unit
-(** Spawn the writer domain.  [group] caps records per batch;
-    [on_durable] runs on the writer domain once per committed (or failed)
-    batch, after its tokens resolve — keep it cheap and non-blocking
-    (the server passes [Evgroup.kick_all]).  Raises [Invalid_argument] if
-    a writer is already running. *)
-
-val stop_writer : t -> unit
-(** Drain the queue (every enqueued record is still committed and its
-    token resolved), then join the writer domain.  Idempotent; implied by
-    {!close}.  Do not call while producers can still enqueue. *)
-
-val append_async : t -> string -> token
-(** {!append} via the writer queue.  Same body rules as {!append}.  With
-    no writer running this falls back to the synchronous {!append} and
-    returns an already-resolved token, so callers need not branch. *)
-
-val append_framed_async : t -> string -> token
-(** {!append_framed} via the writer queue — the v2 zero-copy splice stays
-    zero-copy: the wire frame goes from socket to queue to one coalesced
-    [write] untouched.  Falls back like {!append_async}. *)
-
-type group_stats = { queue_depth : int; last_group : int; groups : int }
-
-val group_stats : t -> group_stats
-(** Queue depth right now, size of the most recent batch, and batches
-    committed since {!start_writer} (all 0 with no writer) — the [STATS]
-    verb's journal figures. *)
 
 val records_since_checkpoint : t -> int
 (** Appended (or replayed) records still uncovered by a checkpoint — the

@@ -687,9 +687,6 @@ let run_forked_wal_worker spec =
                  Server.dir = wal_dir;
                  fsync = Wal.Interval 0.05;
                  checkpoint_every = 4;
-                 (* group commit on the kill -9 victim: the recovery check
-                    then also covers gated replies and torn group tails *)
-                 group = 16;
                }
              ~port ~spool:spool_dir ~seed ~domains:test_domains ()
          with
@@ -843,6 +840,82 @@ let test_kill9_wal_recovery () =
   rm_rf_deep spool_dir;
   Sys.remove portfile
 
+(* Pipelined ingest into journaled workers at the configuration
+   [delphic worker --wal DIR] builds: fsync every 0.2 s, a checkpoint every
+   512 records, v2 from the coordinator, and at least two event-loop
+   domains (the CLI default on a two-core host).  Three workers take
+   twelve sessions of 3 072 small boxes each, frames of 64 dealt round the
+   sessions.  Every [add_batch] must return well inside the coordinator's
+   2 s timeout, and every session's exact-regime answer must count every
+   acknowledged set (a session's union, about 12k cells, stays under the
+   15k exact-table capacity at these parameters).  Regression test for
+   the group-commit ack stall (DESIGN.md §3, the decision record). *)
+let test_wal_ingest_acks_promptly () =
+  let timeout = 2.0 in
+  let dir n = spool (70 + n) ^ "-wal" in
+  let workers =
+    List.init 3 (fun n ->
+        rm_rf (spool (70 + n));
+        rm_rf_deep (dir n);
+        let s =
+          Server.create
+            ~wal:
+              { Server.dir = dir n; fsync = Wal.Interval 0.2; checkpoint_every = 512 }
+            ~port:0 ~spool:(spool (70 + n)) ~seed:(800 + n)
+            ~domains:(max 2 test_domains) ()
+        in
+        (s, Server.start s))
+  in
+  let coord =
+    Coordinator.create ~timeout
+      ~workers:(List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers)
+      ~seed:71 ()
+  in
+  let gen = Rng.create ~seed:43 in
+  let sessions =
+    List.init 12 (fun i ->
+        let name = Printf.sprintf "ingest%d" i in
+        ok
+          (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.2
+             ~delta:0.2 ~log2_universe:40.0);
+        ( name,
+          Workload.Rectangles.uniform gen ~universe:100_000 ~dim:2 ~count:3072
+            ~max_side:3 ))
+  in
+  let slowest = ref 0.0 in
+  for f = 0 to (3072 / 64) - 1 do
+    List.iter
+      (fun (name, boxes) ->
+        let frame = List.filteri (fun i _ -> i / 64 = f) boxes in
+        let t0 = Unix.gettimeofday () in
+        let accepted, errors =
+          ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of frame))
+        in
+        slowest := Float.max !slowest (Unix.gettimeofday () -. t0);
+        Alcotest.(check int) "frame accepted" 64 accepted;
+        Alcotest.(check int) "no routing errors" 0 (List.length errors))
+      sessions
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "slowest add_batch %.3f s is under a quarter of the timeout" !slowest)
+    true
+    (!slowest < timeout /. 4.0);
+  List.iter
+    (fun (name, boxes) ->
+      match Coordinator.estimate coord ~name with
+      | Ok (v, degraded, _) ->
+        Alcotest.(check bool) (name ^ " not degraded") false degraded;
+        Alcotest.(check (float 0.0)) (name ^ " exact answer") (truth boxes) v
+      | Error e -> Alcotest.failf "EST %s: %s" name (P.render_response (P.Error_reply e)))
+    sessions;
+  Coordinator.shutdown coord;
+  List.iter stop_worker workers;
+  List.iteri
+    (fun n _ ->
+      rm_rf (spool (70 + n));
+      rm_rf_deep (dir n))
+    workers
+
 let suite =
   [
     Alcotest.test_case "scatter/gather with mid-stream worker loss" `Quick
@@ -863,4 +936,6 @@ let suite =
       test_add_batch_ships_without_read;
     Alcotest.test_case "a gather after a big-box backlog is fresh" `Quick
       test_backlog_gather_is_fresh;
+    Alcotest.test_case "pipelined ingest into journaled workers acks promptly" `Quick
+      test_wal_ingest_acks_promptly;
   ]

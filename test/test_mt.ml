@@ -1,14 +1,10 @@
 (* Multicore server tests: domain-sharded event loops must be invisible to
    clients (final estimates bitwise-equal to a serial single-domain replay,
-   for disjoint and for shared sessions), the bare STATS verb must report
-   live process figures, and the WAL group-commit writer must resolve
-   durability tokens only after the bytes are in the journal — with torn
-   group tails truncating at the first bad frame on recovery, exactly like
-   the single-record path. *)
+   for disjoint and for shared sessions), and the bare STATS verb must
+   report live process figures. *)
 
 module Server = Delphic_server.Server
 module Evgroup = Delphic_server.Evgroup
-module Wal = Delphic_server.Wal
 module P = Delphic_server.Protocol
 module Rpc = Delphic_cluster.Rpc
 
@@ -234,111 +230,6 @@ let test_default_domains () =
   Alcotest.(check bool) "at least one" true (Evgroup.default_domains () >= 1);
   Alcotest.(check bool) "capped at 8" true (Evgroup.default_domains () <= 8)
 
-(* --- WAL group commit ------------------------------------------------- *)
-
-let journal dir = Filename.concat dir "journal"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let wait_done tok =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    match Atomic.get tok with
-    | v when v = Wal.token_done -> ()
-    | v when v = Wal.token_failed -> Alcotest.fail "token failed"
-    | _ ->
-      if Unix.gettimeofday () > deadline then Alcotest.fail "token stuck pending"
-      else begin
-        Thread.yield ();
-        go ()
-      end
-  in
-  go ()
-
-(* Token completion is the durability signal the server gates replies on:
-   the moment a token reads done, the record's bytes must already be in the
-   journal file. *)
-let test_group_token_durability () =
-  let dir = fresh_dir "wal-tok" in
-  let w = Wal.open_ ~dir ~fsync:Wal.Always in
-  Wal.start_writer w ~group:8 ~on_durable:(fun () -> ());
-  let bodies = List.init 20 (fun i -> Printf.sprintf "ADD s %d %d %d %d" i i i i) in
-  let toks = List.map (Wal.append_async w) bodies in
-  List.iteri
-    (fun i tok ->
-      wait_done tok;
-      Alcotest.(check bool)
-        (Printf.sprintf "record %d on disk at completion" i)
-        true
-        (contains (read_file (journal dir)) (List.nth bodies i)))
-    toks;
-  let stats = Wal.group_stats w in
-  Alcotest.(check bool) "groups ran" true (stats.Wal.groups >= 1);
-  Alcotest.(check bool) "queue drained" true (stats.Wal.queue_depth = 0);
-  Wal.close w;
-  (* recovery sees every group-committed record, in enqueue order *)
-  let w' = Wal.open_ ~dir ~fsync:Wal.Never in
-  let seen = ref [] in
-  let n, cut = Wal.replay w' ~f:(fun b -> seen := b :: !seen) in
-  Alcotest.(check int) "replayed all" 20 n;
-  Alcotest.(check (option string)) "no truncation" None cut;
-  Alcotest.(check (list string)) "order preserved" bodies (List.rev !seen);
-  Wal.close w'
-
-(* kill -9 between the group's write and its fsync can leave a torn tail:
-   recovery must keep every whole frame and truncate at the first bad one,
-   exactly as for single-record appends. *)
-let test_group_tear_truncates () =
-  let dir = fresh_dir "wal-tear" in
-  let w = Wal.open_ ~dir ~fsync:Wal.Never in
-  Wal.start_writer w ~group:4 ~on_durable:(fun () -> ());
-  let bodies = List.init 12 (fun i -> Printf.sprintf "ADD s %d %d %d %d" i i i i) in
-  List.iter (fun t -> wait_done t) (List.map (Wal.append_async w) bodies);
-  Wal.close w;
-  (* byte surgery: chop into the last frame, as a crash mid-group would *)
-  let fd = Unix.openfile (journal dir) [ Unix.O_RDWR ] 0o644 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  Unix.ftruncate fd (size - 3);
-  Unix.close fd;
-  let w' = Wal.open_ ~dir ~fsync:Wal.Never in
-  let seen = ref [] in
-  let n, cut = Wal.replay w' ~f:(fun b -> seen := b :: !seen) in
-  Alcotest.(check int) "whole frames survive" 11 n;
-  Alcotest.(check bool) "tail truncated" true (cut <> None);
-  (* the journal keeps working after truncation: a fresh group commits *)
-  Wal.start_writer w' ~group:4 ~on_durable:(fun () -> ());
-  wait_done (Wal.append_async w' "ADD s 99 99 99 99");
-  Wal.close w';
-  let w'' = Wal.open_ ~dir ~fsync:Wal.Never in
-  let count = ref 0 in
-  let n', cut' = Wal.replay w'' ~f:(fun _ -> incr count) in
-  Alcotest.(check int) "recovered + new record" 12 n';
-  Alcotest.(check (option string)) "clean tail" None cut';
-  Wal.close w''
-
-(* Without a writer the async entry points fall back to the synchronous
-   path and hand back an already-completed token — the server's gating code
-   never needs to know which mode the journal is in. *)
-let test_async_fallback_sync () =
-  let dir = fresh_dir "wal-sync" in
-  let w = Wal.open_ ~dir ~fsync:Wal.Never in
-  let tok = Wal.append_async w "ADD s 1 1 1 1" in
-  Alcotest.(check int) "already durable" Wal.token_done (Atomic.get tok);
-  Alcotest.(check bool)
-    "on disk" true
-    (contains (read_file (journal dir)) "ADD s 1 1 1 1");
-  Wal.close w
-
 let suite =
   [
     Alcotest.test_case "stats-verb" `Quick test_stats_verb;
@@ -346,10 +237,5 @@ let suite =
     Alcotest.test_case "default-domains" `Quick test_default_domains;
     Alcotest.test_case "shared-session-equivalence" `Quick
       test_shared_session_equivalence;
-    Alcotest.test_case "wal-group-token-durability" `Quick
-      test_group_token_durability;
-    Alcotest.test_case "wal-group-tear-truncates" `Quick
-      test_group_tear_truncates;
-    Alcotest.test_case "wal-async-fallback-sync" `Quick test_async_fallback_sync;
     QCheck_alcotest.to_alcotest prop_disjoint_equivalence;
   ]

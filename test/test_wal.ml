@@ -56,12 +56,36 @@ let flip_byte path off =
   ignore (Unix.write fd b 0 1);
   Unix.close fd
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* Journal-before-reply: the server answers right after [append] returns,
+   so a record's bytes must already be in the file at that moment — no
+   flush, close or background writer in between. *)
+let check_on_disk dir body =
+  Alcotest.(check bool)
+    ("on disk when append returns: " ^ body)
+    true
+    (contains (read_file (journal dir)) body)
+
 let bodies = [ "OPEN s rect 0.3 0.2 17"; "ADD s 0 9 0 9"; "ADD s 5 14 0 9" ]
 
 let test_roundtrip () =
   let dir = fresh_dir () in
   let w = Wal.open_ ~dir ~fsync:Wal.Always in
-  List.iter (Wal.append w) bodies;
+  List.iter
+    (fun b ->
+      Wal.append w b;
+      check_on_disk dir b)
+    bodies;
   Alcotest.(check int) "records counted" (List.length bodies)
     (Wal.records_since_checkpoint w);
   Wal.close w;
@@ -72,12 +96,16 @@ let test_roundtrip () =
   Alcotest.(check int) "replay primes the checkpoint counter"
     (List.length bodies)
     (Wal.records_since_checkpoint w');
-  (* the replayed handle appends after the survivors, not over them *)
+  (* the replayed handle appends after the survivors, not over them; the
+     pre-framed splice path is as durable at return as [append] *)
   Wal.append w' "ADD s 100 100 100 100";
+  check_on_disk dir "ADD s 100 100 100 100";
+  Wal.append_framed w' (Delphic_server.Frame.frame "ADD s 200 200 200 200");
+  check_on_disk dir "ADD s 200 200 200 200";
   Wal.close w';
   let w'', (seen'', _, cut'') = recover ~dir in
   Alcotest.(check (list string)) "append after replay lands at the tail"
-    (bodies @ [ "ADD s 100 100 100 100" ]) seen'';
+    (bodies @ [ "ADD s 100 100 100 100"; "ADD s 200 200 200 200" ]) seen'';
   Alcotest.(check bool) "still clean" true (cut'' = None);
   Wal.close w''
 
