@@ -11,21 +11,14 @@
    Run with:  dune exec bench/main.exe            (everything)
               dune exec bench/main.exe -- micro   (micro-benchmarks only)
               dune exec bench/main.exe -- macro   (experiment tables only)
-              dune exec bench/main.exe -- cluster (1-vs-4-worker scatter/gather)
-              dune exec bench/main.exe -- ingest  (ADDB batch-size sweep)
-              dune exec bench/main.exe -- gather  (worker-count sweep, idle vs live)
               dune exec bench/main.exe -- repl    (replication-factor sweep)
-              dune exec bench/main.exe -- wal     (journal fsync-policy sweep)
-              dune exec bench/main.exe -- window  (WIN window-length sweep)
               dune exec bench/main.exe -- conns   (idle-connection scaling sweep)
 
+   The deployed-cluster numbers (ingest, EST/WIN/EXPR latency, WAL cost)
+   come from perfbench/, which runs repeated trials with their spread.
    Any benchmarking mode also accepts [--json FILE] to write the measured
-   rows as a JSON array of {name, ns_per_op, ops_per_s} objects; the
-   cluster mode defaults to BENCH_cluster.json, the ingest mode to
-   BENCH_ingest.json, the gather mode to BENCH_gather.json, the repl mode
-   to BENCH_repl.json, the wal mode to BENCH_wal.json, the expr mode to
-   BENCH_expr.json, the window mode to BENCH_window.json and the conns
-   mode to BENCH_conns.json. *)
+   rows as a JSON array of {name, ns_per_op, ops_per_s} objects; the repl
+   mode defaults to BENCH_repl.json and the conns mode to BENCH_conns.json. *)
 
 open Bechamel
 open Toolkit
@@ -314,12 +307,11 @@ let run_micro ?json () =
   print_rows ~title:"Micro-benchmarks (bechamel, monotonic clock)" rows;
   Option.iter (fun path -> write_json ~path rows) json
 
-(* Cluster benchmark: the same rect stream scattered through a coordinator
-   backed by 1 vs 4 loopback in-process workers — the per-set cost of the
-   pipelined scatter path and the per-query cost of a full gather+fold. *)
+(* Replication benchmark: the same rect stream scattered through a
+   coordinator backed by 4 loopback in-process workers, at R = 1, 2, 3
+   replicas per ring position. *)
 
 module Server = Delphic_server.Server
-module Wal = Delphic_server.Wal
 module Coordinator = Delphic_cluster.Coordinator
 
 let rec rm_rf dir =
@@ -332,32 +324,21 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(domains = 1)
-    ?(proto = Delphic_cluster.Rpc.V1) ?(replicas = 1) ~n_workers ~seed () =
+let cluster_env ~replicas ~n_workers ~seed () =
   let spool n =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "delphic-bench-spool-%d-%d-%d-%d-%d" (Unix.getpid ())
-         n_workers batch (seed + n) n)
+      (Printf.sprintf "delphic-bench-spool-%d-%d-%d-%d" (Unix.getpid ())
+         n_workers (seed + n) n)
   in
-  let wal_dir n = spool n ^ "-wal" in
   let workers =
     List.init n_workers (fun n ->
         rm_rf (spool n);
-        rm_rf (wal_dir n);
-        let wal =
-          Option.map
-            (fun (fsync, checkpoint_every) ->
-              { Server.dir = wal_dir n; fsync; checkpoint_every })
-            wal
-        in
-        let s =
-          Server.create ?wal ~port:0 ~spool:(spool n) ~seed:(seed + n) ~domains ()
-        in
+        let s = Server.create ~port:0 ~spool:(spool n) ~seed:(seed + n) () in
         (s, Server.start s))
   in
   let coord =
-    Coordinator.create ~batch ~proto ~replicas
+    Coordinator.create ~replicas
       ~workers:(List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers)
       ~seed ()
   in
@@ -378,7 +359,7 @@ let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(domains = 1)
       (fun b ->
         let lo = Rectangle.lo b and hi = Rectangle.hi b in
         Printf.sprintf "%d %d %d %d" lo.(0) hi.(0) lo.(1) hi.(1))
-      (Workload.Rectangles.uniform gen ~universe:100_000 ~dim:2 ~count
+      (Workload.Rectangles.uniform gen ~universe:100_000 ~dim:2 ~count:300
          ~max_side:3)
   in
   List.iter
@@ -392,8 +373,7 @@ let cluster_env ?(batch = 64) ?(count = 300) ?wal ?(domains = 1)
       (fun n (s, th) ->
         Server.request_stop s;
         Thread.join th;
-        rm_rf (spool n);
-        rm_rf (wal_dir n))
+        rm_rf (spool n))
       workers
   in
   (coord, payloads, teardown)
@@ -406,8 +386,8 @@ let scatter coord payloads =
    arriving while clients poll the estimate.  Each op scatters [ingest]
    payloads (cycling the pool) and then gathers — so the row prices one
    query *at* the cluster's ingest advantage, not on an artificially idle
-   pool.  The idle-cluster gather (where the coordinator's fold memo makes
-   the query RPC-bound) is measured separately by the gather mode. *)
+   pool.  The idle rows price the gather where the coordinator's fold memo
+   makes the query RPC-bound. *)
 let live_gather ~ingest coord payloads =
   let arr = Array.of_list payloads in
   let i = ref 0 in
@@ -420,85 +400,21 @@ let live_gather ~ingest coord payloads =
 
 let idle_gather coord () = ignore (Coordinator.estimate coord ~name:"bench")
 
-let run_cluster ?(json = "BENCH_cluster.json") () =
-  let c1, p1, teardown1 = cluster_env ~n_workers:1 ~seed:41 () in
-  let c4, p4, teardown4 = cluster_env ~n_workers:4 ~seed:47 () in
-  (* warm the worker wire caches and the coordinator fold memo so gather-est
-     prices the steady-state query on a quiescent cluster (same regime as
-     the committed baseline); the live regime is the gather mode's job *)
-  ignore (Coordinator.estimate c1 ~name:"bench");
-  ignore (Coordinator.estimate c4 ~name:"bench");
-  let tests =
-    Test.make_grouped ~name:"cluster"
-      [
-        Test.make ~name:"scatter-add/1-worker" (Staged.stage (scatter c1 p1));
-        Test.make ~name:"scatter-add/4-workers" (Staged.stage (scatter c4 p4));
-        Test.make ~name:"gather-est/1-worker"
-          (Staged.stage (fun () -> idle_gather c1 ()));
-        Test.make ~name:"gather-est/4-workers"
-          (Staged.stage (fun () -> idle_gather c4 ()));
-      ]
-  in
-  let rows = run_bechamel tests in
-  teardown1 ();
-  teardown4 ();
-  print_rows ~title:"Cluster scatter/gather (loopback, in-process workers)" rows;
-  write_json ~path:json rows
-
-(* Gather sweep over 1/2/4/8 workers, two query regimes per pool size:
-   est-idle (no ingest between queries; after the first fold the
-   coordinator's memo makes this RPC-bound) and live (32 scattered adds per
-   query, every worker's sketch changed, full decode + one-pass fold every
-   time). *)
-let run_gather ?(json = "BENCH_gather.json") () =
-  let sweep = [ 1; 2; 4; 8 ] in
-  let envs =
-    List.map (fun k -> (k, cluster_env ~n_workers:k ~seed:(81 + (10 * k)) ())) sweep
-  in
-  (* warm the worker wire caches and the coordinator's fold memo so the
-     est-idle rows measure the steady state *)
-  List.iter (fun (_, (coord, _, _)) -> ignore (Coordinator.estimate coord ~name:"bench")) envs;
-  let idle =
-    List.map
-      (fun (k, (coord, _, _)) ->
-        Test.make
-          ~name:(Printf.sprintf "est-idle/%d-workers" k)
-          (Staged.stage (fun () -> idle_gather coord ())))
-      envs
-  in
-  let live =
-    List.map
-      (fun (k, (coord, payloads, _)) ->
-        Test.make
-          ~name:(Printf.sprintf "live/%d-workers" k)
-          (Staged.stage (live_gather ~ingest:32 coord payloads)))
-      envs
-  in
-  let rows = run_bechamel (Test.make_grouped ~name:"gather" (idle @ live)) in
-  List.iter (fun (_, (_, _, teardown)) -> teardown ()) envs;
-  print_rows ~title:"Gather sweep (workers, idle vs live)" rows;
-  write_json ~path:json rows
-
-(* Replication sweep: the 4-worker scatter/gather path at R = 1, 2, 3
-   replicas per ring position.  Each replicated add stages the payload on R
-   distinct ring successors, so the ingest rows price the replication tax
-   directly (R=2 is the failover deployment's steady state; the C9 table in
-   EXPERIMENTS.md tracks its overhead against the <= 1.6x budget).  The
-   gather rows show the query side, where replication buys 1-of-R coverage
-   for nearly free: the same n worker round-trips, one fold.  Runs on the
-   v2 binary wire — the failover deployment's protocol — so the ratio is
-   not inflated by v1 text parsing repeated once per copy. *)
+(* Each replicated add stages the payload on R distinct ring successors, so
+   the ingest rows price the replication tax directly (R=2 is the failover
+   deployment's steady state; the C9 table in EXPERIMENTS.md tracks its
+   overhead).  The gather rows show the query side, where replication buys
+   1-of-R coverage for nearly free: the same n worker round-trips, one
+   fold. *)
 let run_repl ?(json = "BENCH_repl.json") () =
   let sweep = [ 1; 2; 3 ] in
   let envs =
     List.map
-      (fun r ->
-        ( r,
-          cluster_env ~proto:Delphic_cluster.Rpc.V2 ~replicas:r ~n_workers:4
-            ~seed:(640 + (7 * r)) () ))
+      (fun r -> (r, cluster_env ~replicas:r ~n_workers:4 ~seed:(640 + (7 * r)) ()))
       sweep
   in
-  (* warm wire caches and the fold memo, as in the cluster mode *)
+  (* warm the worker wire caches and the coordinator fold memo so the idle
+     rows price the steady-state query on a quiescent cluster *)
   List.iter
     (fun (_, (coord, _, _)) -> ignore (Coordinator.estimate coord ~name:"bench"))
     envs;
@@ -530,239 +446,9 @@ let run_repl ?(json = "BENCH_repl.json") () =
   | _ -> ());
   write_json ~path:json rows
 
-(* Ingest benchmark: the same 1-worker loopback scatter path swept across
-   coordinator batch sizes and wire protocols — how much of the per-set RPC
-   cost the ADDB framing amortises away, and what v2's binary framing
-   (raw payload bytes, splice-journalled worker-side) shaves off on top.
-   batch=1 is the unbatched baseline (one ADD frame and one flush per set).
-   The v1 row names are unchanged from earlier baselines ([scatter-add/...]);
-   the v2 rows are [scatter-add-v2/...]. *)
-
-let run_ingest ?(json = "BENCH_ingest.json") () =
-  let sweep = [ 1; 16; 64; 256 ] in
-  let protos = [ ("scatter-add", Delphic_cluster.Rpc.V1, 60); ("scatter-add-v2", Delphic_cluster.Rpc.V2, 360) ] in
-  let envs =
-    List.concat_map
-      (fun (prefix, proto, seed0) ->
-        List.map
-          (fun b ->
-            (prefix, b, cluster_env ~batch:b ~proto ~n_workers:1 ~seed:(seed0 + b) ()))
-          sweep)
-      protos
-  in
-  let tests =
-    Test.make_grouped ~name:"ingest"
-      (List.map
-         (fun (prefix, b, (coord, payloads, _)) ->
-           Test.make
-             ~name:(Printf.sprintf "%s/batch-%d" prefix b)
-             (Staged.stage
-                (cycling payloads (fun p ->
-                     ignore (Coordinator.add coord ~name:"bench" ~payload:p)))))
-         envs)
-  in
-  let rows = run_bechamel tests in
-  List.iter (fun (_, _, (_, _, teardown)) -> teardown ()) envs;
-  print_rows ~title:"Batched ingestion sweep (1-worker loopback, v1 vs v2)" rows;
-  write_json ~path:json rows
-
-(* WAL overhead: the batch-64 scatter path (the ingest mode's fastest row)
-   against a 1-worker loopback server sweeping the journal configuration —
-   what does "an acknowledged set is on disk" cost per set?  The journal
-   appends one CRC-framed record per accepted ADDB frame, so the batch
-   amortises the write (and, under [Always], the fsync) across up to 64
-   sets; the checkpoint row adds the periodic spool-and-truncate on top. *)
-
-let run_wal ?(json = "BENCH_wal.json") () =
-  (* (name, wal (fsync, ckpt)) *)
-  let configs =
-    [
-      ("no-wal", None);
-      ("wal/fsync-never", Some (Wal.Never, 0));
-      ("wal/fsync-interval", Some (Wal.Interval 0.2, 0));
-      ("wal/fsync-interval-ckpt512", Some (Wal.Interval 0.2, 512));
-      ("wal/fsync-always", Some (Wal.Always, 0));
-    ]
-  in
-  let envs =
-    List.mapi
-      (fun i (name, wal) -> (name, cluster_env ?wal ~n_workers:1 ~seed:(120 + i) ()))
-      configs
-  in
-  let tests =
-    Test.make_grouped ~name:"wal"
-      (List.map
-         (fun (name, (coord, payloads, _)) ->
-           Test.make
-             ~name:(Printf.sprintf "scatter-add/batch-64/%s" name)
-             (Staged.stage (scatter coord payloads)))
-         envs)
-  in
-  let rows = run_bechamel tests in
-  List.iter (fun (_, (_, _, teardown)) -> teardown ()) envs;
-  print_rows ~title:"WAL overhead sweep (batch-64 scatter, 1-worker loopback)" rows;
-  write_json ~path:json rows
-
-(* EXPR query cost over a 3-worker cluster: expression depth crossed with
-   the sample budget m, in two regimes.  Idle reuses the coordinator's
-   per-leaf fold memo and the cross-session union memo, so the query prices
-   clone + sample-and-probe; live scatters 8 adds into one leaf first, so
-   every query re-gathers that leaf and re-folds the union. *)
-let run_expr ?(json = "BENCH_expr.json") () =
-  let n_workers = 3 in
-  let spool n =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "delphic-bench-expr-%d-%d" (Unix.getpid ()) n)
-  in
-  let workers =
-    List.init n_workers (fun n ->
-        rm_rf (spool n);
-        let s = Server.create ~port:0 ~spool:(spool n) ~seed:(140 + n) () in
-        (s, Server.start s))
-  in
-  let coord =
-    Coordinator.create ~batch:64
-      ~workers:(List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers)
-      ~seed:73 ()
-  in
-  let sessions = [ "A"; "B"; "C" ] in
-  List.iter
-    (fun name ->
-      match
-        Coordinator.open_session coord ~name ~family:Protocol.Rect ~epsilon:0.2
-          ~delta:0.2 ~log2_universe:40.0
-      with
-      | Ok () -> ()
-      | Error _ -> assert false)
-    sessions;
-  (* one shared small universe so the three sessions genuinely overlap and
-     the deeper expressions have evidence to find *)
-  let gen = Rng.create ~seed:29 in
-  let pool () =
-    List.map
-      (fun b ->
-        let lo = Rectangle.lo b and hi = Rectangle.hi b in
-        Printf.sprintf "%d %d %d %d" lo.(0) hi.(0) lo.(1) hi.(1))
-      (Workload.Rectangles.uniform gen ~universe:400 ~dim:2 ~count:200
-         ~max_side:30)
-  in
-  List.iter
-    (fun name ->
-      List.iter (fun p -> ignore (Coordinator.add coord ~name ~payload:p)) (pool ()))
-    sessions;
-  Coordinator.flush coord;
-  let parse = Delphic_stream.Parsers.expr_of_string in
-  let exprs =
-    [ ("depth1", "A | B"); ("depth2", "(A & B) \\ C"); ("depth3", "((A | B) & C) ^ A") ]
-  in
-  (* warm every leaf's last-good sketch and the fold memos *)
-  List.iter
-    (fun (_, src) ->
-      ignore (Coordinator.expr_query coord ~expr:(parse src) ~m:(Some 64)))
-    exprs;
-  let live_arr = Array.of_list (pool ()) in
-  let live_i = ref 0 in
-  let query e m () = ignore (Coordinator.expr_query coord ~expr:e ~m:(Some m)) in
-  let live e m () =
-    for _ = 1 to 8 do
-      ignore (Coordinator.add coord ~name:"A" ~payload:live_arr.(!live_i));
-      live_i := (!live_i + 1) mod Array.length live_arr
-    done;
-    query e m ()
-  in
-  let tests =
-    Test.make_grouped ~name:"expr"
-      (List.concat_map
-         (fun (dname, src) ->
-           let e = parse src in
-           List.concat_map
-             (fun m ->
-               [
-                 Test.make
-                   ~name:(Printf.sprintf "%s/m=%d/idle" dname m)
-                   (Staged.stage (query e m));
-                 Test.make
-                   ~name:(Printf.sprintf "%s/m=%d/live" dname m)
-                   (Staged.stage (live e m));
-               ])
-             [ 64; 256; 1024 ])
-         exprs)
-  in
-  let rows = run_bechamel tests in
-  List.iter (fun name -> ignore (Coordinator.close coord ~name)) sessions;
-  Coordinator.shutdown coord;
-  List.iteri
-    (fun n (s, th) ->
-      Server.request_stop s;
-      Thread.join th;
-      rm_rf (spool n))
-    workers;
-  print_rows ~title:"EXPR query sweep (3-worker loopback cluster)" rows;
-  write_json ~path:json rows
-
-(* Windowed query cost over a 3-worker cluster: WIN swept across window
-   lengths (1 s / 10 s / 60 s) in two regimes, with idle EST as the
-   yardstick.  Idle leans on the cutoff-bucket quantization: repeated WIN
-   inside one bucket ships byte-identical Fetch cutoffs, so the workers'
-   wire caches and the coordinator's fold memo serve it just like EST —
-   the design target is idle WIN within ~3x idle EST.  Live scatters 8
-   ADDB-framed adds between queries, so every query re-gathers and
-   re-folds. *)
-let run_window ?(json = "BENCH_window.json") () =
-  let coord, payloads, teardown =
-    cluster_env ~n_workers:3 ~count:300 ~seed:200 ()
-  in
-  let windows = [ 1.0; 10.0; 60.0 ] in
-  (* warm the wire caches and fold memos for the idle rows *)
-  ignore (Coordinator.estimate coord ~name:"bench");
-  List.iter
-    (fun s -> ignore (Coordinator.win coord ~name:"bench" ~seconds:s ~at:None))
-    windows;
-  let win s () = ignore (Coordinator.win coord ~name:"bench" ~seconds:s ~at:None) in
-  let arr = Array.of_list payloads in
-  let i = ref 0 in
-  let live s () =
-    for _ = 1 to 8 do
-      ignore (Coordinator.add coord ~name:"bench" ~payload:arr.(!i));
-      i := (!i + 1) mod Array.length arr
-    done;
-    win s ()
-  in
-  let tests =
-    Test.make_grouped ~name:"window"
-      (Test.make ~name:"est-idle" (Staged.stage (fun () -> idle_gather coord ()))
-      :: List.concat_map
-           (fun s ->
-             [
-               Test.make
-                 ~name:(Printf.sprintf "win-idle/%gs" s)
-                 (Staged.stage (win s));
-               Test.make
-                 ~name:(Printf.sprintf "win-live/%gs" s)
-                 (Staged.stage (live s));
-             ])
-           windows)
-  in
-  let rows = run_bechamel tests in
-  teardown ();
-  print_rows ~title:"Windowed query sweep (3-worker loopback cluster)" rows;
-  (match List.assoc_opt "window/est-idle" rows with
-  | Some est when est > 0.0 ->
-    List.iter
-      (fun s ->
-        match List.assoc_opt (Printf.sprintf "window/win-idle/%gs" s) rows with
-        | Some w ->
-          Printf.printf "win-idle/%gs = %.2fx est-idle%s\n" s (w /. est)
-            (if w <= 3.0 *. est then "" else "  (above the 3x target)")
-        | None -> ())
-      windows
-  | _ -> ());
-  write_json ~path:json rows
-
 (* Connection scaling: one event-driven server, a growing crowd of parked
-   idle connections, and two hot connections (one per wire protocol)
-   measuring request round-trip latency at each crowd size.  A
+   idle connections, and one hot wire-v2 connection measuring request
+   round-trip latency at each crowd size.  A
    thread-per-connection server pays a stack per parked socket and dies at
    the thread limit; the readiness loop pays one registration, so the
    latency curve should stay flat through 10k idle connections. *)
@@ -782,12 +468,11 @@ let run_conns ?(json = "BENCH_conns.json") () =
   let s = Server.create ~port:0 ~spool ~seed:7 () in
   let th = Server.start s in
   let port = Server.port s in
-  let hot proto =
-    match Rpc.connect ~proto ~host:"127.0.0.1" ~port ~timeout:5.0 () with
+  let hot =
+    match Rpc.connect ~host:"127.0.0.1" ~port ~timeout:5.0 () with
     | Ok c -> c
     | Error err -> failwith (Rpc.describe_connect_error err)
   in
-  let v1 = hot Rpc.V1 and v2 = hot Rpc.V2 in
   let ping c =
     match Rpc.call c Protocol.Ping with
     | Ok Protocol.Pong -> ()
@@ -833,20 +518,17 @@ let run_conns ?(json = "BENCH_conns.json") () =
       parked := upto;
       (* one round-trip plus a beat: every parked socket is accepted and
          registered before the measurement starts *)
-      ping v1;
+      ping hot;
       Thread.delay 0.1
     end
   in
   let levels = List.filter (fun n -> n + 64 <= limit) [ 100; 1_000; 10_000 ] in
   if levels = [] then failwith "descriptor limit too low for any sweep level";
   let rows =
-    List.concat_map
+    List.map
       (fun n ->
         park n;
-        [
-          (Printf.sprintf "ping/v1/idle-%d" n, time_pings v1);
-          (Printf.sprintf "ping/v2/idle-%d" n, time_pings v2);
-        ])
+        (Printf.sprintf "ping/v2/idle-%d" n, time_pings hot))
       levels
   in
   List.iter
@@ -854,8 +536,7 @@ let run_conns ?(json = "BENCH_conns.json") () =
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     !children;
-  Rpc.close v1;
-  Rpc.close v2;
+  Rpc.close hot;
   Server.request_stop s;
   Thread.join th;
   rm_rf spool;
@@ -864,125 +545,6 @@ let run_conns ?(json = "BENCH_conns.json") () =
       (Printf.sprintf "Idle-connection scaling (descriptor limit in force: %d)"
          limit)
     rows;
-  write_json ~path:json rows
-
-(* Multicore sweep: one server sharded across D event-loop domains, C
-   client domains each pipelining batch-64 binary ADDB frames (protocol v2,
-   explicit t= so the worker journals by splicing the received frame) into
-   its own session.  Wall-clock throughput, reported as ns/set — the
-   sharding claim is the 4-domain row vs the 1-domain row; the wal-always
-   row prices journal-before-reply with one fsync per record.  NOTE: on a
-   single-CPU host every row collapses to the serial throughput (domains
-   just take turns); the scaling targets are for a >= 4-core runner. *)
-let run_mt ?(json = "BENCH_mt.json") () =
-  let clients = 4 and pipe_depth = 8 and rounds = 40 and batch = 64 in
-  let gen = Rng.create ~seed:53 in
-  let payloads =
-    List.map
-      (fun b ->
-        let lo = Rectangle.lo b and hi = Rectangle.hi b in
-        Printf.sprintf "%d %d %d %d" lo.(0) hi.(0) lo.(1) hi.(1))
-      (Workload.Rectangles.uniform gen ~universe:100_000 ~dim:2 ~count:batch
-         ~max_side:3)
-  in
-  let spool tag =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "delphic-bench-mt-%d-%s" (Unix.getpid ()) tag)
-  in
-  let bench_one ~tag ~domains ~wal =
-    let sp = spool tag in
-    let wd = sp ^ "-wal" in
-    rm_rf sp;
-    rm_rf wd;
-    let wal =
-      Option.map (fun fsync -> { Server.dir = wd; fsync; checkpoint_every = 0 }) wal
-    in
-    let s = Server.create ?wal ~port:0 ~spool:sp ~seed:(300 + domains) ~domains () in
-    let th = Server.start s in
-    let port = Server.port s in
-    let connect () =
-      match Rpc.connect ~proto:Rpc.V2 ~host:"127.0.0.1" ~port ~timeout:30.0 () with
-      | Ok c -> c
-      | Error err -> failwith (Rpc.describe_connect_error err)
-    in
-    (* sessions opened serially from one control connection: OPEN order (and
-       with it each session's derived seed) stays deterministic no matter
-       how the client domains interleave later *)
-    let ctl = connect () in
-    for c = 0 to clients - 1 do
-      match
-        Rpc.call ctl
-          (Protocol.Open
-             {
-               session = Printf.sprintf "mt%d" c;
-               family = Protocol.Rect;
-               epsilon = 0.2;
-               delta = 0.2;
-               log2_universe = 40.0;
-             })
-      with
-      | Ok (Protocol.Ok_reply _) -> ()
-      | Ok r -> failwith ("OPEN: unexpected reply " ^ Protocol.render_response r)
-      | Error msg -> failwith ("OPEN: " ^ msg)
-    done;
-    let run_client c () =
-      let conn = connect () in
-      let req =
-        Protocol.Add_batch
-          { session = Printf.sprintf "mt%d" c; payloads; ts = Some 1.0 }
-      in
-      for _ = 1 to rounds do
-        for _ = 1 to pipe_depth do
-          Rpc.stage conn req
-        done;
-        (match Rpc.flush_staged conn with Ok () -> () | Error m -> failwith m);
-        for _ = 1 to pipe_depth do
-          match Rpc.recv conn with
-          | Ok (Protocol.Ok_batch _) -> ()
-          | Ok r -> failwith ("ADDB: unexpected reply " ^ Protocol.render_response r)
-          | Error m -> failwith ("ADDB: " ^ m)
-        done
-      done;
-      Rpc.close conn
-    in
-    let t0 = Unix.gettimeofday () in
-    let doms = List.init clients (fun c -> Domain.spawn (run_client c)) in
-    List.iter Domain.join doms;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Rpc.close ctl;
-    Server.request_stop s;
-    Thread.join th;
-    rm_rf sp;
-    rm_rf wd;
-    let sets = clients * rounds * pipe_depth * batch in
-    elapsed *. 1e9 /. float_of_int sets
-  in
-  let rows =
-    [
-      ("mt/scatter-addb64/1-domain", bench_one ~tag:"d1" ~domains:1 ~wal:None);
-      ("mt/scatter-addb64/2-domains", bench_one ~tag:"d2" ~domains:2 ~wal:None);
-      ("mt/scatter-addb64/4-domains", bench_one ~tag:"d4" ~domains:4 ~wal:None);
-      ( "mt/scatter-addb64/4-domains/wal-always",
-        bench_one ~tag:"d4wa" ~domains:4 ~wal:(Some Wal.Always) );
-    ]
-  in
-  print_rows
-    ~title:
-      (Printf.sprintf
-         "Multicore sweep (%d pipelined v2 clients, batch-%d ADDB; host has %d core(s))"
-         clients batch
-         (Domain.recommended_domain_count ()))
-    rows;
-  (match
-     ( List.assoc_opt "mt/scatter-addb64/1-domain" rows,
-       List.assoc_opt "mt/scatter-addb64/4-domains" rows )
-   with
-  | Some d1, Some d4 when d4 > 0.0 ->
-    Printf.printf "scaling: 4 domains = %.2fx the 1-domain throughput%s\n" (d1 /. d4)
-      (if d1 /. d4 >= 2.5 then ""
-       else "  (below the 2.5x target; needs a >= 4-core runner)")
-  | _ -> ());
   write_json ~path:json rows
 
 let () =
@@ -1000,52 +562,12 @@ let () =
   let mode = Option.value mode ~default:"all" in
   (match mode with
   | "micro" | "all" -> run_micro ?json ()
-  | "macro" | "cluster" | "ingest" | "gather" | "repl" | "wal" | "expr"
-  | "window" | "conns" | "mt" ->
-    ()
+  | "conns" -> run_conns ?json ()
+  | "repl" -> run_repl ?json ()
+  | "macro" -> ()
   | m ->
-    Printf.eprintf
-      "unknown mode %S (expected micro, macro, cluster, ingest, gather, repl, wal, expr, window, conns, mt or all)\n"
-      m;
+    Printf.eprintf "unknown mode %S (expected micro, macro, conns, repl or all)\n" m;
     exit 2);
-  (match mode with
-  | "cluster" -> (
-    match json with
-    | Some path -> run_cluster ~json:path ()
-    | None -> run_cluster ())
-  | "ingest" -> (
-    match json with
-    | Some path -> run_ingest ~json:path ()
-    | None -> run_ingest ())
-  | "gather" -> (
-    match json with
-    | Some path -> run_gather ~json:path ()
-    | None -> run_gather ())
-  | "repl" -> (
-    match json with
-    | Some path -> run_repl ~json:path ()
-    | None -> run_repl ())
-  | "wal" -> (
-    match json with
-    | Some path -> run_wal ~json:path ()
-    | None -> run_wal ())
-  | "expr" -> (
-    match json with
-    | Some path -> run_expr ~json:path ()
-    | None -> run_expr ())
-  | "window" -> (
-    match json with
-    | Some path -> run_window ~json:path ()
-    | None -> run_window ())
-  | "conns" -> (
-    match json with
-    | Some path -> run_conns ~json:path ()
-    | None -> run_conns ())
-  | "mt" -> (
-    match json with
-    | Some path -> run_mt ~json:path ()
-    | None -> run_mt ())
-  | _ -> ());
   if mode = "macro" || mode = "all" then begin
     print_newline ();
     print_endline "Experiment tables (see EXPERIMENTS.md for the paper-claim mapping)";

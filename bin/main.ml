@@ -706,39 +706,20 @@ let coord_cmd =
     in
     Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let proto =
-    let doc =
-      "Wire protocol toward the workers: $(b,v1) (newline-delimited text) or \
-       $(b,v2) (length-prefixed CRC-framed binary; ADDB payloads and SKETCH \
-       tokens travel raw, and workers journal ADDB by splicing the received \
-       frame)."
-    in
-    let proto_conv =
-      Arg.conv
-        ( (function
-          | "v1" -> Ok Delphic_cluster.Rpc.V1
-          | "v2" -> Ok Delphic_cluster.Rpc.V2
-          | s -> Error (`Msg (Printf.sprintf "%S: want v1 or v2" s))),
-          fun ppf p ->
-            Format.pp_print_string ppf
-              (match p with Delphic_cluster.Rpc.V1 -> "v1" | Delphic_cluster.Rpc.V2 -> "v2") )
-    in
-    Arg.(value & opt proto_conv Delphic_cluster.Rpc.V2 & info [ "proto" ] ~docv:"VERSION" ~doc)
-  in
   let run seed port host workers shard timeout replicas dial_timeout epoch
-      standby_of lease_interval batch proto max_conns domains =
+      standby_of lease_interval batch max_conns domains =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
     let domains = resolve_domains domains in
     let coord =
       Delphic_cluster.Coordinator.create ~sharding:shard ~replicas ~timeout
-        ~dial_timeout ~epoch ~batch ~proto ~workers ~seed ()
+        ~dial_timeout ~epoch ~batch ~workers ~seed ()
     in
     let failover =
       Option.map
         (fun primary ->
           let f =
-            Delphic_cluster.Failover.create ~interval:lease_interval ~proto
-              ~dial_timeout ~timeout ~primary ~coord ()
+            Delphic_cluster.Failover.create ~interval:lease_interval ~dial_timeout
+              ~timeout ~primary ~coord ()
           in
           Delphic_cluster.Failover.start f;
           f)
@@ -784,7 +765,7 @@ let coord_cmd =
     Term.(
       const run $ seed $ port_arg $ host_arg $ workers_arg $ shard $ timeout
       $ replicas $ dial_timeout $ epoch $ standby_of $ lease_interval $ batch
-      $ proto $ max_conns_arg $ domains_arg)
+      $ max_conns_arg $ domains_arg)
 
 (* query: one-shot client for the service. *)
 

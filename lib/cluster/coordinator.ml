@@ -93,7 +93,6 @@ type t = {
   cutoff_bucket : float; (* window cutoffs quantize down to this grain *)
   seed : int;
   io : Rpc.io; (* socket ops for every worker connection (chaos hook) *)
-  proto : Rpc.proto; (* wire protocol spoken to every worker *)
   rng : Rng.t; (* backoff jitter; guarded by [lock] like everything else *)
   lock : Mutex.t;
   sessions : (string, session_info) Hashtbl.t;
@@ -136,7 +135,7 @@ type t = {
 
 let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
     ?(dial_timeout = 2.0) ?(retries = 3) ?(backoff = 0.05) ?(window = 256)
-    ?(batch = 64) ?(io = Rpc.default_io) ?(proto = Rpc.V2)
+    ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
     ?(clock = Unix.gettimeofday) ?(cutoff_bucket = 1.0) ?(epoch = 0)
     ?(read_only = false) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
@@ -181,7 +180,6 @@ let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
     cutoff_bucket;
     seed;
     io;
-    proto;
     rng = Rng.create ~seed:(seed lxor 0x2545F491);
     lock = Mutex.create ();
     sessions = Hashtbl.create 4;
@@ -355,8 +353,8 @@ let ensure_conn t w =
     else begin
       let rec attempt i =
         match
-          Rpc.connect ~io:t.io ~proto:t.proto ~dial_timeout:t.dial_timeout
-            ~host:w.host ~port:w.port ~timeout:t.timeout ()
+          Rpc.connect ~io:t.io ~dial_timeout:t.dial_timeout ~host:w.host
+            ~port:w.port ~timeout:t.timeout ()
         with
         | Ok conn ->
           if announce_epoch_on t w conn && resync t w conn then begin

@@ -2,7 +2,7 @@
 
     A coordinator owns a pool of workers — ordinary
     {!Delphic_server.Server} instances, unchanged — and presents the same
-    line protocol as a single server:
+    request protocol as a single server:
 
     - [OPEN] broadcasts, so every worker holds a same-parameter session;
     - [ADD]/[ADDB] scatter: each set is routed to one worker ({!sharding})
@@ -86,10 +86,10 @@ val create :
     every worker connection — the fault-injection hook: the chaos tests
     pass [Delphic_harness.Chaos] wrappers here and the coordinator's
     retry/quarantine/rejoin machinery runs against a deliberately lossy
-    transport.  [proto] (default {!Rpc.V2}, what the CLI speaks) selects
-    the wire protocol for every worker connection: v2 ships ADDB batches
-    and SKETCH replies as binary records (no %-armoring, ADDB
-    splice-journalled by the worker); [Rpc.V1] is the text protocol.
+    transport.  Every worker connection speaks wire v2 ({!Rpc}): ADDB
+    batches and SKETCH replies travel as binary records (no %-armoring,
+    ADDB splice-journalled by the worker).  [proto] is ignored, kept only
+    for source compatibility with callers that still pass [~proto:Rpc.V2].
     [timeout] (default 2s) bounds every connect/send/recv — a gather gives
     the {e whole} collect phase one [timeout] as a shared absolute deadline,
     so one slow worker costs at most one timeout however many are slow;

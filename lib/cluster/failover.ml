@@ -10,7 +10,6 @@ type t = {
   primary_port : int;
   interval : float;
   misses : int;
-  proto : Rpc.proto;
   dial_timeout : float;
   timeout : float;
   lock : Mutex.t;
@@ -26,7 +25,7 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ?(interval = 0.5) ?(misses = 3) ?(proto = Rpc.V1) ?(dial_timeout = 2.0)
+let create ?(interval = 0.5) ?(misses = 3) ?(dial_timeout = 2.0)
     ?(timeout = 2.0) ~primary:(primary_host, primary_port) ~coord () =
   if interval <= 0.0 then invalid_arg "Failover.create: need interval > 0";
   if misses < 1 then invalid_arg "Failover.create: need misses >= 1";
@@ -38,7 +37,6 @@ let create ?(interval = 0.5) ?(misses = 3) ?(proto = Rpc.V1) ?(dial_timeout = 2.
     primary_port;
     interval;
     misses;
-    proto;
     dial_timeout;
     timeout;
     lock = Mutex.create ();
@@ -67,7 +65,7 @@ let poll_once t =
     | Some c -> Some c
     | None -> (
       match
-        Rpc.connect ~proto:t.proto ~dial_timeout:t.dial_timeout ~host:t.primary_host
+        Rpc.connect ~dial_timeout:t.dial_timeout ~host:t.primary_host
           ~port:t.primary_port ~timeout:t.timeout ()
       with
       | Ok c ->

@@ -27,7 +27,6 @@ type t
 val create :
   ?interval:float ->
   ?misses:int ->
-  ?proto:Rpc.proto ->
   ?dial_timeout:float ->
   ?timeout:float ->
   primary:string * int ->

@@ -2,13 +2,15 @@ module P = Delphic_server.Protocol
 module Frame = Delphic_server.Frame
 module Evloop = Delphic_server.Evloop
 
-type proto = V1 | V2
+(* Kept only for source compatibility with callers that still name the
+   protocol: v2 is the one wire a client connection speaks. *)
+type proto = V2
 
 type recv_error =
-  | Timed_out  (** the deadline passed with no complete reply line; the peer
-                   may still be alive, but its reply stream can no longer be
-                   trusted to stay framed *)
-  | Closed of string  (** EOF, a transport error, or an unparseable line *)
+  | Timed_out  (** the deadline passed with no complete reply frame; the
+                   peer may still be alive, but its reply stream can no
+                   longer be trusted to stay framed *)
+  | Closed of string  (** EOF, a transport error, or a bad frame *)
 
 (* Dial failures are typed so the caller can tell a black-holed address (the
    bounded dial budget elapsed with no SYN-ACK — quarantine, long backoff)
@@ -33,31 +35,27 @@ type t = {
   io : io;
   host : string;
   port : int;
-  proto : proto;
   timeout : float; (* default per-recv budget when no deadline is given *)
-  (* Staged-but-unsent request lines: [stage] appends here without touching
+  (* Staged-but-unsent request frames: [stage] appends here without touching
      the socket, [flush_staged] ships the whole accumulation as one
      write+flush (writev-style coalescing).  [send]/[call] drain it first so
      a synchronous request can never leapfrog staged frames on the wire. *)
   buf : Buffer.t;
   (* Pooled v2 encode scratch: [stage] encodes each request body into this
-     sink and frames straight out of it, so small frames (batch-1 ADDB, the
-     v1-beating case) cost no per-request Buffer + string round trip. *)
+     sink and frames straight out of it, so small frames (batch-1 ADDB)
+     cost no per-request Buffer + string round trip. *)
   scratch : Frame.sink;
   (* Reads bypass in_channel: a raw [Unix.read] surfaces EAGAIN from
      SO_RCVTIMEO as a typed timeout instead of a Sys_error string, which is
      what lets [recv_timeout] tell "slow" from "dead".  Received bytes
      accumulate in one growable buffer: [rbuf.[rpos .. rlen-1]] is received
      but not yet consumed, always starting at a reply boundary.  A reply
-     spanning many reads is appended chunk by chunk in place and cut out
-     once; [scanned] is the absolute offset up to which the v1 newline
-     search already came up empty, so a long line is scanned once.  The
-     buffer grows to the largest reply seen (bounded by {!Frame.max_body}
-     plus one read) and is reused. *)
+     spanning many reads is appended chunk by chunk in place and decoded
+     once.  The buffer grows to the largest reply seen (bounded by
+     {!Frame.max_body} plus one read) and is reused. *)
   mutable rbuf : Bytes.t;
   mutable rpos : int;
   mutable rlen : int;
-  mutable scanned : int;
   (* the SO_RCVTIMEO value currently armed on [fd]: re-arming costs a
      syscall per read, and in the steady state every recv wants the same
      budget, so [read_chunk] skips the setsockopt when close enough.
@@ -96,7 +94,7 @@ let resolve host =
 (* Bytes asked of the kernel per read. *)
 let read_size = 65536
 
-let make_conn fd ~io ~host ~port ~proto ~timeout =
+let make_conn fd ~io ~host ~port ~timeout =
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
   let t =
     {
@@ -104,24 +102,22 @@ let make_conn fd ~io ~host ~port ~proto ~timeout =
       io;
       host;
       port;
-      proto;
       timeout;
       buf = Buffer.create 4096;
       scratch = Frame.sink_create 256;
       rbuf = Bytes.create (2 * read_size);
       rpos = 0;
       rlen = 0;
-      scanned = 0;
       armed = 0.0;
     }
   in
   (* The v2 preamble rides in the staging buffer: it reaches the wire ahead
      of the first staged frame in the same coalesced write, so protocol
      selection costs zero extra syscalls. *)
-  if proto = V2 then Buffer.add_string t.buf Frame.preamble;
+  Buffer.add_string t.buf Frame.preamble;
   t
 
-let connect ?(io = default_io) ?(proto = V1) ?(dial_timeout = 2.0) ~host ~port
+let connect ?(io = default_io) ?proto:_ ?(dial_timeout = 2.0) ~host ~port
     ~timeout () =
   Lazy.force ignore_sigpipe;
   match resolve host with
@@ -150,7 +146,7 @@ let connect ?(io = default_io) ?(proto = V1) ?(dial_timeout = 2.0) ~host ~port
         match Unix.getsockopt_error fd with
         | None ->
           Unix.clear_nonblock fd;
-          Ok (make_conn fd ~io ~host ~port ~proto ~timeout)
+          Ok (make_conn fd ~io ~host ~port ~timeout)
         | Some e -> fail e)
       | `Timeout -> timed_out ()
       | exception Unix.Unix_error (e, _, _) -> fail e)
@@ -158,16 +154,11 @@ let connect ?(io = default_io) ?(proto = V1) ?(dial_timeout = 2.0) ~host ~port
     | () ->
       (* loopback can connect synchronously even in nonblocking mode *)
       Unix.clear_nonblock fd;
-      Ok (make_conn fd ~io ~host ~port ~proto ~timeout))
+      Ok (make_conn fd ~io ~host ~port ~timeout))
 
 let stage t req =
-  match t.proto with
-  | V1 ->
-    Buffer.add_string t.buf (P.render_request req);
-    Buffer.add_char t.buf '\n'
-  | V2 ->
-    P.encode_request_v2_sink t.scratch req;
-    Frame.frame_sink_into t.buf t.scratch
+  P.encode_request_v2_sink t.scratch req;
+  Frame.frame_sink_into t.buf t.scratch
 
 let staged_bytes t = Buffer.length t.buf
 
@@ -187,7 +178,7 @@ let flush_staged t =
     let payload = Buffer.contents t.buf in
     (* Cleared unconditionally: on failure the caller quarantines the
        connection and replays from its own pending queue, so resending these
-       bytes on a fresh socket would duplicate frames mid-line. *)
+       bytes on a fresh socket would duplicate frames. *)
     Buffer.clear t.buf;
     match write_all t payload with
     | () -> Ok ()
@@ -211,7 +202,6 @@ let reserve t =
     in
     Bytes.blit t.rbuf t.rpos buf 0 live;
     t.rbuf <- buf;
-    t.scanned <- t.scanned - t.rpos;
     t.rpos <- 0;
     t.rlen <- live
   end
@@ -251,32 +241,12 @@ let consume t n =
   if t.rpos = t.rlen then begin
     t.rpos <- 0;
     t.rlen <- 0
-  end;
-  t.scanned <- t.rpos
+  end
 
-let rec read_line t ~deadline =
-  let rec find i =
-    if i >= t.rlen then None
-    else if Bytes.unsafe_get t.rbuf i = '\n' then Some i
-    else find (i + 1)
-  in
-  match find (Stdlib.max t.scanned t.rpos) with
-  | Some i ->
-    let line = Bytes.sub_string t.rbuf t.rpos (i - t.rpos) in
-    consume t (i + 1 - t.rpos);
-    Ok (P.parse_response line)
-  | None -> (
-    t.scanned <- t.rlen;
-    if t.rlen - t.rpos > Frame.max_body then Error (Closed "oversized reply line")
-    else
-      match read_chunk t ~deadline with
-      | Ok () -> read_line t ~deadline
-      | Error _ as e -> e)
-
-(* v2 replies are length-prefixed frames: the header says how much is
-   missing, so no rescan is needed; the CRC is checked and the body decoded
-   in place.  A CRC mismatch means the stream can no longer be trusted to
-   stay framed — same verdict as an unparseable line. *)
+(* Replies are length-prefixed frames: the header says how much is missing,
+   so no rescan is needed; the CRC is checked and the body decoded in place.
+   A CRC mismatch means the stream can no longer be trusted to stay framed —
+   same verdict as an undecodable body. *)
 let rec read_frame t ~deadline =
   let avail = t.rlen - t.rpos in
   let len = if avail >= 8 then Frame.read_be32_bytes t.rbuf t.rpos else -1 in
@@ -299,12 +269,7 @@ let recv_timeout ?deadline t =
   let deadline =
     match deadline with Some d -> d | None -> Unix.gettimeofday () +. t.timeout
   in
-  let reply =
-    match t.proto with
-    | V1 -> read_line t ~deadline
-    | V2 -> read_frame t ~deadline
-  in
-  match reply with
+  match read_frame t ~deadline with
   | Error _ as e -> e
   | Ok (Ok _ as ok) -> ok
   (* an unparseable reply means the stream is misframed — the connection is

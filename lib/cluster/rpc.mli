@@ -1,7 +1,9 @@
-(** One client connection to a worker, speaking either the v1 line protocol
-    of {!Delphic_server.Protocol} or wire protocol v2 (length-prefixed
-    CRC-framed binary, selected at {!connect}), with every blocking step
-    bounded by a deadline.
+(** One client connection to a worker (or to a coordinator's front end),
+    speaking wire protocol v2: a 4-byte preamble, then
+    {!Delphic_server.Frame}-framed bodies (length-prefixed, CRC-checked
+    binary) each way, with every blocking step bounded by a deadline.  The
+    v1 text protocol is the servers' human front door; no client here
+    speaks it.
 
     The coordinator cannot afford an unbounded stall on one worker while
     the others idle: {!connect} uses a nonblocking connect raced against
@@ -13,12 +15,11 @@
 
 type t
 
-type proto = V1 | V2
-(** [V1]: newline-delimited text.  [V2]: {!Delphic_server.Frame}-framed
-    bodies after a 4-byte preamble; [ADDB] payloads travel as raw bytes
+type proto = V2
+(** The one wire a connection speaks.  [ADDB] payloads travel as raw bytes
     with no %-armoring, and the server journals mutations by splicing the
-    received frame.  Both sides of a connection must agree — the server
-    auto-detects from the preamble. *)
+    received frame.  Kept only for source compatibility with callers that
+    still pass [~proto:V2]; it selects nothing. *)
 
 type io = {
   io_read : Unix.file_descr -> Bytes.t -> int -> int -> int;
@@ -37,15 +38,16 @@ val default_io : io
 
 type recv_error =
   | Timed_out
-      (** the budget passed without a complete reply line.  The peer may
+      (** the budget passed without a complete reply frame.  The peer may
           merely be slow — but a reply consumed after a timeout would land
           on a stream whose framing the caller has given up on, so the
           connection should be dropped either way; the constructor exists so
           that callers can {e log and decide} without matching on message
           strings. *)
   | Closed of string
-      (** EOF, a transport error, or an unparseable reply line (a misframed
-          stream is as dead as a closed one). *)
+      (** EOF, a transport error, or a reply frame that fails its CRC or
+          does not decode (a misframed stream is as dead as a closed
+          one). *)
 
 type connect_error =
   | Dial_timeout of float
@@ -66,8 +68,8 @@ val connect :
   host:string -> port:int -> timeout:float -> unit -> (t, connect_error) result
 (** [io] defaults to {!default_io}; a fault-injection harness passes its
     wrapped pair here (threaded through [Coordinator.create ?io]).  The
-    [io] hooks sit {e below} the framing, so chaos corruption on a [V2]
-    connection surfaces as CRC rejects.  [proto] defaults to [V1].
+    [io] hooks sit {e below} the framing, so chaos corruption surfaces as
+    CRC rejects.  [proto] is ignored (see {!proto}).
     [dial_timeout] (default 2s) bounds the TCP connect itself, separately
     from the per-reply [timeout]: a black-holed address costs exactly one
     dial budget and surfaces as {!connect_error.Dial_timeout}. *)
@@ -97,20 +99,20 @@ val staged_bytes : t -> int
 
 val flush_staged : t -> (unit, string) result
 (** Ship every staged request in one write+flush.  On [Error] the staged
-    bytes are discarded (a retry on the same socket could split a frame
-    mid-line); the caller is expected to drop the connection and replay
+    bytes are discarded (a retry on the same socket could split a frame);
+    the caller is expected to drop the connection and replay
     from its own pending queue. *)
 
 val recv_timeout :
   ?deadline:float -> t -> (Delphic_server.Protocol.response, recv_error) result
-(** Read one reply line, bounded by [deadline] (an [Unix.gettimeofday]
+(** Read one reply frame, bounded by [deadline] (an [Unix.gettimeofday]
     epoch; default now + the connect timeout).  The deadline bounds the
-    {e whole line}, not each read syscall, so the overlapped gather can hand
+    {e whole frame}, not each read syscall, so the overlapped gather can hand
     every worker the same absolute deadline and collect serially: a reply
     already sitting in the kernel buffer is returned even when the budget
     has been consumed by an earlier, slower worker, while a worker that has
     not answered by the deadline costs at most the remaining budget.
-    Partial lines read before a timeout stay buffered on the connection. *)
+    Partial frames read before a timeout stay buffered on the connection. *)
 
 val recv : t -> (Delphic_server.Protocol.response, string) result
 (** {!recv_timeout} with the connection's default budget and the error

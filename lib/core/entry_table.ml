@@ -186,15 +186,4 @@ struct
     let acc = ref acc in
     iter (fun x l ts -> acc := f x l ts !acc) t;
     !acc
-
-  (* [f x level ts] returns the entry's new level, or a negative number to
-     remove it; timestamps are kept. *)
-  let filter_map_inplace f t =
-    let hashes = t.hashes in
-    for i = 0 to Array.length hashes - 1 do
-      if Array.unsafe_get hashes i >= 0 then begin
-        let l = f t.keys.(i) t.levels.(i) (Float.Array.get t.stamps i) in
-        if l < 0 then kill t i else t.levels.(i) <- l
-      end
-    done
 end

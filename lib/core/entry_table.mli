@@ -47,10 +47,7 @@ end) : sig
       each timestamp it hands out. *)
 
   val filter_levels : (K.t -> int -> int) -> t -> unit
-  (** {!filter_map_inplace} without the timestamps (allocation-free). *)
-
-  val filter_map_inplace : (K.t -> int -> float -> int) -> t -> unit
-  (** [f x level ts] returns the entry's new level, or a negative number to
-      remove it; timestamps are kept.  Safe to call during no other
-      traversal. *)
+  (** [f x level] returns the entry's new level, or a negative number to
+      remove it; timestamps are kept.  Allocation-free; safe to call during
+      no other traversal. *)
 end

@@ -310,18 +310,6 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) = struct
       t.bucket;
     !acc /. (1.0 +. t.alpha)
 
-  (* Destructive expiry for fixed-horizon owners; query-time restriction
-     must use [estimate_window]. *)
-  let expire t ~cutoff =
-    Tbl.filter_map_inplace
-      (fun _ ((j, ts) as e) ->
-        if ts < cutoff then begin
-          note_remove t j;
-          None
-        end
-        else Some e)
-      t.bucket
-
   (* Membership probe, as in {!Vatic.Make.probe_level}: an element held at
      halving count j was retained with probability p_init·2^-j, so the
      Horvitz-Thompson membership weight is 2^(j - log2_p_init). *)

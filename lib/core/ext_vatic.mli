@@ -44,10 +44,6 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) : sig
       same [(1+α)] correction as {!estimate}.  Non-destructive and
       deterministic given the sketch. *)
 
-  val expire : t -> cutoff:float -> unit
-  (** Destructively drop entries older than [cutoff]; for fixed-horizon
-      owners only (see {!Vatic.Make.expire}). *)
-
   val sample_union : t -> A.elt option
   (** Approximate-uniform draw from [∪ S_i] (the conclusion's remark covers
       both algorithms): a uniform element of the minimum-probability

@@ -278,20 +278,6 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     Bucket.iter (fun _ l ts -> if ts >= cutoff then acc := !acc +. Float.ldexp 1.0 l) t.bucket;
     !acc
 
-  (* Destructive expiry: drop every entry whose last occurrence predates the
-     cutoff.  Only a fixed-horizon owner (the windowing layer) may call this —
-     a query-time window restriction must use {!estimate_window} so a small
-     window never corrupts later, larger-window queries. *)
-  let expire t ~cutoff =
-    Bucket.filter_map_inplace
-      (fun _ l ts ->
-        if ts < cutoff then begin
-          note_remove t l;
-          -1
-        end
-        else l)
-      t.bucket
-
   (* Membership probe for the expression evaluator: the bucket never holds
      an element outside ∪S_i, and holds x ∈ ∪S_i at level ℓ with probability
      2^-ℓ, so 1[held]·2^ℓ is an unbiased Horvitz-Thompson estimate of the

@@ -67,11 +67,6 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       sketch.  With [cutoff = neg_infinity] it equals
       {!estimate_horvitz_thompson} exactly. *)
 
-  val expire : t -> cutoff:float -> unit
-  (** Destructively drop every entry whose last occurrence predates
-      [cutoff].  For fixed-horizon owners (the {!Delphic_window} epoch
-      chain) only; query-time restriction must use {!estimate_window}. *)
-
   val sample_union : t -> F.elt option
   (** Approximate-uniform draw from [∪ S_i] (the adaptation noted in the
       paper's conclusion): a uniform element of the level-[p_0] subsample.

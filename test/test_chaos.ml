@@ -8,11 +8,10 @@
    settles back to the exact fault-free answer.
 
    Corruption is injected on the READ side only in the convergence runs: a
-   corrupted reply makes the coordinator drop the connection and replay
-   (at-least-once, duplicate-safe), while a corrupted *request* would make a
-   worker legitimately reject a payload as unparseable — a loss the
-   protocol reports in [parse_rejects] but cannot undo.  Write-side faults
-   here are the lossy-but-recoverable kinds: drop, partial, close. *)
+   corrupted reply fails its frame CRC, so the coordinator drops the
+   connection and replays (at-least-once, duplicate-safe).  Write-side
+   faults here are the lossy-but-recoverable kinds: drop, partial, close;
+   the fault mixes are the ones each seed was calibrated with. *)
 
 module Server = Delphic_server.Server
 module P = Delphic_server.Protocol
@@ -68,7 +67,7 @@ let truth boxes = Bigint.to_float (Exact.rectangle_union boxes)
 (* One seeded chaos run: ingest under faults, quiesce, assert exact
    reconvergence.  [write_cfg]/[read_cfg] are separate Chaos instances so
    the fault menus can differ per direction (see the header comment). *)
-let run_seed ?(proto = Rpc.V1) ~seed ~write_cfg ~read_cfg ~expect_faults () =
+let run_seed ~seed ~write_cfg ~read_cfg ~expect_faults () =
   let wbase = 40 + (seed mod 10 * 2) in
   let workers = [ start_worker wbase ~seed:(1000 + seed); start_worker (wbase + 1) ~seed:(2000 + seed) ] in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
@@ -88,7 +87,7 @@ let run_seed ?(proto = Rpc.V1) ~seed ~write_cfg ~read_cfg ~expect_faults () =
      gets plenty of socket operations to bite on *)
   let coord =
     Coordinator.create ~timeout:0.4 ~retries:2 ~backoff:0.01 ~batch:2 ~window:8
-      ~io ~proto ~workers:addrs ~seed:(77 + seed) ()
+      ~io ~workers:addrs ~seed:(77 + seed) ()
   in
   let name = Printf.sprintf "chaos-%d" seed in
   let gen = Rng.create ~seed:(31 + seed) in
@@ -141,8 +140,8 @@ let run_seed ?(proto = Rpc.V1) ~seed ~write_cfg ~read_cfg ~expect_faults () =
 
   (* settle: with the faults off the cluster must reconverge to the exact
      union.  Chaos can have torn payloads out of acknowledged frames (the
-     worker rejects the garble, the replay re-ships the real line), so
-     convergence may need the lost lines re-driven — duplicates cost
+     worker rejects the garble, the replay re-ships the real payload), so
+     convergence may need the lost payloads re-driven — duplicates cost
      nothing, silence would mean a hang, an overshoot means corruption got
      past the parse fences. *)
   let rec settle attempt =
@@ -181,7 +180,7 @@ let run_seed ?(proto = Rpc.V1) ~seed ~write_cfg ~read_cfg ~expect_faults () =
   rm_rf (spool wbase);
   rm_rf (spool (wbase + 1))
 
-(* The CI chaos suite: >= 8 seeds across three fault mixes. *)
+(* The CI chaos suite: 10 seeds across three fault mixes. *)
 let mixed seed =
   ( Chaos.config ~delay_p:0.1 ~max_delay:0.002 ~drop_p:0.04 ~partial_p:0.03
       ~close_p:0.03 ~seed (),
@@ -196,17 +195,13 @@ let corrupt_heavy seed =
   ( Chaos.config ~partial_p:0.04 ~seed (),
     Chaos.config ~close_p:0.03 ~corrupt_p:0.12 ~seed:(seed lxor 0x55) () )
 
+(* The chaos [io] hooks sit below the binary framing, so a flipped byte
+   lands inside a CRC-protected frame and must surface as a typed reject
+   (the worker drops the connection, the coordinator quarantines and
+   replays) — never as a desynced stream. *)
 let test_seed mix seed () =
   let write_cfg, read_cfg = mix seed in
   run_seed ~seed ~write_cfg ~read_cfg ~expect_faults:true ()
-
-(* The same gauntlet over wire protocol v2: the chaos [io] hooks sit below
-   the binary framing, so a flipped byte lands inside a CRC-protected frame
-   and must surface as a typed reject (the worker drops the connection, the
-   coordinator quarantines and replays) — never as a desynced stream. *)
-let test_seed_v2 mix seed () =
-  let write_cfg, read_cfg = mix seed in
-  run_seed ~proto:Rpc.V2 ~seed ~write_cfg ~read_cfg ~expect_faults:true ()
 
 let test_transparent () =
   (* all probabilities zero: the wrappers must be invisible *)
@@ -336,7 +331,7 @@ let suite =
     Alcotest.test_case "seed 97: corrupt-heavy reconverges exactly" `Quick
       (test_seed corrupt_heavy 97);
     Alcotest.test_case "seed 13: v2 mixed faults reconverge exactly" `Quick
-      (test_seed_v2 mixed 13);
+      (test_seed mixed 13);
     Alcotest.test_case "seed 29: v2 corrupt-heavy surfaces as CRC rejects" `Quick
-      (test_seed_v2 corrupt_heavy 29);
+      (test_seed corrupt_heavy 29);
   ]

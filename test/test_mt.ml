@@ -6,7 +6,6 @@
 module Server = Delphic_server.Server
 module Evgroup = Delphic_server.Evgroup
 module P = Delphic_server.Protocol
-module Rpc = Delphic_cluster.Rpc
 
 let fresh_dir =
   let n = ref 0 in
@@ -28,15 +27,12 @@ let fresh_dir =
     rm dir;
     dir
 
-let conn port =
-  match
-    Rpc.connect ~proto:Rpc.V1 ~host:"127.0.0.1" ~port ~timeout:30.0 ()
-  with
-  | Ok c -> c
-  | Error msg -> Alcotest.failf "connect: %s" (Rpc.describe_connect_error msg)
+(* Clients speak the v1 text front door, so the domain-sharded loops are
+   exercised through the same parse/render path humans use. *)
+let conn = Test_server.connect
 
 let call c req =
-  match Rpc.call c req with
+  match P.parse_response (Test_server.rpc c (P.render_request req)) with
   | Ok resp -> resp
   | Error msg -> Alcotest.failf "%s: %s" (P.render_request req) msg
 
@@ -84,14 +80,14 @@ let run_ops ~domains ops =
            Domain.spawn (fun () ->
                let c = conn port in
                List.iter (add c name) payloads;
-               Rpc.close c))
+               Test_server.disconnect c))
          ops
      in
      List.iter Domain.join doms
    end
    else List.iter (fun (name, payloads) -> List.iter (add ctl name) payloads) ops);
   let ests = List.map (fun (name, _) -> est ctl name) ops in
-  Rpc.close ctl;
+  Test_server.disconnect ctl;
   Server.request_stop s;
   Thread.join th;
   ests
@@ -139,12 +135,12 @@ let test_shared_session_equivalence () =
         Domain.spawn (fun () ->
             let c = conn port in
             List.iter (add c "shared") slice;
-            Rpc.close c))
+            Test_server.disconnect c))
       slices
   in
   List.iter Domain.join doms;
   let concurrent = est ctl "shared" in
-  Rpc.close ctl;
+  Test_server.disconnect ctl;
   Server.request_stop s;
   Thread.join th;
   Alcotest.(check (list string)) "EST equal" serial [ concurrent ]
@@ -191,7 +187,7 @@ let test_stats_verb () =
     Alcotest.(check int) "wal_groups" 9 st.P.wal_groups
   | Ok r -> Alcotest.failf "roundtrip: %s" (P.render_response r)
   | Error msg -> Alcotest.failf "roundtrip: %s" msg);
-  Rpc.close ctl;
+  Test_server.disconnect ctl;
   Server.request_stop s;
   Thread.join th
 
@@ -221,8 +217,8 @@ let test_round_robin_dispatch () =
           true (n >= 1))
       st.P.dispatched
   | r -> Alcotest.failf "STATS: %s" (P.render_response r));
-  List.iter Rpc.close clients;
-  Rpc.close ctl;
+  List.iter Test_server.disconnect clients;
+  Test_server.disconnect ctl;
   Server.request_stop s;
   Thread.join th
 

@@ -268,23 +268,35 @@ let test_sketch_token_paths () =
   in
   let srv = Server.create ~port:0 ~spool ~seed:3 () in
   let th = Server.start srv in
-  let fetch proto =
-    match Rpc.connect ~proto ~host:"127.0.0.1" ~port:(Server.port srv) ~timeout:5.0 () with
+  (* v1 over the text front door (render out, parse in), v2 over [Rpc] *)
+  let v1 =
+    let c = Test_server.connect (Server.port srv) in
+    Fun.protect
+      ~finally:(fun () -> Test_server.disconnect c)
+      (fun () ->
+        let call req =
+          match P.parse_response (Test_server.rpc c (P.render_request req)) with
+          | Ok r -> r
+          | Error e -> Alcotest.fail e
+        in
+        ignore (call (P.Open { session = "t"; family = P.Rect; epsilon = 0.3; delta = 0.2; log2_universe = 20.0 }));
+        ignore (call (P.Add_batch { session = "t"; payloads = [ "0 9 0 9"; "5 40 3 7" ]; ts = Some 2.5 }));
+        match call (P.Fetch { session = "t"; cutoff = None }) with
+        | P.Sketch tok -> tok
+        | r -> Alcotest.failf "SNAPSHOT: %s" (P.render_response r))
+  in
+  let v2 =
+    match Rpc.connect ~host:"127.0.0.1" ~port:(Server.port srv) ~timeout:5.0 () with
     | Error e -> Alcotest.fail (Rpc.describe_connect_error e)
     | Ok c ->
       Fun.protect
         ~finally:(fun () -> Rpc.close c)
         (fun () ->
-          if proto = Rpc.V1 then begin
-            ignore (Rpc.call c (P.Open { session = "t"; family = P.Rect; epsilon = 0.3; delta = 0.2; log2_universe = 20.0 }));
-            ignore (Rpc.call c (P.Add_batch { session = "t"; payloads = [ "0 9 0 9"; "5 40 3 7" ]; ts = Some 2.5 }))
-          end;
           match Rpc.call c (P.Fetch { session = "t"; cutoff = None }) with
           | Ok (P.Sketch tok) -> tok
           | Ok r -> Alcotest.failf "SNAPSHOT: %s" (P.render_response r)
           | Error e -> Alcotest.fail e)
   in
-  let v1 = fetch Rpc.V1 and v2 = fetch Rpc.V2 in
   Server.request_stop srv;
   Thread.join th;
   if Sys.file_exists spool then begin

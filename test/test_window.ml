@@ -1,5 +1,6 @@
-(* lib/window end to end: strategy invariants (window = ∞ equals the full
-   estimate, exponential-histogram chain bounds, expire-on-query), and
+(* Windowed estimation as [WIN] serves it: VATIC fed with [process ~ts]
+   and read through [estimate_window].  Invariants (a cutoff of -∞, or one
+   before the first arrival, equals the full Horvitz–Thompson estimate), and
    windowed accuracy against exact truth recomputed on the trailing suffix —
    over rect/dnf/cov/singleton pools under Poisson, bursty and Zipf-item
    arrival traces.
@@ -16,12 +17,9 @@ module T = Workload.Timestamped
 module Exact = Delphic_sets.Exact
 module Range1d = Delphic_sets.Range1d
 module Singleton = Delphic_sets.Singleton
-module Win = Delphic_window.Window
-module WR = Win.Make (Range1d)
+module VR = Delphic_core.Vatic.Make (Range1d)
 
-let epochs = Win.Epochs { epoch = 8.0; max_per_rank = 2 }
-
-(* --- the accuracy harness: estimate vs suffix-exact, both strategies ---
+(* --- the accuracy harness: estimate vs suffix-exact ---
 
    Documented bound (DESIGN.md "Windowed queries"): a windowed query is the
    Horvitz–Thompson sum over sampled entries at or after the cutoff.  It is
@@ -30,10 +28,10 @@ let epochs = Win.Epochs { epoch = 8.0; max_per_rank = 2 }
    stream; we run [trials] independent seeds and allow the δ-rate failures
    plus sampling-thinning slack by requiring at most 25% of trials outside
    ε_eff = 1.8ε relative error. *)
-let check_windowed (type s e) ~name ~trials ~epsilon ~log2_universe ~strategy
-    ~truth_of ~events ~windows
+let check_windowed (type s e) ~name ~trials ~epsilon ~log2_universe ~truth_of
+    ~events ~windows
     (module F : Delphic_family.Family.FAMILY with type t = s and type elt = e) =
-  let module W = Delphic_window.Window.Make (F) in
+  let module V = Delphic_core.Vatic.Make (F) in
   let now =
     List.fold_left (fun acc (e : s T.event) -> Float.max acc e.T.at) 0.0 events
   in
@@ -45,13 +43,11 @@ let check_windowed (type s e) ~name ~trials ~epsilon ~log2_universe ~strategy
       let eps_eff = 1.8 *. epsilon in
       let failures = ref 0 in
       for i = 0 to trials - 1 do
-        let w =
-          W.create ~strategy ~epsilon ~delta:0.2 ~log2_universe
-            ~seed:(4200 + (31 * i))
-            ()
+        let v =
+          V.create ~epsilon ~delta:0.2 ~log2_universe ~seed:(4200 + (31 * i)) ()
         in
-        List.iter (fun (e : s T.event) -> W.process w ~now:e.T.at e.T.item) events;
-        let est = W.query w ~now ~window in
+        List.iter (fun (e : s T.event) -> V.process ~ts:e.T.at v e.T.item) events;
+        let est = V.estimate_window v ~cutoff in
         if truth = 0.0 then begin
           (* nothing survives the cutoff: the HT sum must be exactly 0 *)
           if est <> 0.0 then incr failures
@@ -63,7 +59,7 @@ let check_windowed (type s e) ~name ~trials ~epsilon ~log2_universe ~strategy
           name window !failures trials eps_eff)
     windows
 
-(* --- range streams under Poisson and bursty clocks, both strategies --- *)
+(* --- range streams under a Poisson clock --- *)
 
 let range_events ~seed ~count ~stamp =
   let gen = Rng.create ~seed in
@@ -78,20 +74,8 @@ let test_ranges_poisson_tagged () =
         T.poisson gen ~rate:1.0 ~start:0.0 pool)
   in
   check_windowed ~name:"ranges/poisson/tagged" ~trials:10 ~epsilon:0.25
-    ~log2_universe:20.0 ~strategy:Win.Tagged ~truth_of:range_truth ~events
+    ~log2_universe:20.0 ~truth_of:range_truth ~events
     ~windows:[ 60.0; 150.0; infinity ]
-    (module Range1d)
-
-let test_ranges_bursty_epochs () =
-  let events =
-    range_events ~seed:302 ~count:200 ~stamp:(fun gen pool ->
-        T.bursty gen ~quiet:30.0 ~burst_len:40 ~burst_rate:4.0 ~start:0.0 pool)
-  in
-  check_windowed ~name:"ranges/bursty/epochs" ~trials:10 ~epsilon:0.25
-    ~log2_universe:20.0
-    ~strategy:(Win.Epochs { epoch = 8.0; max_per_rank = 2 })
-    ~truth_of:range_truth ~events
-    ~windows:[ 45.0; 120.0; infinity ]
     (module Range1d)
 
 (* --- rect / dnf / cov pools, one arrival shape each --- *)
@@ -103,7 +87,7 @@ let test_rect_poisson () =
   in
   let events = T.poisson gen ~rate:1.0 ~start:0.0 pool in
   check_windowed ~name:"rect/poisson/tagged" ~trials:8 ~epsilon:0.25
-    ~log2_universe:24.0 ~strategy:Win.Tagged
+    ~log2_universe:24.0
     ~truth_of:(fun p -> B.to_float (Exact.rectangle_union p))
     ~events
     ~windows:[ 50.0; infinity ]
@@ -117,49 +101,16 @@ let dnf_bursty_events () =
   T.bursty gen ~quiet:20.0 ~burst_len:30 ~burst_rate:2.0 ~start:0.0 pool
 
 (* DNF assignments recur across the whole trace (every satisfying assignment
-   of a term re-occurs with each later overlapping term), so this is the
-   Tagged strategy's home ground: exact cutoffs, no cross-epoch merge. *)
+   of a term re-occurs with each later overlapping term): the last-occurrence
+   tags must keep the refreshed entries inside the window. *)
 let test_dnf_bursty () =
   let events = dnf_bursty_events () in
   check_windowed ~name:"dnf/bursty/tagged" ~trials:8 ~epsilon:0.25
-    ~log2_universe:(float_of_int dnf_nvars) ~strategy:Win.Tagged
+    ~log2_universe:(float_of_int dnf_nvars)
     ~truth_of:(fun p -> B.to_float (Exact.dnf_count ~nvars:dnf_nvars p))
     ~events
     ~windows:[ 40.0; infinity ]
     (module Delphic_sets.Dnf)
-
-(* The same trace under Epochs pins the documented chain caveat (window.mli,
-   DESIGN.md): merge coins are independent across sub-sketches, so an element
-   recurring in several epochs can be counted once per sub-sketch holding it.
-   The fold's answer is upper-biased but two-sided bounded:
-   (1-ε_eff)·|∪|  <=  est  <=  (1+ε_eff)·(chain length)·|∪|,
-   since each live bucket's union is a subset of the full union. *)
-let test_dnf_epochs_overlap_bound () =
-  let events = dnf_bursty_events () in
-  let module W = Delphic_window.Window.Make (Delphic_sets.Dnf) in
-  let now = List.fold_left (fun acc (e : _ T.event) -> Float.max acc e.T.at) 0.0 events in
-  let truth = B.to_float (Exact.dnf_count ~nvars:dnf_nvars (T.items events)) in
-  let eps_eff = 1.8 *. 0.25 in
-  let failures = ref 0 in
-  let trials = 8 in
-  for i = 0 to trials - 1 do
-    let w =
-      W.create
-        ~strategy:(Win.Epochs { epoch = 10.0; max_per_rank = 2 })
-        ~epsilon:0.25 ~delta:0.2 ~log2_universe:(float_of_int dnf_nvars)
-        ~seed:(6100 + (31 * i))
-        ()
-    in
-    List.iter (fun (e : _ T.event) -> W.process w ~now:e.T.at e.T.item) events;
-    let chain = float_of_int (W.sub_sketches w) in
-    let est = W.query w ~now ~window:infinity in
-    let lo = (1.0 -. eps_eff) *. truth in
-    let hi = (1.0 +. eps_eff) *. chain *. truth in
-    if not (est >= lo && est <= hi) then incr failures
-  done;
-  if 4 * !failures > trials then
-    Alcotest.failf "dnf/epochs overlap bound: %d/%d trials escaped [lo, chain*hi]"
-      !failures trials
 
 let test_cov_diurnal () =
   let nbits = 14 and strength = 2 in
@@ -179,22 +130,22 @@ let test_cov_diurnal () =
     B.to_float (Exact.coverage_union ~strength vs)
   in
   let now = List.fold_left (fun acc e -> Float.max acc e.T.at) 0.0 stamped in
-  let module W = Delphic_window.Window.Make (Delphic_sets.Coverage) in
+  let module V = Delphic_core.Vatic.Make (Delphic_sets.Coverage) in
   List.iter
     (fun window ->
       let truth = truth_of_suffix (now -. window) in
       let failures = ref 0 in
       let trials = 8 in
       for i = 0 to trials - 1 do
-        let w =
-          W.create ~epsilon:0.25 ~delta:0.2
+        let v =
+          V.create ~epsilon:0.25 ~delta:0.2
             ~log2_universe:
               (B.log2 (Delphic_sets.Coverage.universe_size ~n:nbits ~strength))
             ~seed:(5200 + (31 * i))
             ()
         in
-        List.iter (fun (e : _ T.event) -> W.process w ~now:e.T.at e.T.item) stamped;
-        let est = W.query w ~now ~window in
+        List.iter (fun (e : _ T.event) -> V.process ~ts:e.T.at v e.T.item) stamped;
+        let est = V.estimate_window v ~cutoff:(now -. window) in
         if Float.abs (est -. truth) > 0.45 *. truth then incr failures
       done;
       if 4 * !failures > trials then
@@ -209,14 +160,16 @@ let test_singletons_zipf () =
   let pool = Workload.Singletons.zipf gen ~universe:40_000 ~count:400 ~exponent:1.1 in
   let events = T.poisson gen ~rate:2.0 ~start:0.0 pool in
   check_windowed ~name:"singletons/zipf/tagged" ~trials:10 ~epsilon:0.25
-    ~log2_universe:16.0 ~strategy:Win.Tagged
+    ~log2_universe:16.0
     ~truth_of:(fun p -> float_of_int (Exact.distinct (List.map Singleton.value p)))
     ~events
     ~windows:[ 60.0; infinity ]
     (module Singleton)
 
-(* --- qcheck: windowed = full when the window is infinite (both
-   strategies), over random range traces --- *)
+(* --- qcheck: windowed = full when the window covers the whole trace,
+   over random range traces.  [estimate_window] folds the bucket while
+   [estimate_horvitz_thompson] reads the level histogram, so equality checks
+   that the two views of the sketch agree. --- *)
 
 let gen_trace =
   QCheck.Gen.(
@@ -232,123 +185,38 @@ let build_trace (seed, count, rate, burst) =
   if burst then T.bursty gen ~quiet:10.0 ~burst_len:16 ~burst_rate:rate ~start:0.0 pool
   else T.poisson gen ~rate ~start:0.0 pool
 
+let sketch_of_trace ((seed, _, _, _) as cfg) =
+  let events = build_trace cfg in
+  let v = VR.create ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0 ~seed () in
+  List.iter (fun (e : _ T.event) -> VR.process ~ts:e.T.at v e.T.item) events;
+  (events, v)
+
 let prop_inf_window_is_full =
   QCheck.Test.make ~name:"window = inf equals the full estimate (random)" ~count:40
-    (QCheck.make gen_trace) (fun ((seed, _, _, _) as cfg) ->
-      let events = build_trace cfg in
-      let now = List.fold_left (fun acc e -> Float.max acc e.T.at) 0.0 events in
-      List.for_all
-        (fun strategy ->
-          let w =
-            WR.create ~strategy ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-              ~seed ()
-          in
-          List.iter (fun (e : _ T.event) -> WR.process w ~now:e.T.at e.T.item) events;
-          WR.query w ~now ~window:infinity = WR.estimate w)
-        [ Win.Tagged; Win.Epochs { epoch = 5.0; max_per_rank = 3 } ])
+    (QCheck.make gen_trace) (fun cfg ->
+      let _, v = sketch_of_trace cfg in
+      VR.estimate_window v ~cutoff:neg_infinity = VR.estimate_horvitz_thompson v)
 
-(* a window reaching behind the first arrival is the same as no window *)
+(* a cutoff before the first arrival is the same as no window *)
 let prop_covering_window_is_full =
   QCheck.Test.make ~name:"covering window equals the full estimate (random)"
-    ~count:40 (QCheck.make gen_trace) (fun ((seed, _, _, _) as cfg) ->
-      let events = build_trace cfg in
-      let now = List.fold_left (fun acc e -> Float.max acc e.T.at) 0.0 events in
-      let w =
-        WR.create ~strategy:Win.Tagged ~epsilon:0.3 ~delta:0.2
-          ~log2_universe:17.0 ~seed ()
-      in
-      List.iter (fun (e : _ T.event) -> WR.process w ~now:e.T.at e.T.item) events;
-      WR.query w ~now ~window:(now +. 10.0) = WR.estimate w)
-
-(* --- Epochs chain mechanics --- *)
-
-let feed_constant w ~count ~dt =
-  let gen = Rng.create ~seed:42 in
-  let pool = Workload.Ranges.uniform gen ~universe:100_000 ~count ~max_len:500 in
-  List.iteri (fun i r -> WR.process w ~now:(float_of_int i *. dt) r) pool
-
-let test_chain_is_logarithmic () =
-  let w =
-    WR.create ~strategy:epochs ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-      ~seed:9 ()
-  in
-  (* 1 set/second for 1024 s at epoch 8 s: 128 base epochs *)
-  feed_constant w ~count:1024 ~dt:1.0;
-  let base_epochs = 128.0 in
-  let bound =
-    (* max_per_rank buckets per rank, ranks 0..log2(base epochs), + head *)
-    (2 * (1 + int_of_float (Float.ceil (Float.log2 base_epochs)))) + 1
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "chain %d <= %d" (WR.sub_sketches w) bound)
-    true
-    (WR.sub_sketches w <= bound);
-  Alcotest.(check int) "every set counted" 1024 (WR.items w);
-  Alcotest.(check (float 0.0)) "clock high-water mark" 1023.0 (WR.last_seen w)
-
-let test_expire_on_query () =
-  let w =
-    WR.create ~strategy:epochs ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-      ~seed:11 ()
-  in
-  feed_constant w ~count:512 ~dt:1.0;
-  let before = WR.sub_sketches w in
-  (* only the last ~2 epochs stay live; everything older is dropped *)
-  let v = WR.query w ~now:511.0 ~window:16.0 in
-  let after = WR.sub_sketches w in
-  Alcotest.(check bool)
-    (Printf.sprintf "chain shrank (%d -> %d)" before after)
-    true (after < before);
-  Alcotest.(check bool) "windowed estimate sane" true (v >= 0.0);
-  (* dropping sealed epochs must not disturb a later covering query's
-     relation to the live suffix: still answers, still non-negative *)
-  let v' = WR.query w ~now:511.0 ~window:16.0 in
-  Alcotest.(check bool) "repeat query stable space" true (WR.sub_sketches w = after);
-  Alcotest.(check bool) "repeat query sane" true (v' >= 0.0)
-
-let test_late_arrival_absorbed () =
-  let w =
-    WR.create ~strategy:epochs ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-      ~seed:13 ()
-  in
-  WR.process w ~now:100.0 (Range1d.create ~lo:0 ~hi:9);
-  (* a stamp behind the open epoch is absorbed, never dropped *)
-  WR.process w ~now:40.0 (Range1d.create ~lo:100 ~hi:109);
-  Alcotest.(check int) "both sets counted" 2 (WR.items w);
-  Alcotest.(check (float 0.0)) "high-water mark keeps the max" 100.0 (WR.last_seen w);
-  let est = WR.query w ~now:100.0 ~window:infinity in
-  Alcotest.(check bool) "both contribute" true (est > 0.0)
+    ~count:40 (QCheck.make gen_trace) (fun cfg ->
+      let events, v = sketch_of_trace cfg in
+      let first = List.fold_left (fun acc e -> Float.min acc e.T.at) infinity events in
+      VR.estimate_window v ~cutoff:(first -. 10.0) = VR.estimate_horvitz_thompson v)
 
 let test_reoccurrence_refreshes () =
-  let w =
-    WR.create ~strategy:Win.Tagged ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-      ~seed:17 ()
-  in
+  let v = VR.create ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0 ~seed:17 () in
   let a = Range1d.create ~lo:0 ~hi:999 in
-  WR.process w ~now:0.0 a;
-  WR.process w ~now:50.0 (Range1d.create ~lo:5_000 ~hi:5_999);
-  WR.process w ~now:100.0 a;
+  VR.process ~ts:0.0 v a;
+  VR.process ~ts:50.0 v (Range1d.create ~lo:5_000 ~hi:5_999);
+  VR.process ~ts:100.0 v a;
   (* [a]'s last occurrence is t=100: a 10 s window must keep it whole *)
-  let est = WR.query w ~now:100.0 ~window:10.0 in
+  let est = VR.estimate_window v ~cutoff:90.0 in
   Alcotest.(check bool)
     (Printf.sprintf "refreshed window estimate %g near 1000" est)
     true
     (Float.abs (est -. 1000.0) <= 450.0)
-
-let test_validation () =
-  let mk strategy =
-    WR.create ~strategy ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0 ~seed:1 ()
-  in
-  (match mk (Win.Epochs { epoch = 0.0; max_per_rank = 2 }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "epoch 0 must be rejected");
-  (match mk (Win.Epochs { epoch = 1.0; max_per_rank = 1 }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "max_per_rank 1 must be rejected");
-  let w = mk Win.Tagged in
-  match WR.query w ~now:0.0 ~window:0.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "window 0 must be rejected"
 
 (* --- timestamped workload generators --- *)
 
@@ -389,18 +257,12 @@ let test_timestamped_generators () =
 let suite =
   [
     Alcotest.test_case "ranges poisson (tagged)" `Quick test_ranges_poisson_tagged;
-    Alcotest.test_case "ranges bursty (epochs)" `Quick test_ranges_bursty_epochs;
     Alcotest.test_case "rect poisson" `Quick test_rect_poisson;
     Alcotest.test_case "dnf bursty (tagged)" `Quick test_dnf_bursty;
-    Alcotest.test_case "dnf epochs overlap bound" `Quick test_dnf_epochs_overlap_bound;
     Alcotest.test_case "cov diurnal" `Quick test_cov_diurnal;
     Alcotest.test_case "singletons zipf" `Quick test_singletons_zipf;
     QCheck_alcotest.to_alcotest prop_inf_window_is_full;
     QCheck_alcotest.to_alcotest prop_covering_window_is_full;
-    Alcotest.test_case "epoch chain is logarithmic" `Quick test_chain_is_logarithmic;
-    Alcotest.test_case "expire on query" `Quick test_expire_on_query;
-    Alcotest.test_case "late arrival absorbed" `Quick test_late_arrival_absorbed;
     Alcotest.test_case "re-occurrence refreshes" `Quick test_reoccurrence_refreshes;
-    Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "timestamped generators" `Quick test_timestamped_generators;
   ]
