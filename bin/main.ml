@@ -618,34 +618,17 @@ let workers_arg =
     required & opt (some workers_conv) None & info [ "w"; "workers" ] ~docv:"HOST:PORT,..." ~doc)
 
 let coord_cmd =
-  let shard =
-    let doc = "Sharding policy: $(b,hash) (default; duplicate lines collapse) or $(b,rr)." in
-    let shard_conv =
-      Arg.conv
-        ( (function
-          | "hash" -> Ok Delphic_cluster.Coordinator.By_hash
-          | "rr" -> Ok Delphic_cluster.Coordinator.Round_robin
-          | s -> Error (`Msg (Printf.sprintf "%S: want hash or rr" s))),
-          fun ppf s ->
-            Format.pp_print_string ppf
-              (match s with
-              | Delphic_cluster.Coordinator.By_hash -> "hash"
-              | Delphic_cluster.Coordinator.Round_robin -> "rr") )
-    in
-    Arg.(
-      value & opt shard_conv Delphic_cluster.Coordinator.By_hash & info [ "shard" ] ~docv:"POLICY" ~doc)
-  in
   let timeout =
     let doc = "Per-worker connect/read/write timeout in seconds." in
     Arg.(value & opt float 2.0 & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let replicas =
     let doc =
-      "Route every set to $(docv) distinct workers (successive positions on \
-       the hash ring, clamped to the pool size).  With $(b,2) the cluster \
-       answers EST fresh through the loss of any single worker — union \
-       sketches are duplicate-insensitive, so replication never biases the \
-       estimate.  $(b,1) disables replication."
+      "Keep $(docv) full copies of each session, on its home ring position \
+       and the successors (clamped to the pool size).  A query reads one \
+       copy, so replication never changes the estimate; with $(b,2) the \
+       cluster answers EST fresh through the loss of any single worker.  \
+       $(b,1) disables replication."
     in
     Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"R" ~doc)
   in
@@ -706,12 +689,12 @@ let coord_cmd =
     in
     Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let run seed port host workers shard timeout replicas dial_timeout epoch
+  let run seed port host workers timeout replicas dial_timeout epoch
       standby_of lease_interval batch max_conns domains =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
     let domains = resolve_domains domains in
     let coord =
-      Delphic_cluster.Coordinator.create ~sharding:shard ~replicas ~timeout
+      Delphic_cluster.Coordinator.create ~replicas ~timeout
         ~dial_timeout ~epoch ~batch ~workers ~seed ()
     in
     let failover =
@@ -733,13 +716,10 @@ let coord_cmd =
     in
     Delphic_cluster.Frontend.install_signals frontend;
     Printf.printf
-      "delphic coord: listening on %s:%d, %d workers (%s sharding, %d replica%s%s)\n%!"
+      "delphic coord: listening on %s:%d, %d workers (%d replica%s%s)\n%!"
       host
       (Delphic_cluster.Frontend.port frontend)
       (List.length workers)
-      (match shard with
-      | Delphic_cluster.Coordinator.By_hash -> "hash"
-      | Delphic_cluster.Coordinator.Round_robin -> "round-robin")
       replicas
       (if replicas = 1 then "" else "s")
       (match standby_of with
@@ -752,9 +732,10 @@ let coord_cmd =
   in
   let doc =
     "Run the scatter/gather coordinator: speaks the same protocol as \
-     $(b,delphic serve), sharding ADDs across workers ($(b,--replicas) \
-     copies each) and answering EST by merging their sketches (DEGRADED is \
-     flagged only when some shard has no fresh replica at all).  EXPR \
+     $(b,delphic serve).  Each session lives on its home ring position \
+     and the successors ($(b,--replicas) full copies); ADDs go to every \
+     copy and EST reads one (DEGRADED is flagged only when no copy \
+     answers fresh).  EXPR \
      set-expression queries are answered coordinator-side from the same \
      gathered sketches — workers need no new verb.  With \
      $(b,--standby-of) the process is a warm standby that takes over with \
@@ -763,7 +744,7 @@ let coord_cmd =
   Cmd.v
     (Cmd.info "coord" ~doc)
     Term.(
-      const run $ seed $ port_arg $ host_arg $ workers_arg $ shard $ timeout
+      const run $ seed $ port_arg $ host_arg $ workers_arg $ timeout
       $ replicas $ dial_timeout $ epoch $ standby_of $ lease_interval $ batch
       $ max_conns_arg $ domains_arg)
 

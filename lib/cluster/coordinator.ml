@@ -7,11 +7,9 @@ let log_src = Logs.Src.create "delphic.cluster" ~doc:"scatter/gather coordinator
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type sharding = Round_robin | By_hash
-
 (* One wire frame awaiting its single reply line: either a legacy [ADD]
-   (one item) or an [ADDB] carrying the whole array.  [bitems] keeps each
-   payload's hop count so a replay after worker death still converges.
+   (one item) or an [ADDB]/[ADDL] carrying the whole array.  [bitems] keeps
+   each payload's hop count so a replay after worker death still converges.
    [bts] is the frame's ingest timestamp — [ADDB] stamps a whole frame, so
    only same-timestamp payloads share one; [None] lets the worker stamp its
    own receive time. *)
@@ -30,57 +28,51 @@ type worker = {
   mutable quarantined_until : float; (* epoch seconds; 0.0 = available *)
   mutable generation : int;
       (* the worker's HELLO generation at the last successful resync; 0 =
-         never asked, or a legacy worker that answers ERR UNSUPPORTED.  A
-         reconnect that reads the same nonzero generation is a connection
-         blip — the process (and its state) survived — and skips the
-         re-open/reinject sweep entirely. *)
+         never asked.  A reconnect that reads the same nonzero generation is
+         a connection blip — the process (and its state) survived — and
+         skips the re-open sweep. *)
   staged : (string * string * float option * int) Queue.t;
       (* routed but not yet framed: (session, payload, ts, hops).  Nothing
          here has touched the socket; a death replays these verbatim. *)
-  staged_log : (string * string * float option * int) Queue.t;
-      (* backup replica copies awaiting framing, shipped as ADDL frames.
-         The worker applies them on arrival just like ADDB; they stage
-         apart from [staged] only so each role coalesces into full-size
-         frames (the role alternates per payload hash, so one shared queue
-         would break same-role runs every few payloads). *)
   pending : batch Queue.t; (* frames on the wire, one reply line owed each *)
   mutable in_flight : int; (* payload units across [pending] *)
-  last_good : (string, string) Hashtbl.t;
-      (* session -> the worker's last cleanly decoded full sketch token *)
 }
 
+(* Where a session lives.  Its stream goes to one estimator, kept as full
+   copies on the [replicas] ring window that starts at [home]: the copies
+   are alternatives for a gather, never addends, so a healthy gather reads
+   one token and answers the single-stream (ε,δ) estimate. *)
 type session_info = {
   family : P.family;
   epsilon : float;
   delta : float;
   log2_universe : float;
-  mutable rr : int; (* round-robin cursor *)
+  home : int; (* ring position: [Hashtbl.hash name mod n] *)
+  members : worker list; (* the replica window from [home], in ring order *)
+  incomplete : bool array;
+      (* per worker id: a replica that missed what its peers took (skipped
+         while down, quarantined or disconnected, or back from a restart
+         without the session).  It is neither fed nor read until [replace]
+         overwrites it with a complete copy. *)
+  spills : (int, string option) Hashtbl.t;
+      (* workers outside the window that took payloads while no replica was
+         usable, each with its last good full token *)
+  mutable last_good : string option; (* the replicas' last good full token *)
   mutable last_estimate : float;
-  mutable degraded : bool; (* the last gather used stale or missing data *)
   mutable rejects : int; (* Bad_line acks seen for this session *)
-  mutable lost : int; (* adds dropped because no worker would take them *)
   mutable merges : int; (* gather folds performed *)
   (* Memoised fold: the cutoff and wire tokens of the last all-fresh gather
      and the sketch they folded to.  Workers encode lazily
-     ({!Registry.fetch}'s wire cache), so a quiescent cluster answers every
-     worker with a byte-identical token and the whole decode + fold is
-     skipped — repeated EST (and repeated WIN at a stable cutoff bucket) on
-     an idle cluster costs the RPCs alone. *)
+     ({!Registry.fetch}'s wire cache), so a quiescent cluster answers with
+     byte-identical tokens and the whole decode + fold is skipped —
+     repeated EST (and repeated WIN at a stable cutoff bucket) on an idle
+     cluster costs the RPCs alone. *)
   mutable fold_cache : (float option * string array * Families.t) option;
 }
 
 type t = {
   workers : worker array;
-  sharding : sharding;
-  replicas : int;
-      (* copies of each payload: routed to this many distinct live workers,
-         walking the ring from the shard's home position.  Replication buys
-         availability, not accuracy: a VATIC gather folds every replica's
-         sketch, and copies of one element on two workers carry independent
-         coins, so at R = 2 the sketch-regime answer is roughly doubled (the
-         merge caveat in DESIGN.md §3; ROADMAP item 1 tracks the fix).
-         Exact-regime answers are unaffected — their tables union
-         exactly. *)
+  replicas : int; (* full copies of each session, on successive ring positions *)
   timeout : float;
   dial_timeout : float; (* TCP connect budget, separate from [timeout] *)
   retries : int;
@@ -98,8 +90,8 @@ type t = {
   sessions : (string, session_info) Hashtbl.t;
   mutable seq : int; (* distinct seeds for successive folds *)
   (* Payloads refused by an ack (e.g. UNKNOWN-SESSION from a worker that
-     restarted with partial state): parked here by [retire_ack] — which can
-     run deep inside a drain — and re-routed at the next safe point. *)
+     lost the session): parked here by [retire_ack] — which can run deep
+     inside a drain — and re-routed at the next safe point. *)
   orphans : (string * string * float option * int) Queue.t;
   (* While a gather has Fetch requests on the wire, a dying worker must not
      trigger an immediate requeue: re-routing its orphans would stage new
@@ -128,14 +120,10 @@ type t = {
   mutable max_worker_epoch : int;
       (* highest epoch seen in any worker HELLO — the floor a takeover must
          clear, sourced from the workers because they are the durable truth *)
-  mutable last_shard_fresh : int array;
-      (* per-ring-position fresh-replica count from the most recent gather
-         (any session); feeds SRVSTATS [shard_fresh=] *)
 }
 
-let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
-    ?(dial_timeout = 2.0) ?(retries = 3) ?(backoff = 0.05) ?(window = 256)
-    ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
+let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
+    ?(backoff = 0.05) ?(window = 256) ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
     ?(clock = Unix.gettimeofday) ?(cutoff_bucket = 1.0) ?(epoch = 0)
     ?(read_only = false) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
@@ -162,13 +150,10 @@ let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
                quarantined_until = 0.0;
                generation = 0;
                staged = Queue.create ();
-               staged_log = Queue.create ();
                pending = Queue.create ();
                in_flight = 0;
-               last_good = Hashtbl.create 4;
              })
            workers);
-    sharding;
     replicas = Stdlib.min replicas (List.length workers);
     timeout;
     dial_timeout;
@@ -192,7 +177,6 @@ let create ?(sharding = By_hash) ?(replicas = 1) ?(timeout = 2.0)
     fenced_by = 0;
     read_only;
     max_worker_epoch = 0;
-    last_shard_fresh = Array.make (List.length workers) 0;
   }
 
 let with_lock t f =
@@ -204,6 +188,47 @@ let next_seed t =
   t.seed + (7919 * t.seq)
 
 let address w = Printf.sprintf "%s:%d" w.host w.port
+
+let new_session t name ~family ~epsilon ~delta ~log2_universe =
+  let n = Array.length t.workers in
+  let home = Hashtbl.hash name mod n in
+  {
+    family;
+    epsilon;
+    delta;
+    log2_universe;
+    home;
+    members = List.init t.replicas (fun j -> t.workers.((home + j) mod n));
+    incomplete = Array.make n false;
+    spills = Hashtbl.create 1;
+    last_good = None;
+    last_estimate = 0.0;
+    rejects = 0;
+    merges = 0;
+    fold_cache = None;
+  }
+
+(* A session this coordinator did not open may have spilled under its
+   previous owner, which left no record of where: every worker outside the
+   window is a spill holder until its token reads empty. *)
+let inherit_spills t si =
+  Array.iter
+    (fun w ->
+      if not (List.memq w si.members || Hashtbl.mem si.spills w.wid) then
+        Hashtbl.replace si.spills w.wid None)
+    t.workers
+
+let usable si w = w.conn <> None && not si.incomplete.(w.wid)
+
+let open_request name (si : session_info) =
+  P.Open
+    {
+      session = name;
+      family = si.family;
+      epsilon = si.epsilon;
+      delta = si.delta;
+      log2_universe = si.log2_universe;
+    }
 
 (* --- worker lifecycle: connect with bounded retry, quarantine on death --- *)
 
@@ -223,40 +248,182 @@ let quarantine t w =
         w.failures);
   !kill_requeue t w
 
-(* After a (re)connect the worker may be a fresh process: re-open every
-   session and reinject its last known state.  SESSION-EXISTS means the
-   worker kept its state across a connection blip — nothing to do. *)
-let full_resync t w conn =
+(* Retire the oldest pending frame against one ack-shaped reply — [OKB] for
+   an ADDB/ADDL, [OK] for a legacy single ADD. *)
+let retire_ack t w reply =
+  match Queue.take_opt w.pending with
+  | None -> w.in_flight <- 0 (* unreachable: in_flight tracks pending *)
+  | Some b -> (
+    w.in_flight <- w.in_flight - Array.length b.bitems;
+    let si = Hashtbl.find_opt t.sessions b.bsession in
+    let reject n = Option.iter (fun si -> si.rejects <- si.rejects + n) si in
+    match reply with
+    | P.Ok_reply _ -> ()
+    | P.Ok_batch { accepted = _; errors } -> reject (List.length errors)
+    | P.Error_reply (P.Bad_line _) ->
+      (* the whole frame was refused — for a 1-item ADD frame that is
+         exactly one rejected payload *)
+      reject (Array.length b.bitems)
+    | P.Error_reply (P.Fenced cur) ->
+      (* A newer primary fenced us mid-stream.  The frame is NOT re-routed:
+         every worker enforces the same fence, and the payloads now belong
+         to whoever holds the higher epoch.  Recording [fenced_by] makes
+         every later mutation fail fast at the front door. *)
+      if cur > t.fenced_by then t.fenced_by <- cur;
+      Log.warn (fun m ->
+          m "worker %s: ingest fenced by epoch %d — coordinator deposed" (address w)
+            cur);
+      reject (Array.length b.bitems)
+    | P.Error_reply e ->
+      (* Refused whole without being ingested — typically UNKNOWN-SESSION
+         from a worker that lost the session.  Counting the frame delivered
+         would silently lose its payloads: a replica that refused is no
+         longer complete, and the payloads are parked for re-routing at the
+         next safe point (retiring can run deep inside a drain, where
+         routing would recurse). *)
+      Log.warn (fun m ->
+          m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
+            (P.describe_error e) (Array.length b.bitems));
+      Option.iter
+        (fun si -> if List.memq w si.members then si.incomplete.(w.wid) <- true)
+        si;
+      Array.iter
+        (fun (payload, hops) ->
+          Queue.push (b.bsession, payload, b.bts, hops + 1) t.orphans)
+        b.bitems
+    | r ->
+      (* non-error, non-ack: the reply stream itself is suspect *)
+      Log.warn (fun m ->
+          m "worker %s: unexpected ingest ack %s" (address w) (P.render_response r)))
+
+(* Read reply lines until at most [down_to] payload units remain unacked.
+   One reply retires one whole frame.  On failure the unacked frames are
+   replayed through the router: at-least-once, and a set seen twice by one
+   estimator is a duplicate the union ignores. *)
+let rec drain_acks t w ~down_to =
+  if w.in_flight <= down_to then ()
+  else
+    match w.conn with
+    | None -> quarantine t w
+    | Some conn -> (
+      match Rpc.recv conn with
+      | Ok reply ->
+        retire_ack t w reply;
+        drain_acks t w ~down_to
+      | Error msg ->
+        Log.warn (fun m -> m "worker %s: lost while draining acks: %s" (address w) msg);
+        quarantine t w)
+
+(* A replica copy ships as a backup (ADDL, whose parse errors the worker
+   does not report back) unless [w] is the session's first usable replica,
+   so each reject is counted once.  A spill holder is the only copy. *)
+let backup t session w =
+  match Hashtbl.find_opt t.sessions session with
+  | None -> false
+  | Some si -> (
+    List.memq w si.members
+    && match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
+
+(* Frame [w.staged] into requests — consecutive same-session runs of up to
+   [t.batch] payloads each: ADDL for a backup copy, otherwise ADDB (a lone
+   payload as a legacy ADD) — stage them all on the connection, and ship
+   the accumulation as one coalesced write.  Frames enter [w.pending]
+   before the flush so a transport failure replays them via the quarantine
+   path. *)
+let flush_worker t w =
+  if not (Queue.is_empty w.staged) then
+    match w.conn with
+    | None ->
+      (* connection already gone with payloads still staged: hand them to
+         the re-router directly *)
+      !kill_requeue t w
+    | Some conn -> (
+      while not (Queue.is_empty w.staged) do
+        let s0, p0, ts0, h0 = Queue.pop w.staged in
+        let items = ref [ (p0, h0) ] in
+        let count = ref 1 in
+        let same_run = ref true in
+        (* an ADDB/ADDL frame carries one t=, so only same-timestamp runs
+           batch *)
+        while !same_run && !count < t.batch do
+          match Queue.peek_opt w.staged with
+          | Some (s, _, ts, _) when String.equal s s0 && ts = ts0 ->
+            let _, p, _, h = Queue.pop w.staged in
+            items := (p, h) :: !items;
+            incr count
+          | _ -> same_run := false
+        done;
+        let bitems = Array.of_list (List.rev !items) in
+        let payloads () = Array.to_list (Array.map fst bitems) in
+        let req =
+          if backup t s0 w then P.Add_log { session = s0; payloads = payloads (); ts = ts0 }
+          else
+            match bitems with
+            | [| (payload, _) |] -> P.Add { session = s0; payload; ts = ts0 }
+            | _ -> P.Add_batch { session = s0; payloads = payloads (); ts = ts0 }
+        in
+        Rpc.stage conn req;
+        Queue.push { bsession = s0; bts = ts0; bitems } w.pending;
+        w.in_flight <- w.in_flight + Array.length bitems
+      done;
+      match Rpc.flush_staged conn with
+      | Ok () -> ()
+      | Error msg ->
+        Log.warn (fun m -> m "worker %s: batch flush failed: %s" (address w) msg);
+        quarantine t w)
+
+(* Ship [w]'s staged frames, then keep the pipe at most [t.window] units
+   deep: past it, drain down to half the window so the pipe never fully
+   stalls.  This bounds what a gather waits for on one worker. *)
+let ship_worker t w =
+  flush_worker t w;
+  if w.conn <> None && w.in_flight >= t.window then
+    drain_acks t w ~down_to:(t.window / 2)
+
+(* Synchronous round-trip on [w]'s connection.  Pipelined ingest acks share
+   the reply stream with every other verb, so staged frames must be shipped
+   and every ack drained first: calling with acks in flight would read an
+   ingest ack as this request's reply and leave the stream permanently off
+   by one (a pending frame silently marked acked, later replies misframed).
+   Draining can itself kill the worker — and requeueing during a drain can
+   put new frames in flight on *other* workers — so both queues are
+   re-checked right before the call.  On transport failure the worker is
+   quarantined here; callers only decide fallback. *)
+let call_sync t w req =
+  flush_worker t w;
+  drain_acks t w ~down_to:0;
+  if w.in_flight > 0 || not (Queue.is_empty w.staged) then
+    Error "pending acks could not be drained"
+  else
+    match w.conn with
+    | None -> Error "connection lost while draining pending acks"
+    | Some conn -> (
+      match Rpc.call conn req with
+      | Ok _ as ok -> ok
+      | Error msg ->
+        quarantine t w;
+        Error msg)
+
+(* After a (re)connect to a new process, or at first contact: re-open every
+   session.  An OPEN that succeeds on a worker this coordinator knew before
+   means the process came back without the session, so its replica copy is
+   incomplete, and a spill holder gets its last good token merged back.
+   SESSION-EXISTS means the worker kept (or recovered) it. *)
+let reopen t w conn =
   let ok = ref true in
   Hashtbl.iter
     (fun name (si : session_info) ->
       if !ok then
-        match
-          Rpc.call conn
-            (P.Open
-               {
-                 session = name;
-                 family = si.family;
-                 epsilon = si.epsilon;
-                 delta = si.delta;
-                 log2_universe = si.log2_universe;
-               })
-        with
+        match Rpc.call conn (open_request name si) with
         | Ok (P.Ok_reply _) -> (
-          match Hashtbl.find_opt w.last_good name with
-          | None -> ()
-          | Some token -> (
-            Log.info (fun m ->
-                m "worker %s: reinjecting last good sketch of %s" (address w) name);
-            match Rpc.call conn (P.Merge { session = name; encoded = token }) with
+          if w.generation <> 0 && List.memq w si.members then
+            si.incomplete.(w.wid) <- true;
+          match Hashtbl.find_opt si.spills w.wid with
+          | Some (Some encoded) -> (
+            match Rpc.call conn (P.Merge { session = name; encoded }) with
             | Ok (P.Ok_reply _) -> ()
-            | Ok r ->
-              Log.warn (fun m ->
-                  m "worker %s: reinject failed: %s" (address w) (P.render_response r));
-              ok := false
-            | Error msg ->
-              Log.warn (fun m -> m "worker %s: reinject failed: %s" (address w) msg);
-              ok := false))
+            | _ -> ok := false)
+          | Some None | None -> ())
         | Ok (P.Error_reply (P.Session_exists _)) -> ()
         | Ok r ->
           Log.warn (fun m ->
@@ -271,41 +438,25 @@ let full_resync t w conn =
 
 (* Epoch-fenced rejoin.  HELLO asks the worker who it is: a nonzero
    generation equal to the one recorded at the last successful resync means
-   the same process answered — the disconnect was a connection blip, its
-   sessions and sketches are intact, and the re-open/reinject sweep (and
-   the duplicate MERGE traffic it ships) can be skipped.  Any other answer
-   — a new generation (restarted process, possibly recovered from its
-   journal minus the unsynced tail), a zero, or ERR UNSUPPORTED from a
-   pre-fencing worker — takes the full resync path, which is duplicate-safe
-   either way. *)
+   the same process answered — the disconnect was a connection blip and its
+   sessions are intact, so the re-open sweep is skipped.  Any other
+   generation — a restarted process, possibly recovered from its journal
+   minus the unsynced tail — is re-opened.  Either way a replica that
+   missed payloads while away is replaced afterwards ([repair_around]). *)
 let resync t w conn =
   match Rpc.call conn P.Hello with
-  | Ok (P.Hello_reply { generation; epoch })
-    when generation <> 0 && generation = w.generation ->
-    if epoch > t.max_worker_epoch then t.max_worker_epoch <- epoch;
-    Log.debug (fun m ->
-        m "worker %s: generation %d unchanged — state intact, skipping resync"
-          (address w) generation);
-    true
   | Ok (P.Hello_reply { generation; epoch }) ->
     if epoch > t.max_worker_epoch then t.max_worker_epoch <- epoch;
-    if w.generation <> 0 then
-      Log.info (fun m ->
-          m "worker %s: generation %d -> %d — restarted, re-driving state" (address w)
-            w.generation generation);
-    if full_resync t w conn then begin
-      w.generation <- generation;
-      true
+    if generation <> 0 && generation = w.generation then true
+    else begin
+      if w.generation <> 0 then
+        Log.info (fun m ->
+            m "worker %s: generation %d -> %d — restarted, re-opening sessions"
+              (address w) w.generation generation);
+      let ok = reopen t w conn in
+      if ok then w.generation <- generation;
+      ok
     end
-    else false
-  | Ok (P.Error_reply (P.Unknown_command verb)) ->
-    (* legacy worker: the ERR UNSUPPORTED reply echoes the verb it lacks;
-       no fence available, resync unconditionally *)
-    Log.info (fun m ->
-        m "worker %s: does not support %s — legacy worker, full resync" (address w)
-          (if verb = "" then "HELLO" else verb));
-    w.generation <- 0;
-    full_resync t w conn
   | Ok r ->
     Log.warn (fun m ->
         m "worker %s: HELLO answered %s" (address w) (P.render_response r));
@@ -317,9 +468,7 @@ let resync t w conn =
 (* Stamp a fresh connection with the coordinator's fencing epoch before any
    state-changing traffic rides it.  A FENCED refusal means a higher epoch
    (a standby that took over) owns the pool: this coordinator is deposed and
-   records the fact rather than fight the new primary.  Workers predating
-   the verb answer ERR UNSUPPORTED and join un-stamped (no fence available —
-   exactly the pre-fencing behaviour). *)
+   records the fact rather than fight the new primary. *)
 let announce_epoch_on t w conn =
   if t.epoch = 0 then true
   else
@@ -331,7 +480,6 @@ let announce_epoch_on t w conn =
           m "worker %s: epoch %d fenced by %d — this coordinator is deposed"
             (address w) t.epoch cur);
       false
-    | Ok (P.Error_reply (P.Unknown_command _)) -> true
     | Ok r ->
       Log.warn (fun m ->
           m "worker %s: COORD answered %s" (address w) (P.render_response r));
@@ -340,11 +488,66 @@ let announce_epoch_on t w conn =
       Log.warn (fun m -> m "worker %s: COORD failed: %s" (address w) msg);
       false
 
+(* Overwrite replica [w]'s copy of [name] with a complete one: CLOSE, OPEN,
+   then MERGE of a complete peer's freshly fetched token.  Never a merge
+   into what [w] still holds — that may overlap the peer's copy, and a
+   VATIC fold counts an element seen by two estimators twice as often.
+   When every replica is incomplete the session's last good token is the
+   best copy left.  While a complete replica exists but is down, [w]
+   waits for it. *)
+let replace t si name w =
+  let source =
+    match List.find_opt (fun p -> p != w && usable si p) si.members with
+    | Some p -> (
+      match call_sync t p (P.Fetch { session = name; cutoff = None }) with
+      | Ok (P.Sketch token) -> `Copy (Some token)
+      | Ok _ | Error _ -> `Wait)
+    | None when List.for_all (fun p -> si.incomplete.(p.wid)) si.members -> `Copy si.last_good
+    | None -> `Wait
+  in
+  match source with
+  | `Wait -> ()
+  | `Copy token ->
+    let step req =
+      match call_sync t w req with
+      | Ok (P.Ok_reply _) -> true
+      | Ok (P.Error_reply (P.Unknown_session _)) -> ( match req with P.Close _ -> true | _ -> false)
+      | Ok r ->
+        Log.warn (fun m ->
+            m "worker %s: replacing %s: %s" (address w) name (P.render_response r));
+        false
+      | Error _ -> false
+    in
+    let steps =
+      P.Close { session = name }
+      :: open_request name si
+      :: Option.to_list (Option.map (fun encoded -> P.Merge { session = name; encoded }) token)
+    in
+    if List.for_all step steps then begin
+      si.incomplete.(w.wid) <- false;
+      Log.info (fun m -> m "worker %s: replica of %s replaced" (address w) name)
+    end
+
+(* Replace every connected, incomplete replica of [name].  A standby reads
+   worker state but never rewrites it. *)
+let repair t si name =
+  if not t.read_only then
+    List.iter
+      (fun p -> if p.conn <> None && si.incomplete.(p.wid) then replace t si name p)
+      si.members
+
+(* After [w] rejoins, repair the sessions it serves: [w] itself may be
+   incomplete, or its peers may have been waiting for a complete copy such
+   as [w]'s. *)
+let repair_around t w =
+  Hashtbl.iter (fun name si -> if List.memq w si.members then repair t si name) t.sessions
+
 (* The worker's connection if it is usable now: an existing one, or a fresh
-   connect-announce-resync with [retries] attempts under exponential backoff.
-   [None] while quarantined or unreachable.  A dial timeout (black-holed
-   address) skips the in-round retries — each would burn a full dial budget
-   against a host that is not answering SYNs — and quarantines at once. *)
+   connect-announce-resync-repair with [retries] attempts under exponential
+   backoff.  [None] while quarantined or unreachable.  A dial timeout
+   (black-holed address) skips the in-round retries — each would burn a
+   full dial budget against a host that is not answering SYNs — and
+   quarantines at once. *)
 let ensure_conn t w =
   match w.conn with
   | Some c -> Some c
@@ -361,7 +564,8 @@ let ensure_conn t w =
             w.conn <- Some conn;
             w.failures <- 0;
             w.quarantined_until <- 0.0;
-            Some conn
+            repair_around t w;
+            w.conn
           end
           else begin
             Rpc.close conn;
@@ -388,189 +592,86 @@ let ensure_conn t w =
       attempt 0
     end
 
-(* --- batched pipelined scatter with at-least-once re-routing --- *)
+(* Take over a session whose placement history this coordinator never saw
+   (an earlier owner routed it): every worker outside the window is a spill
+   holder until its token reads empty, and each replica is read once.  The
+   fullest copy by item count becomes the last good token; a replica below
+   it, or silent, is incomplete and is replaced from a complete peer, now
+   or at its reconnect.  With no replica answering the flags stay as they
+   are. *)
+let adopt t si name =
+  inherit_spills t si;
+  let fetch w = call_sync t w (P.Fetch { session = name; cutoff = None }) in
+  let read w =
+    match Option.map (fun _ -> fetch w) (ensure_conn t w) with
+    | Some (Ok (P.Sketch tok)) ->
+      Result.to_option (Result.map (fun io -> ((Io.header io).Io.items, tok)) (Io.of_wire tok))
+    | _ -> None
+  in
+  let copies = List.map (fun w -> (w, read w)) si.members in
+  match List.fold_left (fun best (_, c) -> max best c) None copies with
+  | None -> ()
+  | Some (top, token) ->
+    si.last_good <- Some token;
+    List.iter (fun (w, c) -> si.incomplete.(w.wid) <- Option.map fst c <> Some top) copies;
+    repair t si name
+
+(* --- placement: a session's payloads go to its usable replicas --- *)
 
 let find_session t name =
   match Hashtbl.find_opt t.sessions name with
   | Some si -> Ok si
   | None -> Error (P.Unknown_session name)
 
-(* Retire the oldest pending frame against one ack-shaped reply — [OKB] for
-   an ADDB, [OK] for a legacy single ADD. *)
-let retire_ack t w reply =
-  match Queue.take_opt w.pending with
-  | None -> w.in_flight <- 0 (* unreachable: in_flight tracks pending *)
-  | Some b ->
-    w.in_flight <- w.in_flight - Array.length b.bitems;
-    let reject n =
-      if n > 0 then
-        match Hashtbl.find_opt t.sessions b.bsession with
-        | Some si -> si.rejects <- si.rejects + n
-        | None -> ()
+(* Where a session's next payload (or MERGE) goes: every usable replica of
+   its window, and a replica left out is marked incomplete.  With no
+   replica usable, the first live worker past the window takes it and is
+   recorded as a spill holder — the other replicas then miss nothing a
+   complete peer has.  [] when no worker is reachable. *)
+let targets t si =
+  match
+    List.filter (fun w -> Option.is_some (ensure_conn t w) && not si.incomplete.(w.wid)) si.members
+  with
+  | [] ->
+    let n = Array.length t.workers in
+    let rec spill i =
+      if i >= n then []
+      else
+        let w = t.workers.((si.home + i) mod n) in
+        if List.memq w si.members || Option.is_none (ensure_conn t w) then spill (i + 1)
+        else begin
+          if not (Hashtbl.mem si.spills w.wid) then Hashtbl.replace si.spills w.wid None;
+          [ w ]
+        end
     in
-    (match reply with
-    | P.Ok_reply _ -> ()
-    | P.Ok_batch { accepted = _; errors } -> reject (List.length errors)
-    | P.Error_reply (P.Bad_line _) ->
-      (* the whole frame was refused — for a 1-item ADD frame that is
-         exactly one rejected payload *)
-      reject (Array.length b.bitems)
-    | P.Error_reply (P.Fenced cur) ->
-      (* A newer primary fenced us mid-stream.  The frame is NOT re-routed:
-         every worker enforces the same fence, and the payloads now belong
-         to whoever holds the higher epoch.  Recording [fenced_by] makes
-         every later mutation fail fast at the front door. *)
-      if cur > t.fenced_by then t.fenced_by <- cur;
-      Log.warn (fun m ->
-          m "worker %s: ingest fenced by epoch %d — coordinator deposed" (address w)
-            cur);
-      reject (Array.length b.bitems)
-    | P.Error_reply e ->
-      (* Refused whole without being ingested — typically UNKNOWN-SESSION
-         from a worker that restarted mid-conversation with partial state.
-         Counting the frame delivered would silently lose its payloads;
-         park them for re-routing at the next safe point (retiring can run
-         deep inside a drain, where routing would recurse). *)
-      Log.warn (fun m ->
-          m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
-            (P.describe_error e) (Array.length b.bitems));
-      Array.iter
-        (fun (payload, hops) ->
-          Queue.push (b.bsession, payload, b.bts, hops + 1) t.orphans)
-        b.bitems
-    | r ->
-      (* non-error, non-ack: the reply stream itself is suspect *)
-      Log.warn (fun m ->
-          m "worker %s: unexpected ingest ack %s" (address w) (P.render_response r)))
+    spill t.replicas
+  | live ->
+    List.iter (fun w -> if not (List.memq w live) then si.incomplete.(w.wid) <- true) si.members;
+    live
 
-(* Read reply lines until at most [down_to] payload units remain unacked.
-   One reply retires one whole frame.  Union estimation is
-   duplicate-insensitive, so on failure the unacked frames can be replayed
-   on other workers without harming correctness. *)
-let rec drain_acks t w ~down_to =
-  if w.in_flight <= down_to then ()
-  else
-    match w.conn with
-    | None -> quarantine t w
-    | Some conn -> (
-      match Rpc.recv conn with
-      | Ok reply ->
-        retire_ack t w reply;
-        drain_acks t w ~down_to
-      | Error msg ->
-        Log.warn (fun m -> m "worker %s: lost while draining acks: %s" (address w) msg);
-        quarantine t w)
-
-let has_staged w = not (Queue.is_empty w.staged && Queue.is_empty w.staged_log)
-
-(* Frame [w.staged] into ADDB requests — consecutive same-session runs of up
-   to [t.batch] payloads each, a lone payload as a legacy ADD — and
-   [w.staged_log] into ADDL requests the same way, stage them
-   all on the connection, and ship the accumulation as one coalesced write.
-   Frames enter [w.pending] before the flush so a transport failure replays
-   them via the quarantine path. *)
-let flush_worker t w =
-  if has_staged w then
-    match w.conn with
-    | None ->
-      (* connection already gone with payloads still staged: hand them to
-         the re-router directly *)
-      !kill_requeue t w
-    | Some conn ->
-      let drain queue ~log =
-        while not (Queue.is_empty queue) do
-          let s0, p0, ts0, h0 = Queue.pop queue in
-          let items = ref [ (p0, h0) ] in
-          let count = ref 1 in
-          let same_run = ref true in
-          (* an ADDB/ADDL frame carries one t=, so only same-timestamp runs
-             batch *)
-          while !same_run && !count < t.batch do
-            match Queue.peek_opt queue with
-            | Some (s, _, ts, _) when String.equal s s0 && ts = ts0 ->
-              let _, p, _, h = Queue.pop queue in
-              items := (p, h) :: !items;
-              incr count
-            | _ -> same_run := false
-          done;
-          let bitems = Array.of_list (List.rev !items) in
-          let req =
-            if log then
-              P.Add_log
-                { session = s0; payloads = Array.to_list (Array.map fst bitems); ts = ts0 }
-            else
-              match bitems with
-              | [| (payload, _) |] -> P.Add { session = s0; payload; ts = ts0 }
-              | _ ->
-                P.Add_batch
-                  { session = s0; payloads = Array.to_list (Array.map fst bitems); ts = ts0 }
-          in
-          Rpc.stage conn req;
-          Queue.push { bsession = s0; bts = ts0; bitems } w.pending;
-          w.in_flight <- w.in_flight + Array.length bitems
-        done
-      in
-      drain w.staged ~log:false;
-      drain w.staged_log ~log:true;
-      (match Rpc.flush_staged conn with
-      | Ok () -> ()
-      | Error msg ->
-        Log.warn (fun m -> m "worker %s: batch flush failed: %s" (address w) msg);
-        quarantine t w)
-
-(* Ship [w]'s staged frames, then keep the pipe at most [t.window] units
-   deep: past it, drain down to half the window so the pipe never fully
-   stalls.  This bounds what a gather waits for on one worker. *)
-let ship_worker t w =
-  flush_worker t w;
-  if w.conn <> None && w.in_flight >= t.window then
-    drain_acks t w ~down_to:(t.window / 2)
-
-(* Route one payload to [t.replicas] distinct live workers, walking the
-   ring from [start] (the shard's home position) and giving up a copy after
-   every worker has been probed.  Dead ring positions are skipped, so under
-   failures the copies land on the next live successors — the gather's
-   coverage rule looks at the same successive window, and the union's
-   duplicate-insensitivity makes any extra placement harmless.  Routing
-   stages; a worker is shipped when its staging reaches the batch
-   high-water mark, and [add_batch] ships every worker before it returns.
-   [Ok] as soon as one copy is staged: fewer live workers than replicas
-   degrades redundancy, not availability. *)
-let route t si name payload ~ts ~start ~hops =
-  let n = Array.length t.workers in
-  if hops > n then begin
-    si.lost <- si.lost + 1;
+(* Stage one payload on its targets.  A worker is shipped when its staging
+   reaches the batch high-water mark, and [add_batch] ships every worker
+   before it returns.  [hops] counts re-routes after worker deaths; past
+   the pool size the payload is given up. *)
+let route t si name payload ~ts ~hops =
+  if hops > Array.length t.workers then
     Error (P.Server_error "no live worker accepted the set")
-  end
-  else begin
-    let want = Stdlib.min t.replicas n in
-    let placed = ref 0 in
-    let i = ref 0 in
-    while !placed < want && !i < n do
-      let w = t.workers.((start + !i) mod n) in
-      (match ensure_conn t w with
-      | None -> ()
-      | Some _conn ->
-        (* copy 0 is the primary (ADDB), later copies are backups (ADDL);
-           the worker applies both on arrival *)
-        Queue.push (name, payload, ts, hops)
-          (if !placed > 0 then w.staged_log else w.staged);
-        incr placed;
-        if Queue.length w.staged + Queue.length w.staged_log >= t.batch then
-          ship_worker t w);
-      incr i
-    done;
-    if !placed = 0 then begin
-      si.lost <- si.lost + 1;
-      Error (P.Server_error "no workers available")
-    end
-    else Ok ()
-  end
+  else
+    match targets t si with
+    | [] -> Error (P.Server_error "no workers available")
+    | ws ->
+      List.iter
+        (fun w ->
+          Queue.push (name, payload, ts, hops) w.staged;
+          if Queue.length w.staged >= t.batch then ship_worker t w)
+        ws;
+      Ok ()
 
 (* Re-route a dead worker's staged payloads and unacked frames — oldest
    (sent-but-unacked) first, then the never-sent staging queue; wired into
    [quarantine] via the forward reference because death and re-routing are
-   mutually recursive. *)
+   mutually recursive.  A payload a live replica already took lands there
+   again, which the union ignores. *)
 let requeue t w =
   let orphans = ref [] in
   Queue.iter
@@ -580,19 +681,14 @@ let requeue t w =
         b.bitems)
     w.pending;
   Queue.iter (fun item -> orphans := item :: !orphans) w.staged;
-  Queue.iter (fun item -> orphans := item :: !orphans) w.staged_log;
   Queue.clear w.pending;
   Queue.clear w.staged;
-  Queue.clear w.staged_log;
   w.in_flight <- 0;
   List.iter
     (fun (session, payload, ts, hops) ->
-      match Hashtbl.find_opt t.sessions session with
-      | None -> ()
-      | Some si -> (
-        match route t si session payload ~ts ~start:(w.wid + 1) ~hops:(hops + 1) with
-        | Ok () -> ()
-        | Error _ -> () (* already counted in si.lost *)))
+      Option.iter
+        (fun si -> ignore (route t si session payload ~ts ~hops:(hops + 1)))
+        (Hashtbl.find_opt t.sessions session))
     (List.rev !orphans)
 
 let () =
@@ -605,39 +701,6 @@ let () =
       end
       else requeue t w
 
-(* Synchronous round-trip on [w]'s connection.  Pipelined ingest acks share
-   the reply stream with every other verb, so staged frames must be shipped
-   and every ack drained first: calling with acks in flight would read an
-   ingest ack as this request's reply and leave the stream permanently off
-   by one (a pending frame silently marked acked, later replies misframed).
-   Draining can itself kill the worker — and requeueing during a drain can
-   put new frames in flight on *other* workers — so both queues are
-   re-checked right before the call.  On transport failure the worker is
-   quarantined here; callers only decide fallback. *)
-let call_sync t w req =
-  flush_worker t w;
-  drain_acks t w ~down_to:0;
-  if w.in_flight > 0 || has_staged w then Error "pending acks could not be drained"
-  else
-    match w.conn with
-    | None -> Error "connection lost while draining pending acks"
-    | Some conn -> (
-      match Rpc.call conn req with
-      | Ok _ as ok -> ok
-      | Error msg ->
-        quarantine t w;
-        Error msg)
-
-let shard_start t si payload =
-  match t.sharding with
-  | Round_robin ->
-    si.rr <- si.rr + 1;
-    si.rr mod Array.length t.workers
-  | By_hash ->
-    (* identical set lines land on one worker, so duplicate-heavy streams
-       cost nothing extra and cross-shard overlap stays geometric *)
-    Hashtbl.hash payload mod Array.length t.workers
-
 (* Re-route payloads parked by [retire_ack].  Deferred until no gather is
    collecting (new frames behind an un-collected Fetch are fine, but the
    drain a route can trigger is not) and until the drain that parked them
@@ -646,12 +709,9 @@ let reroute_orphans t =
   if not t.in_gather then
     while not (Queue.is_empty t.orphans) do
       let session, payload, ts, hops = Queue.pop t.orphans in
-      match Hashtbl.find_opt t.sessions session with
-      | None -> ()
-      | Some si -> (
-        match route t si session payload ~ts ~start:(shard_start t si payload) ~hops with
-        | Ok () -> ()
-        | Error _ -> () (* already counted in si.lost *))
+      Option.iter
+        (fun si -> ignore (route t si session payload ~ts ~hops))
+        (Hashtbl.find_opt t.sessions session)
     done
 
 (* --- public operations --- *)
@@ -681,6 +741,10 @@ let broadcast t req ~accept =
     t.workers;
   !failures
 
+(* OPEN goes to every worker, so any of them can later hold a spill and a
+   standby can rebuild the session table from any one.  The session is
+   registered after the broadcast: a worker that missed it is re-opened
+   (and its replica replaced) when it rejoins. *)
 let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
   with_lock t (fun () ->
       match mutation_guard t with
@@ -688,39 +752,30 @@ let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
       | Ok () ->
       if Hashtbl.mem t.sessions name then Error (P.Session_exists name)
       else begin
-        (* Register first: resync inside ensure_conn must re-open this
-           session on workers that connect during the broadcast. *)
-        Hashtbl.replace t.sessions name
-          {
-            family;
-            epsilon;
-            delta;
-            log2_universe;
-            rr = 0;
-            last_estimate = 0.0;
-            degraded = false;
-            rejects = 0;
-            lost = 0;
-            merges = 0;
-            fold_cache = None;
-          };
+        let existed = ref false in
         let failures =
           broadcast t
             (P.Open { session = name; family; epsilon; delta; log2_universe })
             ~accept:(function
-              | P.Ok_reply _ | P.Error_reply (P.Session_exists _) -> true
+              | P.Ok_reply _ -> true
+              | P.Error_reply (P.Session_exists _) ->
+                existed := true;
+                true
               | _ -> false)
         in
         let live =
           Array.fold_left (fun n w -> if w.conn <> None then n + 1 else n) 0 t.workers
         in
-        if live = 0 then begin
-          Hashtbl.remove t.sessions name;
+        if live = 0 then
           Error
             (P.Server_error
                (Printf.sprintf "no reachable workers: %s" (String.concat ", " failures)))
+        else begin
+          let si = new_session t name ~family ~epsilon ~delta ~log2_universe in
+          Hashtbl.replace t.sessions name si;
+          if !existed then adopt t si name;
+          Ok ()
         end
-        else Ok ()
       end)
 
 let add ?ts t ~name ~payload =
@@ -728,17 +783,16 @@ let add ?ts t ~name ~payload =
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
       | Error e -> Error e
       | Ok si ->
-        let r = route t si name payload ~ts ~start:(shard_start t si payload) ~hops:0 in
+        let r = route t si name payload ~ts ~hops:0 in
         reroute_orphans t;
         r)
 
-(* A whole client ADDB frame routed under one lock acquisition.  Each
-   payload still shards independently (By_hash must keep duplicates
-   colocated), so a frame may fan out across workers and re-batch there.
-   The frame is already a batch, so nothing is held back: every worker
-   with staged frames is shipped before the call returns, and the sets
-   reach the worker estimators without waiting for a read.  Shipping
-   repeats until nothing is staged, since a drain can park refused
+(* A whole client ADDB frame routed under one lock acquisition.  Every
+   payload of a session goes to the same replicas, so the frame re-batches
+   there whole.  The frame is already a batch, so nothing is held back:
+   every worker with staged frames is shipped before the call returns, and
+   the sets reach the worker estimators without waiting for a read.
+   Shipping repeats until nothing is staged, since a drain can park refused
    payloads and re-routing them stages more (bounded like [flush]). *)
 let add_batch ?ts t ~name ~payloads =
   with_lock t (fun () ->
@@ -749,12 +803,11 @@ let add_batch ?ts t ~name ~payloads =
         let errors = ref [] in
         List.iteri
           (fun i payload ->
-            match
-              route t si name payload ~ts ~start:(shard_start t si payload) ~hops:0
-            with
+            match route t si name payload ~ts ~hops:0 with
             | Ok () -> incr accepted
             | Error e -> errors := (i, P.describe_error e) :: !errors)
           payloads;
+        let has_staged w = not (Queue.is_empty w.staged) in
         let rec ship attempts =
           Array.iter (fun w -> if has_staged w then ship_worker t w) t.workers;
           reroute_orphans t;
@@ -776,209 +829,167 @@ let flush t =
     reroute_orphans t;
     if
       attempts > 0
-      && Array.exists (fun w -> w.in_flight > 0 || has_staged w) t.workers
+      && Array.exists
+           (fun w -> w.in_flight > 0 || not (Queue.is_empty w.staged))
+           t.workers
     then go (attempts - 1)
   in
   go (Array.length t.workers + 2)
 
-(* Gather every worker's sketch for [name] and fold.  A worker that cannot
-   answer contributes its last good snapshot (or nothing) and flags the
-   estimate degraded.
+(* Read one copy of [name] and fold in its spill holders.
 
-   The fetch round-trips overlap.  Phase one walks the pool doing only
-   writes: each connection's queued ADDB frames are shipped and the Fetch is
-   staged behind them in the same stream, so every worker starts encoding
-   its snapshot while its peers still receive theirs.  Phase two collects
-   each connection's replies — first the acks owed for frames sent before
-   the Fetch (the reply stream is strictly ordered, so reading exactly that
-   many keeps it framed), then the sketch — under one shared absolute
-   deadline: a slow worker can only burn whatever budget remains, and a
-   fast worker's already-buffered reply is still collected at budget zero,
-   so gather latency is max-of-workers, not sum-of-workers.  Phase three
-   decodes each token and folds all of them — fresh and stale alike — in
-   one k-way pass ({!Families.fold}): one table, one coin per distinct
-   element.
+   Phase one reconnects the replicas and the spill holders and repairs an
+   incomplete replica — by RPCs to its peers, so no Fetch may be on the
+   wire yet.  Then one Fetch is staged per spill holder, behind its
+   queued frames.  Phase two asks the first usable replica in ring order,
+   falling to the next one if it fails, and collects the spill holders —
+   all under one absolute deadline: first the acks owed for frames sent
+   before the Fetch (the reply stream is strictly ordered, so reading
+   exactly that many keeps it framed), then the sketch.  A fast worker's
+   already-buffered reply is still collected at budget zero, so the gather
+   costs max-of-workers, not sum; a replica is only asked while budget
+   remains, and gets an equal share of it with the usable replicas after
+   it, so a hung home leaves its peer the time to answer fresh.  Whatever
+   does not answer falls back to its last good token, and its position —
+   the home for the replicas, the ring position of a spill holder — goes
+   to [stale_shards].  Phase three decodes and folds:
+   with no spills the fold has one source and copies it verbatim, so a
+   healthy cluster answers exactly what one estimator would.
 
    [cutoff] makes the gather windowed: the absolute instant is computed once
-   by the caller and shipped verbatim in every Fetch, so all replicas expire
-   against the same wall-clock point.  A windowed gather never updates
-   [last_good] (a restricted sketch must not become the full-estimate
-   fallback) and memoises its fold under its own cutoff key.
-
-   Freshness is judged per {e ring position}, not per worker: with
-   [replicas = R] a payload homed at position [i] lives on the first R live
-   workers at positions [i, i+1, ...], so position [i] is covered as long as
-   {e any} worker in that window answered fresh this gather (1-of-R).  The
-   estimate is DEGRADED — and [stale_shards] names the positions — only
-   when some position has no fresh replica at all; stale last-good parts are
-   still folded in regardless (including extra data never hurts a union).
-   With R = 1 this degenerates to exactly the old per-worker rule. *)
+   by the caller and shipped verbatim in every Fetch, so all copies expire
+   against the same wall-clock point.  A windowed gather never updates a
+   last good token (a restricted sketch must not become the full-estimate
+   fallback) and memoises its fold under its own cutoff key. *)
 let gather ?cutoff t si name =
-  let deadline = Unix.gettimeofday () +. t.timeout in
-  let n = Array.length t.workers in
-  (* per worker: frames owed ahead of the sketch reply; -1 = never asked *)
-  let expect = Array.make n (-1) in
-  (* worker i answered this gather with a cleanly decodable fresh sketch *)
-  let fresh = Array.make n false in
-  let parts = ref [] in
-  (* per-position fresh-replica counts over the R-successor window, and the
-     uncovered positions; records the counts for SRVSTATS as a side effect *)
-  let coverage () =
-    let r = Stdlib.min t.replicas n in
-    let counts =
-      Array.init n (fun i ->
-          let c = ref 0 in
-          for j = 0 to r - 1 do
-            if fresh.((i + j) mod n) then incr c
-          done;
-          !c)
-    in
-    t.last_shard_fresh <- counts;
-    let stale = ref [] in
-    for i = n - 1 downto 0 do
-      if counts.(i) = 0 then stale := i :: !stale
-    done;
-    !stale
+  let spills =
+    Hashtbl.fold (fun wid good acc -> (t.workers.(wid), good) :: acc) si.spills []
+    |> List.sort (fun (a, _) (b, _) -> compare a.wid b.wid)
   in
   t.in_gather <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.in_gather <- false;
-      (* Re-route the orphans of workers that died mid-gather, now that no
-         un-collected sketch reply is left for a requeue to misframe. *)
-      while not (Queue.is_empty t.deferred_deaths) do
-        requeue t (Queue.pop t.deferred_deaths)
-      done;
-      reroute_orphans t)
-    (fun () ->
-      (* phase one: broadcast, per connection, no reads *)
-      Array.iteri
-        (fun i w ->
-          match ensure_conn t w with
-          | None -> ()
-          | Some _ ->
-            flush_worker t w;
-            (match w.conn with
-            | None -> ()
-            | Some conn ->
-              Rpc.stage conn (P.Fetch { session = name; cutoff });
-              (match Rpc.flush_staged conn with
-              | Ok () -> expect.(i) <- Queue.length w.pending
-              | Error msg ->
-                Log.warn (fun m ->
-                    m "worker %s: fetch broadcast failed: %s" (address w) msg);
-                quarantine t w)))
-        t.workers;
-      (* phase two: collect, each worker bounded by the shared deadline *)
-      Array.iteri
-        (fun i w ->
-          let stale () =
-            match Hashtbl.find_opt w.last_good name with
-            | Some token -> parts := (w, `Stale token) :: !parts
-            | None -> ()
-          in
-          if expect.(i) < 0 then stale ()
-          else
-            match w.conn with
-            | None -> stale ()
-            | Some conn -> (
-              let rec acks k =
-                if k = 0 then Ok ()
-                else
-                  match Rpc.recv_timeout ~deadline conn with
-                  | Ok reply ->
-                    retire_ack t w reply;
-                    acks (k - 1)
-                  | Error _ as e -> e
-              in
-              match acks expect.(i) with
-              | Error e ->
-                Log.warn (fun m ->
-                    m "worker %s: lost while draining acks: %s" (address w)
-                      (Rpc.describe_recv_error e));
-                quarantine t w;
-                stale ()
-              | Ok () -> (
-                match Rpc.recv_timeout ~deadline conn with
-                | Ok (P.Sketch encoded) ->
-                  fresh.(i) <- true;
-                  parts := (w, `Fresh encoded) :: !parts
-                | Ok (P.Error_reply (P.Unknown_session _)) ->
-                  (* a revived worker the resync could not refill *)
-                  stale ()
-                | Ok r ->
-                  Log.warn (fun m ->
-                      m "worker %s: SNAPSHOT answered %s" (address w)
-                        (P.render_response r));
-                  stale ()
-                | Error e ->
-                  (match e with
-                  | Rpc.Timed_out ->
-                    Log.warn (fun m ->
-                        m
-                          "worker %s: no sketch by the gather deadline — \
-                           falling back to its last good snapshot"
-                          (address w))
-                  | Rpc.Closed msg ->
-                    Log.warn (fun m ->
-                        m "worker %s: SNAPSHOT failed: %s" (address w) msg));
-                  quarantine t w;
-                  stale ())))
-        t.workers);
-  (* phase three: decode every token, fold them all in one pass *)
-  match List.rev !parts with
-  | [] ->
-    ignore (coverage ());
-    Error (P.Server_error "no worker holds any data for this session")
-  | parts_list -> (
-    (* every worker answered a fresh token off the wire: if they are
-       byte-identical to the last such gather, the fold is too *)
-    let all_fresh =
-      if not (Array.for_all Fun.id fresh) then None
-      else
-        let rec go acc = function
-          | [] -> Some (Array.of_list (List.rev acc))
-          | (_, `Fresh e) :: rest -> go (e :: acc) rest
-          | (_, `Stale _) :: _ -> None
+  let replica, spill_parts =
+    Fun.protect
+      ~finally:(fun () ->
+        t.in_gather <- false;
+        (* Re-route the orphans of workers that died mid-gather, now that no
+           un-collected sketch reply is left for a requeue to misframe. *)
+        while not (Queue.is_empty t.deferred_deaths) do
+          requeue t (Queue.pop t.deferred_deaths)
+        done;
+        reroute_orphans t)
+      (fun () ->
+        List.iter (fun w -> ignore (ensure_conn t w)) si.members;
+        List.iter (fun (w, _) -> ignore (ensure_conn t w)) spills;
+        repair t si name;
+        let deadline = Unix.gettimeofday () +. t.timeout in
+        (* stage the Fetch behind [w]'s frames: the acks owed ahead of it *)
+        let send w =
+          flush_worker t w;
+          match w.conn with
+          | None -> None
+          | Some conn -> (
+            Rpc.stage conn (P.Fetch { session = name; cutoff });
+            match Rpc.flush_staged conn with
+            | Ok () -> Some (Queue.length w.pending)
+            | Error msg ->
+              Log.warn (fun m -> m "worker %s: fetch failed: %s" (address w) msg);
+              quarantine t w;
+              None)
         in
-        go [] parts_list
-    in
-    let cached =
-      match (all_fresh, si.fold_cache) with
-      | Some encs, Some (prev_cut, prev, folded)
-        when prev_cut = cutoff
-             && Array.length prev = Array.length encs
-             && Array.for_all2 String.equal prev encs ->
-        Some folded
-      | _ -> None
-    in
-    match cached with
-    | Some folded ->
-      ignore (coverage ());
-      Ok (folded, false, [])
-    | None ->
-    let decode token = Result.to_option (Io.of_wire token) in
-    let last_good w = Option.bind (Hashtbl.find_opt w.last_good name) decode in
+        let collect ~by:deadline w owed =
+          match (owed, w.conn) with
+          | None, _ | _, None -> None
+          | Some owed, Some conn -> (
+            let rec acks k =
+              if k = 0 then Ok ()
+              else
+                match Rpc.recv_timeout ~deadline conn with
+                | Ok reply ->
+                  retire_ack t w reply;
+                  acks (k - 1)
+                | Error _ as e -> e
+            in
+            let fail what e =
+              Log.warn (fun m ->
+                  m "worker %s: %s: %s" (address w) what (Rpc.describe_recv_error e));
+              quarantine t w;
+              None
+            in
+            match acks owed with
+            | Error e -> fail "lost while draining acks" e
+            | Ok () -> (
+              match Rpc.recv_timeout ~deadline conn with
+              | Ok (P.Sketch encoded) -> Some encoded
+              | Ok r ->
+                (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
+                Log.warn (fun m ->
+                    m "worker %s: FETCH answered %s" (address w) (P.render_response r));
+                if List.memq w si.members then si.incomplete.(w.wid) <- true;
+                None
+              | Error e -> fail "no sketch by the gather deadline" e))
+        in
+        let owed = List.map (fun (w, good) -> (w, good, send w)) spills in
+        let rec read = function
+          | [] -> None
+          | w :: rest -> (
+            let now = Unix.gettimeofday () in
+            let share = float (List.length (List.filter (usable si) (w :: rest))) in
+            if not (usable si w && now < deadline) then read rest
+            else
+              match collect ~by:(now +. ((deadline -. now) /. share)) w (send w) with
+              | Some token -> Some token
+              | None -> read rest)
+        in
+        let replica = read si.members in
+        (replica, List.map (fun (w, good, k) -> (w, good, collect ~by:deadline w k)) owed))
+  in
+  (* phase three: (position, fresh token, fallback) per part, home first *)
+  let parts =
+    (`Home, replica, si.last_good)
+    :: List.map (fun (w, good, fresh) -> (`Spill w, fresh, good)) spill_parts
+  in
+  let all_fresh =
+    if List.for_all (fun (_, fresh, _) -> fresh <> None) parts then
+      Some (Array.of_list (List.filter_map (fun (_, fresh, _) -> fresh) parts))
+    else None
+  in
+  match (all_fresh, si.fold_cache) with
+  | Some encs, Some (prev_cut, prev, folded)
+    when prev_cut = cutoff
+         && Array.length prev = Array.length encs
+         && Array.for_all2 String.equal prev encs ->
+    Ok (folded, false, [])
+  | _ -> (
+    let stale = ref [] in
     let decoded =
       List.filter_map
-        (fun (w, part) ->
-          match part with
-          | `Stale token -> decode token
-          | `Fresh token -> (
+        (fun (part, fresh, fallback) ->
+          let position = match part with `Home -> si.home | `Spill w -> w.wid in
+          let fall_back () =
+            stale := position :: !stale;
+            Option.bind fallback (fun token -> Result.to_option (Io.of_wire token))
+          in
+          match fresh with
+          | None -> fall_back ()
+          | Some token -> (
             match Io.of_wire token with
-            | Ok io ->
-              (* a windowed token is a restricted view: never the fallback *)
-              if cutoff = None then Hashtbl.replace w.last_good name token;
-              Some io
             | Error msg ->
               (* a token that would not decode is no fresher than no token *)
-              fresh.(w.wid) <- false;
-              Log.warn (fun m -> m "worker %s: bad sketch: %s" (address w) msg);
-              last_good w))
-        parts_list
+              Log.warn (fun m -> m "session %s: bad sketch: %s" name msg);
+              fall_back ()
+            | Ok io ->
+              (* a windowed token is a restricted view: never the fallback *)
+              (if cutoff = None then
+                 match part with
+                 | `Home -> si.last_good <- Some token
+                 | `Spill w ->
+                   if (Io.header io).Io.items = 0 && fallback = None && not t.read_only then
+                     Hashtbl.remove si.spills w.wid
+                   else Hashtbl.replace si.spills w.wid (Some token));
+              Some io))
+        parts
     in
-    let stale_shards = coverage () in
-    let degraded = stale_shards <> [] in
+    let stale_shards = List.sort_uniq compare !stale in
     match decoded with
     | [] -> Error (P.Server_error "no worker holds any data for this session")
     | _ -> (
@@ -990,23 +1001,21 @@ let gather ?cutoff t si name =
         si.merges <- si.merges + (List.length decoded - 1);
         (* only a gather where every token decoded cleanly may seed the memo *)
         (match all_fresh with
-        | Some encs when Array.for_all Fun.id fresh ->
-          si.fold_cache <- Some (cutoff, encs, folded)
+        | Some encs when stale_shards = [] -> si.fold_cache <- Some (cutoff, encs, folded)
         | _ -> ());
-        Ok (folded, degraded, stale_shards)))
+        Ok (folded, stale_shards <> [], stale_shards)))
+
+(* Gather [name] under the lock and hand the session and the fold to [f]. *)
+let gathered ?cutoff t name f =
+  with_lock t (fun () ->
+      Result.bind (find_session t name) (fun si ->
+          Result.bind (gather ?cutoff t si name) (f si)))
 
 let estimate t ~name =
-  with_lock t (fun () ->
-      match find_session t name with
-      | Error e -> Error e
-      | Ok si -> (
-        match gather t si name with
-        | Error e -> Error e
-        | Ok (folded, degraded, stale_shards) ->
-          let value = Families.estimate folded in
-          si.last_estimate <- value;
-          si.degraded <- degraded;
-          Ok (value, degraded, stale_shards)))
+  gathered t name (fun si (folded, degraded, stale_shards) ->
+      let value = Families.estimate folded in
+      si.last_estimate <- value;
+      Ok (value, degraded, stale_shards))
 
 (* The query's absolute cutoff, computed once coordinator-side.  An
    un-pinned instant comes from the injectable clock and is quantized down
@@ -1024,47 +1033,34 @@ let win_cutoff t ~seconds ~at =
   instant -. seconds
 
 let win t ~name ~seconds ~at =
-  with_lock t (fun () ->
-      match find_session t name with
-      | Error e -> Error e
-      | Ok si ->
-        let cutoff = win_cutoff t ~seconds ~at in
-        (* an infinite window is a plain estimate: gather un-windowed so the
-           fetch shares EST's memo and refreshes [last_good] *)
-        let cutoff = if Float.is_finite cutoff then Some cutoff else None in
-        (match gather ?cutoff t si name with
-        | Error e -> Error e
-        | Ok (folded, degraded, stale_shards) ->
-          let value =
-            match cutoff with
-            | None -> Families.estimate folded
-            | Some c ->
-              (* re-filter on the fold: fresh parts are already restricted
-                 (no-op), but a degraded gather's stale full fallback still
-                 carries its timestamps and gets windowed correctly here *)
-              Families.estimate_window folded ~cutoff:c
-          in
-          si.degraded <- degraded;
-          Ok (value, degraded, stale_shards)))
+  let cutoff = win_cutoff t ~seconds ~at in
+  (* an infinite window is a plain estimate: gather un-windowed so the fetch
+     shares EST's memo and refreshes the last good token *)
+  let cutoff = if Float.is_finite cutoff then Some cutoff else None in
+  gathered ?cutoff t name (fun _ (folded, degraded, stale_shards) ->
+      let value =
+        match cutoff with
+        | None -> Families.estimate folded
+        | Some c ->
+          (* re-filter on the fold: fresh parts are already restricted
+             (no-op), but a degraded gather's stale full fallback still
+             carries its timestamps and gets windowed correctly here *)
+          Families.estimate_window folded ~cutoff:c
+      in
+      Ok (value, degraded, stale_shards))
 
 let stats t ~name =
-  with_lock t (fun () ->
-      match find_session t name with
-      | Error e -> Error e
-      | Ok si -> (
-        match gather t si name with
-        | Error e -> Error e
-        | Ok (folded, _, _) ->
-          Ok
-            {
-              P.family = Families.family_token folded;
-              items = Families.items folded;
-              entries = Families.entries folded;
-              exact = Families.is_exact folded;
-              last_estimate = si.last_estimate;
-              parse_rejects = si.rejects;
-              merges = si.merges;
-            }))
+  gathered t name (fun si (folded, _, _) ->
+      Ok
+        {
+          P.family = Families.family_token folded;
+          items = Families.items folded;
+          entries = Families.entries folded;
+          exact = Families.is_exact folded;
+          last_estimate = si.last_estimate;
+          parse_rejects = si.rejects;
+          merges = si.merges;
+        })
 
 (* An EXPR query needs no new worker verb: each leaf session is gathered
    exactly as EST gathers it — same degraded/last-good fallback, same
@@ -1166,59 +1162,46 @@ let expr_query ?w t ~expr ~m =
             | Error msg -> Error (P.Bad_params msg)))))
 
 let fetch ?cutoff t ~name =
-  with_lock t (fun () ->
-      match find_session t name with
-      | Error e -> Error e
-      | Ok si -> (
-        match gather ?cutoff t si name with
-        | Error e -> Error e
-        | Ok (folded, _, _) ->
-          (* restrict the encoded fold too: a degraded gather may have folded
-             in a stale, un-windowed fallback *)
-          Result.map_error
-            (fun msg -> P.Server_error msg)
-            (Families.encode ~merges:si.merges ?cutoff folded)))
+  gathered ?cutoff t name (fun si (folded, _, _) ->
+      (* restrict the encoded fold too: a degraded gather may have folded in
+         a stale, un-windowed fallback *)
+      Result.map_error
+        (fun msg -> P.Server_error msg)
+        (Families.encode ~merges:si.merges ?cutoff folded))
 
 let snapshot_to t ~name ~path =
-  with_lock t (fun () ->
-      match find_session t name with
-      | Error e -> Error e
-      | Ok si -> (
-        match gather t si name with
-        | Error e -> Error e
-        | Ok (folded, _, _) -> (
-          match Io.save ~path (Families.to_io ~merges:si.merges folded) with
-          | () -> Ok ()
-          | exception Sys_error msg -> Error (P.Io_error msg)
-          | exception Invalid_argument msg -> Error (P.Server_error msg))))
+  gathered t name (fun si (folded, _, _) ->
+      match Io.save ~path (Families.to_io ~merges:si.merges folded) with
+      | () -> Ok ()
+      | exception Sys_error msg -> Error (P.Io_error msg)
+      | exception Invalid_argument msg -> Error (P.Server_error msg))
 
-(* An externally supplied sketch joins the union through whichever worker
-   the round-robin cursor picks — the next gather folds it back in. *)
+(* An external sketch joins the session on every usable replica — each copy
+   must stay complete — or, with none usable, on a spill holder.  Its
+   elements carry coins independent of the session's own, so this fold is
+   the one where the merge caveat (DESIGN.md §3) applies. *)
 let merge_in t ~name ~encoded =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
       | Error e -> Error e
-      | Ok si ->
-        let n = Array.length t.workers in
-        si.rr <- si.rr + 1;
-        let start = si.rr mod n in
-        let rec try_from i =
-          if i >= n then Error (P.Server_error "no workers available")
-          else
-            let w = t.workers.((start + i) mod n) in
-            match ensure_conn t w with
-            | None -> try_from (i + 1)
-            | Some _ -> (
-              match call_sync t w (P.Merge { session = name; encoded }) with
-              | Ok (P.Ok_reply _) -> Ok ()
-              | Ok (P.Error_reply e) -> Error e
-              | Ok r ->
-                Error (P.Server_error ("unexpected MERGE reply " ^ P.render_response r))
-              | Error msg ->
-                Log.warn (fun m -> m "worker %s: MERGE failed: %s" (address w) msg);
-                try_from (i + 1))
+      | Ok si -> (
+        let merge w =
+          match call_sync t w (P.Merge { session = name; encoded }) with
+          | Ok (P.Ok_reply _) -> Ok ()
+          | Ok (P.Error_reply e) -> Error e
+          | Ok r -> Error (P.Server_error ("unexpected MERGE reply " ^ P.render_response r))
+          | Error msg ->
+            Log.warn (fun m -> m "worker %s: MERGE failed: %s" (address w) msg);
+            Error (P.Server_error msg)
         in
-        try_from 0)
+        match List.map (fun w -> (w, merge w)) (targets t si) with
+        | [] -> Error (P.Server_error "no workers available")
+        | results when List.exists (fun (_, r) -> Result.is_ok r) results ->
+          List.iter
+            (fun (w, r) -> if Result.is_error r then si.incomplete.(w.wid) <- true)
+            results;
+          Ok ()
+        | (_, first) :: _ -> first))
 
 let close t ~name =
   with_lock t (fun () ->
@@ -1232,7 +1215,6 @@ let close t ~name =
              ~accept:(function
                | P.Ok_reply _ | P.Error_reply (P.Unknown_session _) -> true
                | _ -> false));
-        Array.iter (fun w -> Hashtbl.remove w.last_good name) t.workers;
         Hashtbl.remove t.sessions name;
         Ok ())
 
@@ -1240,7 +1222,20 @@ let live_workers t =
   with_lock t (fun () ->
       Array.fold_left (fun n w -> if w.conn <> None then n + 1 else n) 0 t.workers)
 
-let shard_freshness t = with_lock t (fun () -> Array.to_list t.last_shard_fresh)
+(* Per ring position, the live replicas of its window that are complete for
+   every session homed there. *)
+let shard_freshness t =
+  with_lock t (fun () ->
+      let n = Array.length t.workers in
+      List.init n (fun pos ->
+          let complete w =
+            w.conn <> None
+            && Hashtbl.fold
+                 (fun _ si ok -> ok && (si.home <> pos || not si.incomplete.(w.wid)))
+                 t.sessions true
+          in
+          List.length
+            (List.filter complete (List.init t.replicas (fun j -> t.workers.((pos + j) mod n))))))
 
 let epoch t = with_lock t (fun () -> t.epoch)
 
@@ -1248,7 +1243,14 @@ let is_fenced t = with_lock t (fun () -> t.fenced_by > t.epoch)
 
 let is_read_only t = with_lock t (fun () -> t.read_only)
 
-let set_read_only t flag = with_lock t (fun () -> t.read_only <- flag)
+(* Promotion re-derives every session's placement from the workers: a
+   standby never saw which replicas the old primary skipped or where it
+   spilled. *)
+let set_read_only t flag =
+  with_lock t (fun () ->
+      let promote = t.read_only && not flag in
+      t.read_only <- flag;
+      if promote then Hashtbl.iter (fun name si -> adopt t si name) t.sessions)
 
 (* The floor a takeover epoch must clear: everything this coordinator has
    ever announced, been fenced by, or seen a worker carry.  Probes every
@@ -1312,25 +1314,17 @@ let sync_sessions t =
                             (address w) d.P.sd_name d.P.sd_family)
                     | Ok family ->
                       incr added;
-                      Hashtbl.replace t.sessions d.P.sd_name
-                        {
-                          family;
-                          epsilon = d.P.sd_epsilon;
-                          delta = d.P.sd_delta;
-                          log2_universe = d.P.sd_log2_universe;
-                          rr = 0;
-                          last_estimate = 0.0;
-                          degraded = false;
-                          rejects = 0;
-                          lost = 0;
-                          merges = 0;
-                          fold_cache = None;
-                        })
+                      let si =
+                        new_session t d.P.sd_name ~family ~epsilon:d.P.sd_epsilon
+                          ~delta:d.P.sd_delta ~log2_universe:d.P.sd_log2_universe
+                      in
+                      inherit_spills t si;
+                      Hashtbl.replace t.sessions d.P.sd_name si)
                 descs
-            | Ok (P.Error_reply (P.Unknown_command _)) -> () (* legacy worker *)
             | Ok r ->
               Log.warn (fun m ->
-                  m "worker %s: SESSIONS answered %s" (address w) (P.render_response r))
+                  m "worker %s: SESSIONS answered %s" (address w) (P.render_response r));
+              quarantine t w
             | Error msg ->
               Log.warn (fun m -> m "worker %s: SESSIONS failed: %s" (address w) msg)))
         t.workers;

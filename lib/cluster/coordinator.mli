@@ -2,50 +2,48 @@
 
     A coordinator owns a pool of workers — ordinary
     {!Delphic_server.Server} instances, unchanged — and presents the same
-    request protocol as a single server:
+    request protocol as a single server.  One placement rule: a session
+    lives on its ring window.  Its home is position
+    [Hashtbl.hash session mod n], and the [replicas] workers from there on
+    each hold a full copy of its one estimator.
 
     - [OPEN] broadcasts, so every worker holds a same-parameter session;
-    - [ADD]/[ADDB] scatter: each set is routed to one worker ({!sharding})
-      and staged there; staged payloads are framed into [ADDB] batches
-      (consecutive same-session runs, up to [batch] payloads per frame) and
-      shipped as one coalesced write when the staging queue hits the batch
-      high-water mark, with a bounded window of unacknowledged payloads;
-    - [EST]/[STATS]/[SNAPSHOT] gather: every worker ships its sketch
-      ([SNAPSHOT <sid>] wire form, a binary snapshot token) and the
-      coordinator folds all of them in one pass with
-      {!Delphic_server.Families.fold}.
+    - [ADD]/[ADDB] go to every usable replica of the session — [ADDB] to
+      the first, [ADDL] (a backup copy, applied on arrival) to the rest —
+      and are framed into batches (consecutive same-session runs, up to
+      [batch] payloads per frame) shipped as one coalesced write when the
+      staging queue hits the batch high-water mark, with a bounded window
+      of unacknowledged payloads;
+    - [EST]/[WIN]/[STATS]/[SNAPSHOT]/[EXPR] read one copy: the first
+      usable replica in ring order ships its sketch (a binary snapshot
+      token), and the coordinator decodes it.  Replicas are alternatives,
+      never addends, so a healthy cluster answers exactly what one
+      estimator over the whole stream would — the (ε,δ) guarantee of the
+      paper.
 
     Failure handling: every RPC is bounded by a timeout ({!Rpc}); a worker
     that fails is quarantined with exponential backoff and its staged
     payloads plus every unacknowledged frame are replayed {e payload by
-    payload} on the survivors — safe because union estimation is
-    duplicate-insensitive, so at-least-once delivery never biases the
-    answer.  A gather that had to fall back to a dead worker's
-    last fetched sketch (or found nothing at all) flags the estimate
-    [degraded] in the reply.  A worker that comes back is interrogated with
-    [HELLO] first: if it answers the same generation it had before the
-    disconnect, the process (and its state) survived a mere connection blip
-    and it rejoins as-is; a new generation — a restarted process, possibly
-    recovered from its write-ahead journal minus the unsynced tail — gets
-    re-opened and refilled from its last good sketch before rejoining, and
-    an acknowledgement-time refusal (e.g. [UNKNOWN-SESSION] from a worker
-    that lost state mid-conversation) re-routes the refused payloads
-    instead of counting them delivered.
-
-    With [By_hash] sharding, duplicate set lines always land on the same
-    worker, so cross-shard overlap is limited to geometrically overlapping
-    {e distinct} sets — see DESIGN.md on merge semantics for why that keeps
-    the sharded estimate within the single-stream envelope on realistic
-    workloads. *)
+    payload} through the same placement — at-least-once, and a set an
+    estimator sees twice is a duplicate the union ignores.  A replica
+    skipped while it was away is {e incomplete}: it is neither fed nor
+    read until, at its reconnect, it is replaced by a complete peer's copy
+    ([CLOSE], [OPEN], [MERGE] of a freshly fetched token).  Only while no
+    replica is usable does a payload spill to the next live worker past
+    the window; a gather folds such spill holders in alongside the
+    replica's token.  A gather that had to fall back to a last good token
+    (or found nothing at all) flags the estimate [degraded] in the reply.
+    A worker that comes back is interrogated with [HELLO] first: the same
+    generation means a connection blip, so its sessions survived; a new
+    generation — a restarted process, possibly recovered from its
+    write-ahead journal — gets every session re-opened, and a replica that
+    comes back without its session is incomplete.  An
+    acknowledgement-time refusal (e.g. [UNKNOWN-SESSION]) re-routes the
+    refused payloads instead of counting them delivered. *)
 
 type t
 
-type sharding =
-  | Round_robin  (** spread by arrival order *)
-  | By_hash  (** route by hash of the set line; duplicates collapse *)
-
 val create :
-  ?sharding:sharding ->
   ?replicas:int ->
   ?timeout:float ->
   ?dial_timeout:float ->
@@ -64,14 +62,10 @@ val create :
   unit ->
   t
 (** [workers] are [host, port] pairs; connections are opened lazily.
-    [replicas] (default 1) routes every payload to that many {e distinct}
-    live workers — the shard's home ring position and its successors, dead
-    positions skipped — so any single worker can be lost with no estimate
-    degradation: a gather is fresh for a position as long as {e any} of its
-    R-successor window answered (clamped to the pool size).  Replication
-    buys availability, not accuracy: in the sketch regime a gather folds
-    every replica's bucket with independent coins, so R = 2 roughly doubles
-    the answer (DESIGN.md §3, the merge caveat).
+    [replicas] (default 1, clamped to the pool size) is the number of full
+    copies of each session, on its home ring position and the successors:
+    with R = 2 any single worker can be lost with no estimate degradation,
+    because the gather reads the surviving copy.
     [dial_timeout] (default 2s) bounds each TCP connect separately from the
     per-reply [timeout]; a dial that times out (black-holed host) skips the
     in-round retries and quarantines at once.
@@ -92,7 +86,9 @@ val create :
     for source compatibility with callers that still pass [~proto:Rpc.V2].
     [timeout] (default 2s) bounds every connect/send/recv — a gather gives
     the {e whole} collect phase one [timeout] as a shared absolute deadline,
-    so one slow worker costs at most one timeout however many are slow;
+    so one slow worker costs at most one timeout however many are slow, and
+    each replica asked gets an equal share of what is left with the usable
+    replicas after it, so a hung home leaves its peer time to answer fresh;
     [retries] (default 3) bounds reconnect attempts, with delays starting at
     [backoff] (default 50ms) and doubling; [window] (default 256) is the
     unacknowledged-payload depth per worker; [batch] (default 64) is both
@@ -121,13 +117,19 @@ val open_session :
   log2_universe:float ->
   (unit, Delphic_server.Protocol.error) result
 (** Fails only if {e no} worker is reachable; workers joining later are
-    brought up to date by the resync-on-reconnect path. *)
+    brought up to date by the resync-on-reconnect path.  A session some
+    worker already held (opened by an earlier coordinator) is adopted: its
+    placement history is unknown, so until their tokens read empty every
+    worker outside the window is folded in as a spill holder, and each
+    replica is read once — one holding fewer items than the fullest copy,
+    or not answering, is incomplete and gets replaced from a complete
+    peer. *)
 
 val add :
   ?ts:float ->
   t -> name:string -> payload:string -> (unit, Delphic_server.Protocol.error) result
-(** Fire-and-forget into the pipeline: the payload is staged on its shard
-    and framed into an [ADDB] at the next flush point.  [ts] is the ingest
+(** Fire-and-forget into the pipeline: the payload is staged on the
+    session's usable replicas and framed into an [ADDB] at the next flush point.  [ts] is the ingest
     timestamp forwarded to the worker ([t=] on the wire); [None] lets the
     worker stamp its own receive time.  Parse errors surface asynchronously
     in {!stats} ([parse_rejects]), not here. *)
@@ -138,23 +140,23 @@ val add_batch :
   name:string ->
   payloads:string list ->
   (int * (int * string) list, Delphic_server.Protocol.error) result
-(** A whole client [ADDB] frame under one lock acquisition.  Each payload
-    still routes through {!sharding} independently, so a frame may fan out
-    and re-batch per worker (only same-timestamp runs share a frame).
-    Every frame the call staged is written to its worker before it returns,
+(** A whole client [ADDB] frame under one lock acquisition.  Every payload
+    of the session goes to the same replicas, so the frame re-batches there
+    whole (only same-timestamp runs share a frame).  Every frame the call staged is written to its worker before it returns,
     so the sets reach the worker estimators without waiting for a read; a
     worker with [window] payload units unacked is drained to half that
-    first, which bounds what the next gather waits for.  Returns [(accepted, errors)] where [errors] pairs a payload's 0-based
+    first, which bounds what the next gather waits for.  Returns
+    [(accepted, errors)] where [errors] pairs a payload's 0-based
     frame index with the routing failure; parse errors, as with {!add},
     surface later in [parse_rejects]. *)
 
 val estimate :
   t -> name:string -> (float * bool * int list, Delphic_server.Protocol.error) result
-(** The folded estimate, whether it is degraded, and the stale shard list:
-    the ring positions for which {e no} replica answered fresh this gather
-    (so the value there rests on stale last-good fallbacks or nothing).
-    [degraded] is exactly [stale_shards <> []] — with replication a dead
-    worker whose positions are covered by fresh replicas does not degrade
+(** The estimate, whether it is degraded, and the stale shard list: the
+    home position when no replica answered fresh this gather, and each
+    spill holder's position that did not — the value there rests on last
+    good tokens or nothing.  [degraded] is exactly [stale_shards <> []]:
+    with replication a dead replica whose peer answers does not degrade
     the answer. *)
 
 val win :
@@ -165,8 +167,8 @@ val win :
   (float * bool * int list, Delphic_server.Protocol.error) result
 (** Cluster-wide windowed estimate: the absolute cutoff is computed once
     ([at], or the quantized coordinator clock, minus [seconds]) and shipped
-    in every worker's Fetch, so all replicas expire against the same
-    instant.  A degraded gather's stale full fallback is re-windowed
+    in every Fetch, so the replica and any spill holders expire against
+    the same instant.  A degraded gather's stale full fallback is re-windowed
     coordinator-side against the same cutoff, so [DEGRADED] answers still
     honor the window.  [seconds = infinity] degenerates to {!estimate}'s
     gather (and shares its fold memo). *)
@@ -197,7 +199,10 @@ val fetch : ?cutoff:float -> t -> name:string -> (string, Delphic_server.Protoco
 val snapshot_to : t -> name:string -> path:string -> (unit, Delphic_server.Protocol.error) result
 
 val merge_in : t -> name:string -> encoded:string -> (unit, Delphic_server.Protocol.error) result
-(** Route an external sketch to one worker; the next gather folds it in. *)
+(** Merge an external sketch into every usable replica (or, with none, a
+    spill holder); the next gather reads it back.  Its elements carry
+    coins independent of the session's own — the merge caveat of
+    DESIGN.md §3. *)
 
 val close : t -> name:string -> (unit, Delphic_server.Protocol.error) result
 
@@ -206,9 +211,9 @@ val live_workers : t -> int
     connections are lazy). *)
 
 val shard_freshness : t -> int list
-(** Per-ring-position fresh-replica counts from the most recent gather (any
-    session); all zeros before the first gather.  Feeds the [shard_fresh=]
-    field of the frontend's [STATS] reply. *)
+(** Per ring position, the live replicas of its window that are complete
+    for every session homed there; all zeros before the first connection.
+    Feeds the [shard_fresh=] field of the frontend's [STATS] reply. *)
 
 val epoch : t -> int
 (** The fencing epoch this coordinator announces (0 = fencing off). *)
@@ -222,7 +227,9 @@ val is_read_only : t -> bool
 val set_read_only : t -> bool -> unit
 (** Flip standby mode.  [set_read_only t false] is the promotion switch —
     normally driven by {!Failover}, after {!sync_sessions} and
-    {!announce_epoch}. *)
+    {!announce_epoch}.  Promotion adopts every session as {!open_session}
+    adopts one it finds already held, since a standby never saw which
+    replicas the old primary skipped or where it spilled. *)
 
 val max_known_epoch : t -> int
 (** The highest epoch this coordinator has announced, been fenced by, or
@@ -240,7 +247,10 @@ val sync_sessions : t -> int
 (** Rebuild the session table from the workers' [SESSIONS] listings — the
     standby's takeover path (every OPEN was broadcast, so the union over
     reachable workers recovers the table; locally known sessions are kept).
-    Returns the number of sessions learned. *)
+    A learned session treats the workers outside its window as spill
+    holders until their tokens read empty (a read-only coordinator never
+    drops one), so sets the old primary spilled are still counted.  Returns
+    the number of sessions learned. *)
 
 val session_descs : t -> Delphic_server.Protocol.session_desc list
 (** The sessions this coordinator routes, sorted by name — what [SESSIONS]

@@ -413,11 +413,12 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      then the capacity/halving rule is re-applied so the folded bucket obeys
      the same occupancy invariant a single-stream sketch would.
 
-     Coverage shared between shards is still double-counted in expectation
-     (inclusion events are independent across shards — there is no shared
-     hash as in theta sketches), so the folded estimate lies between |∪| and
-     the sum of the per-shard union sizes; hash-of-set sharding keeps the
-     gap to the geometric overlap between distinct sets.  Empty sources are
+     Coverage shared between sources is still double-counted in expectation
+     (inclusion events are independent across estimators — there is no
+     shared hash as in theta sketches), so the folded estimate lies between
+     |∪| and the sum of the per-source union sizes; the cluster therefore
+     keeps each session's stream on one estimator and folds only external
+     merges and spills.  Empty sources are
      skipped, and a single non-empty source is copied verbatim — no coin,
      no halving — so restore and a merge with an empty sketch are the exact
      identity. *)

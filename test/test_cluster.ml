@@ -1,8 +1,8 @@
 (* Loopback end-to-end test of the sharded cluster: three real worker
    servers, a real coordinator, real sockets.  Streams a rect workload
    through the scatter path, checks the gathered estimate against exact
-   truth, then kills a worker mid-stream and checks the cluster keeps
-   answering — flagged degraded, still inside the envelope. *)
+   truth, then kills a session's home worker mid-stream and checks the
+   cluster keeps answering — flagged degraded, still inside the envelope. *)
 
 module Server = Delphic_server.Server
 module Wal = Delphic_server.Wal
@@ -64,6 +64,11 @@ let check_close name est t =
     true
     (Float.abs (est -. t) <= 0.3 *. t)
 
+(* The coordinator's placement rule: a session's home ring position.  The
+   kill tests fell the home, since a worker outside a session's replica
+   window holds none of it. *)
+let home name n = Hashtbl.hash name mod n
+
 let ok = function
   | Ok v -> v
   | Error e ->
@@ -74,8 +79,7 @@ let test_scatter_gather_failover () =
   let workers = List.init 3 (fun n -> start_worker n ~seed:(100 + n)) in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
   let coord =
-    Coordinator.create ~sharding:Coordinator.By_hash ~timeout:5.0
-      ~backoff:0.01 ~workers:addrs ~seed:4242 ()
+    Coordinator.create ~timeout:5.0 ~backoff:0.01 ~workers:addrs ~seed:4242 ()
   in
   let gen = Rng.create ~seed:31 in
   let first =
@@ -92,7 +96,7 @@ let test_scatter_gather_failover () =
   Alcotest.(check int) "all workers reached by OPEN" 3
     (Coordinator.live_workers coord);
 
-  (* phase 1: a duplicate-heavy stream sharded across three live workers *)
+  (* phase 1: a duplicate-heavy stream into three live workers *)
   let stream = Workload.Orders.bursty ~copies:20 first in
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"e2e" ~payload:(payload_of b)))
@@ -105,9 +109,10 @@ let test_scatter_gather_failover () =
   Alcotest.(check int) "every add accounted for" (List.length stream)
     st.P.items;
 
-  (* kill the middle worker; its sketch survives as the coordinator's
-     last good snapshot from the phase-1 gather *)
-  stop_worker (List.nth workers 1);
+  (* kill the session's home; its sketch survives as the coordinator's
+     last good snapshot from the phase-1 gather, and the rest spills *)
+  let victim = home "e2e" 3 in
+  stop_worker (List.nth workers victim);
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"e2e" ~payload:(payload_of b)))
     (Workload.Orders.bursty ~copies:10 rest);
@@ -157,8 +162,7 @@ let test_scatter_gather_failover () =
 
   ok (Coordinator.close coord ~name:"e2e");
   Coordinator.shutdown coord;
-  stop_worker (List.nth workers 0);
-  stop_worker (List.nth workers 2);
+  List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
   List.iteri (fun n _ -> rm_rf (spool n)) workers
 
 (* Mid-stream worker kill during batched scatter must lose no acked set.
@@ -192,7 +196,8 @@ let test_batched_kill_no_loss () =
   let est1, degraded1, _ = ok (Coordinator.estimate coord ~name:"nl") in
   Alcotest.(check bool) "clean before the kill" false degraded1;
   Alcotest.(check (float 0.0)) "exact union before the kill" (truth first) est1;
-  stop_worker (List.nth workers 0);
+  let victim = home "nl" 2 in
+  stop_worker (List.nth workers victim);
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"nl" ~payload:(payload_of b)))
     rest;
@@ -201,7 +206,7 @@ let test_batched_kill_no_loss () =
   Alcotest.(check (float 0.0)) "no acked set lost" (truth (first @ rest)) est2;
   ignore (Coordinator.close coord ~name:"nl");
   Coordinator.shutdown coord;
-  stop_worker (List.nth workers 1);
+  stop_worker (List.nth workers (1 - victim));
   List.iteri (fun n _ -> rm_rf (spool (20 + n))) workers
 
 let wait_for ~timeout msg pred =
@@ -219,13 +224,13 @@ let wait_for ~timeout msg pred =
   go ()
 
 (* Cluster-wide WIN: the coordinator computes one absolute cutoff and ships
-   it in every worker's Fetch, so all three shards expire against the same
-   instant — exact-regime content makes agreement a count equality, not a
-   tolerance check.  After a mid-ingest kill the gather answers DEGRADED
-   from the victim's last good (full) sketch, and that fallback must be
-   re-windowed coordinator-side: a stale sketch honoring the cutoff
-   contributes nothing old, so the degraded answer still equals the exact
-   suffix union. *)
+   it in every Fetch, so the home and any spill holder expire against the
+   same instant — exact-regime content makes agreement a count equality,
+   not a tolerance check.  After a mid-ingest kill of the home the gather
+   answers DEGRADED from its last good (full) sketch plus the spilled sets,
+   and that fallback must be re-windowed coordinator-side: a stale sketch
+   honoring the cutoff contributes nothing old, so the degraded answer
+   still equals the exact suffix union. *)
 let test_win_cluster_kill () =
   let workers = List.init 3 (fun n -> start_worker (40 + n) ~seed:(500 + n)) in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
@@ -257,8 +262,8 @@ let test_win_cluster_kill () =
   Alcotest.(check bool) "clean before the kill" false degraded1;
   Alcotest.(check (float 0.0)) "full gather exact" (truth first) est1;
   ingest ~t0:100.0 rest;
-  (* one cutoff, three shards: the suffix union is exact only if every
-     worker expired against the same instant *)
+  (* one cutoff: the suffix union is exact only if the worker expired
+     against that instant *)
   let w1, d1, _ = ok (Coordinator.win coord ~name:"w" ~seconds:60.0 ~at:(Some 130.0)) in
   Alcotest.(check bool) "windowed gather clean" false d1;
   Alcotest.(check (float 0.0)) "WIN 60 = exact suffix union" (truth rest) w1;
@@ -281,7 +286,8 @@ let test_win_cluster_kill () =
   let whalf, dh, _ = ok (Coordinator.win coord ~name:"w" ~seconds:80.0 ~at:(Some 240.0)) in
   Alcotest.(check bool) "clean mid-band gather" false dh;
   Alcotest.(check (float 0.0)) "WIN mid-band exact" (truth half) whalf;
-  stop_worker (List.nth workers 1);
+  let victim = home "w" 3 in
+  stop_worker (List.nth workers victim);
   ingest ~t0:210.0 other;
   (* the victim's staged payloads re-route to live workers on the flushes
      that discover the dead connection; drive flushes until the degraded
@@ -306,25 +312,25 @@ let test_win_cluster_kill () =
     (truth (first @ rest @ late)) wall;
   ignore (Coordinator.close coord ~name:"w");
   Coordinator.shutdown coord;
-  stop_worker (List.nth workers 0);
-  stop_worker (List.nth workers 2);
+  List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
   List.iteri (fun n _ -> rm_rf (spool (40 + n))) workers
 
-(* The overlapped gather gives the whole collect phase ONE shared deadline:
-   slow workers burn it concurrently, so the gather costs max-of-workers,
-   not sum.  Four workers served by Frontend-wrapped registries; two of
-   them sleep past the timeout on Fetch.  A serial per-worker collect would
-   take >= 2 timeouts; the shared deadline takes ~1.  Exact-regime equality
-   proves the answer fell back to the slow workers' last good sketches, and
-   a later quiet gather proves they rejoin undegraded. *)
+(* The gather gives the whole collect phase ONE shared deadline.  Four
+   workers served by Frontend-wrapped registries; the session's two
+   replicas sleep past the timeout on Fetch.  Falling from the home to its
+   peer with a fresh budget each would take >= 2 timeouts; the shared
+   deadline takes ~1.  Exact-regime equality proves the answer fell back
+   to the last good sketch, and a later quiet gather proves the replicas
+   rejoin undegraded. *)
 let test_slow_workers_share_one_deadline () =
   let slow = Atomic.make false in
+  let replica n = (n - home "slow" 4 + 4) mod 4 < 2 in
   let workers =
     List.init 4 (fun n ->
         let reg = Registry.create ~seed:(700 + n) () in
         let dispatch req =
           (match req with
-          | P.Fetch _ when n < 2 && Atomic.get slow -> Thread.delay 1.0
+          | P.Fetch _ when replica n && Atomic.get slow -> Thread.delay 1.0
           | _ -> ());
           Registry.dispatch reg req
         in
@@ -334,7 +340,7 @@ let test_slow_workers_share_one_deadline () =
   let addrs = List.map (fun (fe, _) -> ("127.0.0.1", Frontend.port fe)) workers in
   let timeout = 0.4 in
   let coord =
-    Coordinator.create ~timeout ~backoff:0.01 ~workers:addrs ~seed:1234 ()
+    Coordinator.create ~replicas:2 ~timeout ~backoff:0.01 ~workers:addrs ~seed:1234 ()
   in
   let gen = Rng.create ~seed:55 in
   let boxes =
@@ -346,7 +352,7 @@ let test_slow_workers_share_one_deadline () =
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"slow" ~payload:(payload_of b)))
     boxes;
-  (* the clean gather stores every worker's sketch as its last good *)
+  (* the clean gather stores the replica's sketch as the last good *)
   let est1, degraded1, _ = ok (Coordinator.estimate coord ~name:"slow") in
   Alcotest.(check bool) "clean gather not degraded" false degraded1;
   Alcotest.(check (float 0.0)) "clean gather exact" (truth boxes) est1;
@@ -365,7 +371,7 @@ let test_slow_workers_share_one_deadline () =
     (elapsed < 1.8 *. timeout);
 
   (* quarantine expires, the workers kept their sessions: quiet again.
-     The frontends are single-threaded event loops, so each slow worker's
+     The frontends are single-threaded event loops, so the slow home's
      loop stays inside its 1.0s sleeping dispatch until the sleep ends —
      wait it out (plus the 0.1s quarantine margin) before re-querying. *)
   Thread.delay (max 0.1 (1.0 -. elapsed +. 0.2));
@@ -374,13 +380,66 @@ let test_slow_workers_share_one_deadline () =
   Alcotest.(check (float 0.0)) "recovered exact" (truth boxes) est3;
 
   (* a second coordinator over the same pool folds the same exact answer *)
-  let coord1 = Coordinator.create ~timeout ~workers:addrs ~seed:1234 () in
+  let coord1 = Coordinator.create ~replicas:2 ~timeout ~workers:addrs ~seed:1234 () in
   ok
     (Coordinator.open_session coord1 ~name:"slow" ~family:P.Rect ~epsilon:0.3
        ~delta:0.2 ~log2_universe:17.0);
   let est4, _, _ = ok (Coordinator.estimate coord1 ~name:"slow") in
   Alcotest.(check (float 0.0)) "second coordinator folds the same answer" est2 est4;
   Coordinator.shutdown coord1;
+  Coordinator.shutdown coord;
+  List.iter
+    (fun (fe, th) ->
+      Frontend.request_stop fe;
+      Thread.join th)
+    workers
+
+(* At R = 2 a hung home must not spend the whole gather budget.  Three
+   Frontend-wrapped registries; only the session's home sleeps past the
+   timeout on Fetch.  The home is asked with half of what is left, so its
+   peer still answers inside one timeout: the answer is fresh, not
+   DEGRADED from the last good sketch, and exact. *)
+let test_slow_home_peer_answers () =
+  let name = "hung" in
+  let slow = Atomic.make false in
+  let workers =
+    List.init 3 (fun n ->
+        let reg = Registry.create ~seed:(720 + n) () in
+        let dispatch req =
+          (match req with
+          | P.Fetch _ when n = home name 3 && Atomic.get slow -> Thread.delay 1.0
+          | _ -> ());
+          Registry.dispatch reg req
+        in
+        let fe = Frontend.create ~port:0 ~dispatch () in
+        (fe, Frontend.start fe))
+  in
+  let addrs = List.map (fun (fe, _) -> ("127.0.0.1", Frontend.port fe)) workers in
+  let timeout = 0.4 in
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout ~backoff:0.01 ~workers:addrs ~seed:1235 ()
+  in
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:56) ~universe:300 ~dim:2 ~count:40
+      ~max_side:6
+  in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) boxes;
+  let _, degraded1, _ = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check bool) "clean gather not degraded" false degraded1;
+  Atomic.set slow true;
+  let t0 = Unix.gettimeofday () in
+  let est, degraded, stale = ok (Coordinator.estimate coord ~name) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Atomic.set slow false;
+  Alcotest.(check bool) "the peer answers fresh" false degraded;
+  Alcotest.(check (list int)) "no stale ring position" [] stale;
+  Alcotest.(check (float 0.0)) "fresh answer exact" (truth boxes) est;
+  Alcotest.(check bool)
+    (Printf.sprintf "inside one timeout (%.2fs < %.2fs)" elapsed timeout)
+    true (elapsed < timeout);
   Coordinator.shutdown coord;
   List.iter
     (fun (fe, th) ->
@@ -540,6 +599,73 @@ let test_backlog_gather_is_fresh () =
   List.iter stop_worker workers;
   List.iteri (fun n _ -> rm_rf (spool (60 + n))) workers
 
+(* --- replacement at reconnect ------------------------------------------ *)
+
+(* A replica that missed payloads is replaced when it rejoins, never merged
+   into.  R = 2 over three workers: the session's second replica B stops,
+   a band is ingested that only A takes, and B restarts from its spool
+   holding the first band alone.  Once B is live again it must hold
+   exactly A's copy — its item count equals A's, where a merge into its
+   own stale copy would count the first band twice.  Then A dies and a
+   third band lands on B alone: the exact-regime answer, read from B's
+   copy, counts every acknowledged set. *)
+let test_replacement_at_reconnect () =
+  let name = "rep" in
+  let a = home name 3 in
+  let b = (a + 1) mod 3 in
+  let workers = Array.init 3 (fun n -> start_worker (80 + n) ~seed:(900 + n)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout:2.0 ~backoff:0.01 ~batch:8 ~window:32
+      ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+      ~seed:83 ()
+  in
+  let gen = Rng.create ~seed:47 in
+  let band () = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:20 ~max_side:6 in
+  let first = band () and second = band () and third = band () in
+  let ingest bs =
+    List.iter (fun box -> ok (Coordinator.add coord ~name ~payload:(payload_of box))) bs;
+    Coordinator.flush coord
+  in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  ingest first;
+  (* a graceful stop spools B's copy of [first] *)
+  Server.request_stop (fst workers.(b));
+  Thread.join (snd workers.(b));
+  ingest second;
+  let rec restart tries =
+    match Server.create ~port:ports.(b) ~spool:(spool (80 + b)) ~seed:950 () with
+    | s -> s
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 0 ->
+      Thread.delay 0.05;
+      restart (tries - 1)
+  in
+  let revived = restart 40 in
+  workers.(b) <- (revived, Server.start revived);
+  (* a gather reconnects the replicas: B rejoins, and is replaced there *)
+  wait_for ~timeout:10.0 "the restarted replica never rejoined" (fun () ->
+      Coordinator.flush coord;
+      ignore (Coordinator.estimate coord ~name);
+      if Coordinator.live_workers coord = 3 then Some () else None);
+  Alcotest.(check int) "B holds A's copy, not a merge into its own"
+    (worker_items ports.(a) name) (worker_items ports.(b) name);
+  stop_worker workers.(a);
+  ingest third;
+  let est =
+    wait_for ~timeout:10.0 "no clean gather after losing A" (fun () ->
+        Coordinator.flush coord;
+        match Coordinator.estimate coord ~name with
+        | Ok (v, false, _) -> Some v
+        | Ok (_, true, _) | Error _ -> None)
+  in
+  Alcotest.(check (float 0.0)) "every acknowledged set counted from B's copy"
+    (truth (first @ second @ third)) est;
+  Coordinator.shutdown coord;
+  Array.iteri (fun i w -> if i <> a then stop_worker w) workers;
+  Array.iteri (fun n _ -> rm_rf (spool (80 + n))) workers
+
 (* --- EXPR over a live cluster ----------------------------------------- *)
 
 (* Set-expression queries against three sharded sessions, evaluated
@@ -615,14 +741,15 @@ let test_expr_cluster () =
       (Float.abs (value -. tru) <= tol *. tru)
   | P.Expr_ast.Low_support { support; needed; _ }, _ ->
     Alcotest.failf "(A & B) \\ C: low support %.1f < %.1f" support needed);
-  (* finish C's ingest, then lose a worker: the gather answers from last
+  (* finish C's ingest, then lose A's home: the gather answers from last
      good snapshots and both EST and EXPR must say so *)
   ingest "C" c_rest;
   (match ok (Coordinator.expr_query coord ~expr:e_deep ~m:(Some 4096)) with
   | P.Expr_ast.Estimate _, degraded ->
     Alcotest.(check bool) "still clean after C completes" false degraded
   | P.Expr_ast.Low_support _, _ -> Alcotest.fail "C complete: support vanished");
-  stop_worker (List.nth workers 0);
+  let victim = home "A" 3 in
+  stop_worker (List.nth workers victim);
   let _, est_degraded, _ = ok (Coordinator.estimate coord ~name:"A") in
   Alcotest.(check bool) "EST degraded after the kill" true est_degraded;
   (match ok (Coordinator.expr_query coord ~expr:e_deep ~m:(Some 4096)) with
@@ -643,8 +770,7 @@ let test_expr_cluster () =
   | Ok _ -> Alcotest.fail "ghost leaf must be UNKNOWN-SESSION");
   List.iter (fun n -> ignore (Coordinator.close coord ~name:n)) [ "A"; "B"; "C" ];
   Coordinator.shutdown coord;
-  stop_worker (List.nth workers 1);
-  stop_worker (List.nth workers 2);
+  List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
   List.iteri (fun n _ -> rm_rf (spool (30 + n))) workers
 
 (* --- kill -9 against a journaled worker ------------------------------- *)
@@ -926,6 +1052,8 @@ let suite =
       `Quick test_win_cluster_kill;
     Alcotest.test_case "slow workers share one gather deadline" `Quick
       test_slow_workers_share_one_deadline;
+    Alcotest.test_case "a hung home at R=2 leaves its peer time to answer fresh" `Quick
+      test_slow_home_peer_answers;
     Alcotest.test_case "EXPR over a live cluster with worker loss" `Quick
       test_expr_cluster;
     Alcotest.test_case "frontend speaks the full protocol" `Quick
@@ -936,6 +1064,8 @@ let suite =
       test_add_batch_ships_without_read;
     Alcotest.test_case "a gather after a big-box backlog is fresh" `Quick
       test_backlog_gather_is_fresh;
+    Alcotest.test_case "a replica that missed payloads is replaced at reconnect" `Quick
+      test_replacement_at_reconnect;
     Alcotest.test_case "pipelined ingest into journaled workers acks promptly" `Quick
       test_wal_ingest_acks_promptly;
   ]

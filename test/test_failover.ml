@@ -557,6 +557,119 @@ let test_kill9_coordinator_failover () =
   List.iteri (fun i _ -> rm_rf (spool (950 + i))) workers;
   Sys.remove portfile
 
+(* --- a standby that takes over after a spill ---------------------------- *)
+
+(* Two workers.  The primary's link to the session's home is partitioned
+   away during the second band; the link heals and the primary dies.  At
+   R = 1 the band spills to the other worker; at R = 2 the peer replica
+   takes it alone and the primary marks the home incomplete.  The promoted
+   standby saw none of it: promotion treats every worker outside the
+   window as a spill holder until its token reads empty, and reads each
+   replica once, replacing any that holds fewer items than the fullest.
+   A [warm] standby has already learned the session and gathered it before
+   the partition, so it must not have dropped the then-empty spill holder.
+   Either way the exact-regime answer counts both bands. *)
+let test_standby_after_partition ~replicas ~warm () =
+  let name = "spill" in
+  let home = Hashtbl.hash name mod 2 in
+  let base = 960 + (4 * replicas) + if warm then 2 else 0 in
+  let workers = List.init 2 (fun i -> start_worker (base + i) ~seed:(5100 + i)) in
+  let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
+  let chaos = Chaos.create (Chaos.config ~seed:3 ()) in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos Unix.read;
+      io_write = Chaos.wrap_write chaos Unix.write_substring;
+    }
+  in
+  let primary =
+    Coordinator.create ~replicas ~timeout:0.3 ~retries:1 ~backoff:0.01 ~batch:4 ~window:16
+      ~io ~epoch:1 ~workers:addrs ~seed:41 ()
+  in
+  let standby =
+    Coordinator.create ~replicas ~timeout:1.0 ~backoff:0.01 ~workers:addrs ~seed:41 ()
+  in
+  let fo = Failover.create ~primary:("127.0.0.1", 1) ~coord:standby () in
+  let first = boxes_for 5 12 and rest = boxes_for 6 12 in
+  open_rect primary ~name;
+  List.iter (fun b -> ok (Coordinator.add primary ~name ~payload:(payload_of b))) first;
+  Coordinator.flush primary;
+  if warm then begin
+    Alcotest.(check int) "standby learns the session" 1 (Coordinator.sync_sessions standby);
+    let est, _, _ = ok (Coordinator.estimate standby ~name) in
+    Alcotest.(check (float 0.0)) "warm standby reads the first band" (truth first) est
+  end;
+  Chaos.partition chaos [ snd (List.nth addrs home) ];
+  List.iter (fun b -> add_retry primary ~name (payload_of b)) rest;
+  Coordinator.flush primary;
+  Chaos.heal chaos;
+  Coordinator.shutdown primary;
+  Failover.takeover_now fo;
+  let est, degraded, stale = ok (Coordinator.estimate standby ~name) in
+  Alcotest.(check bool) "promoted gather clean" false degraded;
+  Alcotest.(check (list int)) "no stale ring position" [] stale;
+  Alcotest.(check (float 0.0)) "the partitioned band is counted" (truth (first @ rest)) est;
+  Failover.stop fo;
+  Coordinator.shutdown standby;
+  List.iter stop_worker workers;
+  List.iteri (fun i _ -> rm_rf (spool (base + i))) workers
+
+(* R = 1 over two workers: a band spills while the home is partitioned,
+   the link heals and a gather records the spill holder's token.  The
+   holder then restarts without its spool.  At its reconnect the
+   coordinator merges that token back into the re-opened session, so the
+   next clean answer still counts the spilled band; without it the holder's
+   empty token would replace the last good one and lose the band
+   silently. *)
+let test_spill_holder_restart () =
+  let name = "spill" in
+  let holder = 1 - (Hashtbl.hash name mod 2) in
+  let workers = Array.init 2 (fun i -> start_worker (980 + i) ~seed:(5200 + i)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let chaos = Chaos.create (Chaos.config ~seed:4 ()) in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos Unix.read;
+      io_write = Chaos.wrap_write chaos Unix.write_substring;
+    }
+  in
+  let coord =
+    Coordinator.create ~timeout:0.3 ~retries:1 ~backoff:0.01 ~batch:4 ~window:16 ~io
+      ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+      ~seed:43 ()
+  in
+  let first = boxes_for 7 12 and rest = boxes_for 8 12 in
+  let all = truth (first @ rest) in
+  open_rect coord ~name;
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) first;
+  Coordinator.flush coord;
+  Chaos.partition chaos [ ports.(1 - holder) ];
+  List.iter (fun b -> add_retry coord ~name (payload_of b)) rest;
+  Coordinator.flush coord;
+  Chaos.heal chaos;
+  let clean () =
+    wait_for ~timeout:10.0 "no clean gather" (fun () ->
+        match Coordinator.estimate coord ~name with
+        | Ok (v, false, _) -> Some v
+        | Ok (_, true, _) | Error _ -> None)
+  in
+  Alcotest.(check (float 0.0)) "the spilled band is counted" all (clean ());
+  stop_worker workers.(holder);
+  rm_rf (spool (980 + holder));
+  let rec restart tries =
+    match Server.create ~port:ports.(holder) ~spool:(spool (980 + holder)) ~seed:5300 () with
+    | s -> s
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 0 ->
+      Thread.delay 0.05;
+      restart (tries - 1)
+  in
+  let revived = restart 40 in
+  workers.(holder) <- (revived, Server.start revived);
+  Alcotest.(check (float 0.0)) "still counted after the holder restarts empty" all (clean ());
+  Coordinator.shutdown coord;
+  Array.iter stop_worker workers;
+  Array.iteri (fun i _ -> rm_rf (spool (980 + i))) workers
+
 let repl_seeds = [ 11; 23; 37; 41; 53; 67; 79; 97 ]
 
 let matrix =
@@ -585,5 +698,15 @@ let suite =
       test_epoch_monotonic;
     Alcotest.test_case "kill -9 of the live primary promotes the standby exactly"
       `Quick test_kill9_coordinator_failover;
+    Alcotest.test_case "a standby that takes over after a spill counts the spilled sets"
+      `Quick (test_standby_after_partition ~replicas:1 ~warm:false);
+    Alcotest.test_case "a warm standby that gathered before a spill counts the spilled sets"
+      `Quick (test_standby_after_partition ~replicas:1 ~warm:true);
+    Alcotest.test_case "a standby taking over at R=2 replaces the replica the primary skipped"
+      `Quick (test_standby_after_partition ~replicas:2 ~warm:false);
+    Alcotest.test_case "a warm standby at R=2 replaces the replica the primary skipped"
+      `Quick (test_standby_after_partition ~replicas:2 ~warm:true);
+    Alcotest.test_case "a spill holder restarted without its spool keeps the spilled sets"
+      `Quick test_spill_holder_restart;
   ]
   @ matrix

@@ -42,6 +42,7 @@ let () =
       ("cluster", Test_cluster.suite);
       ("failover", Test_failover.suite);
       ("chaos", Test_chaos.suite);
+      ("oracle", Test_oracle.suite);
       ("mt", Test_mt.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("baselines", Test_baselines.suite);
