@@ -99,12 +99,6 @@ type t = {
      their streams.  Deaths are parked here and re-routed after collect. *)
   mutable in_gather : bool;
   deferred_deaths : worker Queue.t;
-  (* Memoised cross-session fold of the last EXPR query: leaf names plus the
-     physical identities of their per-session folds, and the union they
-     folded to.  On an idle cluster every leaf gather hits its session's
-     [fold_cache] and hands back the same physical value, so a repeated EXPR
-     skips the cross-session merge tree too. *)
-  mutable expr_cache : (string array * Families.t array * Families.t) option;
   (* --- fencing + warm-standby state --- *)
   mutable epoch : int;
       (* the fencing epoch announced to every worker connection ([COORD]);
@@ -172,7 +166,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     orphans = Queue.create ();
     in_gather = false;
     deferred_deaths = Queue.create ();
-    expr_cache = None;
     epoch;
     fenced_by = 0;
     read_only;
@@ -1064,102 +1057,49 @@ let stats t ~name =
 
 (* An EXPR query needs no new worker verb: each leaf session is gathered
    exactly as EST gathers it — same degraded/last-good fallback, same
-   per-session fold memo — and the cross-session union fold plus the
-   sample-and-probe evaluation run coordinator-side on the folded sketches.
-   The answer is degraded iff any leaf's gather was.
+   per-session fold memo — and the evaluation (Families.eval_expr, which
+   folds the leaves into a union only while every leaf is exact) runs
+   coordinator-side on the gathered sketches.  The answer is degraded iff
+   any leaf's gather was.
 
    [w] windows the query: each leaf still gathers un-windowed (sharing EST's
-   fold memo and refreshing last_good), then the coordinator restricts each
-   folded leaf against one cutoff computed up front — so all leaves, and any
-   stale fallback inside them, see the same instant. *)
+   fold memo and refreshing last_good), then the coordinator restricts it
+   against one cutoff computed up front — so all leaves, and any stale
+   fallback inside them, see the same instant. *)
 let expr_query ?w t ~expr ~m =
   with_lock t (fun () ->
-      let module E = P.Expr_ast in
-      let names = E.leaves expr in
-      if List.length names > E.max_leaves then
-        Error
-          (P.Bad_params
-             (Printf.sprintf "expression names %d distinct sessions; the cap is %d"
-                (List.length names) E.max_leaves))
-      else
-        let samples =
-          match m with
-          | None -> Delphic_server.Registry.default_expr_samples
-          | Some n -> min n Delphic_server.Registry.max_expr_samples
-        in
-        let rec gather_leaves acc degraded = function
-          | [] -> Ok (List.rev acc, degraded)
-          | name :: rest -> (
-            match find_session t name with
-            | Error e -> Error e
-            | Ok si -> (
-              match gather t si name with
-              | Error e -> Error e
-              | Ok (folded, d, _) ->
-                gather_leaves ((name, folded) :: acc) (degraded || d) rest))
-        in
+      match Delphic_server.Registry.expr_plan ~expr ~m with
+      | Error e -> Error e
+      | Ok (names, samples) ->
         let cutoff =
           match w with
           | Some secs when Float.is_finite secs ->
             Some (win_cutoff t ~seconds:secs ~at:None)
           | Some _ | None -> None
         in
-        match gather_leaves [] false names with
-        | Error e -> Error e
-        | Ok (leaves, degraded) -> (
-          match
-            match cutoff with
-            | None -> Ok leaves
-            | Some c ->
-              List.fold_left
-                (fun acc (name, f) ->
-                  Result.bind acc (fun rev ->
-                      match Families.restrict f ~cutoff:c ~seed:(next_seed t) with
-                      | Ok r -> Ok ((name, r) :: rev)
-                      | Error msg -> Error (P.Server_error msg)))
-                (Ok []) leaves
-              |> Result.map List.rev
-          with
+        let leaf name =
+          match find_session t name with
           | Error e -> Error e
-          | Ok leaves -> (
-          let names_arr = Array.of_list (List.map fst leaves) in
-          let folds_arr = Array.of_list (List.map snd leaves) in
-          let union =
-            match t.expr_cache with
-            | Some (ns, fs, u)
-              when Array.length ns = Array.length names_arr
-                   && Array.for_all2 String.equal ns names_arr
-                   && Array.for_all2 ( == ) fs folds_arr ->
-              (* every leaf fold is physically the one we folded last time
-                 (the per-session memo handed it back): the union is too *)
-              Ok u
-            | _ -> (
-              let folded =
-                match leaves with
-                | [] -> Error (P.Bad_params "expression names no sessions")
-                | [ (_, f) ] -> Ok f
-                | _ ->
-                  Result.map_error
-                    (fun msg -> P.Bad_params msg)
-                    (Families.fold
-                       (List.map (fun (_, f) -> Families.Live f) leaves)
-                       ~seed:(next_seed t))
-              in
-              match folded with
-              | Ok u ->
-                (* a windowed union is a throwaway view — caching it would
-                   evict the full-query memo for nothing (the restricted
-                   leaves are fresh values, the identity check cannot hit) *)
-                if cutoff = None then t.expr_cache <- Some (names_arr, folds_arr, u);
-                Ok u
-              | Error _ as e -> e)
-          in
-          match union with
-          | Error e -> Error e
-          | Ok union -> (
-            match Families.expr_estimate ~union ~leaves ~expr ~samples with
+          | Ok si -> (
+            match (gather t si name, cutoff) with
+            | Error e, _ -> Error e
+            | Ok (folded, degraded, _), None -> Ok (folded, degraded)
+            | Ok (folded, degraded, _), Some c -> (
+              match Families.restrict folded ~cutoff:c ~seed:(next_seed t) with
+              | Ok r -> Ok (r, degraded)
+              | Error msg -> Error (P.Server_error msg)))
+        in
+        let rec eval acc degraded = function
+          | [] -> (
+            match Families.eval_expr ~leaves:(List.rev acc) ~expr ~samples ~seed:(next_seed t) with
             | Ok outcome -> Ok (outcome, degraded)
-            | Error msg -> Error (P.Bad_params msg)))))
+            | Error msg -> Error (P.Bad_params msg))
+          | name :: rest -> (
+            match leaf name with
+            | Error e -> Error e
+            | Ok (f, d) -> eval ((name, f) :: acc) (degraded || d) rest)
+        in
+        eval [] false names)
 
 let fetch ?cutoff t ~name =
   gathered ?cutoff t name (fun si (folded, _, _) ->

@@ -183,9 +183,13 @@ val expr_query :
   (Delphic_server.Protocol.Expr_ast.outcome * bool, Delphic_server.Protocol.error) result
 (** Evaluate a set expression cluster-wide.  Each leaf session is gathered
     exactly as {!estimate} gathers it — same degraded/last-good fallback,
-    same fold memo — and the cross-session union fold plus the
-    sample-and-probe evaluation ({!Delphic_server.Families.expr_estimate})
-    run coordinator-side, so workers need no new verb.  [w] windows the
+    same fold memo — and the sample-and-probe evaluation
+    ({!Delphic_server.Families.eval_expr}, the one the worker registry runs)
+    runs coordinator-side, so workers need no new verb.  The leaves are
+    folded into a cross-session union only while every leaf is exact; a
+    sketching leaf switches to per-leaf draws and nothing is folded, but a
+    mix of families, rect dimensions or parameters is refused with
+    [Bad_params] in either regime.  [w] windows the
     query: one cutoff is computed up front and every folded leaf is
     restricted against it before evaluation.  The [bool] flags a degraded
     answer (any leaf's gather was).  [m] as in

@@ -346,19 +346,11 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
         })
       s.header.sketch
 
-  (* Sharded-stream fold of k adaptive estimators over the same family and
-     parameters, in one pass over their entries:
-
-     - a single source is copied verbatim (restore is this case);
-     - while every source is exact, the tables union (newest timestamp per
-       element) and the result stays exact if it fits the budget — the
-       lazy sketch stays empty, rebuilt by [deactivate] on overflow
-       exactly as a single stream hands over;
-     - otherwise the result runs on a sketch: the exact sources' tables
-       union into one and are replayed into a fresh sketch (a valid sketch
-       of those shards' streams, the hand-over argument of [deactivate]),
-       which goes first in one {!Vatic.fold} with every sketching source. *)
-  let fold sources ~seed =
+  (* The header check every fold starts with, also run on its own by a
+     query that reads several estimators side by side without folding
+     them (a sketch-regime EXPR): one ε, δ, log2u, mode and exact
+     capacity, and consistent headers.  Returns the first source's. *)
+  let check_fold sources =
     let h =
       match sources with
       | [] -> invalid_arg "Adaptive.fold: no sources"
@@ -378,6 +370,22 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
           invalid_arg "Adaptive.restore: snapshot is in sketch mode but has no sketch")
       sources;
     if h.exact_capacity <= 0 then invalid_arg "Adaptive.restore: exact_capacity must be positive";
+    h
+
+  (* Sharded-stream fold of k adaptive estimators over the same family and
+     parameters, in one pass over their entries:
+
+     - a single source is copied verbatim (restore is this case);
+     - while every source is exact, the tables union (newest timestamp per
+       element) and the result stays exact if it fits the budget — the
+       lazy sketch stays empty, rebuilt by [deactivate] on overflow
+       exactly as a single stream hands over;
+     - otherwise the result runs on a sketch: the exact sources' tables
+       union into one and are replayed into a fresh sketch (a valid sketch
+       of those shards' streams, the hand-over argument of [deactivate]),
+       which goes first in one {!Vatic.fold} with every sketching source. *)
+  let fold sources ~seed =
+    let h = check_fold sources in
     let empty_sketch ~seed =
       Option.map
         (fun sk -> Vatic.restore (vatic_snapshot_of h { sk with sketch_entries = [] }) ~seed)

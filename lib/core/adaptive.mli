@@ -160,6 +160,13 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
   val source : t -> source
   (** The estimator's own tables, iterated in place (no copy). *)
 
+  val check_fold : source list -> snapshot
+  (** The header check {!fold} starts with: every source has the same ε,
+      δ, log2u, mode and exact capacity, and a consistent header.  Returns
+      the first source's header (entries unread).  Raises
+      [Invalid_argument] on an empty list, a mismatch or an inconsistent
+      header — with the message {!fold} would raise. *)
+
   val fold : source list -> seed:int -> t
   (** The one fold behind {!restore} and {!merge}.  A single source is
       copied verbatim.  With several, exact tables union while every

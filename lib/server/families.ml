@@ -114,6 +114,24 @@ struct
         end);
     Io.finish w
 
+  (* Sample-and-probe over the leaf estimators: draws from the [union ()]
+     fold while every leaf is exact, from the leaves themselves once any
+     sketches (see {!eval} below).  Refusals are [Error]s. *)
+  let expr ~union ~leaves ~expr ~samples =
+    let probe name x = A.probe_weight (List.assoc name leaves) x in
+    let delta = A.delta (snd (List.hd leaves)) in
+    if List.for_all (fun (_, e) -> A.is_exact e) leaves then
+      let* u = union () in
+      guard (fun () ->
+          E.estimate ~expr ~union:(A.estimate u) ~draw:(A.sample_union_n u) ~probe
+            ~exact_probes:true ~samples ~delta)
+    else
+      guard (fun () ->
+          E.estimate_stratified ~expr
+            ~leaf_sizes:(List.map (fun (n, e) -> (n, A.estimate e)) leaves)
+            ~draw_leaf:(fun name n -> A.sample_union_n (List.assoc name leaves) n)
+            ~probe ~samples ~delta)
+
   let decode s pos len =
     match X.decode_elt s pos len with Ok x -> x | Error msg -> raise (Bad_element msg)
 
@@ -424,12 +442,10 @@ let token_of = function
   | Live t -> family_token t
   | Decoded v -> (Io.header v).Io.family
 
-(* The cluster's one fold: k same-family sources — decoded tokens or live
-   sessions — into one new session, in a single pass over their entries
-   (Delphic_core.Adaptive.Make.fold).  Family and shape mismatches are
-   [Error]s the protocol relays verbatim, as are undecodable elements and
-   parameter mismatches. *)
-let fold sources ~seed =
+(* The refusals every fold starts with: one family and, for rect, one point
+   dimension (returned) across the sources.  The estimator header check
+   follows in {!check}. *)
+let check_shape sources =
   let* shapes = map_result source_shape sources in
   match shapes with
   | [] -> Error "nothing to fold"
@@ -454,37 +470,55 @@ let fold sources ~seed =
     match mismatch with
     | Some msg -> Error msg
     | None -> (
+      match List.filter_map snd shapes with
+      | d1 :: rest when List.exists (fun d -> d <> d1) rest ->
+        let d2 = List.find (fun d -> d <> d1) rest in
+        Error (Printf.sprintf "cannot merge rect sessions of %d and %d dimensions" d1 d2)
+      | dims -> Ok (fam, match dims with d :: _ -> Some d | [] -> None)))
+
+(* Each family's estimator view of a source (shapes already checked). *)
+let rect_src = function
+  | Live (Rect_s r) -> Rect_b.A.source r.est
+  | Live _ -> assert false
+  | Decoded v -> Rect_b.source_of_io v
+
+let dnf_src = function
+  | Live (Dnf_s d) -> Dnf_b.A.source d.est
+  | Live _ -> assert false
+  | Decoded v -> Dnf_b.source_of_io v
+
+let cov_src = function
+  | Live (Cov_s c) -> Cov_b.A.source c.est
+  | Live _ -> assert false
+  | Decoded v -> Cov_b.source_of_io v
+
+(* Every refusal of [fold] without the fold: the shape check, then the
+   estimator header check (Delphic_core.Adaptive.Make.check_fold). *)
+let check sources =
+  let* fam, _ = check_shape sources in
+  guard (fun () ->
       match fam with
-      | Protocol.Rect -> (
-        let dims = List.filter_map snd shapes in
-        match dims with
-        | d1 :: rest when List.exists (fun d -> d <> d1) rest ->
-          let d2 = List.find (fun d -> d <> d1) rest in
-          Error (Printf.sprintf "cannot merge rect sessions of %d and %d dimensions" d1 d2)
-        | _ ->
-          let src = function
-            | Live (Rect_s r) -> Rect_b.A.source r.est
-            | Live _ -> assert false
-            | Decoded v -> Rect_b.source_of_io v
-          in
-          let* est = guard (fun () -> Rect_b.A.fold (List.map src sources) ~seed) in
-          Ok (Rect_s { est; dims = (match dims with d :: _ -> Some d | [] -> None) }))
-      | Protocol.Dnf { nvars } ->
-        let src = function
-          | Live (Dnf_s d) -> Dnf_b.A.source d.est
-          | Live _ -> assert false
-          | Decoded v -> Dnf_b.source_of_io v
-        in
-        let* est = guard (fun () -> Dnf_b.A.fold (List.map src sources) ~seed) in
-        Ok (Dnf_s { est; nvars })
-      | Protocol.Cov { nbits; strength } ->
-        let src = function
-          | Live (Cov_s c) -> Cov_b.A.source c.est
-          | Live _ -> assert false
-          | Decoded v -> Cov_b.source_of_io v
-        in
-        let* est = guard (fun () -> Cov_b.A.fold (List.map src sources) ~seed) in
-        Ok (Cov_s { est; nbits; strength })))
+      | Protocol.Rect -> ignore (Rect_b.A.check_fold (List.map rect_src sources))
+      | Protocol.Dnf _ -> ignore (Dnf_b.A.check_fold (List.map dnf_src sources))
+      | Protocol.Cov _ -> ignore (Cov_b.A.check_fold (List.map cov_src sources)))
+
+(* The cluster's one fold: k same-family sources — decoded tokens or live
+   sessions — into one new session, in a single pass over their entries
+   (Delphic_core.Adaptive.Make.fold, which runs the header check).  Family
+   and shape mismatches are [Error]s the protocol relays verbatim, as are
+   undecodable elements and parameter mismatches. *)
+let fold sources ~seed =
+  let* fam, dims = check_shape sources in
+  match fam with
+  | Protocol.Rect ->
+    let* est = guard (fun () -> Rect_b.A.fold (List.map rect_src sources) ~seed) in
+    Ok (Rect_s { est; dims })
+  | Protocol.Dnf { nvars } ->
+    let* est = guard (fun () -> Dnf_b.A.fold (List.map dnf_src sources) ~seed) in
+    Ok (Dnf_s { est; nvars })
+  | Protocol.Cov { nbits; strength } ->
+    let* est = guard (fun () -> Cov_b.A.fold (List.map cov_src sources) ~seed) in
+    Ok (Cov_s { est; nbits; strength })
 
 let of_io io ~seed = fold [ Decoded io ] ~seed
 let merge a b ~seed = fold [ Live a; Live b ] ~seed
@@ -499,87 +533,41 @@ let copy t ~seed = fold [ Live t ] ~seed
    this so the unchanged expression machinery answers over the window. *)
 let restrict t ~cutoff ~seed = of_io (decode_own (encode_exn ~cutoff t)) ~seed
 
-(* The sample-and-probe evaluation step of an EXPR query.  [union] is the
-   fold of every leaf (same family by construction of the fold, but checked
-   again here so a mixed-family expression is a clean [Error]).  With every
-   leaf exact the fold supplies the draws and the probes are indicators;
-   once any leaf is sketching the fold shares coins with the leaf buckets,
-   so the draw switches to the stratified per-leaf scheme (see
-   Delphic_expr.Expr) and the fold only contributes its |U| memoisation to
-   the caller. *)
+(* An EXPR query's one evaluation path.  [check] gives every refusal the
+   union fold would (family, rect dimension, ε/δ/log2u/mode/capacity).
+   With every leaf exact, [union ()] — the leaves' fold — supplies the
+   draws and the probes are indicators.  Once any leaf is sketching, a
+   fold's draws would be survivors of the very buckets the probes read, so
+   the draws come from each leaf in turn (the stratified scheme of
+   Delphic_expr.Expr) and no union is folded at all. *)
+let eval ~union ~leaves ~expr ~samples =
+  let* () =
+    if leaves = [] then Error "expression names no sessions"
+    else check (List.map (fun (_, l) -> Live l) leaves)
+  in
+  (* one family's estimators: [check] has seen that family on every leaf *)
+  let unpack pick =
+    ( List.map (fun (n, l) -> (n, Option.get (pick l))) leaves,
+      fun () ->
+        let* u = union () in
+        Option.to_result ~none:"the union is not of the leaves' family" (pick u) )
+  in
+  match snd (List.hd leaves) with
+  | Rect_s _ ->
+    let leaves, union = unpack (function Rect_s r -> Some r.est | _ -> None) in
+    Rect_b.expr ~expr ~samples ~leaves ~union
+  | Dnf_s _ ->
+    let leaves, union = unpack (function Dnf_s d -> Some d.est | _ -> None) in
+    Dnf_b.expr ~expr ~samples ~leaves ~union
+  | Cov_s _ ->
+    let leaves, union = unpack (function Cov_s c -> Some c.est | _ -> None) in
+    Cov_b.expr ~expr ~samples ~leaves ~union
+
+let eval_expr ~leaves ~expr ~samples ~seed =
+  eval ~leaves ~expr ~samples ~union:(fun () ->
+      match leaves with
+      | [ (_, only) ] -> Ok only
+      | _ -> fold (List.map (fun (_, l) -> Live l) leaves) ~seed)
+
 let expr_estimate ~union ~leaves ~expr ~samples =
-  let guard f =
-    match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
-  in
-  let mismatch name leaf =
-    Error
-      (Printf.sprintf "session %s is %s but the expression folds %s sessions" name
-         (family_token leaf) (family_token union))
-  in
-  match union with
-  | Rect_s u ->
-    let* ests =
-      map_result
-        (fun (name, leaf) ->
-          match leaf with
-          | Rect_s l -> Ok (name, l.est)
-          | other -> mismatch name other)
-        leaves
-    in
-    let probe name x = Rect_b.A.probe_weight (List.assoc name ests) x in
-    if List.for_all (fun (_, e) -> Rect_b.A.is_exact e) ests then
-      guard (fun () ->
-          Rect_b.E.estimate ~expr
-            ~union:(Rect_b.A.estimate u.est)
-            ~draw:(Rect_b.A.sample_union_n u.est)
-            ~probe ~exact_probes:true ~samples ~delta:(Rect_b.A.delta u.est))
-    else
-      guard (fun () ->
-          Rect_b.E.estimate_stratified ~expr
-            ~leaf_sizes:(List.map (fun (n, e) -> (n, Rect_b.A.estimate e)) ests)
-            ~draw_leaf:(fun name n -> Rect_b.A.sample_union_n (List.assoc name ests) n)
-            ~probe ~samples ~delta:(Rect_b.A.delta u.est))
-  | Dnf_s u ->
-    let* ests =
-      map_result
-        (fun (name, leaf) ->
-          match leaf with
-          | Dnf_s l -> Ok (name, l.est)
-          | other -> mismatch name other)
-        leaves
-    in
-    let probe name x = Dnf_b.A.probe_weight (List.assoc name ests) x in
-    if List.for_all (fun (_, e) -> Dnf_b.A.is_exact e) ests then
-      guard (fun () ->
-          Dnf_b.E.estimate ~expr
-            ~union:(Dnf_b.A.estimate u.est)
-            ~draw:(Dnf_b.A.sample_union_n u.est)
-            ~probe ~exact_probes:true ~samples ~delta:(Dnf_b.A.delta u.est))
-    else
-      guard (fun () ->
-          Dnf_b.E.estimate_stratified ~expr
-            ~leaf_sizes:(List.map (fun (n, e) -> (n, Dnf_b.A.estimate e)) ests)
-            ~draw_leaf:(fun name n -> Dnf_b.A.sample_union_n (List.assoc name ests) n)
-            ~probe ~samples ~delta:(Dnf_b.A.delta u.est))
-  | Cov_s u ->
-    let* ests =
-      map_result
-        (fun (name, leaf) ->
-          match leaf with
-          | Cov_s l -> Ok (name, l.est)
-          | other -> mismatch name other)
-        leaves
-    in
-    let probe name x = Cov_b.A.probe_weight (List.assoc name ests) x in
-    if List.for_all (fun (_, e) -> Cov_b.A.is_exact e) ests then
-      guard (fun () ->
-          Cov_b.E.estimate ~expr
-            ~union:(Cov_b.A.estimate u.est)
-            ~draw:(Cov_b.A.sample_union_n u.est)
-            ~probe ~exact_probes:true ~samples ~delta:(Cov_b.A.delta u.est))
-    else
-      guard (fun () ->
-          Cov_b.E.estimate_stratified ~expr
-            ~leaf_sizes:(List.map (fun (n, e) -> (n, Cov_b.A.estimate e)) ests)
-            ~draw_leaf:(fun name n -> Cov_b.A.sample_union_n (List.assoc name ests) n)
-            ~probe ~samples ~delta:(Cov_b.A.delta u.est))
+  eval ~leaves ~expr ~samples ~union:(fun () -> Ok union)

@@ -97,15 +97,32 @@ val restrict : t -> cutoff:float -> seed:int -> (t, string) result
     input is unchanged; windowed [EXPR] queries restrict each cloned leaf
     and then run the ordinary expression machinery on the views. *)
 
+val eval_expr :
+  leaves:(string * t) list ->
+  expr:Protocol.Expr_ast.t ->
+  samples:int ->
+  seed:int ->
+  (Protocol.Expr_ast.outcome, string) result
+(** Evaluate a set expression by sample-and-probe
+    ({!Delphic_expr.Expr.Eval}) — the one [EXPR] evaluation the registry
+    and the coordinator share.  [leaves] maps each distinct leaf name of
+    [expr] to its session handle.  The leaves are first checked as {!fold}
+    checks its sources, so a mix of families, rect dimensions or
+    parameters (ε, δ, log2u, mode, exact capacity) is an [Error] with the
+    fold's message in either regime.  While every leaf is exact, [samples]
+    draws come from the leaves' {!fold} (seeded by [seed]; a single leaf
+    is its own union) and the probes are indicators.  Once any leaf
+    sketches, the draws come from each leaf in turn (the stratified
+    scheme) and no union is folded: a fold's draws would be survivors of
+    the very buckets the probes read. *)
+
 val expr_estimate :
   union:t ->
   leaves:(string * t) list ->
   expr:Protocol.Expr_ast.t ->
   samples:int ->
   (Protocol.Expr_ast.outcome, string) result
-(** Evaluate a set expression by sample-and-probe
-    ({!Delphic_expr.Expr.Eval}): draw [samples] elements from [union] — the
-    fold of every leaf in [leaves] — and probe each leaf's estimator for
-    membership weights.  [leaves] maps each distinct leaf name of [expr] to
-    its session handle; all must be the same family as [union] ([Error]
-    otherwise, e.g. a rect session folded with a dnf one). *)
+(** Compatibility only, for callers that fold [union] themselves (the
+    benchmark's in-process replay): {!eval_expr} with [union] — which must
+    be the fold of [leaves] — in place of its own fold.  [union] is read
+    only while every leaf is exact. *)

@@ -209,12 +209,10 @@ let merge_in t ~name ~encoded =
 let default_expr_samples = 256
 let max_expr_samples = 65536
 
-(* An EXPR query in three steps: clone each leaf session under its own lock
-   (cheap snapshot round-trip, so ingestion resumes immediately), fold the
-   clones into one union sketch, then sample-and-probe lock-free on the
-   clones.  Cross-leaf consistency is per-leaf point-in-time — the same
-   contract a coordinator gather gives. *)
-let expr_query ?w t ~expr ~m =
+(* The leaves an EXPR reads and its draw count — refused before any leaf is
+   touched when the expression names too many sessions.  The coordinator
+   plans its EXPR with this too. *)
+let expr_plan ~expr ~m =
   let module E = Protocol.Expr_ast in
   let names = E.leaves expr in
   if List.length names > E.max_leaves then
@@ -222,45 +220,38 @@ let expr_query ?w t ~expr ~m =
       (Protocol.Bad_params
          (Printf.sprintf "expression names %d distinct sessions; the cap is %d"
             (List.length names) E.max_leaves))
-  else
-    let samples =
-      match m with
-      | None -> default_expr_samples
-      | Some n -> min n max_expr_samples
-    in
-    (* The window cutoff is computed once, before any leaf is cloned, so
-       every leaf is restricted against the same instant. *)
-    let cutoff = Option.map (fun w -> now t -. w) w in
-    let rec clone acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest -> (
-        let copied =
-          with_session t name (fun s ->
-              Result.map_error
-                (fun msg -> Protocol.Server_error msg)
-                (match cutoff with
-                | None -> Families.copy s.runner ~seed:(next_seed t)
-                | Some c -> Families.restrict s.runner ~cutoff:c ~seed:(next_seed t)))
-        in
-        match copied with
-        | Ok c -> clone ((name, c) :: acc) rest
-        | Error e -> Error e)
-    in
-    let* leaves = clone [] names in
-    let* union =
-      match leaves with
-      | [] -> Error (Protocol.Bad_params "expression names no sessions")
-      | [ (_, only) ] -> Ok only
-      | _ ->
-        Result.map_error
-          (fun msg -> Protocol.Bad_params msg)
-          (Families.fold
-             (List.map (fun (_, c) -> Families.Live c) leaves)
-             ~seed:(next_seed t))
-    in
-    match Families.expr_estimate ~union ~leaves ~expr ~samples with
-    | Ok outcome -> Ok outcome
-    | Error msg -> Error (Protocol.Bad_params msg)
+  else Ok (names, match m with None -> default_expr_samples | Some n -> min n max_expr_samples)
+
+(* An EXPR query in two steps: clone each leaf session under its own lock
+   (cheap snapshot round-trip, so ingestion resumes immediately), then
+   evaluate lock-free on the clones (Families.eval_expr, which folds them
+   into a union only while every leaf is exact).  Cross-leaf consistency
+   is per-leaf point-in-time — the same contract a coordinator gather
+   gives. *)
+let expr_query ?w t ~expr ~m =
+  let* names, samples = expr_plan ~expr ~m in
+  (* The window cutoff is computed once, before any leaf is cloned, so
+     every leaf is restricted against the same instant. *)
+  let cutoff = Option.map (fun w -> now t -. w) w in
+  let rec clone acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+      let copied =
+        with_session t name (fun s ->
+            Result.map_error
+              (fun msg -> Protocol.Server_error msg)
+              (match cutoff with
+              | None -> Families.copy s.runner ~seed:(next_seed t)
+              | Some c -> Families.restrict s.runner ~cutoff:c ~seed:(next_seed t)))
+      in
+      match copied with
+      | Ok c -> clone ((name, c) :: acc) rest
+      | Error e -> Error e)
+  in
+  let* leaves = clone [] names in
+  Result.map_error
+    (fun msg -> Protocol.Bad_params msg)
+    (Families.eval_expr ~leaves ~expr ~samples ~seed:(next_seed t))
 
 (* caller holds the segment lock for [name] (or all of them) *)
 let restore_session t ~name ~path =

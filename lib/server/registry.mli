@@ -101,6 +101,14 @@ val max_expr_samples : int
 (** Hard cap on requested [m=] (65536); larger requests are clamped, not
     refused — more samples only cost time. *)
 
+val expr_plan :
+  expr:Protocol.Expr_ast.t -> m:int option -> (string list * int, Protocol.error) result
+(** The distinct leaf names an [EXPR] reads and its draw count ([m], default
+    {!default_expr_samples}, clamped to {!max_expr_samples}).  [Error
+    (Bad_params _)] when the expression names more than
+    {!Delphic_expr.Expr.max_leaves} distinct sessions — checked before any
+    leaf is read, here and on a coordinator. *)
+
 val expr_query :
   ?w:float ->
   t ->
@@ -108,15 +116,16 @@ val expr_query :
   m:int option ->
   (Protocol.Expr_ast.outcome, Protocol.error) result
 (** Evaluate a set expression over open sessions by sample-and-probe
-    ({!Families.expr_estimate}).  Each leaf session is cloned under its own
+    ({!Families.eval_expr}).  Each leaf session is cloned under its own
     lock and the query then runs lock-free on the clones, so concurrent
-    ingestion is never blocked.  [m] is the union-sample count (default 256,
+    ingestion is never blocked; the clones are folded into a union only
+    while every leaf is exact.  [m] is the union-sample count (default 256,
     capped at 65536).  [w] restricts every leaf to the trailing [w] seconds
     of the registry clock — the cutoff is computed once, before any leaf is
     cloned, so all leaves see the same instant.  [Error (Bad_params _)] when
     the expression names more than {!Delphic_expr.Expr.max_leaves} distinct
-    sessions or mixes families; [Error (Unknown_session _)] on an unopened
-    leaf. *)
+    sessions or mixes families, rect dimensions or parameters — exact or
+    sketching alike; [Error (Unknown_session _)] on an unopened leaf. *)
 
 val names : t -> string list
 

@@ -75,3 +75,24 @@ let erf x =
   if x >= 0.0 then p else -.p
 
 let normal_cdf x = 0.5 *. (1.0 +. erf (x /. sqrt 2.0))
+
+let binomial_tail ~n ~p k =
+  if n < 0 then invalid_arg "Special.binomial_tail: need n >= 0";
+  if p < 0.0 || p > 1.0 then invalid_arg "Special.binomial_tail: need 0 <= p <= 1";
+  if k <= 0 then 1.0
+  else if k > n || p = 0.0 then 0.0
+  else if p = 1.0 then 1.0
+  else begin
+    (* the first term C(n,k)·p^k·(1-p)^(n-k) in log space, then each next
+       one by the ratio of successive terms *)
+    let log_first = ref ((float_of_int k *. log p) +. (float_of_int (n - k) *. log1p (-.p))) in
+    for i = 1 to k do
+      log_first := !log_first +. log (float_of_int (n - k + i)) -. log (float_of_int i)
+    done;
+    let term = ref (exp !log_first) and total = ref 0.0 in
+    for j = k to n do
+      total := !total +. !term;
+      term := !term *. float_of_int (n - j) /. float_of_int (j + 1) *. p /. (1.0 -. p)
+    done;
+    Float.min 1.0 !total
+  end

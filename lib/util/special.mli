@@ -24,3 +24,9 @@ val erf : float -> float
 
 val normal_cdf : float -> float
 (** Standard normal CDF. *)
+
+val binomial_tail : n:int -> p:float -> int -> float
+(** [binomial_tail ~n ~p k] is [P(X >= k)] for [X ~ Binomial(n, p)]: how
+    likely [k] or more failures are among [n] independent trials of an
+    estimator that fails with probability [p].  Statistical tests reject
+    only when this falls below their threshold. *)

@@ -228,29 +228,12 @@ let run ~replicas seed =
   done;
   result
 
-(* P[X >= k] for X ~ Binomial(n, p). *)
-let binomial_tail ~n ~p k =
-  let log_choose n j =
-    let s = ref 0.0 in
-    for i = 1 to j do
-      s := !s +. log (float_of_int (n - j + i)) -. log (float_of_int i)
-    done;
-    !s
-  in
-  let total = ref 0.0 in
-  for j = k to n do
-    total :=
-      !total
-      +. exp (log_choose n j +. (float_of_int j *. log p) +. (float_of_int (n - j) *. log1p (-.p)))
-  done;
-  !total
-
 let seed_set ~replicas seeds () =
   let outcomes = List.filter_map (run ~replicas) seeds in
   let n = List.length outcomes in
   let misses = List.length (List.filter Fun.id outcomes) in
   let _, delta, _ = sketch_params in
-  let tail = binomial_tail ~n ~p:delta misses in
+  let tail = Delphic_util.Special.binomial_tail ~n ~p:delta misses in
   Alcotest.(check bool)
     (Printf.sprintf
        "R=%d: %d of %d sketch answers miss by more than ε; P[X >= %d | n = %d, δ = %.1f] = %.2g \

@@ -773,6 +773,67 @@ let test_expr_cluster () =
   List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
   List.iteri (fun n _ -> rm_rf (spool (30 + n))) workers
 
+(* Sketch-regime EXPR through [dispatch] — a coordinator's or a single
+   registry's, the two callers of the one evaluation path.  A and B take
+   E1-sized boxes and sketch; C stays exact with the same parameters.
+   Mixed exact and sketching leaves are answered with sketch probes, and
+   a leaf of another family, rect dimension or ε is refused with
+   BAD-PARAMS whether the other leaves sketch or not: the refusals the
+   union fold used to give must survive the path that folds nothing. *)
+let check_sketch_expr ~dispatch =
+  let send line =
+    match P.parse_request line with
+    | Ok r -> dispatch r
+    | Error e -> Alcotest.failf "parse %S: %s" line (P.error_code e)
+  in
+  let expect_ok line =
+    match send line with
+    | P.Ok_reply _ | P.Ok_batch _ -> ()
+    | r -> Alcotest.failf "%s: %s" line (P.render_response r)
+  in
+  List.iter expect_ok
+    [
+      "OPEN A rect 0.3 0.2 40"; "OPEN B rect 0.3 0.2 40"; "OPEN C rect 0.3 0.2 40";
+      "OPEN D dnf:8 0.3 0.2 8"; "OPEN E rect 0.25 0.2 40"; "OPEN F rect 0.3 0.2 40";
+    ];
+  let gen = Rng.create ~seed:29 in
+  let big = Workload.Rectangles.uniform gen ~universe:1_000_000 ~dim:2 ~count:12 ~max_side:60_000 in
+  List.iteri
+    (fun i box ->
+      expect_ok ("ADD A " ^ payload_of box);
+      if i mod 2 = 0 then expect_ok ("ADD B " ^ payload_of box))
+    big;
+  List.iter expect_ok
+    [ "ADD C 0 9 0 9"; "ADD D 1 -2"; "ADD E 0 9 0 9"; "ADD F 0 9 0 9 0 9" ];
+  let answered line =
+    match send line with
+    | P.Expr_reply { quality; _ } ->
+      Alcotest.(check bool) (line ^ " reads sketch probes") true (quality = P.Probes_sketch)
+    | r -> Alcotest.failf "%s: %s" line (P.render_response r)
+  in
+  answered "EXPR (A & B) \\ C";
+  answered "EXPR A | C";
+  let refused line =
+    match send line with
+    | P.Error_reply e -> Alcotest.(check string) (line ^ " is refused") "BAD-PARAMS" (P.error_code e)
+    | r -> Alcotest.failf "%s must be refused: %s" line (P.render_response r)
+  in
+  (* against sketching leaves, then against an exact one *)
+  List.iter refused
+    [ "EXPR (A & B) | E"; "EXPR A \\ F"; "EXPR A & D"; "EXPR C | E"; "EXPR C \\ F"; "EXPR C & D" ]
+
+let test_sketch_expr_coordinator () =
+  let workers = List.init 3 (fun n -> start_worker (90 + n) ~seed:(1000 + n)) in
+  let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
+  let coord = Coordinator.create ~timeout:5.0 ~backoff:0.01 ~workers:addrs ~seed:19 () in
+  check_sketch_expr ~dispatch:(Coordinator.dispatch coord);
+  Coordinator.shutdown coord;
+  List.iter stop_worker workers;
+  List.iteri (fun n _ -> rm_rf (spool (90 + n))) workers
+
+let test_sketch_expr_registry () =
+  check_sketch_expr ~dispatch:(Registry.dispatch (Registry.create ~seed:23 ()))
+
 (* --- kill -9 against a journaled worker ------------------------------- *)
 
 let rm_rf_deep dir =
@@ -1056,6 +1117,9 @@ let suite =
       test_slow_home_peer_answers;
     Alcotest.test_case "EXPR over a live cluster with worker loss" `Quick
       test_expr_cluster;
+    Alcotest.test_case "sketch-regime EXPR on the coordinator" `Quick
+      test_sketch_expr_coordinator;
+    Alcotest.test_case "sketch-regime EXPR on one registry" `Quick test_sketch_expr_registry;
     Alcotest.test_case "frontend speaks the full protocol" `Quick
       test_frontend_protocol;
     Alcotest.test_case "kill -9 mid-stream recovers from the WAL" `Quick

@@ -67,6 +67,18 @@ let test_validation () =
   expect_invalid (fun () -> Special.gamma_p ~a:1.0 ~x:(-1.0));
   expect_invalid (fun () -> Special.chi_square_cdf ~dof:0 1.0)
 
+(* P[X >= k] for X ~ Bin(n, p) against closed forms and a direct sum. *)
+let test_binomial_tail () =
+  let tail = Special.binomial_tail in
+  check "k = 0" 1.0 (tail ~n:10 ~p:0.3 0);
+  check "k > n" 0.0 (tail ~n:10 ~p:0.3 11);
+  check "all heads" (0.5 ** 10.0) (tail ~n:10 ~p:0.5 10);
+  check "at least one" (1.0 -. (0.8 ** 40.0)) (tail ~n:40 ~p:0.2 1);
+  check "p = 0" 0.0 (tail ~n:5 ~p:0.0 1);
+  check "p = 1" 1.0 (tail ~n:5 ~p:1.0 5);
+  (* P[X >= 3], n = 5, p = 0.2: C(5,3)·.008·.64 + C(5,4)·.0016·.8 + .00032 *)
+  check "n = 5, k = 3" 0.05792 (tail ~n:5 ~p:0.2 3)
+
 let suite =
   [
     Alcotest.test_case "incomplete gamma known values" `Quick test_gamma_p_known;
@@ -76,4 +88,5 @@ let suite =
     Alcotest.test_case "erf" `Quick test_erf_known;
     Alcotest.test_case "normal cdf" `Quick test_normal_cdf;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "binomial tail" `Quick test_binomial_tail;
   ]

@@ -255,24 +255,41 @@ let prop_estimate_tracks_exact =
       let est = V_range.estimate t in
       Float.abs (est -. truth) <= 0.5 *. truth)
 
-(* qcheck property: processing the stream twice (every set repeated) never
-   changes what is being measured — the union is idempotent and survival
-   depends only on last occurrences. *)
+(* qcheck property: processing the stream three times (every set repeated)
+   never changes what is being measured — the union is idempotent and
+   survival depends only on last occurrences.  Stated as the service oracle
+   states the guarantee: over 40 random streams, count the estimates off
+   by more than the estimator's own ε, and reject only when that many
+   misses are implausible for a δ-failure estimator (binomial tail below
+   1e-3).  An estimator that counts a re-occurrence as a new element
+   misses on nearly every stream. *)
 let prop_duplication_invariance =
+  let epsilon = 0.3 and delta = 0.2 in
   let gen_ranges =
-    QCheck.list_of_size (QCheck.Gen.int_range 1 40)
-      (QCheck.pair (QCheck.int_range 0 99_000) (QCheck.int_range 0 999))
+    QCheck.Gen.(list_size (int_range 1 40) (pair (int_range 0 99_000) (int_range 0 999)))
   in
-  QCheck.Test.make ~name:"duplicated stream estimates the same union" ~count:40
-    gen_ranges (fun spec ->
-      let pool = List.map (fun (lo, len) -> Range1d.create ~lo ~hi:(lo + len)) spec in
-      let truth = float_of_int (Exact.range_union pool) in
-      let t =
-        V_range.create ~epsilon:0.3 ~delta:0.2 ~log2_universe:17.0
-          ~seed:(Hashtbl.hash (spec, 1)) ()
+  let streams =
+    QCheck.make
+      ~print:(fun specs -> Printf.sprintf "%d streams" (List.length specs))
+      (QCheck.Gen.list_repeat 40 gen_ranges)
+  in
+  QCheck.Test.make ~name:"duplicated stream estimates the same union" ~count:1 streams
+    (fun specs ->
+      let missed spec =
+        let pool = List.map (fun (lo, len) -> Range1d.create ~lo ~hi:(lo + len)) spec in
+        let truth = float_of_int (Exact.range_union pool) in
+        let t =
+          V_range.create ~epsilon ~delta ~log2_universe:17.0 ~seed:(Hashtbl.hash (spec, 1)) ()
+        in
+        List.iter (V_range.process t) (pool @ List.rev pool @ pool);
+        Float.abs (V_range.estimate t -. truth) > epsilon *. truth
       in
-      List.iter (V_range.process t) (pool @ List.rev pool @ pool);
-      Float.abs (V_range.estimate t -. truth) <= 0.5 *. truth)
+      let misses = List.length (List.filter missed specs) in
+      let tail = Delphic_util.Special.binomial_tail ~n:(List.length specs) ~p:delta misses in
+      if tail < 1e-3 then
+        QCheck.Test.fail_reportf "%d of %d estimates miss by more than ε: P[X >= %d] = %.2g"
+          misses (List.length specs) misses tail;
+      true)
 
 let suite =
   [
