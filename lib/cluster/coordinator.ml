@@ -7,9 +7,9 @@ let log_src = Logs.Src.create "delphic.cluster" ~doc:"scatter/gather coordinator
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* One wire frame awaiting its single reply line: either a legacy [ADD]
-   (one item) or an [ADDB]/[ADDL] carrying the whole array.  [bitems] keeps
-   each payload's hop count so a replay after worker death still converges.
+(* One wire frame awaiting its single reply line: an [ADDB]/[ADDL]
+   carrying the whole array.  [bitems] keeps each payload's hop count so a
+   replay after worker death still converges.
    [bts] is the frame's ingest timestamp — [ADDB] stamps a whole frame, so
    only same-timestamp payloads share one; [None] lets the worker stamp its
    own receive time. *)
@@ -59,7 +59,7 @@ type session_info = {
          usable, each with its last good full token *)
   mutable last_good : string option; (* the replicas' last good full token *)
   mutable last_estimate : float;
-  mutable rejects : int; (* Bad_line acks seen for this session *)
+  mutable rejects : int; (* payloads a primary ack listed as malformed *)
   mutable merges : int; (* gather folds performed *)
   (* Memoised fold: the cutoff and wire tokens of the last all-fresh gather
      and the sketch they folded to.  Workers encode lazily
@@ -241,8 +241,7 @@ let quarantine t w =
         w.failures);
   !kill_requeue t w
 
-(* Retire the oldest pending frame against one ack-shaped reply — [OKB] for
-   an ADDB/ADDL, [OK] for a legacy single ADD. *)
+(* Retire the oldest pending frame against its [OKB] reply. *)
 let retire_ack t w reply =
   match Queue.take_opt w.pending with
   | None -> w.in_flight <- 0 (* unreachable: in_flight tracks pending *)
@@ -251,12 +250,7 @@ let retire_ack t w reply =
     let si = Hashtbl.find_opt t.sessions b.bsession in
     let reject n = Option.iter (fun si -> si.rejects <- si.rejects + n) si in
     match reply with
-    | P.Ok_reply _ -> ()
     | P.Ok_batch { accepted = _; errors } -> reject (List.length errors)
-    | P.Error_reply (P.Bad_line _) ->
-      (* the whole frame was refused — for a 1-item ADD frame that is
-         exactly one rejected payload *)
-      reject (Array.length b.bitems)
     | P.Error_reply (P.Fenced cur) ->
       (* A newer primary fenced us mid-stream.  The frame is NOT re-routed:
          every worker enforces the same fence, and the payloads now belong
@@ -318,9 +312,9 @@ let backup t session w =
     && match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
 
 (* Frame [w.staged] into requests — consecutive same-session runs of up to
-   [t.batch] payloads each: ADDL for a backup copy, otherwise ADDB (a lone
-   payload as a legacy ADD) — stage them all on the connection, and ship
-   the accumulation as one coalesced write.  Frames enter [w.pending]
+   [t.batch] payloads each: ADDL for a backup copy, otherwise ADDB — stage
+   them all on the connection, and ship the accumulation as one coalesced
+   write.  Frames enter [w.pending]
    before the flush so a transport failure replays them via the quarantine
    path. *)
 let flush_worker t w =
@@ -347,13 +341,10 @@ let flush_worker t w =
           | _ -> same_run := false
         done;
         let bitems = Array.of_list (List.rev !items) in
-        let payloads () = Array.to_list (Array.map fst bitems) in
+        let payloads = Array.to_list (Array.map fst bitems) in
         let req =
-          if backup t s0 w then P.Add_log { session = s0; payloads = payloads (); ts = ts0 }
-          else
-            match bitems with
-            | [| (payload, _) |] -> P.Add { session = s0; payload; ts = ts0 }
-            | _ -> P.Add_batch { session = s0; payloads = payloads (); ts = ts0 }
+          if backup t s0 w then P.Add_log { session = s0; payloads; ts = ts0 }
+          else P.Add_batch { session = s0; payloads; ts = ts0 }
         in
         Rpc.stage conn req;
         Queue.push { bsession = s0; bts = ts0; bitems } w.pending;

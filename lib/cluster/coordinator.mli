@@ -93,9 +93,9 @@ val create :
     [backoff] (default 50ms) and doubling; [window] (default 256) is the
     unacknowledged-payload depth per worker; [batch] (default 64) is both
     the per-worker staging high-water mark and the maximum payloads per
-    [ADDB] frame — [batch = 1] degenerates to the unbatched one-ADD-per-line
-    pipeline.  [clock] (default [Unix.gettimeofday]) supplies the query
-    instant for un-pinned [WIN] and [EXPR w=] — injectable for deterministic
+    [ADDB] frame — [batch = 1] ships one one-payload [ADDB] per set.
+    [clock] (default [Unix.gettimeofday]) supplies the query instant for
+    un-pinned [WIN] and [EXPR w=] — injectable for deterministic
     tests; [cutoff_bucket] (default 1s) quantizes clock-derived window
     cutoffs down to that grain, so repeated idle-cluster windowed queries
     inside one bucket ship byte-identical Fetch cutoffs and hit the workers'

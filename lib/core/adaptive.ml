@@ -226,7 +226,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       Printf.sprintf "sketch (max bucket %d, %d sets skipped)" (max_bucket_size t)
         (skipped_sets t)
 
-  type sketch_snapshot = {
+  type sketch_header = {
     capacity_scale : float;
     coupon_scale : float;
     sketch_items : int;
@@ -235,10 +235,9 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     membership_calls : int;
     cardinality_calls : int;
     sampling_calls : int;
-    sketch_entries : (F.elt * int * float) list;
   }
 
-  type snapshot = {
+  type header = {
     mode : Params.mode;
     epsilon : float;
     delta : float;
@@ -246,31 +245,17 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     exact_capacity : int;
     items : int;
     exact_active : bool;
-    exact_entries : (F.elt * float) list;
-    sketch : sketch_snapshot option;
+    sketch : sketch_header option;
   }
 
-  let sketch_snapshot_of (s : Vatic.snapshot) =
+  let vatic_header (h : header) (sk : sketch_header) =
     {
-      capacity_scale = s.Vatic.capacity_scale;
-      coupon_scale = s.Vatic.coupon_scale;
-      sketch_items = s.Vatic.items;
-      max_bucket = s.Vatic.max_bucket;
-      skipped = s.Vatic.skipped;
-      membership_calls = s.Vatic.calls.membership;
-      cardinality_calls = s.Vatic.calls.cardinality;
-      sampling_calls = s.Vatic.calls.sampling;
-      sketch_entries = s.Vatic.entries;
-    }
-
-  let vatic_snapshot_of (s : snapshot) (sk : sketch_snapshot) =
-    {
-      Vatic.mode = s.mode;
+      Vatic.mode = h.mode;
       capacity_scale = sk.capacity_scale;
       coupon_scale = sk.coupon_scale;
-      epsilon = s.epsilon;
-      delta = s.delta;
-      log2_universe = s.log2_universe;
+      epsilon = h.epsilon;
+      delta = h.delta;
+      log2_universe = h.log2_universe;
       items = sk.sketch_items;
       max_bucket = sk.max_bucket;
       skipped = sk.skipped;
@@ -280,31 +265,12 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
           cardinality = sk.cardinality_calls;
           sampling = sk.sampling_calls;
         };
-      entries = sk.sketch_entries;
     }
-
-  let snapshot_with (t : t) ~exact_entries ~sketch_of =
-    {
-      mode = t.mode;
-      epsilon = t.epsilon;
-      delta = t.delta;
-      log2_universe = t.log2_universe;
-      exact_capacity = t.capacity;
-      items = t.items;
-      exact_active = t.exact_active;
-      exact_entries;
-      sketch = Option.map (fun v -> sketch_snapshot_of (sketch_of v)) t.sketch;
-    }
-
-  let snapshot (t : t) =
-    snapshot_with t
-      ~exact_entries:(Tbl.fold (fun x ts acc -> (x, ts) :: acc) t.exact [])
-      ~sketch_of:Vatic.snapshot
 
   (* ---- the fold: k entry sources into one estimator ---- *)
 
   type source = {
-    header : snapshot;
+    header : header;
     exact_size : int;
     iter_exact : (F.elt -> float -> unit) -> unit;
     sketch_min_level : int;
@@ -314,9 +280,31 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
 
   let source (t : t) =
     let vs = Option.map Vatic.source t.sketch in
+    let sketch_header (v : Vatic.source) =
+      let h = v.Vatic.header in
+      {
+        capacity_scale = h.Vatic.capacity_scale;
+        coupon_scale = h.Vatic.coupon_scale;
+        sketch_items = h.Vatic.items;
+        max_bucket = h.Vatic.max_bucket;
+        skipped = h.Vatic.skipped;
+        membership_calls = h.Vatic.calls.membership;
+        cardinality_calls = h.Vatic.calls.cardinality;
+        sampling_calls = h.Vatic.calls.sampling;
+      }
+    in
     {
       header =
-        snapshot_with t ~exact_entries:[] ~sketch_of:(fun v -> (Vatic.source v).Vatic.header);
+        {
+          mode = t.mode;
+          epsilon = t.epsilon;
+          delta = t.delta;
+          log2_universe = t.log2_universe;
+          exact_capacity = t.capacity;
+          items = t.items;
+          exact_active = t.exact_active;
+          sketch = Option.map sketch_header vs;
+        };
       exact_size = Tbl.length t.exact;
       iter_exact = (fun f -> Tbl.iter f t.exact);
       sketch_min_level = (match vs with Some s -> s.Vatic.min_level | None -> 0);
@@ -324,22 +312,11 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       iter_sketch = (fun f -> match vs with Some s -> s.Vatic.iter f | None -> ());
     }
 
-  let source_of_snapshot (s : snapshot) =
-    let sk_entries = match s.sketch with Some sk -> sk.sketch_entries | None -> [] in
-    {
-      header = s;
-      exact_size = List.length s.exact_entries;
-      iter_exact = (fun f -> List.iter (fun (x, ts) -> f x ts) s.exact_entries);
-      sketch_min_level = List.fold_left (fun m (_, l, _) -> Stdlib.max m l) 0 sk_entries;
-      sketch_size = List.length sk_entries;
-      iter_sketch = (fun f -> List.iter (fun (x, l, ts) -> f x l ts) sk_entries);
-    }
-
   let vatic_source s =
     Option.map
       (fun sk ->
         {
-          Vatic.header = vatic_snapshot_of s.header { sk with sketch_entries = [] };
+          Vatic.header = vatic_header s.header sk;
           min_level = s.sketch_min_level;
           size = s.sketch_size;
           iter = s.iter_sketch;
@@ -367,15 +344,15 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
         if Option.is_some q.sketch <> Option.is_some h.sketch then
           invalid_arg "Adaptive.merge: sketch presence mismatch";
         if (not q.exact_active) && Option.is_none q.sketch then
-          invalid_arg "Adaptive.restore: snapshot is in sketch mode but has no sketch")
+          invalid_arg "Adaptive.fold: source is in sketch mode but has no sketch")
       sources;
-    if h.exact_capacity <= 0 then invalid_arg "Adaptive.restore: exact_capacity must be positive";
+    if h.exact_capacity <= 0 then invalid_arg "Adaptive.fold: exact_capacity must be positive";
     h
 
   (* Sharded-stream fold of k adaptive estimators over the same family and
      parameters, in one pass over their entries:
 
-     - a single source is copied verbatim (restore is this case);
+     - a single source is copied verbatim (a copy or a decoded token);
      - while every source is exact, the tables union (newest timestamp per
        element) and the result stays exact if it fits the budget — the
        lazy sketch stays empty, rebuilt by [deactivate] on overflow
@@ -388,7 +365,10 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     let h = check_fold sources in
     let empty_sketch ~seed =
       Option.map
-        (fun sk -> Vatic.restore (vatic_snapshot_of h { sk with sketch_entries = [] }) ~seed)
+        (fun sk ->
+          Vatic.fold
+            [ { Vatic.header = vatic_header h sk; min_level = 0; size = 0; iter = ignore } ]
+            ~seed)
         h.sketch
     in
     let union srcs =
@@ -451,6 +431,5 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       make ~exact:(Tbl.create 1) ~exact_active:false
         ~sketch:(Some (Vatic.fold (replayed @ sketching) ~seed:(seed + 1)))
 
-  let restore s ~seed = fold [ source_of_snapshot s ] ~seed
   let merge a b ~seed = fold [ source a; source b ] ~seed
 end

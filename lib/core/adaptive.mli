@@ -98,15 +98,16 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       subsample draw at scale ({!Vatic.Make.sample_union_n}).  Empty when
       nothing has been processed or [n <= 0]. *)
 
-  (** {2 Checkpointing}
+  (** {2 Checkpointing and merging}
 
-      Same contract as {!Vatic.Make.snapshot}: the full estimator state —
-      both the exact table and the shadow sketch — as plain data, so a
-      session can be persisted (see {!Snapshot_io}) and resumed.  PRNG state
-      is not captured; restoration continues with fresh randomness from the
-      supplied seed, which the guarantees do not depend on. *)
+      The state — both the exact table and the shadow sketch — leaves a
+      process only as a {!Snapshot_io} token written from {!source}
+      ([Delphic_server.Families.encode]) and comes back through {!fold}
+      (the one-source fold is a verbatim copy).  PRNG state is not saved:
+      the copy draws fresh coins from the seed given to {!fold}, which the
+      guarantees do not depend on. *)
 
-  type sketch_snapshot = {
+  type sketch_header = {
     capacity_scale : float;
     coupon_scale : float;
     sketch_items : int;
@@ -115,11 +116,10 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
     membership_calls : int;
     cardinality_calls : int;
     sampling_calls : int;
-    sketch_entries : (F.elt * int * float) list;
-        (** bucket contents: (element, level, last-occurrence timestamp) *)
   }
+  (** The shadow sketch's parameters and counters. *)
 
-  type snapshot = {
+  type header = {
     mode : Params.mode;
     epsilon : float;
     delta : float;
@@ -127,23 +127,12 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
     exact_capacity : int;
     items : int;
     exact_active : bool;
-    exact_entries : (F.elt * float) list;
-        (** distinct elements held while exact, with last-occurrence
-            timestamps *)
-    sketch : sketch_snapshot option;
+    sketch : sketch_header option;  (** [None] below VATIC's universe floor *)
   }
-
-  val snapshot : t -> snapshot
-
-  val restore : snapshot -> seed:int -> t
-  (** The one-source {!fold}.  Raises [Invalid_argument] on internally
-      inconsistent snapshots (e.g. sketch mode without a sketch, or
-      parameters {!create} would refuse). *)
+  (** An estimator's parameters and counters: everything but its entries. *)
 
   type source = {
-    header : snapshot;
-        (** parameters and counters; its [exact_entries] and the sketch's
-            [sketch_entries] are ignored *)
+    header : header;
     exact_size : int;  (** entries [iter_exact] yields *)
     iter_exact : (F.elt -> float -> unit) -> unit;
         (** (element, last-occurrence timestamp) of the exact table *)
@@ -153,14 +142,13 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
         (** (element, level, last-occurrence timestamp) of the sketch bucket *)
   }
   (** An estimator seen through iterators: a live one ({!source}) or a
-      decoded snapshot token whose elements are decoded on the fly — the
-      cluster folds k worker tokens without restoring an estimator per
-      token. *)
+      decoded token whose elements are decoded on the fly — the cluster
+      folds k worker tokens without building an estimator per token. *)
 
   val source : t -> source
   (** The estimator's own tables, iterated in place (no copy). *)
 
-  val check_fold : source list -> snapshot
+  val check_fold : source list -> header
   (** The header check {!fold} starts with: every source has the same ε,
       δ, log2u, mode and exact capacity, and a consistent header.  Returns
       the first source's header (entries unread).  Raises
@@ -168,16 +156,19 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       header — with the message {!fold} would raise. *)
 
   val fold : source list -> seed:int -> t
-  (** The one fold behind {!restore} and {!merge}.  A single source is
-      copied verbatim.  With several, exact tables union while every
-      source is exact and the result fits the budget (an overflow hands
-      over to the sketch exactly as a single stream does); otherwise the
+  (** The one fold: a copy, a token read back and {!merge} are all
+      this.  A single source is copied verbatim.  With several, exact
+      tables union while every source is exact and the result fits the
+      budget (an overflow hands over to the sketch exactly as a single
+      stream does); otherwise the
       exact sources' union is replayed into a fresh sketch and folded with
       every sketching source in one {!Vatic.Make.fold} pass — one coin per
       distinct element at the first holder's level, newest timestamp wins.
       Sources are unchanged.  Raises [Invalid_argument] on an empty list,
-      a parameter mismatch or an inconsistent header, [Failure] if an
-      exact-only (unsketchable) union outgrows the budget. *)
+      a parameter mismatch, an inconsistent header (sketch mode without a
+      sketch, a non-positive exact capacity) or a sketch entry level
+      outside the sketch's range, [Failure] if an exact-only (unsketchable)
+      union outgrows the budget. *)
 
   val merge : t -> t -> seed:int -> t
   (** The two-source {!fold} — the sharded-stream merge. *)

@@ -343,51 +343,6 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) = struct
   let sample_union t =
     match sample_union_n t 1 with [] -> None | x :: _ -> Some x
 
-  type snapshot = {
-    mode : Params.mode;
-    epsilon : float;
-    delta : float;
-    log2_universe : float;
-    alpha : float;
-    gamma : float;
-    eta : float;
-    items : int;
-    max_bucket : int;
-    skipped : int;
-    calls : oracle_calls;
-    entries : (A.elt * int * float) list;
-  }
-
-  let snapshot (t : t) =
-    {
-      mode = t.mode;
-      epsilon = t.epsilon;
-      delta = t.delta;
-      log2_universe = t.log2_universe;
-      alpha = t.alpha;
-      gamma = t.gamma;
-      eta = t.eta;
-      items = t.items;
-      max_bucket = t.max_bucket;
-      skipped = t.skipped;
-      calls = oracle_calls t;
-      entries = Tbl.fold (fun x (j, ts) acc -> (x, j, ts) :: acc) t.bucket [];
-    }
-
-  let restore s ~seed =
-    let t =
-      create ~mode:s.mode ~epsilon:s.epsilon ~delta:s.delta
-        ~log2_universe:s.log2_universe ~alpha:s.alpha ~gamma:s.gamma ~eta:s.eta ~seed ()
-    in
-    List.iter (fun (x, j, ts) -> bucket_add ~ts t x j) s.entries;
-    t.items <- s.items;
-    t.max_bucket <- s.max_bucket;
-    t.skipped <- s.skipped;
-    t.membership_calls <- s.calls.membership;
-    t.cardinality_calls <- s.calls.cardinality;
-    t.sampling_calls <- s.calls.sampling;
-    t
-
   (* Same merge semantics as Vatic.merge, expressed in halving counts j
      (p = p_init·2^-j): downsample both buckets to the common minimum rate
      j0, union with dedup, re-apply the capacity/halving rule of process

@@ -80,31 +80,13 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) : sig
 
   val oracle_calls : t -> oracle_calls
 
-  (** {2 Checkpointing}
+  (** {2 Merging}
 
-      Same contract as {!Vatic.Make.snapshot}: plain data, cheap to persist,
-      PRNG state not captured (a restored sketch continues with fresh
-      randomness, which the guarantees do not depend on). *)
-
-  type snapshot = {
-    mode : Params.mode;
-    epsilon : float;
-    delta : float;
-    log2_universe : float;
-    alpha : float;
-    gamma : float;
-    eta : float;
-    items : int;
-    max_bucket : int;
-    skipped : int;
-    calls : oracle_calls;
-    entries : (A.elt * int * float) list;
-        (** bucket contents: (element, halving count [j], last-occurrence
-            timestamp) *)
-  }
-
-  val snapshot : t -> snapshot
-  val restore : snapshot -> seed:int -> t
+      No serving family runs on an Approximate-Delphic oracle, so this
+      estimator has no saved form: its state lives in one process, and
+      {!merge} is its only combination.  (The served estimators save their
+      state as a {!Snapshot_io} token and read it back through
+      {!Adaptive.Make.fold}.) *)
 
   val merge : t -> t -> seed:int -> t
   (** Sharded-stream union, same contract and caveats as

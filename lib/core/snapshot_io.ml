@@ -24,13 +24,7 @@ type header = {
 }
 
 let version = 4
-let text_magic = "delphic-snapshot"
-
-(* The leading NUL can never start a text snapshot, so one byte tells the
-   binary format from the legacy text ones. *)
 let magic = "\x00DS4"
-
-let ( let* ) = Result.bind
 
 let top_level entries = List.fold_left (fun m (l, _, _) -> Stdlib.max m l) 0 entries
 
@@ -162,7 +156,10 @@ let byte c what =
   c.pos <- c.pos + 1;
   v
 
-type bin = {
+(* A decoded snapshot: a validated v4 token whose entries stay in the token
+   bytes until someone walks them — decoding a token costs its header and
+   one validation pass, and a fold reads the elements in place. *)
+type t = {
   tok : string;
   head : header;
   exact_at : int;  (** offset of the first exact entry *)
@@ -299,274 +296,60 @@ let open_binary s =
   if stop <> n then corrupt "%d trailing bytes" (n - stop);
   { b with sketch_at }
 
-(* ---- the decoded snapshot ----
+let decode s =
+  if not (String.starts_with ~prefix:magic s) then
+    Error "not a v4 snapshot token (bad magic)"
+  else match open_binary s with b -> Ok b | exception Corrupt msg -> Error msg
 
-   Either entry lists (built in memory, or read from a text snapshot) or a
-   validated v4 token whose entries stay in the token bytes until someone
-   walks them — decoding a token costs its header and one validation pass,
-   and a fold reads the elements in place. *)
-
-type t =
-  | Lists of { head : header; exact : (float * string) list; sk : (int * float * string) list }
-  | Bin of bin
+let of_wire = decode
 
 let make (head : header) ~exact ~sketch =
-  match head.sketch with
-  | None -> Lists { head; exact; sk = [] }
-  | Some s ->
-    Lists
-      {
-        head = { head with sketch = Some { s with min_level = top_level sketch } };
-        exact;
-        sk = sketch;
-      }
+  let head, sketch =
+    match head.sketch with
+    | None -> (head, [])
+    | Some s -> ({ head with sketch = Some { s with min_level = top_level sketch } }, sketch)
+  in
+  let w = writer head ~exact:(List.length exact) ~sketch:(List.length sketch) in
+  let elt = Buffer.create 64 in
+  let put e =
+    Buffer.clear elt;
+    Buffer.add_string elt e;
+    elt
+  in
+  List.iter (fun (ts, e) -> add_exact w ts (put e)) exact;
+  List.iter (fun (level, ts, e) -> add_sketch w level ts (put e)) sketch;
+  match open_binary (finish w) with
+  | b -> b
+  | exception Corrupt msg -> invalid_arg ("Snapshot_io.make: " ^ msg)
 
-let header = function Lists l -> l.head | Bin b -> b.head
-
-let exact_count = function Bin b -> b.n_exact | Lists l -> List.length l.exact
-let sketch_count = function Bin b -> b.n_sketch | Lists l -> List.length l.sk
+let header b = b.head
+let exact_count b = b.n_exact
+let sketch_count b = b.n_sketch
+let encode b = b.tok
 
 (* A validated token cannot fail a second walk. *)
-let iter_exact t f =
-  match t with
-  | Lists l -> List.iter (fun (ts, e) -> f ts e 0 (String.length e)) l.exact
-  | Bin b ->
-    ignore (walk_exact b ~from:b.exact_at (fun ts_at at len -> f (stamp b ts_at) b.tok at len))
+let iter_exact b f =
+  ignore (walk_exact b ~from:b.exact_at (fun ts_at at len -> f (stamp b ts_at) b.tok at len))
 
-let iter_sketch t f =
-  match t with
-  | Lists l -> List.iter (fun (level, ts, e) -> f level ts e 0 (String.length e)) l.sk
-  | Bin b ->
-    ignore
-      (walk_sketch b ~from:b.sketch_at (fun level ts_at at len ->
-           f level (stamp b ts_at) b.tok at len))
+let iter_sketch b f =
+  ignore
+    (walk_sketch b ~from:b.sketch_at (fun level ts_at at len ->
+         f level (stamp b ts_at) b.tok at len))
 
-let exact_entries = function
-  | Lists l -> l.exact
-  | Bin _ as t ->
-    let acc = ref [] in
-    iter_exact t (fun ts s at len -> acc := (ts, String.sub s at len) :: !acc);
-    List.rev !acc
+let exact_entries t =
+  let acc = ref [] in
+  iter_exact t (fun ts s at len -> acc := (ts, String.sub s at len) :: !acc);
+  List.rev !acc
 
-let sketch_entries = function
-  | Lists l -> l.sk
-  | Bin _ as t ->
-    let acc = ref [] in
-    iter_sketch t (fun level ts s at len -> acc := (level, ts, String.sub s at len) :: !acc);
-    List.rev !acc
+let sketch_entries t =
+  let acc = ref [] in
+  iter_sketch t (fun level ts s at len -> acc := (level, ts, String.sub s at len) :: !acc);
+  List.rev !acc
 
 let equal a b =
   header a = header b
   && exact_entries a = exact_entries b
   && sketch_entries a = sketch_entries b
-
-let encode = function
-  | Bin b -> b.tok
-  | Lists l ->
-    let w = writer l.head ~exact:(List.length l.exact) ~sketch:(List.length l.sk) in
-    let elt = Buffer.create 64 in
-    let put e =
-      Buffer.clear elt;
-      Buffer.add_string elt e;
-      elt
-    in
-    List.iter (fun (ts, e) -> add_exact w ts (put e)) l.exact;
-    if l.head.sketch <> None then
-      List.iter (fun (level, ts, e) -> add_sketch w level ts (put e)) l.sk;
-    finish w
-
-(* ---- v1..v3 text reader ----
-
-   Snapshots spooled before v4 are line-oriented text; they keep loading.
-   A tiny sequential reader over the line list, every failure an [Error]
-   naming the offending line. *)
-
-let mode_of_string = function
-  | "paper" -> Ok Params.Paper
-  | "practical" -> Ok Params.Practical
-  | s -> Error (Printf.sprintf "unknown mode %S" s)
-
-let decode_text text =
-  let lines = String.split_on_char '\n' text in
-  let lines = ref lines in
-  let lineno = ref 0 in
-  let next () =
-    match !lines with
-    | [] -> Error "truncated snapshot: unexpected end of input"
-    | l :: rest ->
-      lines := rest;
-      incr lineno;
-      Ok l
-  in
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" !lineno m)) fmt in
-  let keyed key =
-    let* l = next () in
-    let klen = String.length key in
-    if String.length l > klen && l.[klen] = ' ' && String.starts_with ~prefix:key l
-    then Ok (String.sub l (klen + 1) (String.length l - klen - 1))
-    else fail "expected %S, got %S" key l
-  in
-  let int_field key =
-    let* v = keyed key in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> fail "%s: not an integer: %S" key v
-  in
-  let float_field key =
-    let* v = keyed key in
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> fail "%s: not a float: %S" key v
-  in
-  let bool_field key =
-    let* v = keyed key in
-    match bool_of_string_opt v with
-    | Some b -> Ok b
-    | None -> fail "%s: not a boolean: %S" key v
-  in
-  let rec read_n n f acc =
-    if n = 0 then Ok (List.rev acc)
-    else
-      let* x = f () in
-      read_n (n - 1) f (x :: acc)
-  in
-  let* header = next () in
-  let* read_version =
-    match String.split_on_char ' ' header with
-    | [ m; v ] when m = text_magic -> (
-      match v with
-      | "v1" -> Ok 1
-      | "v2" -> Ok 2
-      | "v3" -> Ok 3
-      | _ -> fail "unsupported snapshot version %S (this build reads v1..v%d)" v version)
-    | _ -> fail "not a delphic snapshot (bad magic line %S)" header
-  in
-  let* family = keyed "family" in
-  let* () = if family = "" || String.contains family ' ' then fail "empty or malformed family token" else Ok () in
-  let* epsilon = float_field "epsilon" in
-  let* delta = float_field "delta" in
-  let* log2_universe = float_field "log2-universe" in
-  let* exact_capacity = int_field "exact-capacity" in
-  let* items = int_field "items" in
-  (* v1 predates merge tracking; those snapshots have never been merged. *)
-  let* merges = if read_version >= 2 then int_field "merges" else Ok 0 in
-  let* exact_active = bool_field "exact-active" in
-  let* n_exact = int_field "exact-entries" in
-  let* () = if n_exact < 0 then fail "negative exact-entries count" else Ok () in
-  (* v3 prefixes each entry with its last-occurrence timestamp; pre-v3
-     snapshots carry no time axis and decode as "everything at t=0". *)
-  let exact_entry () =
-    let* v = keyed "E" in
-    if read_version < 3 then Ok (0.0, v)
-    else
-      match String.index_opt v ' ' with
-      | None -> fail "exact entry: missing timestamp in %S" v
-      | Some i -> (
-        let tss = String.sub v 0 i in
-        let rest = String.sub v (i + 1) (String.length v - i - 1) in
-        match float_of_string_opt tss with
-        | Some ts -> Ok (ts, rest)
-        | None -> fail "exact entry: bad timestamp %S" tss)
-  in
-  let* exact_entries = read_n n_exact exact_entry [] in
-  let* sk_line = next () in
-  let* sketch =
-    if sk_line = "no-sketch" then Ok None
-    else
-      match String.split_on_char ' ' sk_line with
-      | [ "sketch"; mode; cs; ks; si; mb; sk; mc; cc; sc ] ->
-        let* mode = Result.map_error (Printf.sprintf "line %d: %s" !lineno) (mode_of_string mode) in
-        let num what conv v =
-          match conv v with Some x -> Ok x | None -> fail "sketch %s: bad number %S" what v
-        in
-        let* capacity_scale = num "capacity-scale" float_of_string_opt cs in
-        let* coupon_scale = num "coupon-scale" float_of_string_opt ks in
-        let* s_items = num "items" int_of_string_opt si in
-        let* max_bucket = num "max-bucket" int_of_string_opt mb in
-        let* skipped = num "skipped" int_of_string_opt sk in
-        let* membership_calls = num "membership-calls" int_of_string_opt mc in
-        let* cardinality_calls = num "cardinality-calls" int_of_string_opt cc in
-        let* sampling_calls = num "sampling-calls" int_of_string_opt sc in
-        let* n_entries = int_field "sketch-entries" in
-        let* () = if n_entries < 0 then fail "negative sketch-entries count" else Ok () in
-        let entry () =
-          let* l = next () in
-          let level, rest =
-            match String.index_opt l ' ' with
-            | Some i -> (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-            | None -> (l, "")
-          in
-          match int_of_string_opt level with
-          | None -> fail "sketch entry: bad level %S" level
-          | Some lv when lv < 0 -> fail "sketch entry: negative level %d" lv
-          | Some lv ->
-            if read_version < 3 then Ok (lv, 0.0, rest)
-            else (
-              match String.index_opt rest ' ' with
-              | None -> fail "sketch entry: missing timestamp in %S" l
-              | Some i -> (
-                let tss = String.sub rest 0 i in
-                let elt = String.sub rest (i + 1) (String.length rest - i - 1) in
-                match float_of_string_opt tss with
-                | Some ts -> Ok (lv, ts, elt)
-                | None -> fail "sketch entry: bad timestamp %S" tss))
-        in
-        let* entries = read_n n_entries entry [] in
-        Ok
-          (Some
-             ( {
-                 mode;
-                 capacity_scale;
-                 coupon_scale;
-                 s_items;
-                 max_bucket;
-                 skipped;
-                 membership_calls;
-                 cardinality_calls;
-                 sampling_calls;
-                 min_level = 0;
-               },
-               entries ))
-      | _ -> fail "expected \"sketch ...\" or \"no-sketch\", got %S" sk_line
-  in
-  let* last = next () in
-  let* () = if last = "end" then Ok () else fail "expected \"end\", got %S" last in
-  Ok
-    (make
-       {
-         family;
-         epsilon;
-         delta;
-         log2_universe;
-         exact_capacity;
-         items;
-         merges;
-         exact_active;
-         sketch = Option.map fst sketch;
-       }
-       ~exact:exact_entries
-       ~sketch:(match sketch with Some (_, e) -> e | None -> []))
-
-let decode s =
-  if String.starts_with ~prefix:magic s then
-    match open_binary s with
-    | b -> Ok (Bin b)
-    | exception Corrupt msg -> Error msg
-  else if String.length s > 0 && s.[0] = '\x00' then
-    Error "unsupported binary snapshot version (this build reads v4)"
-  else decode_text s
-
-let of_wire = decode
-
-(* Window restriction on the interchange form itself: drop every entry whose
-   last occurrence predates the cutoff.  Counters are left untouched — a
-   restricted snapshot is a query-time view, not a stream history rewrite —
-   but the minimum sampling level is a property of the entries held, so it
-   follows them. *)
-let restrict ~cutoff t =
-  make (header t)
-    ~exact:(List.filter (fun (ts, _) -> ts >= cutoff) (exact_entries t))
-    ~sketch:(List.filter (fun (_, ts, _) -> ts >= cutoff) (sketch_entries t))
 
 let save ?(fsync = false) ~path t =
   let tmp = path ^ ".tmp" in

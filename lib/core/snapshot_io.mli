@@ -1,15 +1,14 @@
-(** Versioned codec for estimator snapshots — the spool file format and the
+(** The one saved form of an estimator — the spool file format and the
     cluster's sketch token, one byte string for both.
 
-    {!Vatic}, {!Ext_vatic} and {!Adaptive} expose in-memory [snapshot]
-    records parameterised by the family's element type.  Durability must not
-    be tied to those records (they change as the estimators evolve), so this
-    module defines a neutral, {e versioned} interchange form in which
-    elements are opaque byte strings — each serving family supplies its own
-    element codec (see [Delphic_server.Families]) and this format carries
-    everything else.
+    Estimator state leaves a process only as this token: a serving family
+    writes it from the estimator's fold source
+    ({!Adaptive.Make.source}, via [Delphic_server.Families.encode]) and
+    reads it back through the fold ({!Adaptive.Make.fold}).  Elements are
+    opaque byte strings — each serving family supplies its own element
+    codec — and this format carries everything else.
 
-    {!encode} writes v4, a compact binary layout (all integers LEB128
+    A token is v4, a compact binary layout (all integers LEB128
     varints, all floats their IEEE-754 bits big-endian):
 
     {v
@@ -30,15 +29,13 @@
     v}
 
     The header's min-level (the highest entry level, i.e. [log2 1/p₀]) lets
-    a fold pick its common sampling level before reading any entry.
-    {!decode} reads v4 and still reads the line-oriented v1..v3 text
-    snapshots of earlier releases (v1 without [merges], v1/v2 with every
-    timestamp 0), telling the two apart by the first byte.  Floats are
-    bit-exact, so [decode (encode s)] is {!equal} to [s] — the qcheck
-    property in [test/test_snapshot_io.ml].  Unknown versions and truncated
-    or corrupt input decode to [Error], never an exception; the CRC trailer
-    makes every truncation and every single-byte corruption of a v4 token
-    an [Error] (a spool file has no frame checksum around it). *)
+    a fold pick its common sampling level before reading any entry.  Floats
+    are bit-exact, so [decode (encode s)] is {!equal} to [s] — the qcheck
+    property in [test/test_snapshot_io.ml].  Anything else — another
+    version, a truncated or corrupt token, text — decodes to [Error], never
+    an exception; the CRC trailer makes every truncation and every
+    single-byte corruption of a token an [Error] (a spool file has no frame
+    checksum around it). *)
 
 type sketch = {
   mode : Params.mode;
@@ -69,27 +66,31 @@ type header = {
   items : int;
   merges : int;
       (** how many sketch merges produced this state (0 for a single-stream
-          session; v1 snapshots decode with 0) *)
+          session) *)
   exact_active : bool;
   sketch : sketch option;  (** [None] on universes below the sketching floor *)
 }
 (** Everything but the entries. *)
 
 type t
-(** A snapshot: a {!header} plus the exact-table entries (last-occurrence
-    timestamp, encoded element) and the sketch entries (sampling level,
-    last-occurrence timestamp, encoded element).  A decoded v4 token keeps
-    its entries in the token bytes — decoding costs the header and one
+(** A validated token: a {!header} plus the exact-table entries
+    (last-occurrence timestamp, encoded element) and the sketch entries
+    (sampling level, last-occurrence timestamp, encoded element).  The
+    entries stay in the token bytes — decoding costs the header and one
     validation pass, and {!iter_exact}/{!iter_sketch} read the elements in
-    place — while {!make} and the text decoder hold them as lists. *)
+    place. *)
 
 val make : header -> exact:(float * string) list -> sketch:(int * float * string) list -> t
-(** A snapshot from entry lists; the header's [min_level] is derived from
-    [sketch] (which is ignored when the header has no sketch). *)
+(** The token of these entry lists, written through {!writer} and opened
+    again; the header's [min_level] is derived from [sketch] (which is
+    ignored when the header has no sketch).  Raises [Invalid_argument] like
+    {!writer}, or on a negative sketch level. *)
 
 val header : t -> header
+
 val exact_entries : t -> (float * string) list
 val sketch_entries : t -> (int * float * string) list
+(** The entries as lists, copied out of the token (tests compare these). *)
 
 val exact_count : t -> int
 val sketch_count : t -> int
@@ -103,18 +104,16 @@ val iter_sketch : t -> (int -> float -> string -> int -> int -> unit) -> unit
 (** [f level ts s pos len] for each sketch entry, in order. *)
 
 val equal : t -> t -> bool
-(** Same header and the same entries in the same order, however held. *)
+(** Same header and the same entries in the same order. *)
 
 val version : int
-(** Current format version (4).  {!decode} still reads v1..v3. *)
+(** The format version (4), the only one {!decode} reads. *)
 
 val encode : t -> string
-(** The v4 binary token (a decoded token encodes to its own bytes).
-    Elements are length-prefixed, so any bytes are fine inside them.
-    Raises [Invalid_argument] if the family token is empty or contains
-    whitespace. *)
+(** The token's bytes. *)
 
 val decode : string -> (t, string) result
+(** [Error] for anything that is not a whole, valid v4 token. *)
 
 val of_wire : string -> (t, string) result
 (** {!decode} under the name the sketch-token call sites use: a [SKETCH]
@@ -130,8 +129,10 @@ type writer
 
 val writer : header -> exact:int -> sketch:int -> writer
 (** Start a token with this header, announcing [exact] exact entries and
-    [sketch] sketch entries (ignored without a sketch).  Raises like
-    {!encode}. *)
+    [sketch] sketch entries (ignored without a sketch).  Elements are
+    length-prefixed, so any bytes are fine inside them.  Raises
+    [Invalid_argument] if the family token is empty or contains
+    whitespace. *)
 
 val add_exact : writer -> float -> Buffer.t -> unit
 (** Append an exact entry: timestamp and the element bytes in the buffer. *)
@@ -143,14 +144,6 @@ val add_sketch : writer -> int -> float -> Buffer.t -> unit
 val finish : writer -> string
 (** The token.  Raises [Invalid_argument] if the entry counts differ from
     the announced ones (also from {!add_exact}/{!add_sketch} on overflow). *)
-
-val restrict : cutoff:float -> t -> t
-(** Drop every exact and sketch entry whose last-occurrence timestamp is
-    strictly before [cutoff] — the snapshot-level window restriction used by
-    windowed [EXPR] queries.  Items/merge counters are untouched: the result
-    is a query-time view of the trailing window, not a rewritten history
-    ([min_level] follows the entries kept).  [restrict ~cutoff:neg_infinity]
-    keeps every entry. *)
 
 val save : ?fsync:bool -> path:string -> t -> unit
 (** Writes v4.  Atomic: writes [path ^ ".tmp"] then renames, so a crash

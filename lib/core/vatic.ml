@@ -310,7 +310,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   let sample_union t =
     match sample_union_n t 1 with [] -> None | x :: _ -> Some x
 
-  type snapshot = {
+  type header = {
     mode : Params.mode;
     capacity_scale : float;
     coupon_scale : float;
@@ -321,60 +321,42 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     max_bucket : int;
     skipped : int;
     calls : oracle_calls;
-    entries : (F.elt * int * float) list;
   }
-
-  let snapshot_with t entries =
-    let p = t.params in
-    {
-      mode = p.Params.mode;
-      capacity_scale = p.Params.capacity_scale;
-      coupon_scale = p.Params.coupon_scale;
-      epsilon = p.Params.epsilon;
-      delta = p.Params.delta;
-      log2_universe = p.Params.log2_universe;
-      items = t.items;
-      max_bucket = t.max_bucket;
-      skipped = t.skipped;
-      calls = oracle_calls t;
-      entries;
-    }
-
-  let snapshot t =
-    snapshot_with t (Bucket.fold (fun x l ts acc -> (x, l, ts) :: acc) t.bucket [])
-
-  let header t = snapshot_with t []
 
   (* ---- the fold: k entry sources into one bucket ----
 
      A source is a bucket seen through an iterator — a live estimator's
-     table or a decoded token's entry list — plus the snapshot header
-     carrying its parameters and counters ([entries] unused).  Folding is
-     the one merge primitive: [restore] is the one-source case, [merge] the
-     two-source case, and a cluster gather hands all k worker tokens over in
-     one call. *)
+     table or a decoded token's entries — plus the header carrying its
+     parameters and counters.  Folding is the one merge primitive: a copy
+     is the one-source case, [merge] the two-source case, and a cluster
+     gather hands all k worker tokens over in one call. *)
 
   type source = {
-    header : snapshot;
+    header : header;
     min_level : int;
     size : int;
     iter : (F.elt -> int -> float -> unit) -> unit;
   }
 
   let source t =
+    let p = t.params in
     {
-      header = header t;
+      header =
+        {
+          mode = p.Params.mode;
+          capacity_scale = p.Params.capacity_scale;
+          coupon_scale = p.Params.coupon_scale;
+          epsilon = p.Params.epsilon;
+          delta = p.Params.delta;
+          log2_universe = p.Params.log2_universe;
+          items = t.items;
+          max_bucket = t.max_bucket;
+          skipped = t.skipped;
+          calls = oracle_calls t;
+        };
       min_level = min_sampling_level t;
       size = bucket_size t;
       iter = (fun f -> Bucket.iter f t.bucket);
-    }
-
-  let source_of_snapshot (s : snapshot) =
-    {
-      header = { s with entries = [] };
-      min_level = List.fold_left (fun m (_, l, _) -> Stdlib.max m l) 0 s.entries;
-      size = List.length s.entries;
-      iter = (fun f -> List.iter (fun (x, l, ts) -> f x l ts) s.entries);
     }
 
   (* Halve until the occupancy fits the capacity at its own level, exactly
@@ -420,7 +402,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      keeps each session's stream on one estimator and folds only external
      merges and spills.  Empty sources are
      skipped, and a single non-empty source is copied verbatim — no coin,
-     no halving — so restore and a merge with an empty sketch are the exact
+     no halving — so a copy and a merge with an empty sketch are the exact
      identity. *)
   let fold sources ~seed =
     let h =
@@ -499,6 +481,5 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     t.sampling_calls <- sum (fun h -> h.calls.sampling);
     t
 
-  let restore s ~seed = fold [ source_of_snapshot s ] ~seed
   let merge a b ~seed = fold [ source a; source b ] ~seed
 end

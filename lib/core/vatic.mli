@@ -122,13 +122,13 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
   (** {2 Checkpointing}
 
       A sketch is a few thousand (element, level) pairs plus its parameters,
-      so it checkpoints cheaply — useful for long-running streams that must
-      survive restarts.  The PRNG state is not captured: a restored sketch
-      continues with fresh randomness from the supplied seed, which does not
-      affect the estimator's guarantees (every future coin is independent
-      anyway). *)
+      so it checkpoints cheaply.  Its state leaves a process only as a
+      {!Snapshot_io} token written from its {!source} and comes back through
+      {!fold} (the one-source fold is a verbatim copy).  The PRNG state is
+      not saved: the copy draws fresh coins from the seed given to {!fold},
+      which the guarantees do not depend on. *)
 
-  type snapshot = {
+  type header = {
     mode : Params.mode;
     capacity_scale : float;
     coupon_scale : float;
@@ -139,16 +139,8 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
     max_bucket : int;
     skipped : int;
     calls : oracle_calls;
-    entries : (F.elt * int * float) list;
-        (** bucket contents: (element, level, last-occurrence timestamp) *)
   }
-
-  val snapshot : t -> snapshot
-
-  val restore : snapshot -> seed:int -> t
-  (** The one-source {!fold}: the bucket is copied verbatim (no coins, no
-      halving).  Raises [Invalid_argument] on parameters {!create} refuses
-      or an entry level outside [[0, max_level]]. *)
+  (** A sketch's parameters and counters: everything but its bucket. *)
 
   (** {2 Mergeability}
 
@@ -160,15 +152,15 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       smallest common sampling probability. *)
 
   type source = {
-    header : snapshot;  (** parameters and counters; [entries] is ignored *)
+    header : header;
     min_level : int;  (** the highest level [iter] yields (0 when empty) *)
     size : int;  (** how many entries [iter] yields *)
     iter : (F.elt -> int -> float -> unit) -> unit;
         (** calls back with (element, level, last-occurrence timestamp) *)
   }
   (** A bucket seen through an iterator: a live estimator's table
-      ({!source}) or any decoded entry list — the cluster folds worker
-      tokens without restoring an estimator per token. *)
+      ({!source}) or a decoded token's entries — the cluster folds worker
+      tokens without building an estimator per token. *)
 
   val source : t -> source
   (** The estimator's own table, iterated in place (no copy). *)

@@ -60,7 +60,7 @@ struct
       exact_active = h.A.exact_active;
       sketch =
         Option.map
-          (fun (sk : A.sketch_snapshot) ->
+          (fun (sk : A.sketch_header) ->
             {
               Io.mode = h.A.mode;
               capacity_scale = sk.capacity_scale;
@@ -150,7 +150,6 @@ struct
           exact_capacity = h.Io.exact_capacity;
           items = h.Io.items;
           exact_active = h.Io.exact_active;
-          exact_entries = [];
           sketch =
             Option.map
               (fun (sk : Io.sketch) ->
@@ -163,7 +162,6 @@ struct
                   membership_calls = sk.Io.membership_calls;
                   cardinality_calls = sk.Io.cardinality_calls;
                   sampling_calls = sk.Io.sampling_calls;
-                  sketch_entries = [];
                 })
               h.Io.sketch;
         };

@@ -61,6 +61,7 @@ type sink = { mutable sb : Bytes.t; mutable slen : int }
 let sink_create n = { sb = Bytes.create (max 16 n); slen = 0 }
 let sink_clear s = s.slen <- 0
 let sink_len s = s.slen
+let sink_contents s = Bytes.sub_string s.sb 0 s.slen
 
 let sink_reserve s extra =
   let need = s.slen + extra in

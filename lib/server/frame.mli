@@ -42,6 +42,10 @@ type sink
 val sink_create : int -> sink
 val sink_clear : sink -> unit
 val sink_len : sink -> int
+
+val sink_contents : sink -> string
+(** A copy of the bytes written since the last {!sink_clear}. *)
+
 val sink_char : sink -> char -> unit
 val sink_string : sink -> string -> unit
 val sink_be32 : sink -> int -> unit

@@ -532,38 +532,10 @@ let render_request = function
 
 let binary_tag = '\x01'
 
-let encode_request_v2 = function
-  | (Add_batch { session; payloads; ts } | Add_log { session; payloads; ts }) as req ->
-    let buf = Buffer.create 256 in
-    Buffer.add_char buf binary_tag;
-    Buffer.add_char buf (match req with Add_log _ -> 'L' | _ -> 'B');
-    let slen = String.length session in
-    Buffer.add_char buf (Char.chr ((slen lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (slen land 0xFF));
-    Buffer.add_string buf session;
-    (match ts with
-    | None -> Buffer.add_char buf '\x00'
-    | Some t ->
-      Buffer.add_char buf '\x01';
-      let bits = Int64.bits_of_float t in
-      for i = 7 downto 0 do
-        Buffer.add_char buf
-          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (i * 8)) 0xFFL)))
-      done);
-    Frame.be32 buf (List.length payloads);
-    List.iter
-      (fun p ->
-        Frame.be32 buf (String.length p);
-        Buffer.add_string buf p)
-      payloads;
-    Buffer.contents buf
-  | req -> render_request req
-
-(* The pooled-buffer twin of [encode_request_v2]: encodes into a reusable
-   {!Frame.sink} so the per-request [Buffer.create]/[Buffer.contents]
+(* The encoder writes into a reusable {!Frame.sink} so the per-request
    string churn disappears from the client hot path ([Rpc.stage] frames
-   straight out of the sink with [Frame.frame_sink_into]).  Byte-for-byte
-   identical output to [encode_request_v2]. *)
+   straight out of the sink with [Frame.frame_sink_into]);
+   [encode_request_v2] is the same bytes as a string. *)
 let encode_request_v2_sink sink req =
   Frame.sink_clear sink;
   match req with
@@ -590,6 +562,11 @@ let encode_request_v2_sink sink req =
         Frame.sink_string sink p)
       payloads
   | req -> Frame.sink_string sink (render_request req)
+
+let encode_request_v2 req =
+  let sink = Frame.sink_create 256 in
+  encode_request_v2_sink sink req;
+  Frame.sink_contents sink
 
 exception Binary_trunc
 

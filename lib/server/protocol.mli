@@ -313,15 +313,16 @@ val render_request : request -> string
 
 val encode_request_v2 : request -> string
 (** The request as a wire-protocol-v2 frame {e body} (the caller adds the
-    {!Frame} header).  [Add_batch] gets a binary shape — tag ['\x01'],
-    raw payload bytes, no %-armoring, no tokenization on the far side —
-    because it is the ingest hot path; every other request is its
-    {!render_request} text line, which v2 framing carries unchanged. *)
+    {!Frame} header).  [Add_batch] and [Add_log] get a binary shape — tag
+    ['\x01'], raw payload bytes, no %-armoring, no tokenization on the far
+    side — because they are the ingest hot path; every other request is
+    its {!render_request} text line, which v2 framing carries unchanged.
+    It is also the body of every journal record. *)
 
 val encode_request_v2_sink : Frame.sink -> request -> unit
-(** [encode_request_v2] into a caller-pooled {!Frame.sink} (cleared first):
-    byte-for-byte the same body, none of the per-request [Buffer] and
-    string churn — the difference that makes v2 win at batch size 1. *)
+(** {!encode_request_v2} into a caller-pooled {!Frame.sink} (cleared
+    first): the same body without a string per request — the difference
+    that makes v2 win at batch size 1. *)
 
 val parse_frame_body : string -> (request, error) result
 (** Decode a v2 frame body: ['\x01']-tagged bodies via the binary decoder,

@@ -80,8 +80,9 @@ let resolve_ts ~clock = function
 (* WAL recovery: load the last checkpoint (non-consuming — it must survive
    for the next crash), then re-drive the journal tail through the ordinary
    dispatch path.  Re-applied records double-count only counters; the
-   estimators are unions, and unions are duplicate-insensitive.  Journals
-   mix v1 text records with spliced binary v2 frames; [parse_frame_body]
+   estimators are unions, and unions are duplicate-insensitive.  Every
+   record is a v2 frame body, whichever protocol the client spoke: binary
+   for ADDB/ADDL, a text line for the other verbs; [parse_frame_body]
    decodes both. *)
 let recover_from_wal registry w =
   let restored = Registry.restore_all ~consume:false registry ~dir:(Wal.checkpoint_dir w) in
@@ -215,7 +216,8 @@ let fenced t (ctx : Evloop.ctx) req =
    v2 wire frame when there is one: if the request needed no server-side
    timestamp stamping, the journal record is that frame spliced verbatim
    ({!Wal.append_framed}) — zero re-render, zero re-CRC.  A stamped request
-   changed bytes, so it re-encodes (still binary, still armor-free).  The
+   changed bytes, and a v1 client's request came as text, so both encode
+   as a v2 body ({!Protocol.encode_request_v2}: binary, armor-free).  The
    append runs here, on the loop thread, before the verdict is returned:
    the OK cannot leave the socket ahead of its journal record. *)
 let reply ~proto resp =
@@ -267,8 +269,7 @@ let handle_request t ~ctx ~proto ~raw ~body =
         match
           (match proto with
           | Evloop.V2 when resolved == req && raw <> "" -> Wal.append_framed w raw
-          | Evloop.V2 -> Wal.append w (Protocol.encode_request_v2 resolved)
-          | Evloop.V1 -> Wal.append w (Protocol.render_request resolved))
+          | _ -> Wal.append w (Protocol.encode_request_v2 resolved))
         with
         | () ->
           maybe_checkpoint t w cfg;

@@ -18,7 +18,8 @@
     v}
 
     A record is [u32 length | u32 CRC-32 of the body | body], both integers
-    big-endian; the body is a rendered protocol request line.  Appends are
+    big-endian; the body is a v2 request frame body
+    ({!Protocol.encode_request_v2}).  Appends are
     a single [write] syscall per record, so a [kill -9] can lose at most the
     record being written — never a previously acknowledged one — and the
     loss shows up as a torn tail, not silent absence.

@@ -108,6 +108,12 @@ let test_scatter_gather_failover () =
   let st = ok (Coordinator.stats coord ~name:"e2e") in
   Alcotest.(check int) "every add accounted for" (List.length stream)
     st.P.items;
+  (* a lone payload ships as a one-payload ADDB: a malformed one is listed
+     in the home's ack and counted once, not refused with the frame *)
+  ok (Coordinator.add coord ~name:"e2e" ~payload:"not a box");
+  let st = ok (Coordinator.stats coord ~name:"e2e") in
+  Alcotest.(check int) "a malformed lone payload is one reject" 1 st.P.parse_rejects;
+  Alcotest.(check int) "and lands nowhere" (List.length stream) st.P.items;
 
   (* kill the session's home; its sketch survives as the coordinator's
      last good snapshot from the phase-1 gather, and the rest spills *)

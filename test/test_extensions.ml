@@ -1,5 +1,5 @@
 (* Extensions beyond the paper's pseudocode: the CVM distinct-elements
-   estimator, sketch checkpointing, the oracle-counting wrapper, stream
+   estimator, sketch checkpoint copies, the oracle-counting wrapper, stream
    order transformations, and CSV table output. *)
 
 module Rng = Delphic_util.Rng
@@ -66,7 +66,7 @@ let test_cvm_agrees_with_vatic_semantics () =
   Alcotest.(check bool) "cvm close" true
     (Float.abs (Cvm.estimate cvm -. truth) <= 0.2 *. truth)
 
-(* --- snapshot / restore --- *)
+(* --- checkpoint copies: the one-source fold --- *)
 
 let test_snapshot_roundtrip () =
   let gen = Rng.create ~seed:142 in
@@ -76,12 +76,11 @@ let test_snapshot_roundtrip () =
   in
   let t = V_range.create ~epsilon:0.25 ~delta:0.2 ~log2_universe:20.0 ~seed:4 () in
   List.iter (V_range.process t) first_half;
-  let snap = V_range.snapshot t in
-  Alcotest.(check int) "items captured" 75 snap.V_range.items;
-  Alcotest.(check int) "entries = bucket" (V_range.bucket_size t)
-    (List.length snap.V_range.entries);
-  (* Restore on a fresh estimator and continue the stream. *)
-  let t' = V_range.restore snap ~seed:99 in
+  let src = V_range.source t in
+  Alcotest.(check int) "items captured" 75 src.V_range.header.V_range.items;
+  Alcotest.(check int) "entries = bucket" (V_range.bucket_size t) src.V_range.size;
+  (* Copy into a fresh estimator and continue the stream. *)
+  let t' = V_range.fold [ src ] ~seed:99 in
   Alcotest.(check int) "restored bucket size" (V_range.bucket_size t)
     (V_range.bucket_size t');
   Alcotest.(check int) "restored items" 75 (V_range.items_processed t');
@@ -96,8 +95,7 @@ let test_snapshot_roundtrip () =
 let test_snapshot_preserves_instrumentation () =
   let t = V_range.create ~epsilon:0.3 ~delta:0.2 ~log2_universe:20.0 ~seed:5 () in
   V_range.process t (Range1d.create ~lo:0 ~hi:999);
-  let snap = V_range.snapshot t in
-  let t' = V_range.restore snap ~seed:6 in
+  let t' = V_range.fold [ V_range.source t ] ~seed:6 in
   let c = V_range.oracle_calls t and c' = V_range.oracle_calls t' in
   Alcotest.(check int) "sampling calls survive" c.V_range.sampling c'.V_range.sampling;
   Alcotest.(check int) "max bucket survives" (V_range.max_bucket_size t)
@@ -112,7 +110,7 @@ let test_snapshot_rectangles () =
   in
   let t = VR.create ~epsilon:0.3 ~delta:0.2 ~log2_universe:34.0 ~seed:8 () in
   List.iter (VR.process t) pool;
-  let t' = VR.restore (VR.snapshot t) ~seed:77 in
+  let t' = VR.fold [ VR.source t ] ~seed:77 in
   Alcotest.(check int) "bucket preserved" (VR.bucket_size t) (VR.bucket_size t');
   let truth = Delphic_util.Bigint.to_float (Exact.rectangle_union pool) in
   let est = VR.estimate t' in

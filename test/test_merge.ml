@@ -270,7 +270,7 @@ let test_fold_one_coin_k () =
   let n = 4096 and level = 3 in
   let shared = List.init n (fun i -> [| i; i |]) in
   let header =
-    V.snapshot (V.create ~epsilon:0.2 ~delta:0.1 ~log2_universe:34.0 ~seed:1 ())
+    (V.source (V.create ~epsilon:0.2 ~delta:0.1 ~log2_universe:34.0 ~seed:1 ())).V.header
   in
   let src k =
     let entries =
@@ -286,9 +286,10 @@ let test_fold_one_coin_k () =
   List.iter
     (fun k ->
       let folded = V.fold (List.init k src) ~seed:(100 + k) in
-      let survivors =
-        List.filter (fun (x, _, _) -> x.(0) >= 0) (V.snapshot folded).V.entries
-      in
+      let survivors = ref [] in
+      (V.source folded).V.iter (fun x l ts ->
+          if x.(0) >= 0 then survivors := (x, l, ts) :: !survivors);
+      let survivors = !survivors in
       let kept = List.length survivors in
       let expected = n lsr level in
       Alcotest.(check bool)

@@ -14,11 +14,13 @@ let spool_dir =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "delphic-test-spool-%d" (Unix.getpid ()))
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -260,6 +262,62 @@ let test_v1_v2_interop () =
   Thread.join th;
   rm_rf spool_dir
 
+(* A v1 text client's mutations are journaled as v2 frame bodies: its ADDB
+   — percent-armored on the wire, spaces inside every rect payload — lands
+   in the journal as the binary record a v2 client would send, and the
+   journal replays to the same answer.  Small disjoint boxes keep the
+   session exact, so the comparison is bitwise. *)
+let test_v1_mutations_journal_binary () =
+  rm_rf spool_dir;
+  let wal_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "delphic-test-wal-%d" (Unix.getpid ()))
+  in
+  rm_rf wal_dir;
+  let wal = { Server.dir = wal_dir; fsync = Delphic_server.Wal.Never; checkpoint_every = 0 } in
+  let s = Server.create ~wal ~port:0 ~spool:spool_dir ~seed:5 () in
+  let th = Server.start s in
+  let c = connect (Server.port s) in
+  Alcotest.(check string) "open" "OK opened j" (rpc c "OPEN j rect 0.3 0.2 17");
+  Alcotest.(check string) "ADDB with t=" "OKB 2" (rpc c "ADDB j t=5 2 0%209%200%209 100%20109%200%209");
+  Alcotest.(check string) "ADDB stamped here" "OKB 1" (rpc c "ADDB j 1 200%20209%200%209");
+  let live = rpc c "EST j" in
+  Alcotest.(check string) "exact answer" "EST 300" live;
+  (* the journal as written, record by record *)
+  let file =
+    In_channel.with_open_bin (Filename.concat wal_dir "journal") In_channel.input_all
+  in
+  let rec records pos acc =
+    if pos >= String.length file then List.rev acc
+    else
+      let len = Frame.read_be32 file pos in
+      records (pos + 8 + len) (String.sub file (pos + 8) len :: acc)
+  in
+  let bodies = records 0 [] in
+  Alcotest.(check int) "one record per mutation" 3 (List.length bodies);
+  List.iteri
+    (fun i body ->
+      if i > 0 then
+        Alcotest.(check string)
+          (Printf.sprintf "record %d is a binary ADDB" i)
+          "\x01B" (String.sub body 0 2))
+    bodies;
+  let reg = Delphic_server.Registry.create ~seed:77 () in
+  List.iter
+    (fun body ->
+      match P.parse_frame_body body with
+      | Ok req -> ignore (Delphic_server.Registry.dispatch reg req)
+      | Error e -> Alcotest.failf "unreadable record: %s" (P.describe_error e))
+    bodies;
+  Alcotest.(check string) "the journal replays to the same EST" live
+    (P.render_response (Delphic_server.Registry.dispatch reg (P.Est { session = "j" })));
+  disconnect c;
+  Server.request_stop s;
+  Thread.join th;
+  rm_rf wal_dir;
+  rm_rf spool_dir
+
 let test_stop_is_idempotent () =
   rm_rf spool_dir;
   let s = Server.create ~port:0 ~spool:spool_dir ~seed:1 () in
@@ -276,4 +334,6 @@ let suite =
     Alcotest.test_case "concurrent sessions" `Quick test_concurrent_sessions;
     Alcotest.test_case "v1/v2 interop on one server" `Quick test_v1_v2_interop;
     Alcotest.test_case "stop is idempotent" `Quick test_stop_is_idempotent;
+    Alcotest.test_case "v1 mutations journal as v2 records" `Quick
+      test_v1_mutations_journal_binary;
   ]
