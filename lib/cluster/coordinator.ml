@@ -24,6 +24,7 @@ type worker = {
   host : string;
   port : int;
   mutable conn : Rpc.t option;
+  mutable serial : int; (* connections made so far: names the current one *)
   mutable failures : int; (* consecutive, drives the backoff *)
   mutable quarantined_until : float; (* epoch seconds; 0.0 = available *)
   mutable generation : int;
@@ -37,6 +38,11 @@ type worker = {
   pending : batch Queue.t; (* frames on the wire, one reply line owed each *)
   mutable in_flight : int; (* payload units across [pending] *)
 }
+
+(* One gathered token as the fold memo holds it: the worker that sent it,
+   the connection it came on, and the session version it carries (0 when
+   the sender keeps no versions). *)
+type held = { from : int; serial : int; version : int; token : string }
 
 (* Where a session lives.  Its stream goes to one estimator, kept as full
    copies on the [replicas] ring window that starts at [home]: the copies
@@ -61,13 +67,15 @@ type session_info = {
   mutable last_estimate : float;
   mutable rejects : int; (* payloads a primary ack listed as malformed *)
   mutable merges : int; (* gather folds performed *)
-  (* Memoised fold: the cutoff and wire tokens of the last all-fresh gather
-     and the sketch they folded to.  Workers encode lazily
-     ({!Registry.fetch}'s wire cache), so a quiescent cluster answers with
-     byte-identical tokens and the whole decode + fold is skipped —
-     repeated EST (and repeated WIN at a stable cutoff bucket) on an idle
-     cluster costs the RPCs alone. *)
-  mutable fold_cache : (float option * string array * Families.t) option;
+  (* Memoised fold: the cutoff and parts of the last all-fresh gather and
+     the sketch they folded to.  The next gather at that cutoff names each
+     part's version in its fetch, and a worker whose session has not moved
+     answers UNCHANGED instead of re-shipping the token; when every part is
+     unchanged the whole decode + fold is skipped too — repeated EST (and
+     repeated WIN at a stable cutoff bucket) on an idle cluster costs short
+     RPCs alone.  A version is only asked about on the connection it came
+     on: a restarted worker counts versions from 1 again. *)
+  mutable fold_cache : (float option * held array * Families.t) option;
 }
 
 type t = {
@@ -140,6 +148,7 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
                host;
                port;
                conn = None;
+               serial = 0;
                failures = 0;
                quarantined_until = 0.0;
                generation = 0;
@@ -546,6 +555,7 @@ let ensure_conn t w =
         | Ok conn ->
           if announce_epoch_on t w conn && resync t w conn then begin
             w.conn <- Some conn;
+            w.serial <- w.serial + 1;
             w.failures <- 0;
             w.quarantined_until <- 0.0;
             repair_around t w;
@@ -866,13 +876,21 @@ let gather ?cutoff t si name =
         List.iter (fun (w, _) -> ignore (ensure_conn t w)) spills;
         repair t si name;
         let deadline = Unix.gettimeofday () +. t.timeout in
+        (* the memo's part from [w]'s current connection at this cutoff *)
+        let held_for w =
+          match si.fold_cache with
+          | Some (cut, parts, _) when cut = cutoff ->
+            Array.find_opt (fun h -> h.from = w.wid && h.serial = w.serial) parts
+          | _ -> None
+        in
         (* stage the Fetch behind [w]'s frames: the acks owed ahead of it *)
         let send w =
           flush_worker t w;
           match w.conn with
           | None -> None
           | Some conn -> (
-            Rpc.stage conn (P.Fetch { session = name; cutoff });
+            let since = match held_for w with Some h -> h.version | None -> 0 in
+            Rpc.stage conn (P.Fetch_since { session = name; cutoff; since });
             match Rpc.flush_staged conn with
             | Ok () -> Some (Queue.length w.pending)
             | Error msg ->
@@ -903,7 +921,12 @@ let gather ?cutoff t si name =
             | Error e -> fail "lost while draining acks" e
             | Ok () -> (
               match Rpc.recv_timeout ~deadline conn with
-              | Ok (P.Sketch encoded) -> Some encoded
+              | Ok (P.Sketch_at { version; token = Some token }) ->
+                Some { from = w.wid; serial = w.serial; version; token }
+              | Ok (P.Sketch_at { version; token = None })
+                when Option.map (fun h -> h.version) (held_for w) = Some version ->
+                (* the memo's part stands for the token *)
+                held_for w
               | Ok r ->
                 (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
                 Log.warn (fun m ->
@@ -937,11 +960,12 @@ let gather ?cutoff t si name =
       Some (Array.of_list (List.filter_map (fun (_, fresh, _) -> fresh) parts))
     else None
   in
+  (* every part answered UNCHANGED — each is the memo's own record *)
   match (all_fresh, si.fold_cache) with
-  | Some encs, Some (prev_cut, prev, folded)
+  | Some held, Some (prev_cut, prev, folded)
     when prev_cut = cutoff
-         && Array.length prev = Array.length encs
-         && Array.for_all2 String.equal prev encs ->
+         && Array.length prev = Array.length held
+         && Array.for_all2 ( == ) prev held ->
     Ok (folded, false, [])
   | _ -> (
     let stale = ref [] in
@@ -955,7 +979,7 @@ let gather ?cutoff t si name =
           in
           match fresh with
           | None -> fall_back ()
-          | Some token -> (
+          | Some { token; _ } -> (
             match Io.of_wire token with
             | Error msg ->
               (* a token that would not decode is no fresher than no token *)
@@ -985,7 +1009,7 @@ let gather ?cutoff t si name =
         si.merges <- si.merges + (List.length decoded - 1);
         (* only a gather where every token decoded cleanly may seed the memo *)
         (match all_fresh with
-        | Some encs when stale_shards = [] -> si.fold_cache <- Some (cutoff, encs, folded)
+        | Some held when stale_shards = [] -> si.fold_cache <- Some (cutoff, held, folded)
         | _ -> ());
         Ok (folded, stale_shards <> [], stale_shards)))
 
@@ -1348,6 +1372,12 @@ let dispatch t (req : P.request) : P.response =
     reply (Result.map (fun s -> P.Stats_reply s) (stats t ~name:session))
   | P.Fetch { session; cutoff } ->
     reply (Result.map (fun encoded -> P.Sketch encoded) (fetch ?cutoff t ~name:session))
+  (* a coordinator keeps no session versions: version 0 names no state *)
+  | P.Fetch_since { session; cutoff; _ } ->
+    reply
+      (Result.map
+         (fun encoded -> P.Sketch_at { version = 0; token = Some encoded })
+         (fetch ?cutoff t ~name:session))
   | P.Snapshot { session; path } ->
     reply
       (Result.map

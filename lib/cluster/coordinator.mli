@@ -157,7 +157,9 @@ val estimate :
     spill holder's position that did not — the value there rests on last
     good tokens or nothing.  [degraded] is exactly [stale_shards <> []]:
     with replication a dead replica whose peer answers does not degrade
-    the answer. *)
+    the answer.  An idle session costs one short round trip: the gather's
+    fetch names the version of the token its fold memo holds from that
+    worker on that connection, and the worker answers [UNCHANGED]. *)
 
 val win :
   t ->

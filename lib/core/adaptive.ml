@@ -352,7 +352,8 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
   (* Sharded-stream fold of k adaptive estimators over the same family and
      parameters, in one pass over their entries:
 
-     - a single source is copied verbatim (a copy or a decoded token);
+     - a single source is copied verbatim (a copy or a decoded token),
+       less the exact table a sketching source no longer reads;
      - while every source is exact, the tables union (newest timestamp per
        element) and the result stays exact if it fits the budget — the
        lazy sketch stays empty, rebuilt by [deactivate] on overflow
@@ -401,7 +402,9 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     in
     match sources with
     | [ s ] ->
-      make ~exact:(union [ s ]) ~exact_active:h.exact_active
+      make
+        ~exact:(if h.exact_active then union [ s ] else Tbl.create 1)
+        ~exact_active:h.exact_active
         ~sketch:(Option.map (fun v -> Vatic.fold [ v ] ~seed:(seed + 1)) (vatic_source s))
     | _ when List.for_all (fun s -> s.header.exact_active) sources ->
       let t =

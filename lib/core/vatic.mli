@@ -178,9 +178,11 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       Caveat: inclusion events are independent across shards (no shared
       hash), so coverage shared by several shards is double-counted in
       expectation at small [p₀] — the estimate lies between [|∪|] and the
-      sum of the shard union sizes.  Shard by hash-of-set so duplicate sets
-      land on one worker and the gap stays bounded by the geometric overlap
-      between {e distinct} sets.
+      sum of the shard union sizes.  The gap is bounded by the overlap
+      between the shards' streams, so a caller that can keep overlapping
+      sets on one shard should; the cluster never relies on this fold for
+      its answers — it keeps each session on one estimator, replicated as
+      whole copies, and folds only spill holders and [MERGE]d tokens.
 
       Raises [Invalid_argument] on an empty list, on sources built with
       different [(ε, δ, log2|Ω|, mode, B)] parameters, or on an entry level

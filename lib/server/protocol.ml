@@ -26,6 +26,7 @@ type request =
   | Snapshot of { session : string; path : string }
   | Restore of { session : string; path : string }
   | Fetch of { session : string; cutoff : float option }
+  | Fetch_since of { session : string; cutoff : float option; since : int }
   | Merge of { session : string; encoded : string }
   | Close of { session : string }
   | Expr of { expr : Expr_ast.t; m : int option; w : float option }
@@ -101,6 +102,7 @@ type response =
     }
   | Stats_reply of stats
   | Sketch of string
+  | Sketch_at of { version : int; token : string option }
   | Pong
   | Hello_reply of { generation : int; epoch : int }
   | Server_stats_reply of server_stats
@@ -373,17 +375,36 @@ let parse_request line =
          persists to a server-side file, as in v1 (a path literally named
          "cut=..." needs a ./ prefix). *)
       let session, path = cut rest in
-      if session = "" then
-        Error
-          (Wrong_arity { command = "SNAPSHOT"; expected = "SNAPSHOT <session> [cut=<abs-secs>] [<path>]" })
+      let expected = "SNAPSHOT [ver=<n>] <session> [cut=<abs-secs>] [<path>]" in
+      (* A leading ver=<n> is the versioned fetch.  It sits where the
+         session name goes, and '=' is never part of a session name, so a
+         parser that predates it refuses the line instead of taking a
+         token for a file path. *)
+      let* since, session, path =
+        if String.length session > 4 && String.sub session 0 4 = "ver=" then
+          let v = String.sub session 4 (String.length session - 4) in
+          match int_of_string_opt v with
+          | Some n when n >= 0 ->
+            let session, path = cut path in
+            Ok (Some n, session, path)
+          | _ -> Error (Bad_number { what = "version"; value = v })
+        else Ok (None, session, path)
+      in
+      if session = "" then Error (Wrong_arity { command = "SNAPSHOT"; expected })
       else
         let* session = parse_session session in
-        if path = "" then Ok (Fetch { session; cutoff = None })
+        let fetch cutoff =
+          match since with
+          | None -> Ok (Fetch { session; cutoff })
+          | Some since -> Ok (Fetch_since { session; cutoff; since })
+        in
+        if path = "" then fetch None
         else if String.length path > 4 && String.sub path 0 4 = "cut=" then
           let v = String.sub path 4 (String.length path - 4) in
           match float_of_string_opt v with
-          | Some c -> Ok (Fetch { session; cutoff = Some c })
+          | Some c -> fetch (Some c)
           | None -> Error (Bad_number { what = "cutoff"; value = v })
+        else if since <> None then Error (Wrong_arity { command = "SNAPSHOT"; expected })
         else Ok (Snapshot { session; path })
     | "RESTORE" ->
       let session, path = cut rest in
@@ -500,6 +521,9 @@ let render_request = function
     (match cutoff with
     | None -> "SNAPSHOT " ^ session
     | Some c -> Printf.sprintf "SNAPSHOT %s cut=%s" session (float_out c))
+  | Fetch_since { session; cutoff; since } ->
+    Printf.sprintf "SNAPSHOT ver=%d %s%s" since session
+      (match cutoff with None -> "" | Some c -> " cut=" ^ float_out c)
   | Merge { session; encoded } -> Printf.sprintf "MERGE %s %s" session (armor_payload encoded)
   | Close { session } -> "CLOSE " ^ session
   | Expr { expr; m; w } ->
@@ -757,6 +781,9 @@ let render_response = function
       (if s.exact then "exact" else "sketch")
       (float_out s.last_estimate) s.parse_rejects s.merges
   | Sketch encoded -> "SKETCH " ^ armor_payload encoded
+  | Sketch_at { version; token = Some encoded } ->
+    Printf.sprintf "SKETCH ver=%d %s" version (armor_payload encoded)
+  | Sketch_at { version; token = None } -> Printf.sprintf "UNCHANGED ver=%d" version
   | Pong -> "PONG"
   | Hello_reply { generation; epoch } ->
     (* the epoch rides only when fencing is in play, so pre-failover probes
@@ -932,12 +959,17 @@ let parse_response line =
           | _ -> Error (Printf.sprintf "EXPR: malformed fields in %S" rest))
         | _ -> Error (Printf.sprintf "EXPR: missing fields in %S" rest)))
     | [] -> Error "EXPR: empty reply")
-  | "SKETCH" ->
-    (* unarmoring rejects a space, so a second token is caught there *)
-    if rest = "" then Error "SKETCH: want exactly one wire-snapshot token"
-    else
-      Result.map_error (fun msg -> "SKETCH: " ^ msg) (unarmor_payload rest)
-      |> Result.map (fun token -> Sketch token)
+  | "SKETCH" | "UNCHANGED" -> (
+    (* unarmoring rejects a space, so a stray token is caught there *)
+    let token armored = Result.map_error (( ^ ) "SKETCH: ") (unarmor_payload armored) in
+    let version v = Scanf.sscanf_opt v "ver=%d%!" Fun.id in
+    match (verb, tokens rest) with
+    | "SKETCH", [ armored ] -> Result.map (fun t -> Sketch t) (token armored)
+    | "SKETCH", [ v; armored ] when version v <> None ->
+      Result.map (fun t -> Sketch_at { version = Option.get (version v); token = Some t }) (token armored)
+    | "UNCHANGED", [ v ] when version v <> None ->
+      Ok (Sketch_at { version = Option.get (version v); token = None })
+    | _ -> Error (Printf.sprintf "%s: malformed reply %S" verb rest))
   | "STATS" -> (
     let kv tok =
       match String.index_opt tok '=' with
@@ -1024,18 +1056,32 @@ let parse_response line =
 (* ---- wire protocol v2 reply records ----
 
    A v2 reply body is a v1 text line unless it starts with [binary_tag].
-   Only SKETCH has a binary shape — its token is the whole cost of a
-   gather's transport, and as a record it needs neither armor nor a line
-   parse:
+   Only a token-carrying SKETCH has a binary shape — its token is the whole
+   cost of a gather's transport, and as a record it needs neither armor nor
+   a line parse:
 
-     '\x01' 'S' | token bytes (the rest of the frame body) *)
+     '\x01' 'S' | token bytes (the rest of the frame body)
+     '\x01' 'V' | be64 version | token bytes (a versioned fetch's token) *)
 
 let sketch_head = "\x01S"
+
+let reply_record = function
+  | Sketch token -> Some (sketch_head, token)
+  | Sketch_at { version; token = Some token } ->
+    let head = Bytes.create 10 in
+    Bytes.set head 0 binary_tag;
+    Bytes.set head 1 'V';
+    Bytes.set_int64_be head 2 (Int64.of_int version);
+    Some (Bytes.unsafe_to_string head, token)
+  | _ -> None
 
 let parse_reply_frame buf ~pos ~len =
   if len >= 1 && Bytes.get buf pos = binary_tag then
     if len >= 2 && Bytes.get buf (pos + 1) = 'S' then
       Ok (Sketch (Bytes.sub_string buf (pos + 2) (len - 2)))
+    else if len >= 10 && Bytes.get buf (pos + 1) = 'V' then
+      let version = Int64.to_int (Bytes.get_int64_be buf (pos + 2)) in
+      Ok (Sketch_at { version; token = Some (Bytes.sub_string buf (pos + 10) (len - 10)) })
     else Error "unknown binary reply record"
   else parse_response (Bytes.sub_string buf pos len)
 

@@ -15,6 +15,7 @@
     STATS                                           process-wide stats (reply: SRVSTATS ...)
     SNAPSHOT <session> <path>                       persist the session to a file
     SNAPSHOT <session> [cut=<abs-secs>]             reply with the wire-encoded sketch
+    SNAPSHOT ver=<n> <session> [cut=<abs-secs>]     the same, or UNCHANGED if still at version n
     RESTORE <session> <path>                        open a session from a snapshot
     MERGE <session> <wire-snapshot>                 fold a peer's sketch into the session
     CLOSE <session>                                 drop the session
@@ -118,6 +119,12 @@ type request =
           server-side; with [cutoff], entries last seen before the absolute
           instant are dropped from the reply (the cluster's windowed
           gather) *)
+  | Fetch_since of { session : string; cutoff : float option; since : int }
+      (** wire form [SNAPSHOT ver=<since> <session> [cut=<abs-secs>]]: a
+          {!Fetch} answered with {!Sketch_at}, whose token is [None] while
+          the session is still at version [since].  Versions are drawn
+          from one counter per server process and start at 1, so
+          [since = 0] always gets the token. *)
   | Merge of { session : string; encoded : string }
       (** [encoded] is the raw {!Delphic_core.Snapshot_io} token; the text
           line carries it percent-armored ({!armor_payload}) *)
@@ -263,6 +270,12 @@ type response =
       (** the reply to {!Fetch}: the raw {!Delphic_core.Snapshot_io} token.
           A v1 text line is [SKETCH <armored token>]; a v2 reply is the
           binary record [sketch_head ^ token] *)
+  | Sketch_at of { version : int; token : string option }
+      (** the reply to {!Fetch_since}: the session's version and its token,
+          or [None] when the version is the one asked about.  Text lines
+          [SKETCH ver=<n> <armored token>] and [UNCHANGED ver=<n>]; a v2
+          token reply is the binary record [\x01 'V' | be64 version |
+          token] *)
   | Pong
   | Hello_reply of { generation : int; epoch : int }
       (** [HELLO <generation> [epoch=<e>]], the reply to {!Hello}; [epoch]
@@ -339,6 +352,10 @@ val parse_response : string -> (response, string) result
 val sketch_head : string
 (** ["\x01S"]: the head of a v2 binary [SKETCH] reply record, whose frame
     body is [sketch_head ^ token] — no armor, no line parse. *)
+
+val reply_record : response -> (string * string) option
+(** [Some (head, token)] for a reply sent as a v2 binary record — a
+    {!Sketch}, or a {!Sketch_at} that carries a token. *)
 
 val parse_reply_frame : Bytes.t -> pos:int -> len:int -> (response, string) result
 (** Decode the v2 reply body at [buf.[pos .. pos+len-1]]: a binary

@@ -15,7 +15,22 @@ type session = {
          until the next mutation: a coordinator polling EST (or WIN at a
          stable cutoff bucket) on a quiescent shard pays the snapshot encode
          once, not per gather *)
+  mutable version : int;
+      (* names the session's state for a versioned fetch; redrawn from
+         [versions] at every mutation *)
 }
+
+(* One counter for the whole process, so no two states of any session —
+   even a session closed and re-opened under the same name — share a
+   version.  A restarted process counts again from 1, which is why a
+   coordinator trusts a version only on the connection it arrived on. *)
+let versions = Atomic.make 0
+let next_version () = 1 + Atomic.fetch_and_add versions 1
+
+(* Every mutation drops the memoised token and moves the version. *)
+let touch s =
+  s.wire_cache <- None;
+  s.version <- next_version ()
 
 (* The table is striped: a session name hashes to one segment, whose mutex
    guards only that segment's [Hashtbl] — held for the lookup/insert/remove
@@ -94,13 +109,14 @@ let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
               last_estimate = 0.0;
               merges = 0;
               wire_cache = None;
+              version = next_version ();
             };
           Ok ())
 
 let add ?ts t ~name ~payload =
   with_session t name (fun s ->
       s.adds <- s.adds + 1;
-      s.wire_cache <- None;
+      touch s;
       match Families.add ?ts s.runner ~lineno:s.adds payload with
       | () -> Ok ()
       | exception Parsers.Parse_error { line; msg } ->
@@ -113,7 +129,7 @@ let add ?ts t ~name ~payload =
    keep-the-session-usable contract. *)
 let add_batch ?ts t ~name ~payloads =
   with_session t name (fun s ->
-      s.wire_cache <- None;
+      touch s;
       let accepted = ref 0 in
       let errors = ref [] in
       List.iteri
@@ -180,16 +196,21 @@ let snapshot_session ?fsync s ~path =
 let snapshot_to t ~name ~path =
   with_session t name (fun s -> snapshot_session s ~path)
 
-let fetch ?cutoff t ~name =
+let fetch_since ?cutoff t ~name ~since =
   with_session t name (fun s ->
-      match s.wire_cache with
-      | Some (key, encoded) when key = cutoff -> Ok encoded
-      | _ -> (
-        match Families.encode ~merges:s.merges ?cutoff s.runner with
-        | Ok encoded ->
-          s.wire_cache <- Some (cutoff, encoded);
-          Ok encoded
-        | Error msg -> Error (Protocol.Server_error msg)))
+      if since = s.version then Ok (s.version, None)
+      else
+        match s.wire_cache with
+        | Some (key, encoded) when key = cutoff -> Ok (s.version, Some encoded)
+        | _ -> (
+          match Families.encode ~merges:s.merges ?cutoff s.runner with
+          | Ok encoded ->
+            s.wire_cache <- Some (cutoff, encoded);
+            Ok (s.version, Some encoded)
+          | Error msg -> Error (Protocol.Server_error msg)))
+
+let fetch ?cutoff t ~name =
+  Result.map (fun (_, token) -> Option.get token) (fetch_since ?cutoff t ~name ~since:0)
 
 let merge_in t ~name ~encoded =
   with_session t name (fun s ->
@@ -203,7 +224,7 @@ let merge_in t ~name ~encoded =
           s.runner <- merged;
           s.adds <- s.adds + io.Io.items;
           s.merges <- s.merges + 1 + io.Io.merges;
-          s.wire_cache <- None;
+          touch s;
           Ok ()))
 
 let default_expr_samples = 256
@@ -273,6 +294,7 @@ let restore_session t ~name ~path =
             last_estimate = 0.0;
             merges = (Io.header io).Io.merges;
             wire_cache = None;
+            version = next_version ();
           };
         Ok ())
 
@@ -430,6 +452,11 @@ let dispatch t (req : Protocol.request) : Protocol.response =
          (restore_from t ~name:session ~path))
   | Protocol.Fetch { session; cutoff } ->
     reply (Result.map (fun encoded -> Protocol.Sketch encoded) (fetch ?cutoff t ~name:session))
+  | Protocol.Fetch_since { session; cutoff; since } ->
+    reply
+      (Result.map
+         (fun (version, token) -> Protocol.Sketch_at { version; token })
+         (fetch_since ?cutoff t ~name:session ~since))
   | Protocol.Merge { session; encoded } ->
     reply
       (Result.map

@@ -88,6 +88,14 @@ val fetch : ?cutoff:float -> t -> name:string -> (string, Protocol.error) result
     is memoised per [(cutoff, state)] pair, so repeated idle gathers at a
     stable cutoff bucket encode once. *)
 
+val fetch_since :
+  ?cutoff:float ->
+  t -> name:string -> since:int -> (int * string option, Protocol.error) result
+(** The versioned {!fetch}: the session's version, with [None] in place of
+    the token while the version still equals [since].  Every mutation
+    draws a new version from one counter per process (starting at 1), so
+    [since = 0] always gets the token. *)
+
 val merge_in : t -> name:string -> encoded:string -> (unit, Protocol.error) result
 (** Fold a snapshot token into session [name] (the two-source
     {!Families.fold}); the session's item and merge counters

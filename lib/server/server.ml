@@ -122,7 +122,7 @@ let journaled_request = function
   | Protocol.Merge _ | Protocol.Restore _ | Protocol.Close _ ->
     true
   | Protocol.Est _ | Protocol.Win _ | Protocol.Stats _ | Protocol.Snapshot _
-  | Protocol.Fetch _ | Protocol.Expr _ | Protocol.Ping | Protocol.Hello
+  | Protocol.Fetch _ | Protocol.Fetch_since _ | Protocol.Expr _ | Protocol.Ping | Protocol.Hello
   | Protocol.Server_stats | Protocol.Coord_epoch _ | Protocol.Sessions
   | Protocol.Lease ->
     false
@@ -221,9 +221,8 @@ let fenced t (ctx : Evloop.ctx) req =
    append runs here, on the loop thread, before the verdict is returned:
    the OK cannot leave the socket ahead of its journal record. *)
 let reply ~proto resp =
-  match (proto, resp) with
-  | Evloop.V2, Protocol.Sketch token ->
-    Evloop.Record { head = Protocol.sketch_head; body = token }
+  match (proto, Protocol.reply_record resp) with
+  | Evloop.V2, Some (head, body) -> Evloop.Record { head; body }
   | _ -> Evloop.Reply (Protocol.render_response resp)
 
 let handle_request t ~ctx ~proto ~raw ~body =

@@ -336,7 +336,7 @@ let test_slow_workers_share_one_deadline () =
         let reg = Registry.create ~seed:(700 + n) () in
         let dispatch req =
           (match req with
-          | P.Fetch _ when replica n && Atomic.get slow -> Thread.delay 1.0
+          | (P.Fetch _ | P.Fetch_since _) when replica n && Atomic.get slow -> Thread.delay 1.0
           | _ -> ());
           Registry.dispatch reg req
         in
@@ -413,7 +413,7 @@ let test_slow_home_peer_answers () =
         let reg = Registry.create ~seed:(720 + n) () in
         let dispatch req =
           (match req with
-          | P.Fetch _ when n = home name 3 && Atomic.get slow -> Thread.delay 1.0
+          | (P.Fetch _ | P.Fetch_since _) when n = home name 3 && Atomic.get slow -> Thread.delay 1.0
           | _ -> ());
           Registry.dispatch reg req
         in
@@ -1109,6 +1109,236 @@ let test_wal_ingest_acks_promptly () =
       rm_rf_deep (dir n))
     workers
 
+(* --- versioned fetch: an idle gather ships no token -------------------- *)
+
+(* Socket ops for a coordinator that count the bytes it reads and keep
+   what it writes. *)
+let metered_io () =
+  let read = Atomic.make 0 and written = Buffer.create 4096 and lock = Mutex.create () in
+  let io =
+    {
+      Rpc.io_read =
+        (fun fd buf off len ->
+          let k = Unix.read fd buf off len in
+          ignore (Atomic.fetch_and_add read k);
+          k);
+      io_write =
+        (fun fd s off len ->
+          let k = Unix.write_substring fd s off len in
+          Mutex.protect lock (fun () -> Buffer.add_substring written s off k);
+          k);
+    }
+  in
+  (io, read, fun () -> Mutex.protect lock (fun () -> Buffer.contents written))
+
+(* One EST and the bytes the coordinator read for it. *)
+let metered_estimate coord read ~name =
+  let before = Atomic.get read in
+  let r = Coordinator.estimate coord ~name in
+  (r, Atomic.get read - before)
+
+(* A worker's current token for [name], read over its own connection. *)
+let direct_call port req =
+  match Rpc.connect ~host:"127.0.0.1" ~port ~timeout:5.0 () with
+  | Error e -> Alcotest.failf "dial worker: %s" (Rpc.describe_connect_error e)
+  | Ok conn ->
+    Fun.protect ~finally:(fun () -> Rpc.close conn) (fun () ->
+        match Rpc.call conn req with
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "direct call: %s" msg)
+
+let token_length port name =
+  match direct_call port (P.Fetch { session = name; cutoff = None }) with
+  | P.Sketch token -> String.length token
+  | r -> Alcotest.failf "direct FETCH: %s" (P.render_response r)
+
+(* Two in-process workers, a metered coordinator, and session [ver] loaded
+   with a band of small boxes (exact regime: every answer is a count).
+   [f] gets the home's port, a band generator, and the two probes: [exact]
+   asserts a clean exact EST and returns the bytes it read, [full] also
+   asserts that it read at least a whole token. *)
+let with_versioned_session f =
+  let name = "ver" in
+  let workers = List.init 2 (fun n -> start_worker (90 + n) ~seed:(1000 + n)) in
+  let ports = List.map (fun (s, _) -> Server.port s) workers in
+  let port = List.nth ports (home name 2) in
+  let io, read, _ = metered_io () in
+  let coord =
+    Coordinator.create ~io ~timeout:5.0 ~backoff:0.01
+      ~workers:(List.map (fun p -> ("127.0.0.1", p)) ports)
+      ~seed:91 ()
+  in
+  let gen = Rng.create ~seed:92 in
+  let band () = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:30 ~max_side:6 in
+  let first = band () in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of first)));
+  Coordinator.flush coord;
+  let exact what boxes =
+    match metered_estimate coord read ~name with
+    | Ok (v, degraded, _), bytes ->
+      Alcotest.(check bool) (what ^ ": not degraded") false degraded;
+      Alcotest.(check (float 0.0)) (what ^ ": exact") (truth boxes) v;
+      bytes
+    | Error e, _ -> Alcotest.failf "%s: %s" what (P.render_response (P.Error_reply e))
+  in
+  let full what boxes =
+    let len = token_length port name in
+    let bytes = exact what boxes in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: read %d bytes, a %d-byte token" what bytes len)
+      true (bytes >= len)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (90 + n))) workers)
+    (fun () ->
+      full "first gather" first;
+      f ~name ~port ~band ~first ~exact ~full)
+
+(* Two ESTs of an idle session: the second gather's fetch is answered
+   UNCHANGED, so the coordinator reads less than one token, and answers
+   the same. *)
+let test_idle_gather_ships_no_token () =
+  with_versioned_session (fun ~name ~port ~band:_ ~first ~exact ~full:_ ->
+      let len = token_length port name in
+      let bytes = exact "idle gather" first in
+      Alcotest.(check bool)
+        (Printf.sprintf "idle gather read %d bytes, less than the %d-byte token" bytes len)
+        true (bytes < len))
+
+(* Mutations reach the home straight from a client, behind the
+   coordinator's back — ADDB, MERGE, and CLOSE + OPEN + re-ingest — and
+   each next EST must read a whole token again and answer exactly. *)
+let test_direct_mutation_ships_token () =
+  with_versioned_session (fun ~name ~port ~band ~first ~exact ~full ->
+      let direct req =
+        match direct_call port req with
+        | P.Ok_reply _ | P.Ok_batch _ -> ()
+        | r -> Alcotest.failf "direct mutation: %s" (P.render_response r)
+      in
+      let open_req =
+        P.Open { session = name; family = P.Rect; epsilon = 0.3; delta = 0.2; log2_universe = 17.0 }
+      in
+      let addb boxes =
+        direct (P.Add_batch { session = name; payloads = List.map payload_of boxes; ts = None })
+      in
+      let second = band () in
+      addb second;
+      full "after a direct ADDB" (first @ second);
+      ignore (exact "idle again" (first @ second));
+      let outside = band () in
+      let peer = Registry.create ~seed:93 () in
+      ignore (Registry.dispatch peer open_req);
+      ignore (Registry.add_batch peer ~name ~payloads:(List.map payload_of outside));
+      direct (P.Merge { session = name; encoded = Result.get_ok (Registry.fetch peer ~name) });
+      full "after a direct MERGE" (first @ second @ outside);
+      let fresh = band () in
+      direct (P.Close { session = name });
+      direct open_req;
+      addb fresh;
+      full "after a direct CLOSE + OPEN + re-ingest" fresh)
+
+(* A version is trusted only on the connection it came on.  A journaled
+   worker (its own process) answers two gathers, is killed with SIGKILL and
+   restarted from its WAL, counting versions from 1 again.  The first fetch
+   on the new connection must name version 0, read a whole token, and the
+   answer must be exact. *)
+let test_restart_forgets_versions () =
+  let tmp = Filename.get_temp_dir_name () in
+  let path what = Filename.concat tmp (Printf.sprintf "delphic-ver-%s-%d" what (Unix.getpid ())) in
+  let wal_dir = path "wal" and spool_dir = path "spool" and portfile = path "port" in
+  rm_rf_deep wal_dir;
+  rm_rf_deep spool_dir;
+  if Sys.file_exists portfile then Sys.remove portfile;
+  (* every child is killed however the test ends, so none outlives it *)
+  let children = ref [] in
+  let kill pid =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+  in
+  let spawn ~port ~seed ~after =
+    let pid = fork_wal_worker ~wal_dir ~spool_dir ~port ~seed ~portfile in
+    children := pid :: !children;
+    let port =
+      wait_for ~timeout:10.0 "forked worker never published its port" (fun () ->
+          match open_in portfile with
+          | exception Sys_error _ -> None
+          | ic ->
+            let r = try int_of_string_opt (input_line ic) with End_of_file -> None in
+            close_in_noerr ic;
+            r)
+    in
+    let gen =
+      wait_for ~timeout:10.0 "forked worker never answered HELLO" (fun () ->
+          match hello_generation port with Some g when g <> after -> Some g | _ -> None)
+    in
+    (pid, port, gen)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter kill !children;
+      rm_rf_deep wal_dir;
+      rm_rf_deep spool_dir;
+      if Sys.file_exists portfile then Sys.remove portfile)
+  @@ fun () ->
+  let pid_a, port, gen_a = spawn ~port:0 ~seed:4200 ~after:0 in
+  let io, read, written = metered_io () in
+  let coord =
+    Coordinator.create ~io ~timeout:2.0 ~backoff:0.01 ~workers:[ ("127.0.0.1", port) ] ~seed:94 ()
+  in
+  let name = "restart" in
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:95) ~universe:300 ~dim:2 ~count:30 ~max_side:6
+  in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of boxes)));
+  Coordinator.flush coord;
+  ignore (ok (Coordinator.estimate coord ~name));
+  ignore (ok (Coordinator.estimate coord ~name));
+  kill pid_a;
+  Sys.remove portfile;
+  ignore (spawn ~port ~seed:4201 ~after:gen_a);
+  let len = token_length port name in
+  let mark = String.length (written ()) in
+  let est, bytes =
+    wait_for ~timeout:10.0 "no clean gather after the restart" (fun () ->
+        match metered_estimate coord read ~name with
+        | Ok (v, false, _), bytes -> Some (v, bytes)
+        | (Ok (_, true, _) | Error _), _ -> None)
+  in
+  Alcotest.(check (float 0.0)) "exact after the restart" (truth boxes) est;
+  Alcotest.(check bool)
+    (Printf.sprintf "read %d bytes, a whole %d-byte token" bytes len)
+    true (bytes >= len);
+  (* the new connection is the last to open with the v2 preamble; a fetch
+     written to the dead one before its death was noticed does not count *)
+  let sent = written () in
+  let index_from pat i =
+    let n = String.length pat in
+    let rec go i =
+      if i + n > String.length sent then None
+      else if String.sub sent i n = pat then Some i
+      else go (i + 1)
+    in
+    go i
+  in
+  let rec last pat i acc =
+    match index_from pat i with Some j -> last pat (j + 1) (Some j) | None -> acc
+  in
+  let asks = "SNAPSHOT ver=" in
+  let first_ask = Option.bind (last "\x00DP2" mark None) (index_from asks) in
+  Alcotest.(check (option string)) "the new connection's first fetch names version 0"
+    (Some "0 ")
+    (Option.map (fun i -> String.sub sent (i + String.length asks) 2) first_ask);
+  Coordinator.shutdown coord
+
 let suite =
   [
     Alcotest.test_case "scatter/gather with mid-stream worker loss" `Quick
@@ -1138,4 +1368,9 @@ let suite =
       test_replacement_at_reconnect;
     Alcotest.test_case "pipelined ingest into journaled workers acks promptly" `Quick
       test_wal_ingest_acks_promptly;
+    Alcotest.test_case "an idle gather ships no token" `Quick test_idle_gather_ships_no_token;
+    Alcotest.test_case "a mutation behind the coordinator's back ships a token" `Quick
+      test_direct_mutation_ships_token;
+    Alcotest.test_case "a restarted worker is never asked a dead connection's version" `Quick
+      test_restart_forgets_versions;
   ]

@@ -327,6 +327,70 @@ let roundtrip_request r =
   | Ok r' -> r = r'
   | Error _ -> false
 
+(* The versioned fetch and its replies.  Its ver=<n> token sits where the
+   session name goes, which no session name can spell, so a parser that
+   predates the form refuses it: it is never read as SNAPSHOT <session>
+   <path> and a file written. *)
+let test_versioned_fetch_forms () =
+  let fetch since cutoff = P.Fetch_since { session = "s1"; cutoff; since } in
+  Alcotest.check request "versioned fetch" (fetch 7 None) (parse_ok "SNAPSHOT ver=7 s1");
+  Alcotest.check request "versioned windowed fetch" (fetch 0 (Some 99.5))
+    (parse_ok "SNAPSHOT ver=0 s1 cut=99.5");
+  List.iter
+    (fun r -> Alcotest.check request "renders and parses back" r (parse_ok (P.render_request r)))
+    [ fetch 7 None; fetch 0 (Some 1754649990.25) ];
+  Alcotest.(check bool) "the version token is no session name" false (P.session_name_ok "ver=7");
+  List.iter
+    (fun (line, code) -> Alcotest.(check string) line code (parse_err line))
+    [
+      ("SNAPSHOT ver=7 s1 /tmp/x.snap", "ARITY");
+      ("SNAPSHOT ver=7", "ARITY");
+      ("SNAPSHOT ver=-1 s1", "BAD-NUMBER");
+      ("SNAPSHOT ver=x s1", "BAD-NUMBER");
+      ("SNAPSHOT ver=7 s1 cut=x", "BAD-NUMBER");
+    ];
+  let token = String.init 300 (fun i -> Char.chr ((i * 53) land 0xFF)) in
+  List.iter
+    (fun r ->
+      Alcotest.check response "v1 reply round-trips" r
+        (match P.parse_response (P.render_response r) with Ok r -> r | Error e -> Alcotest.fail e))
+    [ P.Sketch_at { version = 9; token = Some token }; P.Sketch_at { version = 9; token = None } ];
+  Alcotest.(check string) "unchanged is one short line" "UNCHANGED ver=9"
+    (P.render_response (P.Sketch_at { version = 9; token = None }));
+  match P.reply_record (P.Sketch_at { version = 1 lsl 40; token = Some token }) with
+  | None -> Alcotest.fail "a versioned token must travel as a v2 record"
+  | Some (head, body) ->
+    let frame = Bytes.of_string (head ^ body) in
+    Alcotest.check response "v2 record round-trips"
+      (P.Sketch_at { version = 1 lsl 40; token = Some token })
+      (match P.parse_reply_frame frame ~pos:0 ~len:(Bytes.length frame) with
+      | Ok r -> r
+      | Error e -> Alcotest.fail e)
+
+(* A registry answers a versioned fetch UNCHANGED until the next mutation,
+   and a session re-opened under the same name never reuses a version. *)
+let test_dispatch_versioned_fetch () =
+  let reg = Registry.create ~seed:5 () in
+  let d = Registry.dispatch reg in
+  let open_s = P.Open { session = "v"; family = P.Rect; epsilon = 0.3; delta = 0.2; log2_universe = 17.0 } in
+  let fetch since =
+    match d (P.Fetch_since { session = "v"; cutoff = None; since }) with
+    | P.Sketch_at { version; token } -> (version, token)
+    | r -> Alcotest.failf "FETCH: %s" (P.render_response r)
+  in
+  ignore (d open_s);
+  ignore (d (P.Add { session = "v"; payload = "0 9 0 9"; ts = Some 1.0 }));
+  let v1, token = fetch 0 in
+  Alcotest.(check bool) "version 0 gets the token" true (v1 > 0 && token <> None);
+  Alcotest.(check bool) "same version: unchanged" true (fetch v1 = (v1, None));
+  ignore (d (P.Add { session = "v"; payload = "5 14 0 9"; ts = Some 2.0 }));
+  let v2, token = fetch v1 in
+  Alcotest.(check bool) "a mutation moves the version" true (v2 <> v1 && token <> None);
+  ignore (d (P.Close { session = "v" }));
+  ignore (d open_s);
+  let v3, _ = fetch v2 in
+  Alcotest.(check bool) "a re-opened session draws a new version" true (v3 <> v1 && v3 <> v2)
+
 let test_request_roundtrip () =
   List.iter
     (fun r ->
@@ -1201,6 +1265,8 @@ let suite =
     Alcotest.test_case "session names" `Quick test_session_names;
     Alcotest.test_case "family tokens" `Quick test_family_tokens;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
+    Alcotest.test_case "versioned fetch forms" `Quick test_versioned_fetch_forms;
+    Alcotest.test_case "dispatch versioned fetch" `Quick test_dispatch_versioned_fetch;
     Alcotest.test_case "wire forms" `Quick test_wire_forms;
     Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
     Alcotest.test_case "responses are one line" `Quick test_single_line;

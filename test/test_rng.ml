@@ -125,6 +125,112 @@ let test_shuffle_is_permutation () =
   Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted;
   Alcotest.(check bool) "actually moved" true (a <> Array.init 100 Fun.id)
 
+(* The generator's streams, pinned to the values of the boxed-state
+   implementation: every draw function, five seeds (including -1 and
+   max_int), and the children of [split] and [copy].  Each entry is the MD5
+   of the 64 draws per seed rendered in order (floats in %h, so exactly);
+   a rewrite of the state layout must leave every entry unchanged. *)
+let golden_seeds = [ 0; 1; 42; -1; max_int ]
+
+let golden_streams : (string * (Rng.t -> string list)) list =
+  let draws f g = List.init 64 (fun _ -> f g) in
+  let f64 v = Printf.sprintf "%h" v in
+  let i64 g = Int64.to_string (Rng.int64 g) in
+  [
+    ("int64", draws i64);
+    ("bits", draws (fun g -> string_of_int (Rng.bits g)));
+    ("int 7", draws (fun g -> string_of_int (Rng.int g 7)));
+    ("int 1000", draws (fun g -> string_of_int (Rng.int g 1000)));
+    ("int 2^40", draws (fun g -> string_of_int (Rng.int g (1 lsl 40))));
+    ( "int_in_range",
+      draws (fun g ->
+          Printf.sprintf "%d/%d"
+            (Rng.int_in_range g ~lo:(-5) ~hi:5)
+            (Rng.int_in_range g ~lo:min_int ~hi:max_int)) );
+    ("float", draws (fun g -> f64 (Rng.float g)));
+    ("bool", draws (fun g -> string_of_bool (Rng.bool g)));
+    ("bernoulli 0.3", draws (fun g -> string_of_bool (Rng.bernoulli g 0.3)));
+    ( "bernoulli 2^-k",
+      fun g ->
+        List.concat
+          (List.init 61 (fun k ->
+               draws (fun g -> string_of_bool (Rng.bernoulli g (Float.ldexp 1.0 (-k)))) g)) );
+    ("gaussian", draws (fun g -> f64 (Rng.gaussian g)));
+    ("exponential", draws (fun g -> f64 (Rng.exponential g)));
+    ( "shuffle",
+      fun g ->
+        let a = Array.init 64 Fun.id in
+        Rng.shuffle g a;
+        Array.to_list (Array.map string_of_int a) );
+    ( "split",
+      fun g ->
+        let child = Rng.split g in
+        let grandchild = Rng.split child in
+        List.concat_map (draws i64) [ child; grandchild; g ] );
+    ( "copy",
+      fun g ->
+        ignore (Rng.int64 g);
+        let c = Rng.copy g in
+        ignore (Rng.int64 g);
+        List.concat_map (draws i64) [ c; g ] );
+  ]
+
+let golden_digests =
+  [
+    ("int64", "ea0aa2c4fed664885008b464376a0201");
+    ("bits", "13ffa84a81602b4974fad4065aba101e");
+    ("int 7", "676a5f14b92b8d61236cf45e0e49ba76");
+    ("int 1000", "228a43812594112b3266f97649d99fa5");
+    ("int 2^40", "8689a1d8ba6f26b48fd38981a4fc405a");
+    ("int_in_range", "f8eb274e1a2e760706c1d647120d9c3b");
+    ("float", "71c3ce8c1f4dd9a5bf23323be3f9acd6");
+    ("bool", "3021aed20ed4d419a8eaeb8bfa8b8ec2");
+    ("bernoulli 0.3", "12fecf41733ec98af52052f1c29b8df5");
+    ("bernoulli 2^-k", "3b8abc469b470910478893aff3dd4dff");
+    ("gaussian", "defd8c1e2e6290635ec984c39c666eb2");
+    ("exponential", "b7a918805f24a0aa3f942f496bebf222");
+    ("shuffle", "6793a9cf78d48a02e5472a44f63dcefa");
+    ("split", "c4b41fe7dc37f0d08efa5abed009923d");
+    ("copy", "041c7d8c27050e1529b2b204d4eb31dc");
+  ]
+
+let test_golden_streams () =
+  let g = Rng.create ~seed:0 in
+  Alcotest.(check (list int64)) "seed 0 opens the int64 stream"
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L; 7684712102626143532L ]
+    (List.init 4 (fun _ -> Rng.int64 g));
+  let g = Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "seed 42 opens the int 1000 stream" [ 685; 775; 752; 48 ]
+    (List.init 4 (fun _ -> Rng.int g 1000));
+  List.iter
+    (fun (name, draw) ->
+      let all = List.concat_map (fun seed -> draw (Rng.create ~seed)) golden_seeds in
+      Alcotest.(check string) name (List.assoc name golden_digests)
+        (Digest.to_hex (Digest.string (String.concat " " all))))
+    golden_streams
+
+(* The hot draws allocate nothing: VATIC's estimate flips one coin per
+   bucket entry.  Only meaningful in native code, where unboxed int64
+   arithmetic stays in registers. *)
+let test_draws_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create ~seed:14 in
+    let acc = ref 0 in
+    let words f =
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        acc := !acc + f ()
+      done;
+      Gc.minor_words () -. before
+    in
+    let check name f = Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (words f) in
+    check "bits" (fun () -> Rng.bits rng land 1);
+    check "int" (fun () -> Rng.int rng 1000);
+    check "bool" (fun () -> Bool.to_int (Rng.bool rng));
+    check "bernoulli" (fun () -> Bool.to_int (Rng.bernoulli rng 0.3));
+    ignore (Sys.opaque_identity !acc)
+  end
+
 let suite =
   [
     Alcotest.test_case "deterministic from seed" `Quick test_deterministic;
@@ -140,4 +246,6 @@ let suite =
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
+    Alcotest.test_case "golden streams" `Quick test_golden_streams;
+    Alcotest.test_case "hot draws allocate nothing" `Quick test_draws_allocate_nothing;
   ]

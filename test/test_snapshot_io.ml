@@ -145,6 +145,18 @@ let test_golden_token () =
     | Ok f -> Alcotest.(check int) "restored entries" 2 (Families.entries f)
     | Error msg -> Alcotest.failf "golden restore: %s" msg
 
+(* A sketch-mode source's exact table is dead: folding the golden token
+   (sketch mode, one exact entry) into a live session keeps no exact entry,
+   so re-encoding it carries the two sketch entries alone. *)
+let test_sketch_fold_drops_exact () =
+  let io = Result.get_ok (Io.decode golden) in
+  match Result.bind (Families.of_io io ~seed:1) (Families.encode ~merges:1) with
+  | Error msg -> Alcotest.failf "golden fold: %s" msg
+  | Ok token ->
+    let back = Result.get_ok (Io.decode token) in
+    Alcotest.(check (pair int int)) "exact, sketch entries" (0, 2)
+      (List.length (Io.exact_entries back), List.length (Io.sketch_entries back))
+
 (* --- qcheck: decode . encode = Ok, over random snapshots --- *)
 
 (* Elements as each served family encodes them, plus arbitrary bytes: the
@@ -277,6 +289,13 @@ let prop_family_roundtrip =
       ~exact:(List.sort compare (Io.exact_entries io))
       ~sketch:(List.sort compare (Io.sketch_entries io))
   in
+  (* what a session restored from [io] holds: a sketch-mode session keeps
+     no exact table, so its exact entries do not come back *)
+  let held io =
+    let h = Io.header io in
+    sorted (Io.make h ~exact:(if h.Io.exact_active then Io.exact_entries io else [])
+              ~sketch:(Io.sketch_entries io))
+  in
   QCheck.Test.make ~name:"of_wire . encode = Ok (families)" ~count:300
     (QCheck.make gen)
     (fun io ->
@@ -289,13 +308,13 @@ let prop_family_roundtrip =
         | Error msg -> QCheck.Test.fail_reportf "of_io: %s" msg
         | Ok f -> (
           let merges = (Io.header io).Io.merges in
-          Io.equal (sorted (Families.to_io ~merges f)) (sorted io)
+          Io.equal (sorted (Families.to_io ~merges f)) (held io)
           &&
           match Families.encode ~merges f with
           | Error msg -> QCheck.Test.fail_reportf "encode: %s" msg
           | Ok tok -> (
             match Io.decode tok with
-            | Ok direct -> Io.equal (sorted direct) (sorted io)
+            | Ok direct -> Io.equal (sorted direct) (held io)
             | Error msg -> QCheck.Test.fail_reportf "direct token: %s" msg))))
 
 let test_wire_rejects () =
@@ -473,6 +492,8 @@ let suite =
     Alcotest.test_case "fixed round-trips" `Quick test_fixed_roundtrips;
     Alcotest.test_case "header" `Quick test_header;
     Alcotest.test_case "v4 golden token" `Quick test_golden_token;
+    Alcotest.test_case "sketch-mode fold drops the exact table" `Quick
+      test_sketch_fold_drops_exact;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_family_roundtrip;
     Alcotest.test_case "wire rejects garbage" `Quick test_wire_rejects;
