@@ -421,19 +421,6 @@ let max_conns_arg =
   in
   Arg.(value & opt int 16384 & info [ "max-conns" ] ~docv:"N" ~doc)
 
-let domains_arg =
-  let doc =
-    "Shard the front end across $(docv) event-loop domains: one acceptor \
-     deals accepted connections round-robin to per-domain loops.  $(b,1) \
-     keeps the single-loop layout.  Defaults to the machine's recommended \
-     domain count, capped at 8."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let resolve_domains = function
-  | Some d -> max 1 d
-  | None -> Delphic_server.Evgroup.default_domains ()
-
 (* WAL options, shared by serve and worker: --wal DIR upgrades the
    durability contract from "graceful stop" to "kill -9". *)
 
@@ -521,12 +508,9 @@ let serve_cmd =
     in
     Arg.(value & opt string "delphic-spool" & info [ "spool" ] ~docv:"DIR" ~doc)
   in
-  let run seed port host spool wal max_conns domains =
+  let run seed port host spool wal max_conns =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
-    let domains = resolve_domains domains in
-    let server =
-      Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns ~domains ()
-    in
+    let server = Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns () in
     Delphic_server.Server.install_signals server;
     List.iter
       (function
@@ -534,9 +518,9 @@ let serve_cmd =
         | name, Error msg ->
           Printf.printf "warning: session %s not restored: %s\n%!" name msg)
       (Delphic_server.Server.restored server);
-    Printf.printf "delphic serve: listening on %s:%d (spool: %s, domains: %d%s)\n%!" host
+    Printf.printf "delphic serve: listening on %s:%d (spool: %s%s)\n%!" host
       (Delphic_server.Server.port server)
-      spool domains (durability_banner wal);
+      spool (durability_banner wal);
     Delphic_server.Server.serve server;
     print_endline "delphic serve: stopped; sessions spooled"
   in
@@ -549,9 +533,7 @@ let serve_cmd =
      $(b,EXPR (A & B) \\\\ C)."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ seed $ port_arg $ host_arg $ spool $ wal_term $ max_conns_arg
-      $ domains_arg)
+    Term.(const run $ seed $ port_arg $ host_arg $ spool $ wal_term $ max_conns_arg)
 
 (* worker / coord: the sharded cluster (lib/cluster).  A worker is just a
    server under a name that reads well in cluster commands. *)
@@ -561,16 +543,13 @@ let worker_cmd =
     let doc = "Spool directory for durable session snapshots." in
     Arg.(value & opt string "delphic-worker-spool" & info [ "spool" ] ~docv:"DIR" ~doc)
   in
-  let run seed port host spool wal max_conns domains =
+  let run seed port host spool wal max_conns =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
-    let domains = resolve_domains domains in
-    let server =
-      Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns ~domains ()
-    in
+    let server = Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns () in
     Delphic_server.Server.install_signals server;
-    Printf.printf "delphic worker: listening on %s:%d (spool: %s, domains: %d%s)\n%!" host
+    Printf.printf "delphic worker: listening on %s:%d (spool: %s%s)\n%!" host
       (Delphic_server.Server.port server)
-      spool domains (durability_banner wal);
+      spool (durability_banner wal);
     Delphic_server.Server.serve server;
     print_endline "delphic worker: stopped; sessions spooled"
   in
@@ -580,9 +559,7 @@ let worker_cmd =
      $(b,--wal) an acknowledged set survives $(b,kill -9)."
   in
   Cmd.v (Cmd.info "worker" ~doc)
-    Term.(
-      const run $ seed $ port_arg $ host_arg $ spool $ wal_term $ max_conns_arg
-      $ domains_arg)
+    Term.(const run $ seed $ port_arg $ host_arg $ spool $ wal_term $ max_conns_arg)
 
 let workers_arg =
   let parse s =
@@ -690,9 +667,8 @@ let coord_cmd =
     Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
   in
   let run seed port host workers timeout replicas dial_timeout epoch
-      standby_of lease_interval batch max_conns domains =
+      standby_of lease_interval batch max_conns =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
-    let domains = resolve_domains domains in
     let coord =
       Delphic_cluster.Coordinator.create ~replicas ~timeout
         ~dial_timeout ~epoch ~batch ~workers ~seed ()
@@ -709,7 +685,7 @@ let coord_cmd =
         standby_of
     in
     let frontend =
-      Delphic_cluster.Frontend.create ~host ~port ~max_conns ~domains
+      Delphic_cluster.Frontend.create ~host ~port ~max_conns
         ~shard_fresh:(fun () -> Delphic_cluster.Coordinator.shard_freshness coord)
         ~dispatch:(Delphic_cluster.Coordinator.dispatch coord)
         ()
@@ -746,7 +722,7 @@ let coord_cmd =
     Term.(
       const run $ seed $ port_arg $ host_arg $ workers_arg $ timeout
       $ replicas $ dial_timeout $ epoch $ standby_of $ lease_interval $ batch
-      $ max_conns_arg $ domains_arg)
+      $ max_conns_arg)
 
 (* query: one-shot client for the service. *)
 

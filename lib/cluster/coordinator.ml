@@ -1317,7 +1317,7 @@ let dispatch t (req : P.request) : P.response =
      it has no journal generation to advertise — but it does carry the
      fencing epoch, which a standby probes for. *)
   | P.Hello -> P.Hello_reply { generation = 0; epoch = epoch t }
-  (* Connection/domain figures belong to the front door; [Frontend.handle]
+  (* Connection figures belong to the front door; [Frontend.handle]
      intercepts bare STATS before dispatch.  Reached directly (tests, a
      coordinator embedded without a frontend) only the gather freshness is
      reportable. *)

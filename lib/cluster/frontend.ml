@@ -1,6 +1,5 @@
 module P = Delphic_server.Protocol
 module Evloop = Delphic_server.Evloop
-module Evgroup = Delphic_server.Evgroup
 
 let log_src = Logs.Src.create "delphic.frontend" ~doc:"cluster frontend"
 
@@ -14,24 +13,25 @@ type t = {
       (* per-shard fresh-replica counts for SRVSTATS, injected by the
          coordinator ([fun () -> []] on non-replicated deployments) *)
   mutable stopping : bool;
-  mutable evg : Evgroup.t option; (* set once by [create]; never unset *)
+  mutable loop : Evloop.t option; (* set once by [create]; never unset *)
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let evg_exn t = match t.evg with Some g -> g | None -> assert false
+let loop_exn t = match t.loop with Some l -> l | None -> assert false
 
-(* Bare STATS answered here: the front door owns the connection and domain
-   figures; no journal on a coordinator, so the WAL fields are 0. *)
+(* Bare STATS answered here: the front door owns the connection figures
+   ([dispatched] is the one loop's count); no journal on a coordinator, so
+   the WAL fields are 0. *)
 let srvstats t =
-  let g = evg_exn t in
+  let loop = loop_exn t in
   P.Server_stats_reply
     {
-      conns = Evgroup.live_conns g;
-      shed = Evgroup.shed_count g;
-      dispatched = Array.to_list (Evgroup.dispatched g);
+      conns = Evloop.live_conns loop;
+      shed = Evloop.shed_count loop;
+      dispatched = [ Evloop.dispatched loop ];
       wal_queue = 0;
       wal_last_group = 0;
       wal_groups = 0;
@@ -60,8 +60,8 @@ let handle t dispatch ~ctx:_ ~proto ~raw:_ ~body =
   in
   Delphic_server.Server.reply ~proto response
 
-let create ?(host = "127.0.0.1") ?max_conns ?domains ?(shard_fresh = fun () -> [])
-    ~port ~dispatch () =
+let create ?(host = "127.0.0.1") ?max_conns ?(shard_fresh = fun () -> []) ~port
+    ~dispatch () =
   (* a client that hangs up mid-reply must cost one connection, not the
      process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -78,15 +78,15 @@ let create ?(host = "127.0.0.1") ?max_conns ?domains ?(shard_fresh = fun () -> [
     match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
   in
   let t =
-    { listen_fd = fd; port; lock = Mutex.create (); shard_fresh; stopping = false; evg = None }
+    { listen_fd = fd; port; lock = Mutex.create (); shard_fresh; stopping = false; loop = None }
   in
-  let g =
-    Evgroup.create ?max_conns ?domains ~listen_fd:fd ~handler:(handle t dispatch)
+  let loop =
+    Evloop.create ?max_conns ~listen_fd:fd ~handler:(handle t dispatch)
       ~on_bad_frame:(fun reason ->
         Some (P.render_response (P.Error_reply (P.Io_error reason))))
       ()
   in
-  t.evg <- Some g;
+  t.loop <- Some loop;
   t
 
 let port t = t.port
@@ -100,7 +100,7 @@ let request_stop t =
           true
         end)
   in
-  if fresh then Evgroup.stop (evg_exn t)
+  if fresh then Evloop.stop (loop_exn t)
 
 (* SIGTERM drains like SIGINT: a supervisor's stop is a graceful stop. *)
 let install_signals t =
@@ -108,12 +108,9 @@ let install_signals t =
     (fun signum -> ignore (Sys.signal signum (Sys.Signal_handle (fun _ -> request_stop t))))
     [ Sys.sigint; Sys.sigterm ]
 
-let install_sigint = install_signals
-
 let serve t =
-  Log.info (fun m ->
-      m "frontend listening on port %d (domains: %d)" t.port (Evgroup.domains (evg_exn t)));
-  Evgroup.run (evg_exn t);
+  Log.info (fun m -> m "frontend listening on port %d" t.port);
+  Evloop.run (loop_exn t);
   with_lock t (fun () -> t.stopping <- true);
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   Log.info (fun m -> m "frontend stopped")

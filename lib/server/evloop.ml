@@ -71,45 +71,18 @@ type conn = {
 
 type handler = ctx:ctx -> proto:proto -> raw:string -> body:string -> verdict
 
-(* Accounting shared by every loop of a sharded group: the connection cap
-   and shed count are properties of the listening socket, not of any one
-   domain's loop. *)
-type shared = {
-  max_conns : int;
-  live : int Atomic.t;
-  shed : int Atomic.t;
-}
-
-let make_shared ~max_conns = { max_conns; live = Atomic.make 0; shed = Atomic.make 0 }
-let live_conns s = Atomic.get s.live
-let shed_count s = Atomic.get s.shed
-
-(* Admission check at accept time: under the cap admits (the loop that
-   registers the fd increments [live]); over it counts a shed and tells
-   the acceptor to close.  Advisory — a burst racing several acceptors can
-   overshoot by the number of in-flight handoffs, which is fine for a
-   load-shedding cap. *)
-let try_admit s =
-  if Atomic.get s.live >= s.max_conns then begin
-    Atomic.incr s.shed;
-    false
-  end
-  else true
-
 type t = {
-  listen_fd : Unix.file_descr option;
-  listen_ifd : int; (* -1 when this loop does not own an acceptor *)
+  listen_fd : Unix.file_descr;
+  listen_ifd : int;
   handler : handler;
   on_bad_frame : string -> string option;
-  shared : shared;
+  max_conns : int;
+  mutable shed : int; (* accepts closed at once because of [max_conns] *)
+  mutable dispatched : int; (* requests handled *)
   conns : (int, conn) Hashtbl.t;
-  injectq : Unix.file_descr Queue.t; (* fds handed over by an acceptor *)
-  inject_lock : Mutex.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
   stop_flag : bool Atomic.t;
-  wake_flag : bool Atomic.t; (* dedup: at most one unread wake byte *)
-  dispatched : int Atomic.t; (* requests handled by this loop *)
   epfd : int; (* -1 => poll backend *)
 }
 
@@ -118,8 +91,7 @@ let lo_water = 1 * 1024 * 1024
 let read_budget = 256 * 1024
 let initial_rbuf = 8 * 1024
 
-let create ?(max_conns = 16384) ?shared ?listen_fd ~handler
-    ?(on_bad_frame = fun _ -> None) () =
+let create ?(max_conns = 16384) ~listen_fd ~handler ?(on_bad_frame = fun _ -> None) () =
   (* a client that hangs up mid-reply must cost one connection, not the
      process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -129,32 +101,24 @@ let create ?(max_conns = 16384) ?shared ?listen_fd ~handler
   Unix.set_nonblock stop_w;
   let epfd = epoll_create () in
   if epfd < 0 then Log.info (fun m -> m "epoll unavailable; using poll backend");
-  let shared = match shared with Some s -> s | None -> make_shared ~max_conns in
   {
     listen_fd;
-    listen_ifd = (match listen_fd with Some fd -> fd_int fd | None -> -1);
+    listen_ifd = fd_int listen_fd;
     handler;
     on_bad_frame;
-    shared;
+    max_conns;
+    shed = 0;
+    dispatched = 0;
     conns = Hashtbl.create 1024;
-    injectq = Queue.create ();
-    inject_lock = Mutex.create ();
     stop_r;
     stop_w;
     stop_flag = Atomic.make false;
-    wake_flag = Atomic.make false;
-    dispatched = Atomic.make 0;
     epfd;
   }
 
-let conn_count t = Hashtbl.length t.conns
-let dispatched t = Atomic.get t.dispatched
-let shared_of t = t.shared
-
-let wake t =
-  if Atomic.compare_and_set t.wake_flag false true then
-    try ignore (Unix.single_write_substring t.stop_w "w" 0 1)
-    with Unix.Unix_error _ -> ()
+let live_conns t = Hashtbl.length t.conns
+let shed_count t = t.shed
+let dispatched t = t.dispatched
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then
@@ -169,7 +133,6 @@ let close_conn t c =
     c.dead <- true;
     backend_del t c.ifd;
     Hashtbl.remove t.conns c.ifd;
-    Atomic.decr t.shared.live;
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
   end
 
@@ -231,7 +194,7 @@ let queue_reply c reply =
   if out_bytes c > hi_water then c.rd_paused <- true
 
 let run_handler t c proto ~raw ~body =
-  Atomic.incr t.dispatched;
+  t.dispatched <- t.dispatched + 1;
   match t.handler ~ctx:c.ctx ~proto ~raw ~body with
   | Reply reply -> queue_reply c reply
   | Record { head; body } ->
@@ -357,8 +320,6 @@ let on_writable t c =
   flush_out t c;
   if not c.dead then update_interest t c
 
-(* Adopt an already-accepted socket into this loop.  Used both by the
-   in-loop acceptor and by {!adopt} (the sharded acceptor's handoff). *)
 let register_conn t fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -381,53 +342,40 @@ let register_conn t fd =
       dead = false;
     }
   in
-  Atomic.incr t.shared.live;
   Hashtbl.replace t.conns c.ifd c;
   backend_add t c.ifd ev_in
 
-(* Thread-safe fd handoff from an acceptor running elsewhere: queue the fd
-   and wake the loop, which registers it with its own backend. *)
-let adopt t fd =
-  Mutex.lock t.inject_lock;
-  Queue.add fd t.injectq;
-  Mutex.unlock t.inject_lock;
-  wake t
-
-let drain_inject t =
-  let continue = ref true in
-  while !continue do
-    Mutex.lock t.inject_lock;
-    let fd = if Queue.is_empty t.injectq then None else Some (Queue.pop t.injectq) in
-    Mutex.unlock t.inject_lock;
-    match fd with
-    | None -> continue := false
-    | Some fd -> register_conn t fd
-  done
+(* Admission at accept time: under the cap admits, over it counts a shed.
+   The loop is the only acceptor and registers an admitted fd before it
+   accepts the next, so the cap is exact. *)
+let try_admit t =
+  if Hashtbl.length t.conns >= t.max_conns then begin
+    t.shed <- t.shed + 1;
+    false
+  end
+  else true
 
 let accept_ready t =
-  match t.listen_fd with
-  | None -> ()
-  | Some listen_fd ->
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true listen_fd with
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-        continue := false
-      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-        (* out of descriptors: nothing to do but stop accepting this round *)
-        Log.warn (fun m -> m "accept: out of file descriptors");
-        continue := false
-      | exception Unix.Unix_error _ -> continue := false
-      | fd, _ ->
-        if not (try_admit t.shared) then begin
-          (* accept-and-drop beats leaving the backlog to time out: the
-             client sees a crisp close instead of a hang *)
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end
-        else register_conn t fd
-    done
+  let continue = ref true in
+  while !continue do
+    match Unix.accept ~cloexec:true t.listen_fd with
+    | exception
+        Unix.Unix_error
+          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+      continue := false
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      (* out of descriptors: nothing to do but stop accepting this round *)
+      Log.warn (fun m -> m "accept: out of file descriptors");
+      continue := false
+    | exception Unix.Unix_error _ -> continue := false
+    | fd, _ ->
+      if not (try_admit t) then begin
+        (* accept-and-drop beats leaving the backlog to time out: the
+           client sees a crisp close instead of a hang *)
+        try Unix.close fd with Unix.Unix_error _ -> ()
+      end
+      else register_conn t fd
+  done
 
 let drain_stop_pipe t =
   let b = Bytes.create 64 in
@@ -439,29 +387,18 @@ let drain_stop_pipe t =
   in
   go ()
 
-(* The self-pipe fired: clear the wake dedup BEFORE draining so an adopt
-   racing the drain leaves a byte for the next round, then handle whatever
-   the byte meant — stop or adopted fds. *)
-let handle_wake t =
-  Atomic.set t.wake_flag false;
-  drain_stop_pipe t;
-  if not (Atomic.get t.stop_flag) then drain_inject t
-
 (* One readiness round on the poll backend: build the interleaved
    [fd; events] spec from live connections, mirror conns into an array so
    result slots map back. *)
 let poll_round t =
   let n = Hashtbl.length t.conns in
-  let has_listen = t.listen_ifd >= 0 in
-  let extra = if has_listen then 2 else 1 in
+  let extra = 2 (* the stop pipe, then the listening socket *) in
   let spec = Array.make ((n + extra) * 2) 0 in
   let index = Array.make (n + extra) None in
   spec.(0) <- fd_int t.stop_r;
   spec.(1) <- ev_in;
-  if has_listen then begin
-    spec.(2) <- t.listen_ifd;
-    spec.(3) <- ev_in
-  end;
+  spec.(2) <- t.listen_ifd;
+  spec.(3) <- ev_in;
   let slot = ref extra in
   Hashtbl.iter
     (fun ifd c ->
@@ -475,9 +412,8 @@ let poll_round t =
     t.conns;
   let revents = poll_fds spec (-1) in
   let stop_hit = Array.length revents > 0 && revents.(0) land (ev_in lor ev_err) <> 0 in
-  if stop_hit then handle_wake t;
-  if has_listen && Array.length revents > 1 && revents.(1) land ev_in <> 0 then
-    accept_ready t;
+  if stop_hit then drain_stop_pipe t;
+  if Array.length revents > 1 && revents.(1) land ev_in <> 0 then accept_ready t;
   for i = extra to Array.length revents - 1 do
     match index.(i) with
     | None -> ()
@@ -495,9 +431,8 @@ let epoll_round t =
   let n = Array.length evs / 2 in
   for i = 0 to n - 1 do
     let ifd = evs.(i * 2) and ev = evs.(i * 2 + 1) in
-    if t.listen_ifd >= 0 && ifd = t.listen_ifd then
-      (if ev land ev_in <> 0 then accept_ready t)
-    else if ifd = fd_int t.stop_r then handle_wake t
+    if ifd = t.listen_ifd then (if ev land ev_in <> 0 then accept_ready t)
+    else if ifd = fd_int t.stop_r then drain_stop_pipe t
     else
       (* a conn closed earlier in this same batch is simply gone *)
       match Hashtbl.find_opt t.conns ifd with
@@ -511,22 +446,16 @@ let epoll_round t =
   done
 
 let run t =
-  (match t.listen_fd with
-  | Some fd ->
-    Unix.set_nonblock fd;
-    if t.epfd >= 0 then backend_add t t.listen_ifd ev_in
-  | None -> ());
-  if t.epfd >= 0 then backend_add t (fd_int t.stop_r) ev_in;
+  Unix.set_nonblock t.listen_fd;
+  if t.epfd >= 0 then begin
+    backend_add t t.listen_ifd ev_in;
+    backend_add t (fd_int t.stop_r) ev_in
+  end;
   (while not (Atomic.get t.stop_flag) do
      if t.epfd >= 0 then epoll_round t else poll_round t
    done);
   let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (fun c -> close_conn t c) conns;
-  (* fds handed over but never registered still belong to this loop *)
-  Mutex.lock t.inject_lock;
-  Queue.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.injectq;
-  Queue.clear t.injectq;
-  Mutex.unlock t.inject_lock;
   if t.epfd >= 0 then (try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   try Unix.close t.stop_w with Unix.Unix_error _ -> ()

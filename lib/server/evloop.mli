@@ -1,26 +1,18 @@
 (** Readiness event loop: epoll on Linux, poll elsewhere.
 
-    Replaces the thread-per-connection accept loops of {!Server} and the
-    cluster frontend.  One thread owns every connection registered with a
-    loop: non-blocking sockets, a per-connection state machine with a
-    reusable read buffer and a write-backpressure queue, and first-byte
-    protocol auto-detection — a leading NUL byte (the {!Frame.preamble})
-    selects wire protocol v2 (length-prefixed CRC-framed binary), anything
-    else is the v1 text protocol, newline-delimited.
-
-    Since the multicore sharding, a loop comes in two shapes:
-
-    - {b owning} ([~listen_fd]): the loop accepts on the listening socket
-      itself — the single-domain fast path, identical to the pre-sharding
-      behaviour.
-    - {b adopted-only} (no [listen_fd]): connections arrive via {!adopt}
-      from an acceptor running elsewhere ({!Evgroup} runs one loop per
-      domain and distributes accepted fds round-robin).
+    Each serving process ([serve], [worker], [coord]) runs exactly one
+    loop, which owns the listening socket.  One thread owns every
+    connection: it accepts, then drives non-blocking sockets through a
+    per-connection state machine with a reusable read buffer and a
+    write-backpressure queue, and first-byte protocol auto-detection — a
+    leading NUL byte (the {!Frame.preamble}) selects wire protocol v2
+    (length-prefixed CRC-framed binary), anything else is the v1 text
+    protocol, newline-delimited.
 
     Concurrency model: the handler runs on the loop thread and its verdict
     is the reply, queued in request order before the next request on that
     connection is handled.  A handler that blocks stalls every connection on
-    this loop — fine for a worker whose only client is the coordinator,
+    the loop — fine for a worker whose only client is the coordinator,
     and for dispatch that is microseconds plus one journal write (the
     server appends a mutation's record, and applies the fsync policy,
     before it returns); long-running work (checkpoint spools) belongs on
@@ -53,60 +45,37 @@ type handler = ctx:ctx -> proto:proto -> raw:string -> body:string -> verdict
     connection's protocol.  Exceptions close the connection; turn failures
     into protocol error replies instead. *)
 
-type shared
-(** Accounting shared across every loop of a sharded group: live
-    connections, the connection cap, and the shed count belong to the
-    listening socket, not to any single domain's loop. *)
-
-val make_shared : max_conns:int -> shared
-val live_conns : shared -> int
-val shed_count : shared -> int
-
-val try_admit : shared -> bool
-(** Accept-time admission: [true] admits (registration will count it),
-    [false] records a shed — the acceptor should close the fd. *)
-
 type t
 
 val create :
   ?max_conns:int ->
-  ?shared:shared ->
-  ?listen_fd:Unix.file_descr ->
+  listen_fd:Unix.file_descr ->
   handler:handler ->
   ?on_bad_frame:(string -> string option) ->
   unit ->
   t
-(** [listen_fd], when given, must already be bound and listening; the loop
-    makes it non-blocking and accepts on it.  Without [listen_fd] the loop
-    serves only {!adopt}ed connections.  [shared] links this loop into a
-    group's accounting; absent, a private {!shared} is made from
-    [max_conns] (default 16384, shedding by accept-and-close).
-    [on_bad_frame reason] supplies an optional farewell reply body
-    (e.g. [ERR IO ...]) sent before closing a connection whose stream
-    desynced: CRC mismatch, oversized frame, bad preamble. *)
+(** [listen_fd] must already be bound and listening; the loop makes it
+    non-blocking and accepts on it.  Past [max_conns] live connections
+    (default 16384) a new connection is accepted and closed at once, and
+    counted as shed.  [on_bad_frame reason] supplies an optional farewell
+    reply body (e.g. [ERR IO ...]) sent before closing a connection whose
+    stream desynced: CRC mismatch, oversized frame, bad preamble. *)
 
 val run : t -> unit
-(** Drive the loop on the calling thread (or domain) until {!stop};
-    closes every connection (but not [listen_fd]) on the way out. *)
+(** Drive the loop on the calling thread until {!stop}; closes every
+    connection (but not [listen_fd]) on the way out. *)
 
 val stop : t -> unit
 (** Thread- and signal-safe: wakes the loop via a self-pipe. *)
 
-val adopt : t -> Unix.file_descr -> unit
-(** Hand an accepted socket to this loop from another thread or domain.
-    The loop registers it with its own backend on the next wakeup.  After
-    {!stop}, adopted fds that never got registered are closed by {!run}'s
-    teardown. *)
+val live_conns : t -> int
+(** Connections currently registered. *)
 
-val conn_count : t -> int
-(** Connections registered with {e this} loop (see {!live_conns} for the
-    group-wide figure). *)
+val shed_count : t -> int
+(** Connections closed at accept because the cap was reached. *)
 
 val dispatched : t -> int
-(** Requests handled by this loop since creation — the per-domain balance
-    figure the [STATS] verb reports. *)
-
-val shared_of : t -> shared
+(** Requests handled since creation. *)
 
 val wait_fd : Unix.file_descr -> write:bool -> timeout:float -> [ `Ready | `Timeout ]
 (** Wait for one descriptor with poll(2) — the FD_SETSIZE-safe replacement

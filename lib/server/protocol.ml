@@ -66,10 +66,10 @@ type stats = {
 
 type expr_quality = Probes_exact | Probes_sketch
 
-(* Process-wide figures for the bare STATS verb: how the sharded front end
-   is actually doing.  [dispatched] is per-domain, index-aligned with the
-   acceptor's round-robin order.  The [wal_*] fields are always 0, kept on
-   the wire for compatibility. *)
+(* Process-wide figures for the bare STATS verb: how the front end is
+   actually doing.  [dispatched] holds the one event loop's request count;
+   it stays a list, rendered with [domains=<length>], and the [wal_*]
+   fields stay at 0, all for compatibility with readers of the old forms. *)
 type server_stats = {
   conns : int;
   shed : int;
@@ -355,8 +355,8 @@ let parse_request line =
           | "EST" -> Est { session }
           | "STATS" -> Stats { session }
           | _ -> Close { session })
-      (* Bare STATS is the process-wide form: conns, sheds, per-domain
-         dispatch balance. *)
+      (* Bare STATS is the process-wide form: conns, sheds, requests
+         handled. *)
       | [] when command = "STATS" -> Ok Server_stats
       | _ ->
         Error

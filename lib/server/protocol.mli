@@ -146,7 +146,7 @@ type request =
           callers treat as "generation unknown, assume restart". *)
   | Server_stats
       (** wire form [STATS] with no session — process-wide figures: live
-          connections, sheds, per-domain dispatch balance
+          connections, sheds, requests handled
           ({!Server_stats_reply}).  Older servers answer [ERR ARITY]. *)
   | Coord_epoch of { epoch : int }
       (** wire form [COORD <epoch>] — a coordinator announcing its fencing
@@ -210,9 +210,12 @@ type stats = {
     bound). *)
 type expr_quality = Probes_exact | Probes_sketch
 
-(** Reply payload of the bare [STATS] verb.  [dispatched] is per event-loop
-    domain, index-aligned with the acceptor's round-robin deal order — the
-    list length is the domain count.  [wal_queue], [wal_last_group] and
+(** Reply payload of the bare [STATS] verb.  [dispatched] is the process's
+    one event loop's request count, as a one-element list ([[]] from a
+    registry or coordinator reached without a front door); on the wire it
+    renders as [domains=<list length> dispatched=a,b,..], the form a
+    per-domain front end used, kept for readers that parse it.
+    [wal_queue], [wal_last_group] and
     [wal_groups] are always 0: they described the journal's group-commit
     writer, which was removed, and stay on the wire and in this record only
     for compatibility with readers that parse them. *)

@@ -32,33 +32,27 @@ let touch s =
   s.wire_cache <- None;
   s.version <- next_version ()
 
-(* The table is striped: a session name hashes to one segment, whose mutex
-   guards only that segment's [Hashtbl] — held for the lookup/insert/remove
-   itself, never across estimator work.  Estimator mutation happens under
-   the per-session [slock], so SNAPSHOT/EST on one session never blocks
-   ADDB on another, even in the same segment. *)
-type segment = { seg_lock : Mutex.t; sessions : (string, session) Hashtbl.t }
-
+(* One table under one lock, held for the lookup/insert/remove itself,
+   never across estimator work.  Estimator work happens under the
+   per-session [slock]: the event loop mutates sessions while the
+   checkpoint thread snapshots them. *)
 type t = {
-  segments : segment array;
+  lock : Mutex.t;  (* guards [sessions] *)
+  sessions : (string, session) Hashtbl.t;
   base_seed : int;
   clock : unit -> float;
       (* query clock for WIN/EXPR-w cutoffs when the request does not pin
          one; injectable so tests and replay are deterministic *)
-  meta : Mutex.t;  (* guards [opened] *)
-  mutable opened : int;  (* distinct seeds for successive sessions *)
+  opened : int Atomic.t;  (* distinct seeds for successive sessions *)
 }
 
-let create ?(stripes = 16) ?(clock = Unix.gettimeofday) ~seed () =
-  if stripes < 1 then invalid_arg "Registry.create: need stripes >= 1";
+let create ?(clock = Unix.gettimeofday) ~seed () =
   {
-    segments =
-      Array.init stripes (fun _ ->
-          { seg_lock = Mutex.create (); sessions = Hashtbl.create 8 });
+    lock = Mutex.create ();
+    sessions = Hashtbl.create 16;
     base_seed = seed;
     clock;
-    meta = Mutex.create ();
-    opened = 0;
+    opened = Atomic.make 0;
   }
 
 let now t = t.clock ()
@@ -67,23 +61,14 @@ let with_mutex m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let segment_of t name = t.segments.(Hashtbl.hash name mod Array.length t.segments)
+let next_seed t = t.base_seed + (7919 * (1 + Atomic.fetch_and_add t.opened 1))
 
-let next_seed t =
-  with_mutex t.meta (fun () ->
-      t.opened <- t.opened + 1;
-      t.base_seed + (7919 * t.opened))
+(* Lock ordering: a session lock is taken either alone or under the table
+   lock, never the other way round, so no cycle exists. *)
 
-(* Lock ordering: a segment lock may be taken while holding nothing, or all
-   segment locks together in index order (the whole-table operations); the
-   [meta] and session locks are only ever taken under at most the segment
-   locks and never the other way round, so no cycle exists. *)
+let find_session t name = with_mutex t.lock (fun () -> Hashtbl.find_opt t.sessions name)
 
-let find_session t name =
-  let seg = segment_of t name in
-  with_mutex seg.seg_lock (fun () -> Hashtbl.find_opt seg.sessions name)
-
-(* Run [f] on session [name] under its own lock.  The segment lock is
+(* Run [f] on session [name] under its own lock.  The table lock is
    released before [slock] is taken: a racing CLOSE can orphan the session
    so [f] mutates a table-less estimator, which is harmless — the stream
    semantics only promise that each session's operations serialise. *)
@@ -93,14 +78,13 @@ let with_session t name f =
   | Some s -> with_mutex s.slock (fun () -> f s)
 
 let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
-  let seg = segment_of t name in
-  with_mutex seg.seg_lock (fun () ->
-      if Hashtbl.mem seg.sessions name then Error (Protocol.Session_exists name)
+  with_mutex t.lock (fun () ->
+      if Hashtbl.mem t.sessions name then Error (Protocol.Session_exists name)
       else
         match Families.create ~family ~epsilon ~delta ~log2_universe ~seed:(next_seed t) with
         | Error msg -> Error (Protocol.Bad_params msg)
         | Ok runner ->
-          Hashtbl.replace seg.sessions name
+          Hashtbl.replace t.sessions name
             {
               slock = Mutex.create ();
               runner;
@@ -179,10 +163,9 @@ let stats t ~name =
         })
 
 let close t ~name =
-  let seg = segment_of t name in
-  with_mutex seg.seg_lock (fun () ->
-      if Hashtbl.mem seg.sessions name then begin
-        Hashtbl.remove seg.sessions name;
+  with_mutex t.lock (fun () ->
+      if Hashtbl.mem t.sessions name then begin
+        Hashtbl.remove t.sessions name;
         Ok ()
       end
       else Error (Protocol.Unknown_session name))
@@ -274,10 +257,9 @@ let expr_query ?w t ~expr ~m =
     (fun msg -> Protocol.Bad_params msg)
     (Families.eval_expr ~leaves ~expr ~samples ~seed:(next_seed t))
 
-(* caller holds the segment lock for [name] (or all of them) *)
+(* caller holds the table lock *)
 let restore_session t ~name ~path =
-  let seg = segment_of t name in
-  if Hashtbl.mem seg.sessions name then Error (Protocol.Session_exists name)
+  if Hashtbl.mem t.sessions name then Error (Protocol.Session_exists name)
   else
     match Io.load ~path with
     | Error msg -> Error (Protocol.Io_error msg)
@@ -285,7 +267,7 @@ let restore_session t ~name ~path =
       match Families.of_io io ~seed:(next_seed t) with
       | Error msg -> Error (Protocol.Io_error msg)
       | Ok runner ->
-        Hashtbl.replace seg.sessions name
+        Hashtbl.replace t.sessions name
           {
             slock = Mutex.create ();
             runner;
@@ -298,35 +280,24 @@ let restore_session t ~name ~path =
           };
         Ok ())
 
-let restore_from t ~name ~path =
-  let seg = segment_of t name in
-  with_mutex seg.seg_lock (fun () -> restore_session t ~name ~path)
+let restore_from t ~name ~path = with_mutex t.lock (fun () -> restore_session t ~name ~path)
 
-(* Whole-table operations take every segment lock in index order (cycle-free
-   by the ordering argument above), so they observe one consistent table:
-   no session can be opened, closed, or restored while they run.  Per-session
-   estimator reads still go through each session's own lock, so a handler
-   mid-ADDB finishes its frame before the spool encodes that session. *)
-let lock_all t f =
-  Array.iter (fun seg -> Mutex.lock seg.seg_lock) t.segments;
-  Fun.protect
-    ~finally:(fun () -> Array.iter (fun seg -> Mutex.unlock seg.seg_lock) t.segments)
-    f
-
-let all_sessions_locked t =
-  Array.to_list t.segments
-  |> List.concat_map (fun seg ->
-         Hashtbl.fold (fun name s acc -> (name, s) :: acc) seg.sessions [])
+(* Whole-table operations hold the table lock throughout, so they observe
+   one consistent table: no session can be opened, closed, or restored
+   while they run.  Per-session estimator reads still go through each
+   session's own lock, so a handler mid-ADDB finishes its frame before the
+   spool encodes that session. *)
+let all_sessions_locked t = Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.sessions []
 
 let names t =
-  lock_all t (fun () -> List.map fst (all_sessions_locked t) |> List.sort compare)
+  with_mutex t.lock (fun () -> List.map fst (all_sessions_locked t) |> List.sort compare)
 
 (* The [SESSIONS] enumeration: every open session with its creation triple,
    sorted by name.  This is what makes workers the durable truth for a
    warm-standby coordinator — takeover re-registers routing entries from
    here instead of from a coordinator journal. *)
 let session_descs t =
-  lock_all t (fun () ->
+  with_mutex t.lock (fun () ->
       all_sessions_locked t
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> List.map (fun (name, s) ->
@@ -349,7 +320,7 @@ let rec mkdir_p dir =
   end
 
 let snapshot_all ?fsync t ~dir =
-  lock_all t (fun () ->
+  with_mutex t.lock (fun () ->
       let sessions = all_sessions_locked t in
       match mkdir_p dir with
       | exception Unix.Unix_error (e, _, _) ->
@@ -365,7 +336,7 @@ let snapshot_all ?fsync t ~dir =
                    | Error e -> (name, Error (Protocol.describe_error e)))))
 
 let restore_all ?(consume = true) t ~dir =
-  lock_all t (fun () ->
+  with_mutex t.lock (fun () ->
       match Sys.readdir dir with
       | exception Sys_error _ -> []
       | files ->
@@ -388,7 +359,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   (* The registry has no process identity; the TCP server intercepts HELLO
      and answers with its real generation.  0 = "not generation-fenced". *)
   | Protocol.Hello -> Protocol.Hello_reply { generation = 0; epoch = 0 }
-  (* Process-wide figures (conns, domains, WAL queue) live in the server,
+  (* Process-wide figures (conns, sheds, requests) live in the server,
      not the session registry; the TCP server intercepts bare STATS just
      like HELLO.  A registry reached directly has nothing to report. *)
   | Protocol.Server_stats ->

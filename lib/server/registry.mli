@@ -1,16 +1,15 @@
 (** Concurrent session table of the estimation service.
 
     Maps session names to running {!Families} estimators plus per-session
-    counters (items processed, parse rejects, last estimate).  The table is
-    striped: a session name hashes to one of [stripes] segments, each with
-    its own mutex held only for the lookup/insert/remove itself, and every
-    session carries its own mutex serialising estimator mutation — so
-    handler threads ingesting into different sessions never contend, and a
-    long [SNAPSHOT]/[EST] on one session cannot block [ADDB] on another.
-    Whole-table operations ({!names}, {!snapshot_all}, {!restore_all}) take
-    every segment lock in index order and therefore see one consistent
-    table.  Per-session operations still serialise, which matches the
-    stream semantics (sets are processed one at a time).
+    counters (items processed, parse rejects, last estimate).  One mutex
+    guards the table, held only for the lookup/insert/remove itself, and
+    every session carries its own mutex serialising estimator work — the
+    event loop mutates sessions while a checkpoint thread snapshots them,
+    and a snapshot of one session never blocks [ADDB] on another.
+    Whole-table operations ({!names}, {!snapshot_all}, {!restore_all}) hold
+    the table mutex throughout and therefore see one consistent table.
+    Per-session operations serialise, which matches the stream semantics
+    (sets are processed one at a time).
 
     {!dispatch} is the full request → response step minus the socket — the
     unit under test in [test/test_protocol.ml] and the hot path measured by
@@ -18,10 +17,9 @@
 
 type t
 
-val create : ?stripes:int -> ?clock:(unit -> float) -> seed:int -> unit -> t
+val create : ?clock:(unit -> float) -> seed:int -> unit -> t
 (** [seed] is the base PRNG seed; each opened or restored session derives a
-    distinct seed from it.  [stripes] (default 16) is the number of
-    mutex-striped segments; raises [Invalid_argument] when < 1.  [clock]
+    distinct seed from it.  [clock]
     (default [Unix.gettimeofday]) supplies the query instant for [WIN] and
     windowed [EXPR] requests that do not pin one — injectable so tests and
     WAL replay are deterministic. *)

@@ -24,12 +24,14 @@ type t = {
          a mutation from a connection stamped lower is refused (FENCED) *)
   mutable checkpointing : bool; (* one checkpoint at a time; extras skip *)
   mutable ckpt_thread : Thread.t option; (* joined before the final spool *)
-  mutable evg : Evgroup.t option; (* set once by [create]; never unset *)
+  mutable loop : Evloop.t option; (* set once by [create]; never unset *)
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+let loop_exn t = match t.loop with Some l -> l | None -> assert false
 
 (* A journal-less server still answers HELLO: the fence only compares
    generations for equality, so any value that differs across restarts of
@@ -174,34 +176,22 @@ let maybe_checkpoint t w cfg =
     end
   end
 
-(* Bare STATS: process-wide figures from the event-loop group.  Like HELLO,
+(* Bare STATS: process-wide figures from the event loop.  Like HELLO,
    answered here rather than in the registry, which has no process
-   identity.  The [wal_*] fields are compatibility zeros (see
-   {!Protocol.server_stats}). *)
+   identity.  [dispatched] is the one loop's count, and the [wal_*] fields
+   are compatibility zeros (see {!Protocol.server_stats}). *)
 let server_stats t =
-  let conns, shed, dispatched =
-    match t.evg with
-    | Some g -> (Evgroup.live_conns g, Evgroup.shed_count g, Array.to_list (Evgroup.dispatched g))
-    | None -> (0, 0, [])
-  in
+  let loop = loop_exn t in
   Protocol.Server_stats_reply
     {
-      conns;
-      shed;
-      dispatched;
+      conns = Evloop.live_conns loop;
+      shed = Evloop.shed_count loop;
+      dispatched = [ Evloop.dispatched loop ];
       wal_queue = 0;
       wal_last_group = 0;
       wal_groups = 0;
       shard_fresh = [];
     }
-
-(* Highest-epoch-wins CAS: concurrent announces from several domains race,
-   the max survives. *)
-let rec bump_epoch cell e =
-  let cur = Atomic.get cell in
-  if e <= cur then cur
-  else if Atomic.compare_and_set cell cur e then e
-  else bump_epoch cell e
 
 (* The deposed-primary write fence.  A connection that announced an epoch
    which has since been overtaken gets its mutations refused; connections
@@ -243,13 +233,14 @@ let handle_request t ~ctx ~proto ~raw ~body =
   | Ok (Protocol.Coord_epoch { epoch }) ->
     (* Announce: stamp the connection, highest epoch wins process-wide.  An
        announce already overtaken is refused — the deposed primary learns it
-       is fenced at the handshake, before staging any writes. *)
+       is fenced at the handshake, before staging any writes.  The loop
+       thread is the only writer, so the check and the store need no CAS. *)
     let cur = Atomic.get t.coord_epoch in
     if epoch < cur then Evloop.Reply (render (Protocol.Error_reply (Protocol.Fenced cur)))
     else begin
-      let now = bump_epoch t.coord_epoch epoch in
+      Atomic.set t.coord_epoch epoch;
       ctx.Evloop.epoch <- epoch;
-      Evloop.Reply (render (Protocol.Epoch_reply { epoch = now }))
+      Evloop.Reply (render (Protocol.Epoch_reply { epoch }))
     end
   | Ok req when fenced t ctx req ->
     Evloop.Reply
@@ -284,8 +275,8 @@ let handle_request t ~ctx ~proto ~raw ~body =
       (* A handler crash must kill one request, not the server. *)
       Evloop.Reply (render (Protocol.Error_reply (Protocol.Server_error (Printexc.to_string exn)))))
 
-let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ?domains
-    ~port ~spool ~seed () =
+let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
+    ~spool ~seed () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
@@ -332,17 +323,17 @@ let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ?d
       coord_epoch = Atomic.make 0;
       checkpointing = false;
       ckpt_thread = None;
-      evg = None;
+      loop = None;
     }
   in
-  let g =
-    Evgroup.create ?max_conns ?domains ~listen_fd:fd
+  let loop =
+    Evloop.create ?max_conns ~listen_fd:fd
       ~handler:(fun ~ctx ~proto ~raw ~body -> handle_request t ~ctx ~proto ~raw ~body)
       ~on_bad_frame:(fun reason ->
         Some (Protocol.render_response (Protocol.Error_reply (Protocol.Io_error reason))))
       ()
   in
-  t.evg <- Some g;
+  t.loop <- Some loop;
   t
 
 let port t = t.port
@@ -350,8 +341,6 @@ let registry t = t.registry
 let restored t = t.restored
 let generation t = t.generation
 let coord_epoch t = Atomic.get t.coord_epoch
-let evg_exn t = match t.evg with Some g -> g | None -> assert false
-
 let request_stop t =
   let fresh =
     with_lock t (fun () ->
@@ -361,7 +350,7 @@ let request_stop t =
           true
         end)
   in
-  if fresh then Evgroup.stop (evg_exn t)
+  if fresh then Evloop.stop (loop_exn t)
 
 (* SIGTERM gets the same graceful path as SIGINT: a supervisor's stop (or a
    container runtime's) must spool/checkpoint exactly like a ^C. *)
@@ -370,13 +359,9 @@ let install_signals t =
     (fun signum -> ignore (Sys.signal signum (Sys.Signal_handle (fun _ -> request_stop t))))
     [ Sys.sigint; Sys.sigterm ]
 
-let install_sigint = install_signals
-
 let serve t =
-  Log.info (fun m ->
-      m "listening on port %d (spool: %s, domains: %d)" t.port t.spool
-        (Evgroup.domains (evg_exn t)));
-  Evgroup.run (evg_exn t);
+  Log.info (fun m -> m "listening on port %d (spool: %s)" t.port t.spool);
+  Evloop.run (loop_exn t);
   with_lock t (fun () -> t.stopping <- true);
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (* an in-flight periodic checkpoint must finish before the journal closes *)

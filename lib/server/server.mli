@@ -1,5 +1,5 @@
-(** TCP front end of the estimation service: a single readiness-driven
-    {!Evloop} thread owning every connection (epoll on Linux, poll
+(** TCP front end of the estimation service: one readiness-driven
+    {!Evloop} thread owning the listening socket and every connection (epoll on Linux, poll
     elsewhere), built on stdlib [Unix] + [threads.posix] only.  Speaks both
     the v1 text protocol and wire protocol v2 (length-prefixed CRC-framed
     binary), auto-detected per connection on the first bytes; a v2
@@ -43,7 +43,6 @@ val create :
   ?clock:(unit -> float) ->
   ?wal:wal_config ->
   ?max_conns:int ->
-  ?domains:int ->
   port:int -> spool:string -> seed:int -> unit -> t
 (** Bind and listen ([host] defaults to ["127.0.0.1"]; [port] 0 picks an
     ephemeral port, see {!port}), then restore state: from [wal]'s
@@ -54,9 +53,9 @@ val create :
     un-pinned [WIN]/windowed [EXPR]; injectable for deterministic tests.
     WAL replay itself resolves legacy untimestamped records to [t=0].
     [max_conns] (default 16384) sheds excess connections by
-    accept-and-close.  [domains] (default 1) shards the front end across
-    that many event-loop domains behind one acceptor ({!Evgroup}); the
-    16-stripe registry with per-session locks keeps dispatch domain-safe.
+    accept-and-close.  The bare [STATS] reply carries the loop's figures:
+    its [dispatched] list has one element and renders as [domains=1], a
+    form kept for readers that parse the old per-domain list.
     Raises [Unix.Unix_error] if the address is unavailable. *)
 
 val port : t -> int
@@ -86,7 +85,8 @@ val serve : t -> unit
     graceful stop. *)
 
 val start : t -> Thread.t
-(** {!serve} on a daemon thread — the loopback tests use this. *)
+(** {!serve} on its own thread, so a test or an in-process replay can embed
+    a server and talk to it over loopback from the calling thread. *)
 
 val request_stop : t -> unit
 (** Trigger a graceful shutdown from any thread or from a signal handler;
@@ -96,5 +96,3 @@ val install_signals : t -> unit
 (** Route SIGINT {e and} SIGTERM to {!request_stop} — a supervisor's stop
     must spool/checkpoint exactly like a ^C. *)
 
-val install_sigint : t -> unit
-(** Alias of {!install_signals} (kept for older callers). *)

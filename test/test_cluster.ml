@@ -28,17 +28,9 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-(* DELPHIC_TEST_DOMAINS=N runs every worker in this suite sharded across N
-   event-loop domains (CI exercises 4); unset/1 keeps the single-loop
-   layout the rest of the matrix uses. *)
-let test_domains =
-  match int_of_string_opt (try Sys.getenv "DELPHIC_TEST_DOMAINS" with Not_found -> "") with
-  | Some d when d > 1 -> d
-  | _ -> 1
-
 let start_worker n ~seed =
   rm_rf (spool n);
-  let s = Server.create ~port:0 ~spool:(spool n) ~seed ~domains:test_domains () in
+  let s = Server.create ~port:0 ~spool:(spool n) ~seed () in
   let th = Server.start s in
   (s, th)
 
@@ -861,8 +853,9 @@ let rm_rf_deep dir =
    The child is a re-exec of this test binary via posix_spawn
    ([Unix.create_process_env]), NOT a [Unix.fork]: the OCaml 5 runtime
    forbids fork for the rest of the process's life once any domain has ever
-   been spawned, and with [DELPHIC_TEST_DOMAINS] > 1 every in-process
-   server does exactly that.  [maybe_forked_wal_worker] (called from
+   been spawned, and this test binary spawns domains elsewhere: the
+   concurrent clients of [test_mt] and [Delphic_harness.Parallel.map] in
+   [test_harness].  [maybe_forked_wal_worker] (called from
    test_main before Alcotest takes over) diverts the re-exec'd child into
    worker mode when it sees the spec in its environment. *)
 let wal_worker_env = "DELPHIC_WAL_WORKER"
@@ -881,7 +874,7 @@ let run_forked_wal_worker spec =
                  fsync = Wal.Interval 0.05;
                  checkpoint_every = 4;
                }
-             ~port ~spool:spool_dir ~seed ~domains:test_domains ()
+             ~port ~spool:spool_dir ~seed ()
          with
          | s -> s
          | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 0 ->
@@ -1035,10 +1028,9 @@ let test_kill9_wal_recovery () =
 
 (* Pipelined ingest into journaled workers at the configuration
    [delphic worker --wal DIR] builds: fsync every 0.2 s, a checkpoint every
-   512 records, v2 from the coordinator, and at least two event-loop
-   domains (the CLI default on a two-core host).  Three workers take
-   twelve sessions of 3 072 small boxes each, frames of 64 dealt round the
-   sessions.  Every [add_batch] must return well inside the coordinator's
+   512 records, v2 from the coordinator, one event loop per worker.
+   Three workers take twelve sessions of 3 072 small boxes each, frames of
+   64 dealt round the sessions.  Every [add_batch] must return well inside the coordinator's
    2 s timeout, and every session's exact-regime answer must count every
    acknowledged set (a session's union, about 12k cells, stays under the
    15k exact-table capacity at these parameters).  Regression test for
@@ -1054,8 +1046,7 @@ let test_wal_ingest_acks_promptly () =
           Server.create
             ~wal:
               { Server.dir = dir n; fsync = Wal.Interval 0.2; checkpoint_every = 512 }
-            ~port:0 ~spool:(spool (70 + n)) ~seed:(800 + n)
-            ~domains:(max 2 test_domains) ()
+            ~port:0 ~spool:(spool (70 + n)) ~seed:(800 + n) ()
         in
         (s, Server.start s))
   in

@@ -45,14 +45,9 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let test_domains =
-  match int_of_string_opt (try Sys.getenv "DELPHIC_TEST_DOMAINS" with Not_found -> "") with
-  | Some d when d > 1 -> d
-  | _ -> 1
-
 let start_worker n ~seed =
   rm_rf (spool n);
-  let s = Server.create ~port:0 ~spool:(spool n) ~seed ~domains:test_domains () in
+  let s = Server.create ~port:0 ~spool:(spool n) ~seed () in
   let th = Server.start s in
   (s, th)
 

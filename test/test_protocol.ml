@@ -1157,15 +1157,17 @@ let test_dispatch_win () =
     (P.Estimate { value = 200.0; degraded = false; stale_shards = [] })
     (dispatch reg "EST s")
 
-(* Striped locking under fire: two writers hammering ADDB into different
-   sessions, a reader spinning EST/STATS/FETCH on a third, and the main
-   thread taking whole-table snapshots throughout.  Exact-regime sessions
-   make loss visible — every accepted payload is a distinct unit cell, so
-   the final counts and estimates are deterministic.  A lock-ordering bug
-   shows up as a hang, a lost add as a wrong exact count, a torn snapshot
-   as a failed per-session outcome. *)
-let test_striped_concurrency () =
-  let reg = Registry.create ~stripes:4 ~seed:97 () in
+(* Session locking under fire (the case name keeps its word "striped"
+   from when the table was lock-striped; it now has one table lock): two
+   writers hammering ADDB into different sessions, a reader spinning
+   EST/STATS/FETCH on a third, and the main thread taking whole-table
+   snapshots throughout.  Exact-regime sessions make loss visible — every
+   accepted payload is a distinct unit cell, so the final counts and
+   estimates are deterministic.  A lock-ordering bug shows up as a hang, a
+   lost add as a wrong exact count, a torn snapshot as a failed
+   per-session outcome. *)
+let test_registry_concurrency () =
+  let reg = Registry.create ~seed:97 () in
   let open_s name =
     match
       Registry.open_session reg ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
@@ -1222,7 +1224,7 @@ let test_striped_concurrency () =
   in
   let threads = [ writer 1 "wa"; writer 2 "wb"; reader ] in
   let dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "delphic-stripes-%d" (Unix.getpid ()))
+      (Printf.sprintf "delphic-registry-fire-%d" (Unix.getpid ()))
   in
   for _ = 1 to 5 do
     let outcomes = Registry.snapshot_all reg ~dir in
@@ -1287,5 +1289,5 @@ let suite =
     Alcotest.test_case "dispatch expr" `Quick test_dispatch_expr;
     Alcotest.test_case "dispatch win" `Quick test_dispatch_win;
     Alcotest.test_case "striped registry under concurrent fire" `Quick
-      test_striped_concurrency;
+      test_registry_concurrency;
   ]
