@@ -686,7 +686,6 @@ let coord_cmd =
     in
     let frontend =
       Delphic_cluster.Frontend.create ~host ~port ~max_conns
-        ~shard_fresh:(fun () -> Delphic_cluster.Coordinator.shard_freshness coord)
         ~dispatch:(Delphic_cluster.Coordinator.dispatch coord)
         ()
     in

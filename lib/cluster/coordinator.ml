@@ -35,9 +35,18 @@ type worker = {
   staged : (string * string * float option * int) Queue.t;
       (* routed but not yet framed: (session, payload, ts, hops).  Nothing
          here has touched the socket; a death replays these verbatim. *)
-  pending : batch Queue.t; (* frames on the wire, one reply line owed each *)
-  mutable in_flight : int; (* payload units across [pending] *)
+  pending : owed Queue.t;
+      (* the one FIFO of replies owed on [conn], in wire order.  Whoever
+         reads a reply retires the head with it, so a drain can fill an
+         ask's slot and an ask can retire the acks ahead of it without ever
+         misframing the stream. *)
+  mutable in_flight : int; (* payload units across the frames in [pending] *)
 }
+
+(* One reply owed on a worker connection: an ingest frame's ack, or the
+   slot of a synchronous ask — [None] until its reply is read, an [Error]
+   once the connection died with the ask unanswered. *)
+and owed = Frame of batch | Ask of (P.response, string) result option ref
 
 (* One gathered token as the fold memo holds it: the worker that sent it,
    the connection it came on, and the session version it carries (0 when
@@ -101,12 +110,6 @@ type t = {
      lost the session): parked here by [retire_ack] — which can run deep
      inside a drain — and re-routed at the next safe point. *)
   orphans : (string * string * float option * int) Queue.t;
-  (* While a gather has Fetch requests on the wire, a dying worker must not
-     trigger an immediate requeue: re-routing its orphans would stage new
-     frames on peers *behind* their un-collected sketch replies and misframe
-     their streams.  Deaths are parked here and re-routed after collect. *)
-  mutable in_gather : bool;
-  deferred_deaths : worker Queue.t;
   (* --- fencing + warm-standby state --- *)
   mutable epoch : int;
       (* the fencing epoch announced to every worker connection ([COORD]);
@@ -173,8 +176,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     sessions = Hashtbl.create 4;
     seq = 0;
     orphans = Queue.create ();
-    in_gather = false;
-    deferred_deaths = Queue.create ();
     epoch;
     fenced_by = 0;
     read_only;
@@ -250,65 +251,81 @@ let quarantine t w =
         w.failures);
   !kill_requeue t w
 
-(* Retire the oldest pending frame against its [OKB] reply. *)
-let retire_ack t w reply =
-  match Queue.take_opt w.pending with
-  | None -> w.in_flight <- 0 (* unreachable: in_flight tracks pending *)
-  | Some b -> (
-    w.in_flight <- w.in_flight - Array.length b.bitems;
-    let si = Hashtbl.find_opt t.sessions b.bsession in
-    let reject n = Option.iter (fun si -> si.rejects <- si.rejects + n) si in
-    match reply with
-    | P.Ok_batch { accepted = _; errors } -> reject (List.length errors)
-    | P.Error_reply (P.Fenced cur) ->
-      (* A newer primary fenced us mid-stream.  The frame is NOT re-routed:
-         every worker enforces the same fence, and the payloads now belong
-         to whoever holds the higher epoch.  Recording [fenced_by] makes
-         every later mutation fail fast at the front door. *)
-      if cur > t.fenced_by then t.fenced_by <- cur;
-      Log.warn (fun m ->
-          m "worker %s: ingest fenced by epoch %d — coordinator deposed" (address w)
-            cur);
-      reject (Array.length b.bitems)
-    | P.Error_reply e ->
-      (* Refused whole without being ingested — typically UNKNOWN-SESSION
-         from a worker that lost the session.  Counting the frame delivered
-         would silently lose its payloads: a replica that refused is no
-         longer complete, and the payloads are parked for re-routing at the
-         next safe point (retiring can run deep inside a drain, where
-         routing would recurse). *)
-      Log.warn (fun m ->
-          m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
-            (P.describe_error e) (Array.length b.bitems));
-      Option.iter
-        (fun si -> if List.memq w si.members then si.incomplete.(w.wid) <- true)
-        si;
-      Array.iter
-        (fun (payload, hops) ->
-          Queue.push (b.bsession, payload, b.bts, hops + 1) t.orphans)
-        b.bitems
-    | r ->
-      (* non-error, non-ack: the reply stream itself is suspect *)
-      Log.warn (fun m ->
-          m "worker %s: unexpected ingest ack %s" (address w) (P.render_response r)))
+(* Retire frame [b], the oldest owed on [w], against its [OKB] reply. *)
+let retire_ack t w b reply =
+  w.in_flight <- w.in_flight - Array.length b.bitems;
+  let si = Hashtbl.find_opt t.sessions b.bsession in
+  let reject n = Option.iter (fun si -> si.rejects <- si.rejects + n) si in
+  match reply with
+  | P.Ok_batch { accepted = _; errors } -> reject (List.length errors)
+  | P.Error_reply (P.Fenced cur) ->
+    (* A newer primary fenced us mid-stream.  The frame is NOT re-routed:
+       every worker enforces the same fence, and the payloads now belong
+       to whoever holds the higher epoch.  Recording [fenced_by] makes
+       every later mutation fail fast at the front door. *)
+    if cur > t.fenced_by then t.fenced_by <- cur;
+    Log.warn (fun m ->
+        m "worker %s: ingest fenced by epoch %d — coordinator deposed" (address w) cur);
+    reject (Array.length b.bitems)
+  | P.Error_reply e ->
+    (* Refused whole without being ingested — typically UNKNOWN-SESSION
+       from a worker that lost the session.  Counting the frame delivered
+       would silently lose its payloads: a replica that refused is no
+       longer complete, and the payloads are parked for re-routing at the
+       next safe point (retiring can run deep inside a drain, where
+       routing would recurse). *)
+    Log.warn (fun m ->
+        m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
+          (P.describe_error e) (Array.length b.bitems));
+    Option.iter
+      (fun si -> if List.memq w si.members then si.incomplete.(w.wid) <- true)
+      si;
+    Array.iter
+      (fun (payload, hops) -> Queue.push (b.bsession, payload, b.bts, hops + 1) t.orphans)
+      b.bitems
+  | r ->
+    (* non-error, non-ack: the reply stream itself is suspect *)
+    Log.warn (fun m ->
+        m "worker %s: unexpected ingest ack %s" (address w) (P.render_response r))
+
+(* Read one reply on [w]'s connection and retire the head of [w.pending]
+   with it.  A failed read quarantines [w], which requeues everything it
+   still owes. *)
+let read_reply ?deadline t w conn =
+  match Rpc.recv_timeout ?deadline conn with
+  | Ok reply ->
+    (match Queue.take_opt w.pending with
+    | Some (Ask slot) -> slot := Some (Ok reply)
+    | Some (Frame b) -> retire_ack t w b reply
+    | None -> () (* unreachable: a reply is only read while one is owed *));
+    Ok ()
+  | Error e ->
+    let msg = Rpc.describe_recv_error e in
+    Log.warn (fun m -> m "worker %s: reply lost: %s" (address w) msg);
+    quarantine t w;
+    Error msg
 
 (* Read reply lines until at most [down_to] payload units remain unacked.
-   One reply retires one whole frame.  On failure the unacked frames are
-   replayed through the router: at-least-once, and a set seen twice by one
-   estimator is a duplicate the union ignores. *)
+   One reply retires one whole frame (or fills an ask's slot).  On failure
+   the unacked frames are replayed through the router: at-least-once, and
+   a set seen twice by one estimator is a duplicate the union ignores. *)
 let rec drain_acks t w ~down_to =
-  if w.in_flight <= down_to then ()
-  else
+  if w.in_flight > down_to then
     match w.conn with
     | None -> quarantine t w
-    | Some conn -> (
-      match Rpc.recv conn with
-      | Ok reply ->
-        retire_ack t w reply;
-        drain_acks t w ~down_to
-      | Error msg ->
-        Log.warn (fun m -> m "worker %s: lost while draining acks: %s" (address w) msg);
-        quarantine t w)
+    | Some conn -> if Result.is_ok (read_reply t w conn) then drain_acks t w ~down_to
+
+(* Read [w]'s replies in order until [slot] is filled, retiring whatever is
+   owed ahead of it.  Without [deadline] each read gets the connection's
+   own budget. *)
+let rec await ?deadline t w slot =
+  match (!slot, w.conn) with
+  | Some r, _ -> r
+  | None, None -> Error "connection lost"
+  | None, Some conn -> (
+    match read_reply ?deadline t w conn with
+    | Ok () -> await ?deadline t w slot
+    | Error _ as e -> e)
 
 (* A replica copy ships as a backup (ADDL, whose parse errors the worker
    does not report back) unless [w] is the session's first usable replica,
@@ -320,12 +337,20 @@ let backup t session w =
     List.memq w si.members
     && match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
 
+(* Ship what is staged on the connection as one coalesced write.  It is
+   already owed in [w.pending], so a transport failure replays it via the
+   quarantine path. *)
+let write_staged t w conn =
+  match Rpc.flush_staged conn with
+  | Ok () -> ()
+  | Error msg ->
+    Log.warn (fun m -> m "worker %s: flush failed: %s" (address w) msg);
+    quarantine t w
+
 (* Frame [w.staged] into requests — consecutive same-session runs of up to
    [t.batch] payloads each: ADDL for a backup copy, otherwise ADDB — stage
-   them all on the connection, and ship the accumulation as one coalesced
-   write.  Frames enter [w.pending]
-   before the flush so a transport failure replays them via the quarantine
-   path. *)
+   them all on the connection, each owing its ack in [w.pending], and ship
+   the accumulation as one write. *)
 let flush_worker t w =
   if not (Queue.is_empty w.staged) then
     match w.conn with
@@ -333,7 +358,7 @@ let flush_worker t w =
       (* connection already gone with payloads still staged: hand them to
          the re-router directly *)
       !kill_requeue t w
-    | Some conn -> (
+    | Some conn ->
       while not (Queue.is_empty w.staged) do
         let s0, p0, ts0, h0 = Queue.pop w.staged in
         let items = ref [ (p0, h0) ] in
@@ -356,14 +381,10 @@ let flush_worker t w =
           else P.Add_batch { session = s0; payloads; ts = ts0 }
         in
         Rpc.stage conn req;
-        Queue.push { bsession = s0; bts = ts0; bitems } w.pending;
+        Queue.push (Frame { bsession = s0; bts = ts0; bitems }) w.pending;
         w.in_flight <- w.in_flight + Array.length bitems
       done;
-      match Rpc.flush_staged conn with
-      | Ok () -> ()
-      | Error msg ->
-        Log.warn (fun m -> m "worker %s: batch flush failed: %s" (address w) msg);
-        quarantine t w)
+      write_staged t w conn
 
 (* Ship [w]'s staged frames, then keep the pipe at most [t.window] units
    deep: past it, drain down to half the window so the pipe never fully
@@ -373,29 +394,26 @@ let ship_worker t w =
   if w.conn <> None && w.in_flight >= t.window then
     drain_acks t w ~down_to:(t.window / 2)
 
-(* Synchronous round-trip on [w]'s connection.  Pipelined ingest acks share
-   the reply stream with every other verb, so staged frames must be shipped
-   and every ack drained first: calling with acks in flight would read an
-   ingest ack as this request's reply and leave the stream permanently off
-   by one (a pending frame silently marked acked, later replies misframed).
-   Draining can itself kill the worker — and requeueing during a drain can
-   put new frames in flight on *other* workers — so both queues are
-   re-checked right before the call.  On transport failure the worker is
-   quarantined here; callers only decide fallback. *)
-let call_sync t w req =
+(* Send [req] on [w]'s connection behind its staged payloads and return
+   the slot its reply will fill.  The ask owes its reply in [w.pending] like
+   any frame, so nothing needs draining first.  The payloads' frames go in
+   their own write: a worker answers the requests of one read together, so
+   an ack coalesced with a slow ask would wait for it. *)
+let ask t w req =
   flush_worker t w;
-  drain_acks t w ~down_to:0;
-  if w.in_flight > 0 || not (Queue.is_empty w.staged) then
-    Error "pending acks could not be drained"
-  else
-    match w.conn with
-    | None -> Error "connection lost while draining pending acks"
-    | Some conn -> (
-      match Rpc.call conn req with
-      | Ok _ as ok -> ok
-      | Error msg ->
-        quarantine t w;
-        Error msg)
+  let slot = ref None in
+  (match w.conn with
+  | None -> slot := Some (Error "not connected")
+  | Some conn ->
+    Rpc.stage conn req;
+    Queue.push (Ask slot) w.pending;
+    write_staged t w conn);
+  slot
+
+(* Synchronous round trip on [w]'s connection: stage, then read until the
+   slot fills.  On transport failure the worker is quarantined here;
+   callers only decide fallback. *)
+let call_sync t w req = await t w (ask t w req)
 
 (* After a (re)connect to a new process, or at first contact: re-open every
    session.  An OPEN that succeeds on a worker this coordinator knew before
@@ -462,10 +480,10 @@ let resync t w conn =
    state-changing traffic rides it.  A FENCED refusal means a higher epoch
    (a standby that took over) owns the pool: this coordinator is deposed and
    records the fact rather than fight the new primary. *)
-let announce_epoch_on t w conn =
+let announce_epoch_on t w call =
   if t.epoch = 0 then true
   else
-    match Rpc.call conn (P.Coord_epoch { epoch = t.epoch }) with
+    match call (P.Coord_epoch { epoch = t.epoch }) with
     | Ok (P.Epoch_reply _) -> true
     | Ok (P.Error_reply (P.Fenced cur)) ->
       if cur > t.fenced_by then t.fenced_by <- cur;
@@ -553,7 +571,7 @@ let ensure_conn t w =
             ~port:w.port ~timeout:t.timeout ()
         with
         | Ok conn ->
-          if announce_epoch_on t w conn && resync t w conn then begin
+          if announce_epoch_on t w (Rpc.call conn) && resync t w conn then begin
             w.conn <- Some conn;
             w.serial <- w.serial + 1;
             w.failures <- 0;
@@ -662,17 +680,20 @@ let route t si name payload ~ts ~hops =
       Ok ()
 
 (* Re-route a dead worker's staged payloads and unacked frames — oldest
-   (sent-but-unacked) first, then the never-sent staging queue; wired into
+   (sent-but-unacked) first, then the never-sent staging queue — and mark
+   its unanswered asks lost; wired into
    [quarantine] via the forward reference because death and re-routing are
    mutually recursive.  A payload a live replica already took lands there
    again, which the union ignores. *)
 let requeue t w =
   let orphans = ref [] in
   Queue.iter
-    (fun b ->
-      Array.iter
-        (fun (payload, hops) -> orphans := (b.bsession, payload, b.bts, hops) :: !orphans)
-        b.bitems)
+    (function
+      | Ask slot -> slot := Some (Error "connection lost before the reply")
+      | Frame b ->
+        Array.iter
+          (fun (payload, hops) -> orphans := (b.bsession, payload, b.bts, hops) :: !orphans)
+          b.bitems)
     w.pending;
   Queue.iter (fun item -> orphans := item :: !orphans) w.staged;
   Queue.clear w.pending;
@@ -685,28 +706,17 @@ let requeue t w =
         (Hashtbl.find_opt t.sessions session))
     (List.rev !orphans)
 
-let () =
-  kill_requeue :=
-    fun t w ->
-      (* mid-gather deaths are parked: see [deferred_deaths] *)
-      if t.in_gather then begin
-        if not (Queue.fold (fun seen d -> seen || d == w) false t.deferred_deaths)
-        then Queue.push w t.deferred_deaths
-      end
-      else requeue t w
+let () = kill_requeue := requeue
 
-(* Re-route payloads parked by [retire_ack].  Deferred until no gather is
-   collecting (new frames behind an un-collected Fetch are fine, but the
-   drain a route can trigger is not) and until the drain that parked them
-   has unwound. *)
+(* Re-route payloads parked by [retire_ack], once the drain that parked
+   them has unwound. *)
 let reroute_orphans t =
-  if not t.in_gather then
-    while not (Queue.is_empty t.orphans) do
-      let session, payload, ts, hops = Queue.pop t.orphans in
-      Option.iter
-        (fun si -> ignore (route t si session payload ~ts ~hops))
-        (Hashtbl.find_opt t.sessions session)
-    done
+  while not (Queue.is_empty t.orphans) do
+    let session, payload, ts, hops = Queue.pop t.orphans in
+    Option.iter
+      (fun si -> ignore (route t si session payload ~ts ~hops))
+      (Hashtbl.find_opt t.sessions session)
+  done
 
 (* --- public operations --- *)
 
@@ -833,13 +843,13 @@ let flush t =
 (* Read one copy of [name] and fold in its spill holders.
 
    Phase one reconnects the replicas and the spill holders and repairs an
-   incomplete replica — by RPCs to its peers, so no Fetch may be on the
-   wire yet.  Then one Fetch is staged per spill holder, behind its
-   queued frames.  Phase two asks the first usable replica in ring order,
-   falling to the next one if it fails, and collects the spill holders —
-   all under one absolute deadline: first the acks owed for frames sent
-   before the Fetch (the reply stream is strictly ordered, so reading
-   exactly that many keeps it framed), then the sketch.  A fast worker's
+   incomplete replica.  Then one Fetch is asked of each spill holder,
+   behind its queued frames.  Phase two asks the first usable replica in
+   ring order, falling to the next one if it fails, and collects the spill
+   holders — all under one absolute deadline.  Each ask owes its reply in
+   its worker's FIFO, so collecting it retires the acks owed ahead of it,
+   and a death that re-routes payloads onto a spill holder mid-gather can
+   drain that holder's Fetch reply into its slot.  A fast worker's
    already-buffered reply is still collected at budget zero, so the gather
    costs max-of-workers, not sum; a replica is only asked while budget
    remains, and gets an equal share of it with the usable replicas after
@@ -860,96 +870,53 @@ let gather ?cutoff t si name =
     Hashtbl.fold (fun wid good acc -> (t.workers.(wid), good) :: acc) si.spills []
     |> List.sort (fun (a, _) (b, _) -> compare a.wid b.wid)
   in
-  t.in_gather <- true;
-  let replica, spill_parts =
-    Fun.protect
-      ~finally:(fun () ->
-        t.in_gather <- false;
-        (* Re-route the orphans of workers that died mid-gather, now that no
-           un-collected sketch reply is left for a requeue to misframe. *)
-        while not (Queue.is_empty t.deferred_deaths) do
-          requeue t (Queue.pop t.deferred_deaths)
-        done;
-        reroute_orphans t)
-      (fun () ->
-        List.iter (fun w -> ignore (ensure_conn t w)) si.members;
-        List.iter (fun (w, _) -> ignore (ensure_conn t w)) spills;
-        repair t si name;
-        let deadline = Unix.gettimeofday () +. t.timeout in
-        (* the memo's part from [w]'s current connection at this cutoff *)
-        let held_for w =
-          match si.fold_cache with
-          | Some (cut, parts, _) when cut = cutoff ->
-            Array.find_opt (fun h -> h.from = w.wid && h.serial = w.serial) parts
-          | _ -> None
-        in
-        (* stage the Fetch behind [w]'s frames: the acks owed ahead of it *)
-        let send w =
-          flush_worker t w;
-          match w.conn with
-          | None -> None
-          | Some conn -> (
-            let since = match held_for w with Some h -> h.version | None -> 0 in
-            Rpc.stage conn (P.Fetch_since { session = name; cutoff; since });
-            match Rpc.flush_staged conn with
-            | Ok () -> Some (Queue.length w.pending)
-            | Error msg ->
-              Log.warn (fun m -> m "worker %s: fetch failed: %s" (address w) msg);
-              quarantine t w;
-              None)
-        in
-        let collect ~by:deadline w owed =
-          match (owed, w.conn) with
-          | None, _ | _, None -> None
-          | Some owed, Some conn -> (
-            let rec acks k =
-              if k = 0 then Ok ()
-              else
-                match Rpc.recv_timeout ~deadline conn with
-                | Ok reply ->
-                  retire_ack t w reply;
-                  acks (k - 1)
-                | Error _ as e -> e
-            in
-            let fail what e =
-              Log.warn (fun m ->
-                  m "worker %s: %s: %s" (address w) what (Rpc.describe_recv_error e));
-              quarantine t w;
-              None
-            in
-            match acks owed with
-            | Error e -> fail "lost while draining acks" e
-            | Ok () -> (
-              match Rpc.recv_timeout ~deadline conn with
-              | Ok (P.Sketch_at { version; token = Some token }) ->
-                Some { from = w.wid; serial = w.serial; version; token }
-              | Ok (P.Sketch_at { version; token = None })
-                when Option.map (fun h -> h.version) (held_for w) = Some version ->
-                (* the memo's part stands for the token *)
-                held_for w
-              | Ok r ->
-                (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
-                Log.warn (fun m ->
-                    m "worker %s: FETCH answered %s" (address w) (P.render_response r));
-                if List.memq w si.members then si.incomplete.(w.wid) <- true;
-                None
-              | Error e -> fail "no sketch by the gather deadline" e))
-        in
-        let owed = List.map (fun (w, good) -> (w, good, send w)) spills in
-        let rec read = function
-          | [] -> None
-          | w :: rest -> (
-            let now = Unix.gettimeofday () in
-            let share = float (List.length (List.filter (usable si) (w :: rest))) in
-            if not (usable si w && now < deadline) then read rest
-            else
-              match collect ~by:(now +. ((deadline -. now) /. share)) w (send w) with
-              | Some token -> Some token
-              | None -> read rest)
-        in
-        let replica = read si.members in
-        (replica, List.map (fun (w, good, k) -> (w, good, collect ~by:deadline w k)) owed))
+  List.iter (fun w -> ignore (ensure_conn t w)) si.members;
+  List.iter (fun (w, _) -> ignore (ensure_conn t w)) spills;
+  repair t si name;
+  let deadline = Unix.gettimeofday () +. t.timeout in
+  (* the memo's part from [w]'s current connection at this cutoff *)
+  let held_for w =
+    match si.fold_cache with
+    | Some (cut, parts, _) when cut = cutoff ->
+      Array.find_opt (fun h -> h.from = w.wid && h.serial = w.serial) parts
+    | _ -> None
   in
+  (* ask [w] for its token, naming the version the memo holds *)
+  let send w =
+    let held = held_for w in
+    let since = match held with Some h -> h.version | None -> 0 in
+    (w.serial, held, ask t w (P.Fetch_since { session = name; cutoff; since }))
+  in
+  let collect ~by w (serial, held, slot) =
+    match await ~deadline:by t w slot with
+    | Ok (P.Sketch_at { version; token = Some token }) ->
+      Some { from = w.wid; serial; version; token }
+    | Ok (P.Sketch_at { version; token = None })
+      when Option.map (fun h -> h.version) held = Some version ->
+      (* the memo's part stands for the token *)
+      held
+    | Ok r ->
+      (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
+      Log.warn (fun m -> m "worker %s: FETCH answered %s" (address w) (P.render_response r));
+      if List.memq w si.members then si.incomplete.(w.wid) <- true;
+      None
+    | Error _ -> None
+  in
+  let owed = List.map (fun (w, good) -> (w, good, send w)) spills in
+  let rec read = function
+    | [] -> None
+    | w :: rest -> (
+      let now = Unix.gettimeofday () in
+      let share = float (List.length (List.filter (usable si) (w :: rest))) in
+      if not (usable si w && now < deadline) then read rest
+      else
+        match collect ~by:(now +. ((deadline -. now) /. share)) w (send w) with
+        | Some token -> Some token
+        | None -> read rest)
+  in
+  let replica = read si.members in
+  let spill_parts = List.map (fun (w, good, k) -> (w, good, collect ~by:deadline w k)) owed in
+  reroute_orphans t;
   (* phase three: (position, fresh token, fallback) per part, home first *)
   let parts =
     (`Home, replica, si.last_good)
@@ -1217,10 +1184,8 @@ let max_known_epoch t =
       Stdlib.max t.epoch (Stdlib.max t.fenced_by t.max_worker_epoch))
 
 (* Adopt [epoch] and stamp every live worker connection with it; fresh
-   connections are stamped by [ensure_conn].  Pipelined acks share each
-   reply stream, so every connection is drained to quiescence before the
-   synchronous COORD round-trip.  Returns the number of workers that
-   accepted the stamp. *)
+   connections are stamped by [ensure_conn].  Returns the number of workers
+   that accepted the stamp. *)
 let announce_epoch t ~epoch =
   with_lock t (fun () ->
       if epoch < t.epoch then
@@ -1232,14 +1197,9 @@ let announce_epoch t ~epoch =
         (fun w ->
           match ensure_conn t w with
           | None -> ()
-          | Some _ -> (
-            flush_worker t w;
-            drain_acks t w ~down_to:0;
-            match w.conn with
-            | None -> ()
-            | Some conn ->
-              if announce_epoch_on t w conn then incr accepted
-              else quarantine t w))
+          | Some _ ->
+            if announce_epoch_on t w (call_sync t w) then incr accepted
+            else if w.conn <> None then quarantine t w)
         t.workers;
       !accepted)
 
@@ -1317,10 +1277,8 @@ let dispatch t (req : P.request) : P.response =
      it has no journal generation to advertise — but it does carry the
      fencing epoch, which a standby probes for. *)
   | P.Hello -> P.Hello_reply { generation = 0; epoch = epoch t }
-  (* Connection figures belong to the front door; [Frontend.handle]
-     intercepts bare STATS before dispatch.  Reached directly (tests, a
-     coordinator embedded without a frontend) only the gather freshness is
-     reportable. *)
+  (* Only the gather freshness is the coordinator's to report; the front
+     door lays its connection figures over the zeros. *)
   | P.Server_stats ->
     P.Server_stats_reply
       {

@@ -91,6 +91,17 @@ let lo_water = 1 * 1024 * 1024
 let read_budget = 256 * 1024
 let initial_rbuf = 8 * 1024
 
+let listen ?(host = "127.0.0.1") ~port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  (try
+     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.listen fd 1024
+   with e ->
+     Unix.close fd;
+     raise e);
+  match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> (fd, p) | _ -> (fd, port)
+
 let create ?(max_conns = 16384) ~listen_fd ~handler ?(on_bad_frame = fun _ -> None) () =
   (* a client that hangs up mid-reply must cost one connection, not the
      process *)
@@ -456,6 +467,7 @@ let run t =
    done);
   let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   List.iter (fun c -> close_conn t c) conns;
+  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   if t.epfd >= 0 then (try Unix.close (fd_of_int t.epfd) with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   try Unix.close t.stop_w with Unix.Unix_error _ -> ()

@@ -47,6 +47,11 @@ type handler = ctx:ctx -> proto:proto -> raw:string -> body:string -> verdict
 
 type t
 
+val listen : ?host:string -> port:int -> unit -> Unix.file_descr * int
+(** A TCP socket bound to [host] (default ["127.0.0.1"]) and [port] and
+    listening, with the port it got ([port] 0 picks a free one).  Raises
+    [Unix.Unix_error] if the address is unavailable. *)
+
 val create :
   ?max_conns:int ->
   listen_fd:Unix.file_descr ->
@@ -54,8 +59,9 @@ val create :
   ?on_bad_frame:(string -> string option) ->
   unit ->
   t
-(** [listen_fd] must already be bound and listening; the loop makes it
-    non-blocking and accepts on it.  Past [max_conns] live connections
+(** [listen_fd] must already be bound and listening (see {!listen}); the
+    loop makes it non-blocking, accepts on it, and closes it when {!run}
+    returns.  Past [max_conns] live connections
     (default 16384) a new connection is accepted and closed at once, and
     counted as shed.  [on_bad_frame reason] supplies an optional farewell
     reply body (e.g. [ERR IO ...]) sent before closing a connection whose
@@ -63,10 +69,11 @@ val create :
 
 val run : t -> unit
 (** Drive the loop on the calling thread until {!stop}; closes every
-    connection (but not [listen_fd]) on the way out. *)
+    connection and [listen_fd] on the way out. *)
 
 val stop : t -> unit
-(** Thread- and signal-safe: wakes the loop via a self-pipe. *)
+(** Thread- and signal-safe, and idempotent: wakes the loop via a
+    self-pipe. *)
 
 val live_conns : t -> int
 (** Connections currently registered. *)

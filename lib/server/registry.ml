@@ -359,9 +359,8 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   (* The registry has no process identity; the TCP server intercepts HELLO
      and answers with its real generation.  0 = "not generation-fenced". *)
   | Protocol.Hello -> Protocol.Hello_reply { generation = 0; epoch = 0 }
-  (* Process-wide figures (conns, sheds, requests) live in the server,
-     not the session registry; the TCP server intercepts bare STATS just
-     like HELLO.  A registry reached directly has nothing to report. *)
+  (* Process-wide figures (conns, sheds, requests) live in the front door,
+     not the session registry: it lays them over these zeros. *)
   | Protocol.Server_stats ->
     Protocol.Server_stats_reply
       {

@@ -12,10 +12,8 @@ type t = {
   registry : Registry.t;
   clock : unit -> float;
   spool : string;
-  listen_fd : Unix.file_descr;
   port : int;
-  lock : Mutex.t;
-  mutable stopping : bool;
+  lock : Mutex.t; (* guards [checkpointing] and [ckpt_thread] *)
   restored : (string * (unit, string) result) list;
   wal : (Wal.t * wal_config) option;
   generation : int;
@@ -176,22 +174,19 @@ let maybe_checkpoint t w cfg =
     end
   end
 
-(* Bare STATS: process-wide figures from the event loop.  Like HELLO,
-   answered here rather than in the registry, which has no process
-   identity.  [dispatched] is the one loop's count, and the [wal_*] fields
-   are compatibility zeros (see {!Protocol.server_stats}). *)
-let server_stats t =
-  let loop = loop_exn t in
-  Protocol.Server_stats_reply
-    {
-      conns = Evloop.live_conns loop;
-      shed = Evloop.shed_count loop;
-      dispatched = [ Evloop.dispatched loop ];
-      wal_queue = 0;
-      wal_last_group = 0;
-      wal_groups = 0;
-      shard_fresh = [];
-    }
+(* Bare STATS: the dispatch's reply with the loop's connection figures
+   laid over it — the registry or coordinator behind the loop has no
+   process identity.  [dispatched] is the one loop's count. *)
+let overlay_stats loop = function
+  | Protocol.Server_stats_reply s ->
+    Protocol.Server_stats_reply
+      {
+        s with
+        conns = Evloop.live_conns loop;
+        shed = Evloop.shed_count loop;
+        dispatched = [ Evloop.dispatched loop ];
+      }
+  | r -> r
 
 (* The deposed-primary write fence.  A connection that announced an epoch
    which has since been overtaken gets its mutations refused; connections
@@ -229,7 +224,9 @@ let handle_request t ~ctx ~proto ~raw ~body =
       (render
          (Protocol.Hello_reply
             { generation = t.generation; epoch = Atomic.get t.coord_epoch }))
-  | Ok Protocol.Server_stats -> Evloop.Reply (render (server_stats t))
+  | Ok Protocol.Server_stats ->
+    Evloop.Reply
+      (render (overlay_stats (loop_exn t) (Registry.dispatch t.registry Protocol.Server_stats)))
   | Ok (Protocol.Coord_epoch { epoch }) ->
     (* Announce: stamp the connection, highest epoch wins process-wide.  An
        announce already overtaken is refused — the deposed primary learns it
@@ -275,19 +272,9 @@ let handle_request t ~ctx ~proto ~raw ~body =
       (* A handler crash must kill one request, not the server. *)
       Evloop.Reply (render (Protocol.Error_reply (Protocol.Server_error (Printexc.to_string exn)))))
 
-let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
+let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
     ~spool ~seed () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  (try Unix.bind fd addr
-   with e ->
-     Unix.close fd;
-     raise e);
-  Unix.listen fd 1024;
-  let port =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
+  let fd, port = Evloop.listen ?host ~port () in
   let registry = Registry.create ~clock ~seed () in
   let wal =
     Option.map (fun cfg -> (Wal.open_ ~dir:cfg.dir ~fsync:cfg.fsync, cfg)) wal
@@ -313,10 +300,8 @@ let create ?(host = "127.0.0.1") ?(clock = Unix.gettimeofday) ?wal ?max_conns ~p
       registry;
       clock;
       spool;
-      listen_fd = fd;
       port;
       lock = Mutex.create ();
-      stopping = false;
       restored;
       wal;
       generation;
@@ -341,16 +326,7 @@ let registry t = t.registry
 let restored t = t.restored
 let generation t = t.generation
 let coord_epoch t = Atomic.get t.coord_epoch
-let request_stop t =
-  let fresh =
-    with_lock t (fun () ->
-        if t.stopping then false
-        else begin
-          t.stopping <- true;
-          true
-        end)
-  in
-  if fresh then Evloop.stop (loop_exn t)
+let request_stop t = Evloop.stop (loop_exn t)
 
 (* SIGTERM gets the same graceful path as SIGINT: a supervisor's stop (or a
    container runtime's) must spool/checkpoint exactly like a ^C. *)
@@ -362,8 +338,6 @@ let install_signals t =
 let serve t =
   Log.info (fun m -> m "listening on port %d (spool: %s)" t.port t.spool);
   Evloop.run (loop_exn t);
-  with_lock t (fun () -> t.stopping <- true);
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (* an in-flight periodic checkpoint must finish before the journal closes *)
   (match with_lock t (fun () -> t.ckpt_thread) with
   | Some th -> ( try Thread.join th with _ -> ())

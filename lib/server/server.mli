@@ -25,6 +25,13 @@
 
 type t
 
+val overlay_stats : Evloop.t -> Protocol.response -> Protocol.response
+(** A bare [STATS] reply from a dispatch (a registry's or a coordinator's)
+    with [loop]'s connection figures laid over it: [conns], [shed], and
+    the loop's request count as the one-element [dispatched] list.  Any
+    other reply passes through.  The front doors answer bare [STATS] with
+    this. *)
+
 val reply : proto:Evloop.proto -> Protocol.response -> Evloop.verdict
 (** The verdict that answers [resp] on a [proto] connection: on v2 a
     [SKETCH] leaves as the binary reply record ({!Protocol.sketch_head}
@@ -56,7 +63,8 @@ val create :
     accept-and-close.  The bare [STATS] reply carries the loop's figures:
     its [dispatched] list has one element and renders as [domains=1], a
     form kept for readers that parse the old per-domain list.
-    Raises [Unix.Unix_error] if the address is unavailable. *)
+    Binds with {!Evloop.listen}, so it raises [Unix.Unix_error] if the
+    address is unavailable. *)
 
 val port : t -> int
 (** The bound port (useful with [port:0]). *)

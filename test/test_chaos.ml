@@ -298,9 +298,93 @@ let test_corrupt_read () =
   Alcotest.(check string) "bytes outside the read untouched" "####"
     (Bytes.sub_string buf 0 4)
 
+(* A death mid-gather whose re-route lands on a worker with a FETCH
+   outstanding.  R=1 over two workers: session [s] is homed at A and
+   spilled onto B, session [t] is homed at B.  A partition of A during an
+   EST times out A's FETCH; the window A still owed is re-routed onto B
+   while B's own FETCH is unread, and it is big enough to push B past the
+   ack window, so B is drained with that FETCH reply in its stream.  The
+   gather must still answer (degraded: B answered before the window
+   reached it), B must stay up, and once A is back every acked set is
+   counted. *)
+let test_reroute_onto_pending_fetch () =
+  let s = Test_cluster.name_homed_at 0 2 and t = Test_cluster.name_homed_at 1 2 in
+  let workers = List.init 2 (fun n -> start_worker (70 + n) ~seed:(3000 + n)) in
+  let port_a = Server.port (fst (List.hd workers)) in
+  let chaos = Chaos.create (Chaos.config ~seed:71 ()) in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos Unix.read;
+      io_write = Chaos.wrap_write chaos Unix.write_substring;
+    }
+  in
+  (* batch 2, window 8: A owes at most 7 units after an ADDB, and 6 of a
+     7-payload re-route ship to B in three frames *)
+  let coord =
+    Coordinator.create ~io ~timeout:0.3 ~backoff:0.01 ~batch:2 ~window:8
+      ~workers:(List.map (fun (w, _) -> ("127.0.0.1", Server.port w)) workers)
+      ~seed:72 ()
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (P.render_response (P.Error_reply e))
+  in
+  let gen = Rng.create ~seed:73 in
+  let band count = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count ~max_side:6 in
+  let ingest name boxes =
+    let accepted, _ =
+      ok "ADDB" (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of boxes))
+    in
+    Alcotest.(check int) "every payload routed" (List.length boxes) accepted
+  in
+  let est what name ~degraded boxes =
+    let v, d, _ = ok what (Coordinator.estimate coord ~name) in
+    Alcotest.(check bool) (what ^ ": degraded") degraded d;
+    Alcotest.(check (float 0.0)) (what ^ ": exact") (truth boxes) v
+  in
+  let back_up () =
+    Chaos.heal chaos;
+    Thread.delay 0.1 (* past A's quarantine *)
+  in
+  List.iter
+    (fun name ->
+      ok "OPEN"
+        (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+           ~log2_universe:17.0))
+    [ s; t ];
+  let set1 = band 10 and set2 = band 6 and set3 = band 7 and set4 = band 5 in
+  let tset = band 4 in
+  ingest s set1;
+  est "clean" s ~degraded:false set1;
+  (* A goes dark with set2 owed: the EST re-routes it, and B becomes the
+     spill holder of [s] *)
+  Chaos.partition chaos [ port_a ];
+  ingest s set2;
+  est "A partitioned" s ~degraded:true set1;
+  back_up ();
+  est "B holds the spill" s ~degraded:false (set1 @ set2);
+  (* B owes [t]'s ack when its FETCH goes out; A owes set3 when it goes
+     dark *)
+  ingest t (List.filteri (fun i _ -> i < 2) tset);
+  ingest s set3;
+  Chaos.partition chaos [ port_a ];
+  est "re-route onto B mid-gather" s ~degraded:true (set1 @ set2);
+  Alcotest.(check int) "B survives the drain" 1 (Coordinator.live_workers coord);
+  back_up ();
+  ingest s set4;
+  ingest t (List.filteri (fun i _ -> i >= 2) tset);
+  est "every acked set counted" s ~degraded:false (set1 @ set2 @ set3 @ set4);
+  est "the other session" t ~degraded:false tset;
+  Alcotest.(check int) "both workers up" 2 (Coordinator.live_workers coord);
+  Coordinator.shutdown coord;
+  List.iter stop_worker workers;
+  List.iteri (fun n _ -> rm_rf (spool (70 + n))) workers
+
 let suite =
   [
     Alcotest.test_case "config validates" `Quick test_config_validates;
+    Alcotest.test_case "a death mid-gather re-routes onto a pending FETCH" `Quick
+      test_reroute_onto_pending_fetch;
     Alcotest.test_case "seeded write faults are deterministic" `Quick
       test_write_determinism;
     Alcotest.test_case "partial write tears a prefix" `Quick test_partial_write;

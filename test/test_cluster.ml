@@ -1330,6 +1330,65 @@ let test_restart_forgets_versions () =
     (Option.map (fun i -> String.sub sent (i + String.length asks) 2) first_ask);
   Coordinator.shutdown coord
 
+(* --- the front door's shard_fresh ---------------------------------------- *)
+
+(* The first name in a fixed list that is homed at ring position [pos]. *)
+let name_homed_at pos n =
+  let rec go i =
+    let name = Printf.sprintf "h%d" i in
+    if home name n = pos then name else go (i + 1)
+  in
+  go 0
+
+(* Bare STATS through a Frontend over a 3-worker R=2 coordinator: one
+   fresh-replica count per ring position, each 2 on a healthy pool.  Once
+   the coordinator has seen a worker die, the two positions whose windows
+   hold it report 1. *)
+let test_frontend_shard_fresh () =
+  let n = 3 in
+  let workers = List.init n (fun k -> start_worker (110 + k) ~seed:(1100 + k)) in
+  let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
+  (* window 1: every shipped frame's ack is read at once, so the first ADDB
+     that reaches the dead worker sees it gone *)
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout:5.0 ~backoff:0.01 ~window:1 ~workers:addrs
+      ~seed:111 ()
+  in
+  let fe = Frontend.create ~port:0 ~dispatch:(Coordinator.dispatch coord) () in
+  let th = Frontend.start fe in
+  let c = Test_server.connect (Frontend.port fe) in
+  let shard_fresh what =
+    let line = Test_server.rpc c "STATS" in
+    match P.parse_response line with
+    | Ok (P.Server_stats_reply st) -> st.P.shard_fresh
+    | _ -> Alcotest.failf "%s: STATS answered %s" what line
+  in
+  let names = List.init n (fun pos -> name_homed_at pos n) in
+  List.iter
+    (fun name ->
+      Alcotest.(check string) "open" ("OK opened " ^ name)
+        (Test_server.rpc c (Printf.sprintf "OPEN %s rect 0.3 0.2 17" name)))
+    names;
+  Alcotest.(check (list int)) "healthy pool" [ 2; 2; 2 ] (shard_fresh "healthy");
+  let victim = 1 in
+  stop_worker (List.nth workers victim);
+  List.iter
+    (fun name ->
+      Alcotest.(check string) ("ADDB " ^ name) "OKB 1"
+        (Test_server.rpc c (Printf.sprintf "ADDB %s 1 0%%209%%200%%209" name)))
+    names;
+  let expected =
+    List.init n (fun pos -> if pos = victim || (pos + 1) mod n = victim then 1 else 2)
+  in
+  Alcotest.(check (list int)) "the dead worker's two windows" expected
+    (shard_fresh "after the kill");
+  Test_server.disconnect c;
+  Frontend.request_stop fe;
+  Thread.join th;
+  Coordinator.shutdown coord;
+  List.iteri (fun k w -> if k <> victim then stop_worker w) workers;
+  List.iteri (fun k _ -> rm_rf (spool (110 + k))) workers
+
 let suite =
   [
     Alcotest.test_case "scatter/gather with mid-stream worker loss" `Quick
@@ -1364,4 +1423,6 @@ let suite =
       test_direct_mutation_ships_token;
     Alcotest.test_case "a restarted worker is never asked a dead connection's version" `Quick
       test_restart_forgets_versions;
+    Alcotest.test_case "the front door reports each ring position's fresh replicas" `Quick
+      test_frontend_shard_fresh;
   ]
