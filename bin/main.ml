@@ -511,7 +511,8 @@ let serve_cmd =
   let run seed port host spool wal max_conns =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
     let server = Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns () in
-    Delphic_server.Server.install_signals server;
+    Delphic_server.Evloop.stop_on_signals (fun () ->
+        Delphic_server.Server.request_stop server);
     List.iter
       (function
         | name, Ok () -> Printf.printf "restored session %s\n%!" name
@@ -546,7 +547,8 @@ let worker_cmd =
   let run seed port host spool wal max_conns =
     ignore (Delphic_server.Evloop.raise_nofile (max_conns + 64));
     let server = Delphic_server.Server.create ~host ?wal ~port ~spool ~seed ~max_conns () in
-    Delphic_server.Server.install_signals server;
+    Delphic_server.Evloop.stop_on_signals (fun () ->
+        Delphic_server.Server.request_stop server);
     Printf.printf "delphic worker: listening on %s:%d (spool: %s%s)\n%!" host
       (Delphic_server.Server.port server)
       spool (durability_banner wal);
@@ -689,7 +691,8 @@ let coord_cmd =
         ~dispatch:(Delphic_cluster.Coordinator.dispatch coord)
         ()
     in
-    Delphic_cluster.Frontend.install_signals frontend;
+    Delphic_server.Evloop.stop_on_signals (fun () ->
+        Delphic_cluster.Frontend.request_stop frontend);
     Printf.printf
       "delphic coord: listening on %s:%d, %d workers (%d replica%s%s)\n%!"
       host

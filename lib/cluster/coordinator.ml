@@ -661,22 +661,27 @@ let targets t si =
     List.iter (fun w -> if not (List.memq w live) then si.incomplete.(w.wid) <- true) si.members;
     live
 
-(* Stage one payload on its targets.  A worker is shipped when its staging
+(* Stage one payload on [ws].  A worker is shipped when its staging
    reaches the batch high-water mark, and [add_batch] ships every worker
-   before it returns.  [hops] counts re-routes after worker deaths; past
-   the pool size the payload is given up. *)
+   before it returns. *)
+let stage t ws name payload ~ts ~hops =
+  List.iter
+    (fun w ->
+      Queue.push (name, payload, ts, hops) w.staged;
+      if Queue.length w.staged >= t.batch then ship_worker t w)
+    ws
+
+(* [hops] counts re-routes after worker deaths; past the pool size the
+   payload is given up. *)
+let within_hops t hops = hops <= Array.length t.workers
+
 let route t si name payload ~ts ~hops =
-  if hops > Array.length t.workers then
-    Error (P.Server_error "no live worker accepted the set")
+  if not (within_hops t hops) then Error (P.Server_error "no live worker accepted the set")
   else
     match targets t si with
     | [] -> Error (P.Server_error "no workers available")
     | ws ->
-      List.iter
-        (fun w ->
-          Queue.push (name, payload, ts, hops) w.staged;
-          if Queue.length w.staged >= t.batch then ship_worker t w)
-        ws;
+      stage t ws name payload ~ts ~hops;
       Ok ()
 
 (* Re-route a dead worker's staged payloads and unacked frames — oldest
@@ -684,7 +689,11 @@ let route t si name payload ~ts ~hops =
    its unanswered asks lost; wired into
    [quarantine] via the forward reference because death and re-routing are
    mutually recursive.  A payload a live replica already took lands there
-   again, which the union ignores. *)
+   again, which the union ignores.  Each session's targets are picked once
+   for the whole window, and again only if one of them dies meanwhile:
+   picking them dials every worker whose quarantine has run out, and a
+   worker that accepts but does not answer costs a full [timeout] per
+   dial. *)
 let requeue t w =
   let orphans = ref [] in
   Queue.iter
@@ -699,11 +708,21 @@ let requeue t w =
   Queue.clear w.pending;
   Queue.clear w.staged;
   w.in_flight <- 0;
+  let picked = Hashtbl.create 4 in
+  let targets_of session si =
+    match Hashtbl.find_opt picked session with
+    | Some ws when List.for_all (fun w -> w.conn <> None) ws -> ws
+    | _ ->
+      let ws = targets t si in
+      Hashtbl.replace picked session ws;
+      ws
+  in
   List.iter
     (fun (session, payload, ts, hops) ->
-      Option.iter
-        (fun si -> ignore (route t si session payload ~ts ~hops:(hops + 1)))
-        (Hashtbl.find_opt t.sessions session))
+      match Hashtbl.find_opt t.sessions session with
+      | Some si when within_hops t (hops + 1) ->
+        stage t (targets_of session si) session payload ~ts ~hops:(hops + 1)
+      | _ -> ())
     (List.rev !orphans)
 
 let () = kill_requeue := requeue

@@ -263,9 +263,10 @@ val session_descs : t -> Delphic_server.Protocol.session_desc list
     serves. *)
 
 val flush : t -> unit
-(** Ship every staged payload and drain every pipelined ingest ack.  Called
-    internally before each gather; exposed for tests and orderly
-    shutdown. *)
+(** Ship every staged payload and drain every pipelined ingest ack.
+    {!close} and {!shutdown} call it; a gather does not — its [FETCH]
+    queues behind the worker's staged frames, and reading the reply
+    retires the acks owed ahead of it.  Exposed for tests and benchmarks. *)
 
 val shutdown : t -> unit
 (** Flush, then close every worker connection.  The workers keep running —

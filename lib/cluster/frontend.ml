@@ -53,12 +53,6 @@ let port t = t.port
 
 let request_stop t = Evloop.stop (loop_exn t)
 
-(* SIGTERM drains like SIGINT: a supervisor's stop is a graceful stop. *)
-let install_signals t =
-  List.iter
-    (fun signum -> ignore (Sys.signal signum (Sys.Signal_handle (fun _ -> request_stop t))))
-    [ Sys.sigint; Sys.sigterm ]
-
 let serve t =
   Log.info (fun m -> m "frontend listening on port %d" t.port);
   Evloop.run (loop_exn t);

@@ -40,6 +40,3 @@ val request_stop : t -> unit
 (** Idempotent, signal-safe: wakes the event loop, which closes every open
     connection on its way out. *)
 
-val install_signals : t -> unit
-(** Route SIGINT and SIGTERM to {!request_stop}. *)
-

@@ -136,6 +136,13 @@ let stop t =
     try ignore (Unix.single_write_substring t.stop_w "x" 0 1)
     with Unix.Unix_error _ -> ()
 
+(* SIGTERM gets the same graceful path as SIGINT: a supervisor's stop (or a
+   container runtime's) must spool/checkpoint exactly like a ^C. *)
+let stop_on_signals stop =
+  List.iter
+    (fun signum -> ignore (Sys.signal signum (Sys.Signal_handle (fun _ -> stop ()))))
+    [ Sys.sigint; Sys.sigterm ]
+
 let backend_add t ifd ev = if t.epfd >= 0 then ignore (epoll_ctl t.epfd 0 ifd ev)
 let backend_del t ifd = if t.epfd >= 0 then ignore (epoll_ctl t.epfd 2 ifd 0)
 

@@ -15,8 +15,9 @@
     the loop — fine for a worker whose only client is the coordinator,
     and for dispatch that is microseconds plus one journal write (the
     server appends a mutation's record, and applies the fsync policy,
-    before it returns); long-running work (checkpoint spools) belongs on
-    its own thread. *)
+    before it returns) and, every [checkpoint_every] records, one
+    checkpoint spool.  Work that waits on another host (a standby's lease
+    polls) belongs on its own thread. *)
 
 type proto = V1 | V2
 
@@ -74,6 +75,11 @@ val run : t -> unit
 val stop : t -> unit
 (** Thread- and signal-safe, and idempotent: wakes the loop via a
     self-pipe. *)
+
+val stop_on_signals : (unit -> unit) -> unit
+(** Route SIGINT {e and} SIGTERM to [stop] — a front door's
+    [request_stop], so a supervisor's stop drains (and spools or
+    checkpoints) exactly like a ^C. *)
 
 val live_conns : t -> int
 (** Connections currently registered. *)

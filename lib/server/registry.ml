@@ -4,7 +4,6 @@ module Parsers = Delphic_stream.Parsers
 let ( let* ) = Result.bind
 
 type session = {
-  slock : Mutex.t;  (* serialises estimator mutation for this session only *)
   mutable runner : Families.t;  (* replaced wholesale by MERGE *)
   mutable adds : int;  (* ADD attempts, the per-session line counter *)
   mutable parse_rejects : int;
@@ -23,7 +22,9 @@ type session = {
 (* One counter for the whole process, so no two states of any session —
    even a session closed and re-opened under the same name — share a
    version.  A restarted process counts again from 1, which is why a
-   coordinator trusts a version only on the connection it arrived on. *)
+   coordinator trusts a version only on the connection it arrived on.
+   Atomic because registries on different threads share it: a test or an
+   in-process replay runs several servers in one process. *)
 let versions = Atomic.make 0
 let next_version () = 1 + Atomic.fetch_and_add versions 1
 
@@ -32,70 +33,48 @@ let touch s =
   s.wire_cache <- None;
   s.version <- next_version ()
 
-(* One table under one lock, held for the lookup/insert/remove itself,
-   never across estimator work.  Estimator work happens under the
-   per-session [slock]: the event loop mutates sessions while the
-   checkpoint thread snapshots them. *)
+(* No lock: one thread owns a registry — a server's event loop, which also
+   runs its checkpoints. *)
 type t = {
-  lock : Mutex.t;  (* guards [sessions] *)
   sessions : (string, session) Hashtbl.t;
   base_seed : int;
   clock : unit -> float;
       (* query clock for WIN/EXPR-w cutoffs when the request does not pin
          one; injectable so tests and replay are deterministic *)
-  opened : int Atomic.t;  (* distinct seeds for successive sessions *)
+  mutable opened : int;  (* distinct seeds for successive sessions *)
 }
 
 let create ?(clock = Unix.gettimeofday) ~seed () =
-  {
-    lock = Mutex.create ();
-    sessions = Hashtbl.create 16;
-    base_seed = seed;
-    clock;
-    opened = Atomic.make 0;
-  }
+  { sessions = Hashtbl.create 16; base_seed = seed; clock; opened = 0 }
 
 let now t = t.clock ()
 
-let with_mutex m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let next_seed t =
+  t.opened <- t.opened + 1;
+  t.base_seed + (7919 * t.opened)
 
-let next_seed t = t.base_seed + (7919 * (1 + Atomic.fetch_and_add t.opened 1))
-
-(* Lock ordering: a session lock is taken either alone or under the table
-   lock, never the other way round, so no cycle exists. *)
-
-let find_session t name = with_mutex t.lock (fun () -> Hashtbl.find_opt t.sessions name)
-
-(* Run [f] on session [name] under its own lock.  The table lock is
-   released before [slock] is taken: a racing CLOSE can orphan the session
-   so [f] mutates a table-less estimator, which is harmless — the stream
-   semantics only promise that each session's operations serialise. *)
 let with_session t name f =
-  match find_session t name with
+  match Hashtbl.find_opt t.sessions name with
   | None -> Error (Protocol.Unknown_session name)
-  | Some s -> with_mutex s.slock (fun () -> f s)
+  | Some s -> f s
 
 let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
-  with_mutex t.lock (fun () ->
-      if Hashtbl.mem t.sessions name then Error (Protocol.Session_exists name)
-      else
-        match Families.create ~family ~epsilon ~delta ~log2_universe ~seed:(next_seed t) with
-        | Error msg -> Error (Protocol.Bad_params msg)
-        | Ok runner ->
-          Hashtbl.replace t.sessions name
-            {
-              slock = Mutex.create ();
-              runner;
-              adds = 0;
-              parse_rejects = 0;
-              last_estimate = 0.0;
-              merges = 0;
-              wire_cache = None;
-              version = next_version ();
-            };
-          Ok ())
+  if Hashtbl.mem t.sessions name then Error (Protocol.Session_exists name)
+  else
+    match Families.create ~family ~epsilon ~delta ~log2_universe ~seed:(next_seed t) with
+    | Error msg -> Error (Protocol.Bad_params msg)
+    | Ok runner ->
+      Hashtbl.replace t.sessions name
+        {
+          runner;
+          adds = 0;
+          parse_rejects = 0;
+          last_estimate = 0.0;
+          merges = 0;
+          wire_cache = None;
+          version = next_version ();
+        };
+      Ok ()
 
 let add ?ts t ~name ~payload =
   with_session t name (fun s ->
@@ -107,10 +86,10 @@ let add ?ts t ~name ~payload =
         s.parse_rejects <- s.parse_rejects + 1;
         Error (Protocol.Bad_line { line; msg }))
 
-(* One session-mutex acquisition for the whole frame — the point of ADDB.
-   A payload that fails to parse is recorded as (index, msg) and the rest of
-   the frame still lands, mirroring the singleton path's
-   keep-the-session-usable contract. *)
+(* One session lookup and one version move for the whole frame — the
+   point of ADDB.  A payload that fails to parse is recorded as (index,
+   msg) and the rest of the frame still lands, mirroring the singleton
+   path's keep-the-session-usable contract. *)
 let add_batch ?ts t ~name ~payloads =
   with_session t name (fun s ->
       touch s;
@@ -163,12 +142,11 @@ let stats t ~name =
         })
 
 let close t ~name =
-  with_mutex t.lock (fun () ->
-      if Hashtbl.mem t.sessions name then begin
-        Hashtbl.remove t.sessions name;
-        Ok ()
-      end
-      else Error (Protocol.Unknown_session name))
+  if Hashtbl.mem t.sessions name then begin
+    Hashtbl.remove t.sessions name;
+    Ok ()
+  end
+  else Error (Protocol.Unknown_session name)
 
 let snapshot_session ?fsync s ~path =
   match Io.save ?fsync ~path (Families.to_io ~merges:s.merges s.runner) with
@@ -226,12 +204,11 @@ let expr_plan ~expr ~m =
             (List.length names) E.max_leaves))
   else Ok (names, match m with None -> default_expr_samples | Some n -> min n max_expr_samples)
 
-(* An EXPR query in two steps: clone each leaf session under its own lock
-   (cheap snapshot round-trip, so ingestion resumes immediately), then
-   evaluate lock-free on the clones (Families.eval_expr, which folds them
-   into a union only while every leaf is exact).  Cross-leaf consistency
-   is per-leaf point-in-time — the same contract a coordinator gather
-   gives. *)
+(* An EXPR query in two steps: clone each leaf session (a cheap snapshot
+   round-trip), then evaluate on the clones (Families.eval_expr, which
+   folds them into a union only while every leaf is exact).  Cross-leaf
+   consistency is per-leaf point-in-time — the same contract a
+   coordinator gather gives. *)
 let expr_query ?w t ~expr ~m =
   let* names, samples = expr_plan ~expr ~m in
   (* The window cutoff is computed once, before any leaf is cloned, so
@@ -257,8 +234,7 @@ let expr_query ?w t ~expr ~m =
     (fun msg -> Protocol.Bad_params msg)
     (Families.eval_expr ~leaves ~expr ~samples ~seed:(next_seed t))
 
-(* caller holds the table lock *)
-let restore_session t ~name ~path =
+let restore_from t ~name ~path =
   if Hashtbl.mem t.sessions name then Error (Protocol.Session_exists name)
   else
     match Io.load ~path with
@@ -269,7 +245,6 @@ let restore_session t ~name ~path =
       | Ok runner ->
         Hashtbl.replace t.sessions name
           {
-            slock = Mutex.create ();
             runner;
             adds = (Io.header io).Io.items;
             parse_rejects = 0;
@@ -280,36 +255,27 @@ let restore_session t ~name ~path =
           };
         Ok ())
 
-let restore_from t ~name ~path = with_mutex t.lock (fun () -> restore_session t ~name ~path)
+let sorted_sessions t =
+  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.sessions []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Whole-table operations hold the table lock throughout, so they observe
-   one consistent table: no session can be opened, closed, or restored
-   while they run.  Per-session estimator reads still go through each
-   session's own lock, so a handler mid-ADDB finishes its frame before the
-   spool encodes that session. *)
-let all_sessions_locked t = Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.sessions []
-
-let names t =
-  with_mutex t.lock (fun () -> List.map fst (all_sessions_locked t) |> List.sort compare)
+let names t = List.map fst (sorted_sessions t)
 
 (* The [SESSIONS] enumeration: every open session with its creation triple,
    sorted by name.  This is what makes workers the durable truth for a
    warm-standby coordinator — takeover re-registers routing entries from
    here instead of from a coordinator journal. *)
 let session_descs t =
-  with_mutex t.lock (fun () ->
-      all_sessions_locked t
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.map (fun (name, s) ->
-             with_mutex s.slock (fun () ->
-                 let epsilon, delta, log2u = Families.params s.runner in
-                 {
-                   Protocol.sd_name = name;
-                   sd_family = Families.family_token s.runner;
-                   sd_epsilon = epsilon;
-                   sd_delta = delta;
-                   sd_log2_universe = log2u;
-                 })))
+  sorted_sessions t
+  |> List.map (fun (name, s) ->
+         let epsilon, delta, log2u = Families.params s.runner in
+         {
+           Protocol.sd_name = name;
+           sd_family = Families.family_token s.runner;
+           sd_epsilon = epsilon;
+           sd_delta = delta;
+           sd_log2_universe = log2u;
+         })
 
 let spool_path dir name = Filename.concat dir (name ^ ".snap")
 
@@ -320,37 +286,34 @@ let rec mkdir_p dir =
   end
 
 let snapshot_all ?fsync t ~dir =
-  with_mutex t.lock (fun () ->
-      let sessions = all_sessions_locked t in
-      match mkdir_p dir with
-      | exception Unix.Unix_error (e, _, _) ->
-        List.map (fun (name, _) -> (name, Error (Unix.error_message e))) sessions
-      | () ->
-        sessions
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (name, s) ->
-               with_mutex s.slock (fun () ->
-                   let path = spool_path dir name in
-                   match snapshot_session ?fsync s ~path with
-                   | Ok () -> (name, Ok path)
-                   | Error e -> (name, Error (Protocol.describe_error e)))))
+  let sessions = sorted_sessions t in
+  match mkdir_p dir with
+  | exception Unix.Unix_error (e, _, _) ->
+    List.map (fun (name, _) -> (name, Error (Unix.error_message e))) sessions
+  | () ->
+    List.map
+      (fun (name, s) ->
+        let path = spool_path dir name in
+        match snapshot_session ?fsync s ~path with
+        | Ok () -> (name, Ok path)
+        | Error e -> (name, Error (Protocol.describe_error e)))
+      sessions
 
 let restore_all ?(consume = true) t ~dir =
-  with_mutex t.lock (fun () ->
-      match Sys.readdir dir with
-      | exception Sys_error _ -> []
-      | files ->
-        Array.to_list files
-        |> List.filter (fun f -> Filename.check_suffix f ".snap")
-        |> List.sort compare
-        |> List.map (fun f ->
-               let name = Filename.chop_suffix f ".snap" in
-               let path = Filename.concat dir f in
-               match restore_session t ~name ~path with
-               | Ok () ->
-                 if consume then (try Sys.remove path with Sys_error _ -> ());
-                 (name, Ok ())
-               | Error e -> (name, Error (Protocol.describe_error e))))
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | files ->
+    Array.to_list files
+    |> List.filter (fun f -> Filename.check_suffix f ".snap")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let name = Filename.chop_suffix f ".snap" in
+           let path = Filename.concat dir f in
+           match restore_from t ~name ~path with
+           | Ok () ->
+             if consume then (try Sys.remove path with Sys_error _ -> ());
+             (name, Ok ())
+           | Error e -> (name, Error (Protocol.describe_error e)))
 
 let dispatch t (req : Protocol.request) : Protocol.response =
   let reply = function Ok r -> r | Error e -> Protocol.Error_reply e in

@@ -1,15 +1,12 @@
-(** Concurrent session table of the estimation service.
+(** Session table of the estimation service.
 
     Maps session names to running {!Families} estimators plus per-session
-    counters (items processed, parse rejects, last estimate).  One mutex
-    guards the table, held only for the lookup/insert/remove itself, and
-    every session carries its own mutex serialising estimator work — the
-    event loop mutates sessions while a checkpoint thread snapshots them,
-    and a snapshot of one session never blocks [ADDB] on another.
-    Whole-table operations ({!names}, {!snapshot_all}, {!restore_all}) hold
-    the table mutex throughout and therefore see one consistent table.
-    Per-session operations serialise, which matches the stream semantics
-    (sets are processed one at a time).
+    counters (items processed, parse rejects, last estimate).  A registry
+    has no lock: one thread owns it.  In a server that is the event-loop
+    thread, which dispatches every request and runs the periodic
+    checkpoint's {!snapshot_all} inline, so operations on the table and on
+    each session are serial, which matches the stream semantics (sets are
+    processed one at a time).
 
     {!dispatch} is the full request → response step minus the socket — the
     unit under test in [test/test_protocol.ml] and the hot path measured by
@@ -45,7 +42,7 @@ val add : ?ts:float -> t -> name:string -> payload:string -> (unit, Protocol.err
 val add_batch :
   ?ts:float ->
   t -> name:string -> payloads:string list -> (int * (int * string) list, Protocol.error) result
-(** Feed a whole [ADDB] frame under a single mutex acquisition.  Returns
+(** Feed a whole [ADDB] frame with one session lookup.  Returns
     [(accepted, errors)] where [errors] pairs each rejected payload's
     0-based index in the frame with its parse message; payloads after a bad
     one still land.  [Error] only when the session does not exist. *)
@@ -122,10 +119,9 @@ val expr_query :
   m:int option ->
   (Protocol.Expr_ast.outcome, Protocol.error) result
 (** Evaluate a set expression over open sessions by sample-and-probe
-    ({!Families.eval_expr}).  Each leaf session is cloned under its own
-    lock and the query then runs lock-free on the clones, so concurrent
-    ingestion is never blocked; the clones are folded into a union only
-    while every leaf is exact.  [m] is the union-sample count (default 256,
+    ({!Families.eval_expr}).  Each leaf session is cloned and the query
+    runs on the clones, which are folded into a union only while every
+    leaf is exact.  [m] is the union-sample count (default 256,
     capped at 65536).  [w] restricts every leaf to the trailing [w] seconds
     of the registry clock — the cutoff is computed once, before any leaf is
     cloned, so all leaves see the same instant.  [Error (Bad_params _)] when
@@ -138,7 +134,7 @@ val names : t -> string list
 val snapshot_all : ?fsync:bool -> t -> dir:string -> (string * (string, string) result) list
 (** Persist every open session to [dir/<name>.snap] (creating [dir]);
     returns per-session outcomes ([Ok path] or the failure message).  Used
-    by the server's graceful shutdown.  [fsync] (default [false]) forces
+    by the server's graceful shutdown and its journal checkpoints.  [fsync] (default [false]) forces
     each snapshot to stable storage before its rename — required when the
     caller is a {!Wal} checkpoint about to truncate the journal. *)
 

@@ -13,21 +13,14 @@ type t = {
   clock : unit -> float;
   spool : string;
   port : int;
-  lock : Mutex.t; (* guards [checkpointing] and [ckpt_thread] *)
   restored : (string * (unit, string) result) list;
   wal : (Wal.t * wal_config) option;
   generation : int;
   coord_epoch : int Atomic.t;
       (* highest coordinator fencing epoch ever announced on any connection;
          a mutation from a connection stamped lower is refused (FENCED) *)
-  mutable checkpointing : bool; (* one checkpoint at a time; extras skip *)
-  mutable ckpt_thread : Thread.t option; (* joined before the final spool *)
   mutable loop : Evloop.t option; (* set once by [create]; never unset *)
 }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let loop_exn t = match t.loop with Some l -> l | None -> assert false
 
@@ -142,37 +135,15 @@ let run_checkpoint t w cfg =
       | name, Error msg -> Log.err (fun m -> m "checkpoint: session %s not spooled: %s" name msg))
     outcomes
 
-(* Periodic checkpoint.  The handler runs on the event-loop thread, where a
-   multi-session fsync-ing spool would stall every connection — so the
-   checkpoint is claimed here but runs on its own thread.  Registry and
-   Wal are both safe against concurrent appends (that concurrency existed
-   before: handler threads kept serving during a checkpoint). *)
+(* Periodic checkpoint, inline on the event-loop thread right after the
+   append that crossed [checkpoint_every]: the reply to that record leaves
+   after the spool, and no record can land mid-spool.  A failed checkpoint
+   is logged and the journal kept; the next record tries again. *)
 let maybe_checkpoint t w cfg =
   if cfg.checkpoint_every > 0 && Wal.records_since_checkpoint w >= cfg.checkpoint_every
-  then begin
-    let claimed =
-      with_lock t (fun () ->
-          if t.checkpointing then false
-          else begin
-            t.checkpointing <- true;
-            true
-          end)
-    in
-    if claimed then begin
-      let th =
-        Thread.create
-          (fun () ->
-            Fun.protect
-              ~finally:(fun () -> with_lock t (fun () -> t.checkpointing <- false))
-              (fun () ->
-                try run_checkpoint t w cfg
-                with exn ->
-                  Log.err (fun m -> m "checkpoint failed: %s" (Printexc.to_string exn))))
-          ()
-      in
-      with_lock t (fun () -> t.ckpt_thread <- Some th)
-    end
-  end
+  then
+    try run_checkpoint t w cfg
+    with exn -> Log.err (fun m -> m "checkpoint failed: %s" (Printexc.to_string exn))
 
 (* Bare STATS: the dispatch's reply with the loop's connection figures
    laid over it — the registry or coordinator behind the loop has no
@@ -301,13 +272,10 @@ let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
       clock;
       spool;
       port;
-      lock = Mutex.create ();
       restored;
       wal;
       generation;
       coord_epoch = Atomic.make 0;
-      checkpointing = false;
-      ckpt_thread = None;
       loop = None;
     }
   in
@@ -328,20 +296,9 @@ let generation t = t.generation
 let coord_epoch t = Atomic.get t.coord_epoch
 let request_stop t = Evloop.stop (loop_exn t)
 
-(* SIGTERM gets the same graceful path as SIGINT: a supervisor's stop (or a
-   container runtime's) must spool/checkpoint exactly like a ^C. *)
-let install_signals t =
-  List.iter
-    (fun signum -> ignore (Sys.signal signum (Sys.Signal_handle (fun _ -> request_stop t))))
-    [ Sys.sigint; Sys.sigterm ]
-
 let serve t =
   Log.info (fun m -> m "listening on port %d (spool: %s)" t.port t.spool);
   Evloop.run (loop_exn t);
-  (* an in-flight periodic checkpoint must finish before the journal closes *)
-  (match with_lock t (fun () -> t.ckpt_thread) with
-  | Some th -> ( try Thread.join th with _ -> ())
-  | None -> ());
   let n_spooled =
     match t.wal with
     | Some (w, cfg) ->

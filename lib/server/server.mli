@@ -21,7 +21,15 @@
     every [checkpoint_every] records (and on graceful stop), and {!create}
     recovers by loading the last checkpoint and replaying the journal tail.
     The spool directory is then unused — the WAL directory is the durable
-    home.  [test/test_cluster.ml]'s kill-9 test exercises this cycle. *)
+    home.  [test/test_cluster.ml]'s kill-9 test exercises this cycle.
+
+    One thread: the event loop is the only thread that touches the
+    {!Registry} and the {!Wal}, neither of which has a lock.  The periodic
+    checkpoint runs inline, right after the append that crosses
+    [checkpoint_every], so the reply to that record leaves after the spool
+    (tens of milliseconds for a worker's sketches) and every connection
+    waits for it.  No record can land mid-spool, so a clean checkpoint
+    retires the whole journal. *)
 
 type t
 
@@ -99,8 +107,3 @@ val start : t -> Thread.t
 val request_stop : t -> unit
 (** Trigger a graceful shutdown from any thread or from a signal handler;
     idempotent, returns immediately ({!serve} performs the drain). *)
-
-val install_signals : t -> unit
-(** Route SIGINT {e and} SIGTERM to {!request_stop} — a supervisor's stop
-    must spool/checkpoint exactly like a ^C. *)
-

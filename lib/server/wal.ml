@@ -27,24 +27,14 @@ let crc32 = Frame.crc32
 
 type t = {
   dir : string;
-  mutable fd : Unix.file_descr; (* swapped when a checkpoint compacts the tail *)
+  fd : Unix.file_descr;
   fsync : fsync_policy;
-  lock : Mutex.t;
-  ckpt_lock : Mutex.t; (* serialises whole checkpoints; taken before [lock] *)
   gen : int;
   mutable records : int; (* since the last checkpoint/truncate *)
   mutable last_sync : float;
   mutable dirty : bool; (* bytes written since the last fsync *)
   mutable closed : bool;
 }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let with_ckpt_lock t f =
-  Mutex.lock t.ckpt_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.ckpt_lock) f
 
 (* Durability of metadata operations (rename, create, unlink) needs the
    parent directory flushed too — an fsynced file reachable only through an
@@ -113,8 +103,6 @@ let open_ ~dir ~fsync =
     dir;
     fd;
     fsync;
-    lock = Mutex.create ();
-    ckpt_lock = Mutex.create ();
     gen;
     records = 0;
     last_sync = Unix.gettimeofday ();
@@ -158,14 +146,13 @@ let append t body =
       (fun c ->
         if c = '\n' || c = '\r' then invalid_arg "Wal.append: record contains a newline")
       body;
-  with_lock t (fun () ->
-      if t.closed then invalid_arg "Wal.append: journal closed";
-      (* one write() per record: a kill -9 can tear only the record being
-         written, and the tear is visible as a short or CRC-failing frame *)
-      write_all t.fd (frame body);
-      t.dirty <- true;
-      t.records <- t.records + 1;
-      maybe_fsync t)
+  if t.closed then invalid_arg "Wal.append: journal closed";
+  (* one write() per record: a kill -9 can tear only the record being
+     written, and the tear is visible as a short or CRC-failing frame *)
+  write_all t.fd (frame body);
+  t.dirty <- true;
+  t.records <- t.records + 1;
+  maybe_fsync t
 
 let append_framed t framed =
   (* Zero-copy splice: [framed] is a complete wire frame (header + body)
@@ -175,12 +162,11 @@ let append_framed t framed =
   let n = String.length framed in
   if n < 8 || read_be32 framed 0 <> n - 8 then
     invalid_arg "Wal.append_framed: not a whole frame";
-  with_lock t (fun () ->
-      if t.closed then invalid_arg "Wal.append_framed: journal closed";
-      write_all t.fd framed;
-      t.dirty <- true;
-      t.records <- t.records + 1;
-      maybe_fsync t)
+  if t.closed then invalid_arg "Wal.append_framed: journal closed";
+  write_all t.fd framed;
+  t.dirty <- true;
+  t.records <- t.records + 1;
+  maybe_fsync t
 
 let read_whole fd =
   let len = (Unix.fstat fd).Unix.st_size in
@@ -197,49 +183,48 @@ let read_whole fd =
   Bytes.sub_string buf 0 !off
 
 let replay t ~f =
-  with_lock t (fun () ->
-      let data = read_whole t.fd in
-      let n = String.length data in
-      let pos = ref 0 in
-      let replayed = ref 0 in
-      let cut = ref None in
-      (try
-         while !pos < n && !cut = None do
-           if n - !pos < 8 then
-             cut := Some (Printf.sprintf "torn header at byte %d (%d trailing bytes)" !pos (n - !pos))
+  let data = read_whole t.fd in
+  let n = String.length data in
+  let pos = ref 0 in
+  let replayed = ref 0 in
+  let cut = ref None in
+  (try
+     while !pos < n && !cut = None do
+       if n - !pos < 8 then
+         cut := Some (Printf.sprintf "torn header at byte %d (%d trailing bytes)" !pos (n - !pos))
+       else begin
+         let len = read_be32 data !pos in
+         let crc = read_be32 data (!pos + 4) in
+         if len < 0 || !pos + 8 + len > n then
+           cut :=
+             Some
+               (Printf.sprintf "torn record at byte %d (%d of %d body bytes present)"
+                  !pos (n - !pos - 8) len)
+         else begin
+           let body = String.sub data (!pos + 8) len in
+           if crc32 body <> crc then
+             cut := Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
            else begin
-             let len = read_be32 data !pos in
-             let crc = read_be32 data (!pos + 4) in
-             if len < 0 || !pos + 8 + len > n then
-               cut :=
-                 Some
-                   (Printf.sprintf "torn record at byte %d (%d of %d body bytes present)"
-                      !pos (n - !pos - 8) len)
-             else begin
-               let body = String.sub data (!pos + 8) len in
-               if crc32 body <> crc then
-                 cut := Some (Printf.sprintf "CRC mismatch at byte %d" !pos)
-               else begin
-                 f body;
-                 incr replayed;
-                 pos := !pos + 8 + len
-               end
-             end
+             f body;
+             incr replayed;
+             pos := !pos + 8 + len
            end
-         done
-       with exn ->
-         (* [f] raised: keep the journal intact past this record and rethrow *)
-         ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
-         raise exn);
-      (match !cut with
-      | None -> ()
-      | Some reason ->
-        Log.warn (fun m -> m "journal truncated: %s" reason);
-        Unix.ftruncate t.fd !pos;
-        if t.fsync <> Never then Unix.fsync t.fd);
-      ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
-      t.records <- !replayed;
-      (!replayed, !cut))
+         end
+       end
+     done
+   with exn ->
+     (* [f] raised: keep the journal intact past this record and rethrow *)
+     ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
+     raise exn);
+  (match !cut with
+  | None -> ()
+  | Some reason ->
+    Log.warn (fun m -> m "journal truncated: %s" reason);
+    Unix.ftruncate t.fd !pos;
+    if t.fsync <> Never then Unix.fsync t.fd);
+  ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
+  t.records <- !replayed;
+  (!replayed, !cut)
 
 (* Delete checkpoint files for sessions not in [live]: a .snap left behind
    by a since-CLOSEd session would be resurrected by the next recovery once
@@ -268,96 +253,48 @@ let prune_stale_snapshots t ~live =
       files;
     if !pruned > 0 && t.fsync <> Never then fsync_dir dir
 
-(* Retire journal bytes [0, boundary): the checkpoint just written covers
-   them.  With no appends past the boundary this is a plain truncate;
-   otherwise the tail is copied into a fresh file that atomically replaces
-   the journal, so a crash at any point leaves either the whole old journal
-   (a wider, duplicate-safe replay) or exactly the tail — never a torn
-   middle.  Caller holds the journal lock. *)
-let retire_prefix t ~boundary =
-  let size = (Unix.fstat t.fd).Unix.st_size in
-  if size <= boundary then begin
-    Unix.ftruncate t.fd 0;
-    ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-    if t.fsync <> Never then begin
-      Unix.fsync t.fd;
-      t.dirty <- false
-    end
-  end
-  else begin
-    let tail_len = size - boundary in
-    ignore (Unix.lseek t.fd boundary Unix.SEEK_SET);
-    let tail = Bytes.create tail_len in
-    let off = ref 0 in
-    (try
-       while !off < tail_len do
-         match Unix.read t.fd tail !off (tail_len - !off) with
-         | 0 -> raise Exit
-         | k -> off := !off + k
-       done
-     with Exit -> ());
-    let tail = Bytes.sub_string tail 0 !off in
-    let path = journal_path t.dir in
-    let tmp = path ^ ".compact" in
-    let nfd = Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    (match write_all nfd tail with
-    | () -> ()
-    | exception exn ->
-      (try Unix.close nfd with Unix.Unix_error _ -> ());
-      (try Sys.remove tmp with Sys_error _ -> ());
-      ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
-      raise exn);
-    if t.fsync <> Never then Unix.fsync nfd;
-    Sys.rename tmp path;
-    if t.fsync <> Never then fsync_dir t.dir;
-    (try Unix.close t.fd with Unix.Unix_error _ -> ());
-    t.fd <- nfd;
-    ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
-    t.dirty <- t.fsync = Never
-  end
+(* Retire the whole journal: the checkpoint just written covers every
+   record in it. *)
+let truncate_journal t =
+  Unix.ftruncate t.fd 0;
+  ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
+  if t.fsync <> Never then begin
+    Unix.fsync t.fd;
+    t.dirty <- false
+  end;
+  t.records <- 0
 
 let checkpoint t ~spool =
-  (* The journal lock is held only to capture the spool boundary and, after
-     the spool, to retire the spooled prefix — never across the
-     multi-session spool itself, which can run for long enough (per-file
-     fsync, many sessions) that stalling every concurrent [append] inside it
-     would be a periodic full-service write pause.  Appends landing during
-     the spool stay in the kept tail; replaying one whose effect the
-     checkpoint already captured is safe — union replay is
-     duplicate-insensitive.  [ckpt_lock] keeps whole checkpoints mutually
-     exclusive so two spools never interleave their prune/retire steps. *)
-  with_ckpt_lock t (fun () ->
-      let boundary, records_at_boundary =
-        with_lock t (fun () ->
-            if t.closed then invalid_arg "Wal.checkpoint: journal closed";
-            (* the boundary must be on disk before the checkpoint may
-               retire it *)
-            if t.dirty && t.fsync <> Never then begin
-              Unix.fsync t.fd;
-              t.dirty <- false
-            end;
-            ((Unix.fstat t.fd).Unix.st_size, t.records))
-      in
-      let outcomes = spool ~dir:(checkpoint_dir t) in
-      let all_ok = List.for_all (fun (_, r) -> Result.is_ok r) outcomes in
-      if all_ok then
-        with_lock t (fun () ->
-            if not t.closed then begin
-              prune_stale_snapshots t ~live:(List.map fst outcomes);
-              retire_prefix t ~boundary;
-              t.records <- t.records - records_at_boundary
-            end)
-      else
-        Log.warn (fun m ->
-            m "checkpoint incomplete (%d sessions failed to spool); journal kept"
-              (List.length (List.filter (fun (_, r) -> Result.is_error r) outcomes)));
-      outcomes)
+  (* The caller owns the journal for the whole checkpoint: nothing is
+     appended between the record count taken below and the truncate, so
+     the spool covers every record and the journal is retired whole.  An
+     append from inside [spool] breaks that — the spool may miss the
+     record and the truncate would drop it — so it is refused after the
+     fact, with nothing retired. *)
+  if t.closed then invalid_arg "Wal.checkpoint: journal closed";
+  (* the records must be on disk before the spool that may retire them *)
+  if t.dirty && t.fsync <> Never then begin
+    Unix.fsync t.fd;
+    t.dirty <- false
+  end;
+  let records = t.records in
+  let outcomes = spool ~dir:(checkpoint_dir t) in
+  if t.records <> records then
+    invalid_arg "Wal.checkpoint: the journal grew during the spool";
+  if List.for_all (fun (_, r) -> Result.is_ok r) outcomes then begin
+    prune_stale_snapshots t ~live:(List.map fst outcomes);
+    truncate_journal t
+  end
+  else
+    Log.warn (fun m ->
+        m "checkpoint incomplete (%d sessions failed to spool); journal kept"
+          (List.length (List.filter (fun (_, r) -> Result.is_error r) outcomes)));
+  outcomes
 
 let close t =
-  with_lock t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        (if t.dirty && t.fsync <> Never then
-           try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-        try Unix.close t.fd with Unix.Unix_error _ -> ()
-      end)
+  if not t.closed then begin
+    t.closed <- true;
+    (if t.dirty && t.fsync <> Never then
+       try Unix.fsync t.fd with Unix.Unix_error _ -> ());
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  end

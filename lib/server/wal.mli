@@ -40,10 +40,16 @@
     state into the checkpoint directory, deletes [.snap] files for sessions
     that are no longer live (a stale snapshot would resurrect a closed
     session once the journal truncation retires its CLOSE record), then
-    retires the journal prefix the spool covered.  A crash between the
-    steps only widens the replayed tail — again duplicates, never loss.
-    The journal lock is {e not} held across the spool: appends proceed
-    concurrently and land in the kept tail.
+    truncates the journal the spool covered.  A crash between the steps
+    only widens the replayed tail — again duplicates, never loss.
+
+    {2 One thread}
+
+    A journal has no lock: one thread owns it, and the server's is its
+    event-loop thread, which appends each mutation and runs the periodic
+    checkpoint inline.  Nothing is appended during a spool, so a
+    checkpoint retires the whole journal; an append from inside the
+    spool makes {!checkpoint} refuse to retire anything.
 
     {2 Generation fencing}
 
@@ -84,8 +90,8 @@ val append : t -> string -> unit
 (** Append one record and apply the fsync policy.  Text bodies must be
     newline-free (one rendered request line per record); bodies starting
     with ['\x01'] are binary protocol-v2 records and may contain any
-    bytes.  Thread-safe; the write (and, under {!Always}, the fsync) runs
-    on the calling thread, so a caller that replies afterwards never
+    bytes.  The write (and, under {!Always}, the fsync) runs on the
+    calling thread, so a caller that replies afterwards never
     acknowledges a record the journal does not hold.  Raises
     [Unix.Unix_error] if the disk refuses the write — the caller should
     fail the request rather than acknowledge state that is not durable. *)
@@ -113,12 +119,12 @@ val checkpoint : t -> spool:(dir:string -> (string * (string, string) result) li
 (** Run [spool ~dir:(checkpoint_dir t)] — expected to write one [.snap]
     per live session, as {!Registry.snapshot_all} does — then, if every
     outcome is [Ok], delete [.snap] files for sessions absent from the
-    outcomes and retire the journal prefix that predates the spool,
-    adjusting {!records_since_checkpoint} down to the concurrently-appended
-    tail.  On any spool failure the journal and checkpoint files are left
-    intact so replay still covers the failed sessions.  Concurrent
-    {!append}s are never blocked for the duration of the spool; concurrent
-    checkpoints serialise.  Returns the spool outcomes. *)
+    outcomes and truncate the journal, resetting
+    {!records_since_checkpoint} to 0.  On any spool failure the journal and
+    checkpoint files are left intact so replay still covers the failed
+    sessions.  Returns the spool outcomes.  Raises [Invalid_argument] and
+    retires nothing if a record was appended while [spool] ran: the spool
+    may not cover it, so the journal must keep it. *)
 
 val close : t -> unit
 (** Final fsync and close.  Idempotent. *)

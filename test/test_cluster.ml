@@ -445,6 +445,64 @@ let test_slow_home_peer_answers () =
       Thread.join th)
     workers
 
+(* The connections queued on [srv] since the last call: every dial is one. *)
+let dials srv =
+  Unix.set_nonblock srv;
+  let rec go n =
+    match Unix.accept srv with
+    | fd, _ ->
+      Unix.close fd;
+      go (n + 1)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> n
+  in
+  go 0
+
+(* Re-routing a dead worker's window dials each other worker at most once.
+   R = 1 over three workers: the session's home is a real server, the other
+   two are hung listeners whose short quarantine expires during each
+   0.3 s HELLO wait.  The home stops with eight payloads staged on it;
+   the EST that finds it dead re-routes them, finds no live worker and
+   answers DEGRADED from the last good sketch.  Dialing once per payload
+   would reach each hung listener again each time its quarantine ran out. *)
+let test_reroute_dials_once () =
+  let name = List.find (fun n -> home n 3 = 0) (List.init 50 (Printf.sprintf "rd%d")) in
+  let a = start_worker 130 ~seed:6000 in
+  (* a dial into a listener that never accepts connects, and its HELLO
+     then waits out the whole timeout: a worker whose loop is stuck *)
+  let hung () = Test_failover.raw_listener ~backlog:64 in
+  let (h1, p1) = hung () and (h2, p2) = hung () in
+  let coord =
+    Coordinator.create ~timeout:0.3 ~backoff:0.01
+      ~workers:[ ("127.0.0.1", Server.port (fst a)); ("127.0.0.1", p1); ("127.0.0.1", p2) ]
+      ~seed:6060 ()
+  in
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:60) ~universe:300 ~dim:2 ~count:16
+      ~max_side:6
+  in
+  let before = List.filteri (fun i _ -> i < 8) boxes
+  and after = List.filteri (fun i _ -> i >= 8) boxes in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) before;
+  let est1, degraded1, _ = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check bool) "home answers fresh" false degraded1;
+  Alcotest.(check (float 0.0)) "home exact" (truth before) est1;
+  stop_worker a;
+  ignore (dials h1);
+  ignore (dials h2);
+  Thread.delay 0.1 (* past the quarantine the OPEN's dials left *);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) after;
+  let est2, degraded2, _ = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check bool) "degraded without a live worker" true degraded2;
+  Alcotest.(check (float 0.0)) "last good sketch" (truth before) est2;
+  Alcotest.(check (pair int int)) "each hung worker dialed once" (1, 1) (dials h1, dials h2);
+  Coordinator.shutdown coord;
+  Unix.close h1;
+  Unix.close h2;
+  rm_rf (spool 130)
+
 (* The same line protocol end to end: a Frontend serving
    Coordinator.dispatch over TCP, exercised with a raw socket like any
    client would — including the UNSUPPORTED-verb reply. *)
@@ -1401,6 +1459,8 @@ let suite =
       test_slow_workers_share_one_deadline;
     Alcotest.test_case "a hung home at R=2 leaves its peer time to answer fresh" `Quick
       test_slow_home_peer_answers;
+    Alcotest.test_case "re-routing a dead worker's window dials each worker once" `Quick
+      test_reroute_dials_once;
     Alcotest.test_case "EXPR over a live cluster with worker loss" `Quick
       test_expr_cluster;
     Alcotest.test_case "sketch-regime EXPR on the coordinator" `Quick

@@ -143,20 +143,23 @@ let boxes_for seed count =
 
 (* --- the typed dial timeout ------------------------------------------- *)
 
+(* A loopback listener that never accepts: the kernel completes up to
+   [backlog] handshakes on its behalf, and nothing is ever answered. *)
+let raw_listener ~backlog =
+  let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt srv Unix.SO_REUSEADDR true;
+  Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen srv backlog;
+  match Unix.getsockname srv with
+  | Unix.ADDR_INET (_, p) -> (srv, p)
+  | _ -> Alcotest.fail "loopback listener has no port"
+
 (* A listener whose accept queue is already full drops further SYNs, so a
    dial into it hangs exactly like a black-holed host: connect() neither
    completes nor refuses.  The bounded dial must surface the typed
    [Dial_timeout] near its budget instead of blocking a gather. *)
 let test_dial_timeout () =
-  let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt srv Unix.SO_REUSEADDR true;
-  Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen srv 0;
-  let port =
-    match Unix.getsockname srv with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> Alcotest.fail "loopback listener has no port"
-  in
+  let srv, port = raw_listener ~backlog:0 in
   let fillers =
     List.init 4 (fun _ ->
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -181,6 +184,62 @@ let test_dial_timeout () =
     Rpc.close c;
     Alcotest.fail "a dial into a full accept queue must not complete");
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fillers;
+  Unix.close srv
+
+(* Why the lease monitor is a thread of its own: a primary that accepts the
+   connection but never answers holds each LEASE round trip for the whole
+   [timeout].  On the front door's loop that would stall every client; on
+   the monitor's thread an EST on the standby answers at once while the
+   monitor waits. *)
+let test_monitor_leaves_front_door_free () =
+  let srv, primary_port = raw_listener ~backlog:8 in
+  let w = start_worker 92 ~seed:9200 in
+  let addrs = [ ("127.0.0.1", Server.port (fst w)) ] in
+  let primary = Coordinator.create ~timeout:1.0 ~workers:addrs ~seed:920 () in
+  let boxes = boxes_for 92 20 in
+  open_rect primary ~name:"m";
+  List.iter (fun b -> ok (Coordinator.add primary ~name:"m" ~payload:(payload_of b))) boxes;
+  Coordinator.flush primary;
+  let standby = Coordinator.create ~timeout:1.0 ~workers:addrs ~seed:921 () in
+  let fo =
+    Failover.create ~interval:0.05 ~timeout:1.0 ~primary:("127.0.0.1", primary_port)
+      ~coord:standby ()
+  in
+  ignore (Coordinator.sync_sessions standby);
+  let fe = Frontend.create ~port:0 ~dispatch:(Coordinator.dispatch standby) () in
+  let fe_th = Frontend.start fe in
+  Failover.start fo;
+  (* the monitor has dialed once its connection sits in the accept queue;
+     give its LEASE a moment to leave, then ask *)
+  wait_for ~timeout:5.0 "the monitor never dialed the primary" (fun () ->
+      match Unix.select [ srv ] [] [] 0.0 with [], _, _ -> None | _ -> Some ());
+  Thread.delay 0.1;
+  let conn =
+    match Rpc.connect ~host:"127.0.0.1" ~port:(Frontend.port fe) ~timeout:2.0 () with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "dial the standby: %s" (Rpc.describe_connect_error e)
+  in
+  let t0 = Unix.gettimeofday () in
+  let reply = Rpc.call conn (P.Est { session = "m" }) in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match reply with
+  | Ok (P.Estimate { value; degraded = false; _ }) ->
+    Alcotest.(check (float 0.0)) "the standby answers exactly" (truth boxes) value
+  | Ok r -> Alcotest.failf "EST answered %s" (P.render_response r)
+  | Error msg -> Alcotest.failf "EST failed: %s" msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "EST answered while the lease waits (%.3fs < 0.3s)" dt)
+    true (dt < 0.3);
+  Alcotest.(check bool) "still a standby" false (Failover.is_active fo);
+  Rpc.close conn;
+  Failover.stop fo;
+  Frontend.request_stop fe;
+  Thread.join fe_th;
+  Coordinator.shutdown standby;
+  ignore (Coordinator.close primary ~name:"m");
+  Coordinator.shutdown primary;
+  stop_worker w;
+  rm_rf (spool 92);
   Unix.close srv
 
 (* --- epoch fencing, library level -------------------------------------- *)
@@ -689,6 +748,8 @@ let matrix =
 let suite =
   [
     Alcotest.test_case "dial timeout is typed and bounded" `Quick test_dial_timeout;
+    Alcotest.test_case "the lease monitor's wait leaves the front door free" `Quick
+      test_monitor_leaves_front_door_free;
     Alcotest.test_case "epoch announcements are monotonic and reach the fence" `Quick
       test_epoch_monotonic;
     Alcotest.test_case "kill -9 of the live primary promotes the standby exactly"

@@ -1157,105 +1157,6 @@ let test_dispatch_win () =
     (P.Estimate { value = 200.0; degraded = false; stale_shards = [] })
     (dispatch reg "EST s")
 
-(* Session locking under fire (the case name keeps its word "striped"
-   from when the table was lock-striped; it now has one table lock): two
-   writers hammering ADDB into different sessions, a reader spinning
-   EST/STATS/FETCH on a third, and the main thread taking whole-table
-   snapshots throughout.  Exact-regime sessions make loss visible — every
-   accepted payload is a distinct unit cell, so the final counts and
-   estimates are deterministic.  A lock-ordering bug shows up as a hang, a
-   lost add as a wrong exact count, a torn snapshot as a failed
-   per-session outcome. *)
-let test_registry_concurrency () =
-  let reg = Registry.create ~seed:97 () in
-  let open_s name =
-    match
-      Registry.open_session reg ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
-        ~log2_universe:17.0
-    with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "open %s: %s" name (P.render_response (P.Error_reply e))
-  in
-  List.iter open_s [ "wa"; "wb"; "rc" ];
-  (match Registry.add reg ~name:"rc" ~payload:"0 4 0 4" with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "seed rc");
-  (* writer [row] fills row [row] of the grid with distinct unit cells *)
-  let payload row i = Printf.sprintf "%d %d %d %d" i i row row in
-  let rounds = 40 and per = 10 in
-  let err_lock = Mutex.create () in
-  let errs = ref [] in
-  let record msg =
-    Mutex.lock err_lock;
-    errs := msg :: !errs;
-    Mutex.unlock err_lock
-  in
-  let writer row name =
-    Thread.create
-      (fun () ->
-        for r = 0 to rounds - 1 do
-          let payloads = List.init per (fun j -> payload row ((r * per) + j)) in
-          match Registry.add_batch reg ~name ~payloads with
-          | Ok (n, []) when n = per -> ()
-          | Ok (n, e) ->
-            record
-              (Printf.sprintf "%s: frame accepted %d/%d with %d rejects" name n per
-                 (List.length e))
-          | Error e -> record (name ^ ": " ^ P.render_response (P.Error_reply e))
-        done)
-      ()
-  in
-  let reader =
-    Thread.create
-      (fun () ->
-        for _ = 1 to 300 do
-          (match Registry.estimate reg ~name:"rc" with
-          | Ok v when v = 25.0 -> ()
-          | Ok v -> record (Printf.sprintf "rc estimate drifted to %g" v)
-          | Error e -> record ("rc est: " ^ P.render_response (P.Error_reply e)));
-          (match Registry.fetch reg ~name:"rc" with
-          | Ok _ -> ()
-          | Error e -> record ("rc fetch: " ^ P.render_response (P.Error_reply e)));
-          match Registry.stats reg ~name:"rc" with
-          | Ok _ -> ()
-          | Error e -> record ("rc stats: " ^ P.render_response (P.Error_reply e))
-        done)
-      ()
-  in
-  let threads = [ writer 1 "wa"; writer 2 "wb"; reader ] in
-  let dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "delphic-registry-fire-%d" (Unix.getpid ()))
-  in
-  for _ = 1 to 5 do
-    let outcomes = Registry.snapshot_all reg ~dir in
-    Alcotest.(check int) "snapshot_all sees the whole table" 3 (List.length outcomes);
-    List.iter
-      (fun (name, r) ->
-        match r with
-        | Ok _ -> ()
-        | Error msg -> Alcotest.failf "snapshot_all %s: %s" name msg)
-      outcomes;
-    Thread.delay 0.002
-  done;
-  List.iter Thread.join threads;
-  (match !errs with
-  | [] -> ()
-  | e :: _ -> Alcotest.failf "%d concurrent failures, first: %s" (List.length !errs) e);
-  let total = rounds * per in
-  List.iter
-    (fun name ->
-      match (Registry.stats reg ~name, Registry.estimate reg ~name) with
-      | Ok st, Ok est ->
-        Alcotest.(check int) (name ^ " adds all landed") total st.P.items;
-        Alcotest.(check int) (name ^ " no parse rejects") 0 st.P.parse_rejects;
-        Alcotest.(check (float 0.0)) (name ^ " exact union") (float_of_int total) est
-      | _ -> Alcotest.failf "%s unreadable after the run" name)
-    [ "wa"; "wb" ];
-  Alcotest.(check (list string)) "all sessions present" [ "rc"; "wa"; "wb" ]
-    (List.sort compare (Registry.names reg));
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
-
 let suite =
   [
     Alcotest.test_case "parse requests" `Quick test_parse_requests;
@@ -1288,6 +1189,4 @@ let suite =
     Alcotest.test_case "dispatch unsupported verb" `Quick test_dispatch_unsupported;
     Alcotest.test_case "dispatch expr" `Quick test_dispatch_expr;
     Alcotest.test_case "dispatch win" `Quick test_dispatch_win;
-    Alcotest.test_case "striped registry under concurrent fire" `Quick
-      test_registry_concurrency;
   ]

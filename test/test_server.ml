@@ -318,6 +318,56 @@ let test_v1_mutations_journal_binary () =
   rm_rf wal_dir;
   rm_rf spool_dir
 
+(* The periodic checkpoint runs on the event loop, before the reply to the
+   record that crossed [checkpoint_every] leaves: the moment that reply is
+   read, with no wait, the journal is empty and the checkpoint holds every
+   acknowledged set.  OPEN and three ADDs cross the first time, four more
+   ADDs the second.  Disjoint 10x10 boxes keep the session exact, so the
+   checkpoint's answer is checked bitwise. *)
+let test_checkpoint_before_crossing_reply () =
+  rm_rf spool_dir;
+  let wal_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "delphic-test-ckpt-%d" (Unix.getpid ()))
+  in
+  rm_rf wal_dir;
+  let wal =
+    { Server.dir = wal_dir; fsync = Delphic_server.Wal.Always; checkpoint_every = 4 }
+  in
+  let s = Server.create ~wal ~port:0 ~spool:spool_dir ~seed:9 () in
+  let th = Server.start s in
+  let c = connect (Server.port s) in
+  let journal_bytes () = (Unix.stat (Filename.concat wal_dir "journal")).Unix.st_size in
+  let checkpointed () =
+    let reg = Delphic_server.Registry.create ~seed:1 () in
+    let path = Filename.concat (Filename.concat wal_dir "checkpoint") "c.snap" in
+    if not (Sys.file_exists path) then Alcotest.fail "no checkpoint/c.snap";
+    (match Delphic_server.Registry.restore_from reg ~name:"c" ~path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" (P.describe_error e));
+    P.render_response (Delphic_server.Registry.dispatch reg (P.Est { session = "c" }))
+  in
+  let add i =
+    Alcotest.(check string) "ADD acked" "OK"
+      (rpc c (Printf.sprintf "ADD c %d %d 0 9" (100 * i) ((100 * i) + 9)))
+  in
+  Alcotest.(check string) "open" "OK opened c" (rpc c "OPEN c rect 0.3 0.2 17");
+  List.iter add [ 0; 1; 2 ];
+  Alcotest.(check int) "journal empty at the first crossing reply" 0 (journal_bytes ());
+  Alcotest.(check string) "checkpoint holds the first three sets" "EST 300" (checkpointed ());
+  List.iter add [ 3; 4; 5 ];
+  Alcotest.(check bool) "records below the mark stay journaled" true (journal_bytes () > 0);
+  add 6;
+  Alcotest.(check int) "journal empty at the second crossing reply" 0 (journal_bytes ());
+  Alcotest.(check string) "checkpoint holds all seven sets" "EST 700" (checkpointed ());
+  Alcotest.(check string) "live answer agrees" "EST 700" (rpc c "EST c");
+  disconnect c;
+  Server.request_stop s;
+  Thread.join th;
+  rm_rf wal_dir;
+  rm_rf spool_dir
+
 let test_stop_is_idempotent () =
   rm_rf spool_dir;
   let s = Server.create ~port:0 ~spool:spool_dir ~seed:1 () in
@@ -336,4 +386,6 @@ let suite =
     Alcotest.test_case "stop is idempotent" `Quick test_stop_is_idempotent;
     Alcotest.test_case "v1 mutations journal as v2 records" `Quick
       test_v1_mutations_journal_binary;
+    Alcotest.test_case "a checkpoint runs before the crossing record's reply" `Quick
+      test_checkpoint_before_crossing_reply;
   ]

@@ -263,25 +263,34 @@ let test_checkpoint_prunes_stale () =
     (Sys.file_exists (Filename.concat ckpt "dead.snap"));
   Wal.close w
 
-(* The journal lock is not held across the spool; an append that lands
-   mid-spool must survive the prefix retirement and replay afterwards. *)
-let test_checkpoint_keeps_concurrent_appends () =
+(* A journal has one thread, so nothing may be appended while a checkpoint
+   spools.  An append from inside the spool is refused after the fact: the
+   checkpoint raises and retires nothing, so replay still covers every
+   record, the spool-time one included, and a later checkpoint works. *)
+let test_append_during_spool_refused () =
   let dir = fresh_dir () in
   let w = Wal.open_ ~dir ~fsync:Wal.Never in
   List.iter (Wal.append w) bodies;
-  ignore
-    (Wal.checkpoint w ~spool:(fun ~dir:_ ->
-         Wal.append w "ADD s 42 42 42 42";
-         [ ("s", Ok "s.snap") ]));
-  Alcotest.(check int) "only the concurrent append stays uncovered" 1
+  let ckpt = Wal.checkpoint_dir w in
+  write_file (Filename.concat ckpt "dead.snap") "stale";
+  Alcotest.check_raises "append during the spool refused"
+    (Invalid_argument "Wal.checkpoint: the journal grew during the spool") (fun () ->
+      ignore
+        (Wal.checkpoint w ~spool:(fun ~dir:_ ->
+             Wal.append w "ADD s 42 42 42 42";
+             [ ("s", Ok "s.snap") ])));
+  Alcotest.(check int) "every record still uncovered" (List.length bodies + 1)
     (Wal.records_since_checkpoint w);
-  Wal.append w "ADD s 43 43 43 43";
+  Alcotest.(check bool) "refused checkpoint prunes nothing" true
+    (Sys.file_exists (Filename.concat ckpt "dead.snap"));
   Wal.close w;
   let w', (seen, _, cut) = recover ~dir in
-  Alcotest.(check (list string)) "tail = records past the spool boundary"
-    [ "ADD s 42 42 42 42"; "ADD s 43 43 43 43" ]
+  Alcotest.(check (list string)) "journal kept whole"
+    (bodies @ [ "ADD s 42 42 42 42" ])
     seen;
   Alcotest.(check bool) "clean" true (cut = None);
+  ignore (Wal.checkpoint w' ~spool:(fun ~dir:_ -> [ ("s", Ok "s.snap") ]));
+  Alcotest.(check int) "the next checkpoint retires it" 0 (file_size (journal dir));
   Wal.close w'
 
 module Registry = Delphic_server.Registry
@@ -531,8 +540,8 @@ let suite =
       test_checkpoint;
     Alcotest.test_case "checkpoint prunes stale snapshots" `Quick
       test_checkpoint_prunes_stale;
-    Alcotest.test_case "checkpoint keeps appends that race the spool" `Quick
-      test_checkpoint_keeps_concurrent_appends;
+    Alcotest.test_case "append during spool is refused, journal kept whole" `Quick
+      test_append_during_spool_refused;
     Alcotest.test_case "closed session is not resurrected after crash" `Quick
       test_closed_session_not_resurrected;
     Alcotest.test_case "WIN answers survive kill and restart" `Quick
