@@ -8,16 +8,11 @@ let log_src = Logs.Src.create "delphic.cluster" ~doc:"scatter/gather coordinator
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* One wire frame awaiting its single reply line: an [ADDB]/[ADDL]
-   carrying the whole array.  [bitems] keeps each payload's hop count so a
-   replay after worker death still converges.
+   carrying the whole array, kept so a death can replay its payloads.
    [bts] is the frame's ingest timestamp — [ADDB] stamps a whole frame, so
    only same-timestamp payloads share one; [None] lets the worker stamp its
    own receive time. *)
-type batch = {
-  bsession : string;
-  bts : float option;
-  bitems : (string * int) array; (* payload, hops *)
-}
+type batch = { bsession : string; bts : float option; bitems : string array }
 
 type worker = {
   wid : int;
@@ -32,8 +27,8 @@ type worker = {
          never asked.  A reconnect that reads the same nonzero generation is
          a connection blip — the process (and its state) survived — and
          skips the re-open sweep. *)
-  staged : (string * string * float option * int) Queue.t;
-      (* routed but not yet framed: (session, payload, ts, hops).  Nothing
+  staged : (string * string * float option) Queue.t;
+      (* routed but not yet framed: (session, payload, ts).  Nothing
          here has touched the socket; a death replays these verbatim. *)
   pending : owed Queue.t;
       (* the one FIFO of replies owed on [conn], in wire order.  Whoever
@@ -48,7 +43,7 @@ type worker = {
    once the connection died with the ask unanswered. *)
 and owed = Frame of batch | Ask of (P.response, string) result option ref
 
-(* One gathered token as the fold memo holds it: the worker that sent it,
+(* One gathered token as the memo holds it: the worker that sent it,
    the connection it came on, and the session version it carries (0 when
    the sender keeps no versions). *)
 type held = { from : int; serial : int; version : int; token : string }
@@ -69,22 +64,25 @@ type session_info = {
          while down, quarantined or disconnected, or back from a restart
          without the session).  It is neither fed nor read until [replace]
          overwrites it with a complete copy. *)
-  spills : (int, string option) Hashtbl.t;
-      (* workers outside the window that took payloads while no replica was
-         usable, each with its last good full token *)
+  waiting : (string * float option) Queue.t;
+      (* (payload, ts) that no usable replica could take, oldest first.
+         Released onto the replicas ahead of the session's next payload and
+         before a gather reads one, once a replica is complete again.  New
+         ingest parks here only while fewer than [window] sets wait; a dead
+         or refusing replica's unacked window always does. *)
   mutable last_good : string option; (* the replicas' last good full token *)
   mutable last_estimate : float;
   mutable rejects : int; (* payloads a primary ack listed as malformed *)
-  mutable merges : int; (* gather folds performed *)
-  (* Memoised fold: the cutoff and parts of the last all-fresh gather and
-     the sketch they folded to.  The next gather at that cutoff names each
-     part's version in its fetch, and a worker whose session has not moved
-     answers UNCHANGED instead of re-shipping the token; when every part is
-     unchanged the whole decode + fold is skipped too — repeated EST (and
-     repeated WIN at a stable cutoff bucket) on an idle cluster costs short
-     RPCs alone.  A version is only asked about on the connection it came
-     on: a restarted worker counts versions from 1 again. *)
-  mutable fold_cache : (float option * held array * Families.t) option;
+  mutable merges : int; (* the MERGE count the last decoded token carried *)
+  (* Memo: the cutoff and token of the last fresh gather and the sketch it
+     decoded to.  The next gather at that cutoff names the token's version
+     in its fetch, and a worker whose session has not moved answers
+     UNCHANGED instead of re-shipping it, so the decode is skipped too —
+     repeated EST (and repeated WIN at a stable cutoff bucket) on an idle
+     cluster costs one short RPC.  A version is only asked about on the
+     connection it came on: a restarted worker counts versions from 1
+     again. *)
+  mutable memo : (float option * held * Families.t) option;
 }
 
 type t = {
@@ -105,11 +103,11 @@ type t = {
   rng : Rng.t; (* backoff jitter; guarded by [lock] like everything else *)
   lock : Mutex.t;
   sessions : (string, session_info) Hashtbl.t;
-  mutable seq : int; (* distinct seeds for successive folds *)
+  mutable seq : int; (* distinct seeds for successive decodes and draws *)
   (* Payloads refused by an ack (e.g. UNKNOWN-SESSION from a worker that
      lost the session): parked here by [retire_ack] — which can run deep
      inside a drain — and re-routed at the next safe point. *)
-  orphans : (string * string * float option * int) Queue.t;
+  orphans : (string * string * float option) Queue.t;
   (* --- fencing + warm-standby state --- *)
   mutable epoch : int;
       (* the fencing epoch announced to every worker connection ([COORD]);
@@ -203,23 +201,13 @@ let new_session t name ~family ~epsilon ~delta ~log2_universe =
     home;
     members = List.init t.replicas (fun j -> t.workers.((home + j) mod n));
     incomplete = Array.make n false;
-    spills = Hashtbl.create 1;
+    waiting = Queue.create ();
     last_good = None;
     last_estimate = 0.0;
     rejects = 0;
     merges = 0;
-    fold_cache = None;
+    memo = None;
   }
-
-(* A session this coordinator did not open may have spilled under its
-   previous owner, which left no record of where: every worker outside the
-   window is a spill holder until its token reads empty. *)
-let inherit_spills t si =
-  Array.iter
-    (fun w ->
-      if not (List.memq w si.members || Hashtbl.mem si.spills w.wid) then
-        Hashtbl.replace si.spills w.wid None)
-    t.workers
 
 let usable si w = w.conn <> None && not si.incomplete.(w.wid)
 
@@ -277,12 +265,8 @@ let retire_ack t w b reply =
     Log.warn (fun m ->
         m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
           (P.describe_error e) (Array.length b.bitems));
-    Option.iter
-      (fun si -> if List.memq w si.members then si.incomplete.(w.wid) <- true)
-      si;
-    Array.iter
-      (fun (payload, hops) -> Queue.push (b.bsession, payload, b.bts, hops + 1) t.orphans)
-      b.bitems
+    Option.iter (fun si -> si.incomplete.(w.wid) <- true) si;
+    Array.iter (fun payload -> Queue.push (b.bsession, payload, b.bts) t.orphans) b.bitems
   | r ->
     (* non-error, non-ack: the reply stream itself is suspect *)
     Log.warn (fun m ->
@@ -329,13 +313,12 @@ let rec await ?deadline t w slot =
 
 (* A replica copy ships as a backup (ADDL, whose parse errors the worker
    does not report back) unless [w] is the session's first usable replica,
-   so each reject is counted once.  A spill holder is the only copy. *)
+   so each reject is counted once. *)
 let backup t session w =
   match Hashtbl.find_opt t.sessions session with
   | None -> false
   | Some si -> (
-    List.memq w si.members
-    && match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
+    match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
 
 (* Ship what is staged on the connection as one coalesced write.  It is
    already owed in [w.pending], so a transport failure replays it via the
@@ -360,22 +343,22 @@ let flush_worker t w =
       !kill_requeue t w
     | Some conn ->
       while not (Queue.is_empty w.staged) do
-        let s0, p0, ts0, h0 = Queue.pop w.staged in
-        let items = ref [ (p0, h0) ] in
+        let s0, p0, ts0 = Queue.pop w.staged in
+        let items = ref [ p0 ] in
         let count = ref 1 in
         let same_run = ref true in
         (* an ADDB/ADDL frame carries one t=, so only same-timestamp runs
            batch *)
         while !same_run && !count < t.batch do
           match Queue.peek_opt w.staged with
-          | Some (s, _, ts, _) when String.equal s s0 && ts = ts0 ->
-            let _, p, _, h = Queue.pop w.staged in
-            items := (p, h) :: !items;
+          | Some (s, _, ts) when String.equal s s0 && ts = ts0 ->
+            let _, p, _ = Queue.pop w.staged in
+            items := p :: !items;
             incr count
           | _ -> same_run := false
         done;
-        let bitems = Array.of_list (List.rev !items) in
-        let payloads = Array.to_list (Array.map fst bitems) in
+        let payloads = List.rev !items in
+        let bitems = Array.of_list payloads in
         let req =
           if backup t s0 w then P.Add_log { session = s0; payloads; ts = ts0 }
           else P.Add_batch { session = s0; payloads; ts = ts0 }
@@ -418,23 +401,16 @@ let call_sync t w req = await t w (ask t w req)
 (* After a (re)connect to a new process, or at first contact: re-open every
    session.  An OPEN that succeeds on a worker this coordinator knew before
    means the process came back without the session, so its replica copy is
-   incomplete, and a spill holder gets its last good token merged back.
-   SESSION-EXISTS means the worker kept (or recovered) it. *)
+   incomplete.  SESSION-EXISTS means the worker kept (or recovered) it. *)
 let reopen t w conn =
   let ok = ref true in
   Hashtbl.iter
     (fun name (si : session_info) ->
       if !ok then
         match Rpc.call conn (open_request name si) with
-        | Ok (P.Ok_reply _) -> (
+        | Ok (P.Ok_reply _) ->
           if w.generation <> 0 && List.memq w si.members then
-            si.incomplete.(w.wid) <- true;
-          match Hashtbl.find_opt si.spills w.wid with
-          | Some (Some encoded) -> (
-            match Rpc.call conn (P.Merge { session = name; encoded }) with
-            | Ok (P.Ok_reply _) -> ()
-            | _ -> ok := false)
-          | Some None | None -> ())
+            si.incomplete.(w.wid) <- true
         | Ok (P.Error_reply (P.Session_exists _)) -> ()
         | Ok r ->
           Log.warn (fun m ->
@@ -605,14 +581,12 @@ let ensure_conn t w =
     end
 
 (* Take over a session whose placement history this coordinator never saw
-   (an earlier owner routed it): every worker outside the window is a spill
-   holder until its token reads empty, and each replica is read once.  The
-   fullest copy by item count becomes the last good token; a replica below
-   it, or silent, is incomplete and is replaced from a complete peer, now
-   or at its reconnect.  With no replica answering the flags stay as they
+   (an earlier owner routed it): each replica is read once.  The fullest
+   copy by item count becomes the last good token; a replica below it, or
+   silent, is incomplete and is replaced from a complete peer, now or at
+   its reconnect.  With no replica answering the flags stay as they
    are. *)
 let adopt t si name =
-  inherit_spills t si;
   let fetch w = call_sync t w (P.Fetch { session = name; cutoff = None }) in
   let read w =
     match Option.map (fun _ -> fetch w) (ensure_conn t w) with
@@ -636,73 +610,86 @@ let find_session t name =
   | None -> Error (P.Unknown_session name)
 
 (* Where a session's next payload (or MERGE) goes: every usable replica of
-   its window, and a replica left out is marked incomplete.  With no
-   replica usable, the first live worker past the window takes it and is
-   recorded as a spill holder — the other replicas then miss nothing a
-   complete peer has.  [] when no worker is reachable. *)
+   its window, and a replica left out is marked incomplete.  [] when no
+   replica is usable: the payload then waits in the session's FIFO, and no
+   replica is marked, since none took anything its peers lack. *)
 let targets t si =
-  match
+  let live =
     List.filter (fun w -> Option.is_some (ensure_conn t w) && not si.incomplete.(w.wid)) si.members
-  with
-  | [] ->
-    let n = Array.length t.workers in
-    let rec spill i =
-      if i >= n then []
-      else
-        let w = t.workers.((si.home + i) mod n) in
-        if List.memq w si.members || Option.is_none (ensure_conn t w) then spill (i + 1)
-        else begin
-          if not (Hashtbl.mem si.spills w.wid) then Hashtbl.replace si.spills w.wid None;
-          [ w ]
-        end
-    in
-    spill t.replicas
-  | live ->
+  in
+  if live <> [] then
     List.iter (fun w -> if not (List.memq w live) then si.incomplete.(w.wid) <- true) si.members;
-    live
+  live
 
 (* Stage one payload on [ws].  A worker is shipped when its staging
    reaches the batch high-water mark, and [add_batch] ships every worker
    before it returns. *)
-let stage t ws name payload ~ts ~hops =
+let stage t ws name payload ~ts =
   List.iter
     (fun w ->
-      Queue.push (name, payload, ts, hops) w.staged;
+      Queue.push (name, payload, ts) w.staged;
       if Queue.length w.staged >= t.batch then ship_worker t w)
     ws
 
-(* [hops] counts re-routes after worker deaths; past the pool size the
-   payload is given up. *)
-let within_hops t hops = hops <= Array.length t.workers
+(* Stage the session's waiting sets on [ws], its usable replicas, oldest
+   first.  Only what waits now is released: a death while it ships parks
+   that worker's window in the FIFO again, for a later release. *)
+let release t si name ws =
+  let items = List.of_seq (Queue.to_seq si.waiting) in
+  Queue.clear si.waiting;
+  List.iter (fun (payload, ts) -> stage t ws name payload ~ts) items
 
-let route t si name payload ~ts ~hops =
-  if not (within_hops t hops) then Error (P.Server_error "no live worker accepted the set")
-  else
-    match targets t si with
-    | [] -> Error (P.Server_error "no workers available")
-    | ws ->
-      stage t ws name payload ~ts ~hops;
-      Ok ()
+(* Mutations are refused while this coordinator may not own the pool: a
+   warm standby answers queries only, and a deposed primary's writes are
+   already dying at every worker's fence — failing fast here keeps the
+   client's error honest instead of half-ingesting a batch. *)
+let mutation_guard t =
+  if t.read_only then Error (P.Read_only "standby")
+  else if t.fenced_by > t.epoch then Error (P.Fenced t.fenced_by)
+  else Ok ()
+
+(* Route one payload behind the session's waiting sets, or park it with
+   them when no replica is usable.  [fresh] ingest is refused once
+   [t.window] sets wait, or when dialing the replicas found this
+   coordinator fenced; a re-routed payload was acknowledged already and
+   always parks. *)
+let route ?(fresh = false) t si name payload ~ts =
+  match targets t si with
+  | [] ->
+    let admitted =
+      if not fresh then Ok ()
+      else
+        Result.bind (mutation_guard t) (fun () ->
+            if Queue.length si.waiting < t.window then Ok ()
+            else
+              Error
+                (P.Server_error
+                   (Printf.sprintf "session %s: %d sets already wait for an unreachable replica"
+                      name t.window)))
+    in
+    Result.map (fun () -> Queue.push (payload, ts) si.waiting) admitted
+  | ws ->
+    release t si name ws;
+    stage t ws name payload ~ts;
+    Ok ()
 
 (* Re-route a dead worker's staged payloads and unacked frames — oldest
    (sent-but-unacked) first, then the never-sent staging queue — and mark
    its unanswered asks lost; wired into
    [quarantine] via the forward reference because death and re-routing are
    mutually recursive.  A payload a live replica already took lands there
-   again, which the union ignores.  Each session's targets are picked once
-   for the whole window, and again only if one of them dies meanwhile:
-   picking them dials every worker whose quarantine has run out, and a
-   worker that accepts but does not answer costs a full [timeout] per
-   dial. *)
+   again, which the union ignores; with no replica usable it waits.  Each
+   session's targets are picked once for the whole window, and again only
+   if one of them dies meanwhile: picking them dials every replica whose
+   quarantine has run out, and a worker that accepts but does not answer
+   costs a full [timeout] per dial. *)
 let requeue t w =
   let orphans = ref [] in
   Queue.iter
     (function
       | Ask slot -> slot := Some (Error "connection lost before the reply")
       | Frame b ->
-        Array.iter
-          (fun (payload, hops) -> orphans := (b.bsession, payload, b.bts, hops) :: !orphans)
-          b.bitems)
+        Array.iter (fun payload -> orphans := (b.bsession, payload, b.bts) :: !orphans) b.bitems)
     w.pending;
   Queue.iter (fun item -> orphans := item :: !orphans) w.staged;
   Queue.clear w.pending;
@@ -718,35 +705,29 @@ let requeue t w =
       ws
   in
   List.iter
-    (fun (session, payload, ts, hops) ->
-      match Hashtbl.find_opt t.sessions session with
-      | Some si when within_hops t (hops + 1) ->
-        stage t (targets_of session si) session payload ~ts ~hops:(hops + 1)
-      | _ -> ())
+    (fun (session, payload, ts) ->
+      Option.iter
+        (fun si ->
+          match targets_of session si with
+          | [] -> Queue.push (payload, ts) si.waiting
+          | ws -> stage t ws session payload ~ts)
+        (Hashtbl.find_opt t.sessions session))
     (List.rev !orphans)
 
 let () = kill_requeue := requeue
 
 (* Re-route payloads parked by [retire_ack], once the drain that parked
-   them has unwound. *)
+   them has unwound.  Each refusal marks its replica incomplete, so this
+   ends with the payloads staged on complete replicas or waiting. *)
 let reroute_orphans t =
   while not (Queue.is_empty t.orphans) do
-    let session, payload, ts, hops = Queue.pop t.orphans in
+    let session, payload, ts = Queue.pop t.orphans in
     Option.iter
-      (fun si -> ignore (route t si session payload ~ts ~hops))
+      (fun si -> ignore (route t si session payload ~ts))
       (Hashtbl.find_opt t.sessions session)
   done
 
 (* --- public operations --- *)
-
-(* Mutations are refused while this coordinator may not own the pool: a
-   warm standby answers queries only, and a deposed primary's writes are
-   already dying at every worker's fence — failing fast here keeps the
-   client's error honest instead of half-ingesting a batch. *)
-let mutation_guard t =
-  if t.read_only then Error (P.Read_only "standby")
-  else if t.fenced_by > t.epoch then Error (P.Fenced t.fenced_by)
-  else Ok ()
 
 let broadcast t req ~accept =
   let failures = ref [] in
@@ -764,8 +745,8 @@ let broadcast t req ~accept =
     t.workers;
   !failures
 
-(* OPEN goes to every worker, so any of them can later hold a spill and a
-   standby can rebuild the session table from any one.  The session is
+(* OPEN goes to every worker, so a standby can rebuild the session table
+   from any one.  The session is
    registered after the broadcast: a worker that missed it is re-opened
    (and its replica replaced) when it rejoins. *)
 let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
@@ -806,7 +787,7 @@ let add ?ts t ~name ~payload =
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
       | Error e -> Error e
       | Ok si ->
-        let r = route t si name payload ~ts ~hops:0 in
+        let r = route ~fresh:true t si name payload ~ts in
         reroute_orphans t;
         r)
 
@@ -826,7 +807,7 @@ let add_batch ?ts t ~name ~payloads =
         let errors = ref [] in
         List.iteri
           (fun i payload ->
-            match route t si name payload ~ts ~hops:0 with
+            match route ~fresh:true t si name payload ~ts with
             | Ok () -> incr accepted
             | Error e -> errors := (i, P.describe_error e) :: !errors)
           payloads;
@@ -842,7 +823,8 @@ let add_batch ?ts t ~name ~payloads =
 let flush t =
   (* Settle to quiescence: draining can park refused payloads, rerouting
      them stages fresh frames, so repeat until nothing moves (bounded — a
-     payload refused everywhere is dropped by the hop limit). *)
+     refusal marks its replica incomplete, so a payload refused by every
+     replica ends up waiting). *)
   let rec go attempts =
     Array.iter
       (fun w ->
@@ -859,50 +841,39 @@ let flush t =
   in
   go (Array.length t.workers + 2)
 
-(* Read one copy of [name] and fold in its spill holders.
+(* Read one copy of [name].
 
-   Phase one reconnects the replicas and the spill holders and repairs an
-   incomplete replica.  Then one Fetch is asked of each spill holder,
-   behind its queued frames.  Phase two asks the first usable replica in
-   ring order, falling to the next one if it fails, and collects the spill
-   holders — all under one absolute deadline.  Each ask owes its reply in
-   its worker's FIFO, so collecting it retires the acks owed ahead of it,
-   and a death that re-routes payloads onto a spill holder mid-gather can
-   drain that holder's Fetch reply into its slot.  A fast worker's
-   already-buffered reply is still collected at budget zero, so the gather
-   costs max-of-workers, not sum; a replica is only asked while budget
-   remains, and gets an equal share of it with the usable replicas after
-   it, so a hung home leaves its peer the time to answer fresh.  Whatever
-   does not answer falls back to its last good token, and its position —
-   the home for the replicas, the ring position of a spill holder — goes
-   to [stale_shards].  Phase three decodes and folds:
-   with no spills the fold has one source and copies it verbatim, so a
-   healthy cluster answers exactly what one estimator would.
+   The replicas are reconnected first and an incomplete one is replaced;
+   then the session's waiting sets are released onto the complete ones, so
+   the Fetch below queues behind them.  The first usable replica in ring
+   order is asked, falling to the next one if it fails, all under one
+   absolute deadline.  Each ask owes its reply in its worker's FIFO, so
+   collecting it retires the acks owed ahead of it.  A replica is only
+   asked while budget remains, and gets an equal share of it with the
+   usable replicas after it, so a hung home leaves its peer the time to
+   answer fresh.  When none answers, the last good token stands in and the
+   home goes to [stale_shards].  The token decodes verbatim: a healthy
+   cluster answers exactly what one estimator would.
 
    [cutoff] makes the gather windowed: the absolute instant is computed once
-   by the caller and shipped verbatim in every Fetch, so all copies expire
-   against the same wall-clock point.  A windowed gather never updates a
-   last good token (a restricted sketch must not become the full-estimate
-   fallback) and memoises its fold under its own cutoff key. *)
+   by the caller and shipped verbatim in the Fetch.  A windowed gather never
+   updates the last good token (a restricted sketch must not become the
+   full-estimate fallback) and memoises its token under its own cutoff
+   key. *)
 let gather ?cutoff t si name =
-  let spills =
-    Hashtbl.fold (fun wid good acc -> (t.workers.(wid), good) :: acc) si.spills []
-    |> List.sort (fun (a, _) (b, _) -> compare a.wid b.wid)
-  in
   List.iter (fun w -> ignore (ensure_conn t w)) si.members;
-  List.iter (fun (w, _) -> ignore (ensure_conn t w)) spills;
   repair t si name;
+  if not (Queue.is_empty si.waiting) then (
+    match targets t si with [] -> () | ws -> release t si name ws);
   let deadline = Unix.gettimeofday () +. t.timeout in
-  (* the memo's part from [w]'s current connection at this cutoff *)
-  let held_for w =
-    match si.fold_cache with
-    | Some (cut, parts, _) when cut = cutoff ->
-      Array.find_opt (fun h -> h.from = w.wid && h.serial = w.serial) parts
-    | _ -> None
-  in
-  (* ask [w] for its token, naming the version the memo holds *)
+  (* ask [w] for its token, naming the version the memo holds from [w]'s
+     current connection at this cutoff *)
   let send w =
-    let held = held_for w in
+    let held =
+      match si.memo with
+      | Some (cut, h, _) when cut = cutoff && h.from = w.wid && h.serial = w.serial -> Some h
+      | _ -> None
+    in
     let since = match held with Some h -> h.version | None -> 0 in
     (w.serial, held, ask t w (P.Fetch_since { session = name; cutoff; since }))
   in
@@ -912,16 +883,15 @@ let gather ?cutoff t si name =
       Some { from = w.wid; serial; version; token }
     | Ok (P.Sketch_at { version; token = None })
       when Option.map (fun h -> h.version) held = Some version ->
-      (* the memo's part stands for the token *)
+      (* the memo's token stands for the answer *)
       held
     | Ok r ->
       (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
       Log.warn (fun m -> m "worker %s: FETCH answered %s" (address w) (P.render_response r));
-      if List.memq w si.members then si.incomplete.(w.wid) <- true;
+      si.incomplete.(w.wid) <- true;
       None
     | Error _ -> None
   in
-  let owed = List.map (fun (w, good) -> (w, good, send w)) spills in
   let rec read = function
     | [] -> None
     | w :: rest -> (
@@ -934,88 +904,57 @@ let gather ?cutoff t si name =
         | None -> read rest)
   in
   let replica = read si.members in
-  let spill_parts = List.map (fun (w, good, k) -> (w, good, collect ~by:deadline w k)) owed in
   reroute_orphans t;
-  (* phase three: (position, fresh token, fallback) per part, home first *)
-  let parts =
-    (`Home, replica, si.last_good)
-    :: List.map (fun (w, good, fresh) -> (`Spill w, fresh, good)) spill_parts
-  in
-  let all_fresh =
-    if List.for_all (fun (_, fresh, _) -> fresh <> None) parts then
-      Some (Array.of_list (List.filter_map (fun (_, fresh, _) -> fresh) parts))
-    else None
-  in
-  (* every part answered UNCHANGED — each is the memo's own record *)
-  match (all_fresh, si.fold_cache) with
-  | Some held, Some (prev_cut, prev, folded)
-    when prev_cut = cutoff
-         && Array.length prev = Array.length held
-         && Array.for_all2 ( == ) prev held ->
-    Ok (folded, false, [])
+  match (replica, si.memo) with
+  | Some h, Some (cut, prev, sketch) when cut = cutoff && prev == h -> Ok (sketch, false, [])
   | _ -> (
-    let stale = ref [] in
-    let decoded =
-      List.filter_map
-        (fun (part, fresh, fallback) ->
-          let position = match part with `Home -> si.home | `Spill w -> w.wid in
-          let fall_back () =
-            stale := position :: !stale;
-            Option.bind fallback (fun token -> Result.to_option (Io.of_wire token))
-          in
-          match fresh with
-          | None -> fall_back ()
-          | Some { token; _ } -> (
-            match Io.of_wire token with
-            | Error msg ->
-              (* a token that would not decode is no fresher than no token *)
-              Log.warn (fun m -> m "session %s: bad sketch: %s" name msg);
-              fall_back ()
-            | Ok io ->
-              (* a windowed token is a restricted view: never the fallback *)
-              (if cutoff = None then
-                 match part with
-                 | `Home -> si.last_good <- Some token
-                 | `Spill w ->
-                   if (Io.header io).Io.items = 0 && fallback = None && not t.read_only then
-                     Hashtbl.remove si.spills w.wid
-                   else Hashtbl.replace si.spills w.wid (Some token));
-              Some io))
-        parts
+    let decode token =
+      match Io.of_wire token with
+      | Ok io -> Some io
+      | Error msg ->
+        (* a token that would not decode is no fresher than no token *)
+        Log.warn (fun m -> m "session %s: bad sketch: %s" name msg);
+        None
     in
-    let stale_shards = List.sort_uniq compare !stale in
-    match decoded with
-    | [] -> Error (P.Server_error "no worker holds any data for this session")
-    | _ -> (
-      match
-        Families.fold (List.map (fun v -> Families.Decoded v) decoded) ~seed:(next_seed t)
-      with
+    let fresh = Option.bind replica (fun h -> Option.map (fun io -> (h, io)) (decode h.token)) in
+    let io =
+      match fresh with
+      | Some (h, io) ->
+        (* a windowed token is a restricted view: never the fallback *)
+        if cutoff = None then si.last_good <- Some h.token;
+        Some io
+      | None -> Option.bind si.last_good decode
+    in
+    match io with
+    | None -> Error (P.Server_error "no replica holds any data for this session")
+    | Some io -> (
+      si.merges <- (Io.header io).Io.merges;
+      match Families.of_io io ~seed:(next_seed t) with
       | Error msg -> Error (P.Server_error msg)
-      | Ok folded ->
-        si.merges <- si.merges + (List.length decoded - 1);
-        (* only a gather where every token decoded cleanly may seed the memo *)
-        (match all_fresh with
-        | Some held when stale_shards = [] -> si.fold_cache <- Some (cutoff, held, folded)
-        | _ -> ());
-        Ok (folded, stale_shards <> [], stale_shards)))
+      | Ok sketch -> (
+        match fresh with
+        | Some (h, _) ->
+          si.memo <- Some (cutoff, h, sketch);
+          Ok (sketch, false, [])
+        | None -> Ok (sketch, true, [ si.home ]))))
 
-(* Gather [name] under the lock and hand the session and the fold to [f]. *)
+(* Gather [name] under the lock and hand the session and its sketch to [f]. *)
 let gathered ?cutoff t name f =
   with_lock t (fun () ->
       Result.bind (find_session t name) (fun si ->
           Result.bind (gather ?cutoff t si name) (f si)))
 
 let estimate t ~name =
-  gathered t name (fun si (folded, degraded, stale_shards) ->
-      let value = Families.estimate folded in
+  gathered t name (fun si (sketch, degraded, stale_shards) ->
+      let value = Families.estimate sketch in
       si.last_estimate <- value;
       Ok (value, degraded, stale_shards))
 
 (* The query's absolute cutoff, computed once coordinator-side.  An
    un-pinned instant comes from the injectable clock and is quantized down
    to [cutoff_bucket] so repeated idle-cluster WINs inside one bucket ship
-   byte-identical Fetch cutoffs — the workers' wire caches and the fold memo
-   then both hit.  A pinned [at] is taken exactly (reproducible runs). *)
+   byte-identical Fetch cutoffs, and the worker answers UNCHANGED to the
+   memo's version.  A pinned [at] is taken exactly (reproducible runs). *)
 let win_cutoff t ~seconds ~at =
   let instant =
     match at with
@@ -1031,26 +970,26 @@ let win t ~name ~seconds ~at =
   (* an infinite window is a plain estimate: gather un-windowed so the fetch
      shares EST's memo and refreshes the last good token *)
   let cutoff = if Float.is_finite cutoff then Some cutoff else None in
-  gathered ?cutoff t name (fun _ (folded, degraded, stale_shards) ->
+  gathered ?cutoff t name (fun _ (sketch, degraded, stale_shards) ->
       let value =
         match cutoff with
-        | None -> Families.estimate folded
+        | None -> Families.estimate sketch
         | Some c ->
-          (* re-filter on the fold: fresh parts are already restricted
+          (* re-filter the sketch: a fresh token is already restricted
              (no-op), but a degraded gather's stale full fallback still
              carries its timestamps and gets windowed correctly here *)
-          Families.estimate_window folded ~cutoff:c
+          Families.estimate_window sketch ~cutoff:c
       in
       Ok (value, degraded, stale_shards))
 
 let stats t ~name =
-  gathered t name (fun si (folded, _, _) ->
+  gathered t name (fun si (sketch, _, _) ->
       Ok
         {
-          P.family = Families.family_token folded;
-          items = Families.items folded;
-          entries = Families.entries folded;
-          exact = Families.is_exact folded;
+          P.family = Families.family_token sketch;
+          items = Families.items sketch;
+          entries = Families.entries sketch;
+          exact = Families.is_exact sketch;
           last_estimate = si.last_estimate;
           parse_rejects = si.rejects;
           merges = si.merges;
@@ -1058,13 +997,13 @@ let stats t ~name =
 
 (* An EXPR query needs no new worker verb: each leaf session is gathered
    exactly as EST gathers it — same degraded/last-good fallback, same
-   per-session fold memo — and the evaluation (Families.eval_expr, which
+   per-session memo — and the evaluation (Families.eval_expr, which
    folds the leaves into a union only while every leaf is exact) runs
    coordinator-side on the gathered sketches.  The answer is degraded iff
    any leaf's gather was.
 
    [w] windows the query: each leaf still gathers un-windowed (sharing EST's
-   fold memo and refreshing last_good), then the coordinator restricts it
+   memo and refreshing last_good), then the coordinator restricts it
    against one cutoff computed up front — so all leaves, and any stale
    fallback inside them, see the same instant. *)
 let expr_query ?w t ~expr ~m =
@@ -1084,9 +1023,9 @@ let expr_query ?w t ~expr ~m =
           | Ok si -> (
             match (gather t si name, cutoff) with
             | Error e, _ -> Error e
-            | Ok (folded, degraded, _), None -> Ok (folded, degraded)
-            | Ok (folded, degraded, _), Some c -> (
-              match Families.restrict folded ~cutoff:c ~seed:(next_seed t) with
+            | Ok (sketch, degraded, _), None -> Ok (sketch, degraded)
+            | Ok (sketch, degraded, _), Some c -> (
+              match Families.restrict sketch ~cutoff:c ~seed:(next_seed t) with
               | Ok r -> Ok (r, degraded)
               | Error msg -> Error (P.Server_error msg)))
         in
@@ -1103,24 +1042,24 @@ let expr_query ?w t ~expr ~m =
         eval [] false names)
 
 let fetch ?cutoff t ~name =
-  gathered ?cutoff t name (fun si (folded, _, _) ->
-      (* restrict the encoded fold too: a degraded gather may have folded in
-         a stale, un-windowed fallback *)
+  gathered ?cutoff t name (fun si (sketch, _, _) ->
+      (* restrict the encoded sketch too: a degraded gather may have read a
+         stale, un-windowed fallback *)
       Result.map_error
         (fun msg -> P.Server_error msg)
-        (Families.encode ~merges:si.merges ?cutoff folded))
+        (Families.encode ~merges:si.merges ?cutoff sketch))
 
 let snapshot_to t ~name ~path =
-  gathered t name (fun si (folded, _, _) ->
-      match Io.save ~path (Families.to_io ~merges:si.merges folded) with
+  gathered t name (fun si (sketch, _, _) ->
+      match Io.save ~path (Families.to_io ~merges:si.merges sketch) with
       | () -> Ok ()
       | exception Sys_error msg -> Error (P.Io_error msg)
       | exception Invalid_argument msg -> Error (P.Server_error msg))
 
 (* An external sketch joins the session on every usable replica — each copy
-   must stay complete — or, with none usable, on a spill holder.  Its
-   elements carry coins independent of the session's own, so this fold is
-   the one where the merge caveat (DESIGN.md §3) applies. *)
+   must stay complete — and is refused while none is usable.  Its elements
+   carry coins independent of the session's own, so this fold is the one
+   where the merge caveat (DESIGN.md §3) applies. *)
 let merge_in t ~name ~encoded =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
@@ -1136,7 +1075,7 @@ let merge_in t ~name ~encoded =
             Error (P.Server_error msg)
         in
         match List.map (fun w -> (w, merge w)) (targets t si) with
-        | [] -> Error (P.Server_error "no workers available")
+        | [] -> Error (P.Server_error (Printf.sprintf "session %s: no replica is reachable" name))
         | results when List.exists (fun (_, r) -> Result.is_ok r) results ->
           List.iter
             (fun (w, r) -> if Result.is_error r then si.incomplete.(w.wid) <- true)
@@ -1148,7 +1087,7 @@ let close t ~name =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
       | Error e -> Error e
-      | Ok _ ->
+      | Ok si ->
         flush t;
         ignore
           (broadcast t
@@ -1156,6 +1095,10 @@ let close t ~name =
              ~accept:(function
                | P.Ok_reply _ | P.Error_reply (P.Unknown_session _) -> true
                | _ -> false));
+        if not (Queue.is_empty si.waiting) then
+          Log.info (fun m ->
+              m "session %s closed with %d waiting set(s) dropped" name
+                (Queue.length si.waiting));
         Hashtbl.remove t.sessions name;
         Ok ())
 
@@ -1182,11 +1125,8 @@ let epoch t = with_lock t (fun () -> t.epoch)
 
 let is_fenced t = with_lock t (fun () -> t.fenced_by > t.epoch)
 
-let is_read_only t = with_lock t (fun () -> t.read_only)
-
 (* Promotion re-derives every session's placement from the workers: a
-   standby never saw which replicas the old primary skipped or where it
-   spilled. *)
+   standby never saw which replicas the old primary skipped. *)
 let set_read_only t flag =
   with_lock t (fun () ->
       let promote = t.read_only && not flag in
@@ -1248,12 +1188,9 @@ let sync_sessions t =
                             (address w) d.P.sd_name d.P.sd_family)
                     | Ok family ->
                       incr added;
-                      let si =
-                        new_session t d.P.sd_name ~family ~epsilon:d.P.sd_epsilon
-                          ~delta:d.P.sd_delta ~log2_universe:d.P.sd_log2_universe
-                      in
-                      inherit_spills t si;
-                      Hashtbl.replace t.sessions d.P.sd_name si)
+                      Hashtbl.replace t.sessions d.P.sd_name
+                        (new_session t d.P.sd_name ~family ~epsilon:d.P.sd_epsilon
+                           ~delta:d.P.sd_delta ~log2_universe:d.P.sd_log2_universe))
                 descs
             | Ok r ->
               Log.warn (fun m ->
@@ -1282,6 +1219,9 @@ let session_descs t =
 let shutdown t =
   with_lock t (fun () ->
       flush t;
+      let lost = Hashtbl.fold (fun _ si n -> n + Queue.length si.waiting) t.sessions 0 in
+      if lost > 0 then
+        Log.warn (fun m -> m "shutdown loses %d set(s) still waiting for a replica" lost);
       Array.iter
         (fun w ->
           (match w.conn with Some c -> Rpc.close c | None -> ());

@@ -7,7 +7,9 @@
     [Hashtbl.hash session mod n], and the [replicas] workers from there on
     each hold a full copy of its one estimator.
 
-    - [OPEN] broadcasts, so every worker holds a same-parameter session;
+    - [OPEN] broadcasts, so every worker holds a same-parameter session
+      and a standby can rebuild the session table from any one of them;
+      a worker outside the window keeps its copy empty;
     - [ADD]/[ADDB] go to every usable replica of the session — [ADDB] to
       the first, [ADDL] (a backup copy, applied on arrival) to the rest —
       and are framed into batches (consecutive same-session runs, up to
@@ -28,11 +30,16 @@
     estimator sees twice is a duplicate the union ignores.  A replica
     skipped while it was away is {e incomplete}: it is neither fed nor
     read until, at its reconnect, it is replaced by a complete peer's copy
-    ([CLOSE], [OPEN], [MERGE] of a freshly fetched token).  Only while no
-    replica is usable does a payload spill to the next live worker past
-    the window; a gather folds such spill holders in alongside the
-    replica's token.  A gather that had to fall back to a last good token
-    (or found nothing at all) flags the estimate [degraded] in the reply.
+    ([CLOSE], [OPEN], [MERGE] of a freshly fetched token).  While no
+    replica is usable a session's sets wait in one FIFO at the
+    coordinator: a dead or refusing replica's unacknowledged window always
+    joins it, and new ingest joins it while fewer than [window] sets wait
+    and is refused past that with an error naming the session.  The FIFO
+    is released onto the replicas once one is complete again, ahead of the
+    session's next payload and before any gather reads a replica.  So every
+    session has exactly one estimator, whatever fails.  A gather that had
+    to fall back to a last good token (or found nothing at all) flags the
+    estimate [degraded] in the reply.
     A worker that comes back is interrogated with [HELLO] first: the same
     generation means a connection blip, so its sessions survived; a new
     generation — a restarted process, possibly recovered from its
@@ -91,16 +98,17 @@ val create :
     replicas after it, so a hung home leaves its peer time to answer fresh;
     [retries] (default 3) bounds reconnect attempts, with delays starting at
     [backoff] (default 50ms) and doubling; [window] (default 256) is the
-    unacknowledged-payload depth per worker; [batch] (default 64) is both
+    unacknowledged-payload depth per worker, and the number of new sets a
+    session may park while none of its replicas is usable; [batch] (default 64) is both
     the per-worker staging high-water mark and the maximum payloads per
     [ADDB] frame — [batch = 1] ships one one-payload [ADDB] per set.
     [clock] (default [Unix.gettimeofday]) supplies the query instant for
     un-pinned [WIN] and [EXPR w=] — injectable for deterministic
     tests; [cutoff_bucket] (default 1s) quantizes clock-derived window
     cutoffs down to that grain, so repeated idle-cluster windowed queries
-    inside one bucket ship byte-identical Fetch cutoffs and hit the workers'
-    wire caches and the fold memo (a [WIN ... at=] pinned instant is taken
-    exactly).  Raises [Invalid_argument] on an empty pool or nonsensical
+    inside one bucket ship byte-identical Fetch cutoffs, which the workers
+    answer [UNCHANGED] to the memo's version (a [WIN ... at=] pinned
+    instant is taken exactly).  Raises [Invalid_argument] on an empty pool or nonsensical
     knobs. *)
 
 val dispatch : t -> Delphic_server.Protocol.request -> Delphic_server.Protocol.response
@@ -119,20 +127,20 @@ val open_session :
 (** Fails only if {e no} worker is reachable; workers joining later are
     brought up to date by the resync-on-reconnect path.  A session some
     worker already held (opened by an earlier coordinator) is adopted: its
-    placement history is unknown, so until their tokens read empty every
-    worker outside the window is folded in as a spill holder, and each
-    replica is read once — one holding fewer items than the fullest copy,
-    or not answering, is incomplete and gets replaced from a complete
-    peer. *)
+    placement history is unknown, so each replica is read once — one
+    holding fewer items than the fullest copy, or not answering, is
+    incomplete and gets replaced from a complete peer. *)
 
 val add :
   ?ts:float ->
   t -> name:string -> payload:string -> (unit, Delphic_server.Protocol.error) result
 (** Fire-and-forget into the pipeline: the payload is staged on the
-    session's usable replicas and framed into an [ADDB] at the next flush point.  [ts] is the ingest
-    timestamp forwarded to the worker ([t=] on the wire); [None] lets the
-    worker stamp its own receive time.  Parse errors surface asynchronously
-    in {!stats} ([parse_rejects]), not here. *)
+    session's usable replicas and framed into an [ADDB] at the next flush
+    point, or, with none usable, waits in the session's FIFO.  [Error]
+    names the session when [window] sets already wait there.  [ts] is the
+    ingest timestamp forwarded to the worker ([t=] on the wire); [None]
+    lets the worker stamp its own receive time.  Parse errors surface
+    asynchronously in {!stats} ([parse_rejects]), not here. *)
 
 val add_batch :
   ?ts:float ->
@@ -147,18 +155,17 @@ val add_batch :
     worker with [window] payload units unacked is drained to half that
     first, which bounds what the next gather waits for.  Returns
     [(accepted, errors)] where [errors] pairs a payload's 0-based
-    frame index with the routing failure; parse errors, as with {!add},
-    surface later in [parse_rejects]. *)
+    frame index with the routing failure (a full waiting FIFO, as with
+    {!add}); parse errors surface later in [parse_rejects]. *)
 
 val estimate :
   t -> name:string -> (float * bool * int list, Delphic_server.Protocol.error) result
 (** The estimate, whether it is degraded, and the stale shard list: the
-    home position when no replica answered fresh this gather, and each
-    spill holder's position that did not — the value there rests on last
-    good tokens or nothing.  [degraded] is exactly [stale_shards <> []]:
+    home position when no replica answered fresh this gather, so the value
+    rests on the last good token.  [degraded] is exactly [stale_shards <> []]:
     with replication a dead replica whose peer answers does not degrade
     the answer.  An idle session costs one short round trip: the gather's
-    fetch names the version of the token its fold memo holds from that
+    fetch names the version of the token its memo holds from that
     worker on that connection, and the worker answers [UNCHANGED]. *)
 
 val win :
@@ -169,13 +176,15 @@ val win :
   (float * bool * int list, Delphic_server.Protocol.error) result
 (** Cluster-wide windowed estimate: the absolute cutoff is computed once
     ([at], or the quantized coordinator clock, minus [seconds]) and shipped
-    in every Fetch, so the replica and any spill holders expire against
-    the same instant.  A degraded gather's stale full fallback is re-windowed
+    in the Fetch, so the replica expires against that instant.  A degraded
+    gather's stale full fallback is re-windowed
     coordinator-side against the same cutoff, so [DEGRADED] answers still
     honor the window.  [seconds = infinity] degenerates to {!estimate}'s
-    gather (and shares its fold memo). *)
+    gather (and shares its memo). *)
 
 val stats : t -> name:string -> (Delphic_server.Protocol.stats, Delphic_server.Protocol.error) result
+(** The gathered sketch's figures; [merges] is the [MERGE] count the
+    answering replica's token carries. *)
 
 val expr_query :
   ?w:float ->
@@ -185,32 +194,35 @@ val expr_query :
   (Delphic_server.Protocol.Expr_ast.outcome * bool, Delphic_server.Protocol.error) result
 (** Evaluate a set expression cluster-wide.  Each leaf session is gathered
     exactly as {!estimate} gathers it — same degraded/last-good fallback,
-    same fold memo — and the sample-and-probe evaluation
+    same memo — and the sample-and-probe evaluation
     ({!Delphic_server.Families.eval_expr}, the one the worker registry runs)
     runs coordinator-side, so workers need no new verb.  The leaves are
     folded into a cross-session union only while every leaf is exact; a
     sketching leaf switches to per-leaf draws and nothing is folded, but a
     mix of families, rect dimensions or parameters is refused with
     [Bad_params] in either regime.  [w] windows the
-    query: one cutoff is computed up front and every folded leaf is
+    query: one cutoff is computed up front and every gathered leaf is
     restricted against it before evaluation.  The [bool] flags a degraded
     answer (any leaf's gather was).  [m] as in
     {!Delphic_server.Registry.expr_query}. *)
 
 val fetch : ?cutoff:float -> t -> name:string -> (string, Delphic_server.Protocol.error) result
-(** The folded sketch as one wire token — coordinators compose: a parent
+(** The gathered sketch as one wire token — coordinators compose: a parent
     coordinator can treat this one as a worker ([cutoff] is the windowed
     Fetch, forwarded to this pool's own workers). *)
 
 val snapshot_to : t -> name:string -> path:string -> (unit, Delphic_server.Protocol.error) result
 
 val merge_in : t -> name:string -> encoded:string -> (unit, Delphic_server.Protocol.error) result
-(** Merge an external sketch into every usable replica (or, with none, a
-    spill holder); the next gather reads it back.  Its elements carry
-    coins independent of the session's own — the merge caveat of
-    DESIGN.md §3. *)
+(** Merge an external sketch into every usable replica; the next gather
+    reads it back.  Refused, naming the session, while no replica is
+    usable: a token is not a set the waiting FIFO can replay.  Its elements
+    carry coins independent of the session's own — the merge caveat of
+    DESIGN.md §3; nothing else ever joins a session's estimator. *)
 
 val close : t -> name:string -> (unit, Delphic_server.Protocol.error) result
+(** Flush, [CLOSE] on every worker, and forget the session, dropping any
+    sets still waiting for a replica. *)
 
 val live_workers : t -> int
 (** Workers with an open connection right now (0 before any operation —
@@ -228,14 +240,12 @@ val is_fenced : t -> bool
 (** True once any worker has refused this coordinator's epoch — a newer
     primary owns the pool, and every mutation fails with [ERR FENCED]. *)
 
-val is_read_only : t -> bool
-
 val set_read_only : t -> bool -> unit
 (** Flip standby mode.  [set_read_only t false] is the promotion switch —
     normally driven by {!Failover}, after {!sync_sessions} and
     {!announce_epoch}.  Promotion adopts every session as {!open_session}
     adopts one it finds already held, since a standby never saw which
-    replicas the old primary skipped or where it spilled. *)
+    replicas the old primary skipped. *)
 
 val max_known_epoch : t -> int
 (** The highest epoch this coordinator has announced, been fenced by, or
@@ -253,10 +263,7 @@ val sync_sessions : t -> int
 (** Rebuild the session table from the workers' [SESSIONS] listings — the
     standby's takeover path (every OPEN was broadcast, so the union over
     reachable workers recovers the table; locally known sessions are kept).
-    A learned session treats the workers outside its window as spill
-    holders until their tokens read empty (a read-only coordinator never
-    drops one), so sets the old primary spilled are still counted.  Returns
-    the number of sessions learned. *)
+    Returns the number of sessions learned. *)
 
 val session_descs : t -> Delphic_server.Protocol.session_desc list
 (** The sessions this coordinator routes, sorted by name — what [SESSIONS]
@@ -266,8 +273,11 @@ val flush : t -> unit
 (** Ship every staged payload and drain every pipelined ingest ack.
     {!close} and {!shutdown} call it; a gather does not — its [FETCH]
     queues behind the worker's staged frames, and reading the reply
-    retires the acks owed ahead of it.  Exposed for tests and benchmarks. *)
+    retires the acks owed ahead of it.  Sets waiting for a replica stay
+    waiting: a gather or the session's next payload releases them.
+    Exposed for tests and benchmarks. *)
 
 val shutdown : t -> unit
 (** Flush, then close every worker connection.  The workers keep running —
-    they own the sessions. *)
+    they own the sessions.  Sets still waiting for a replica are lost, and
+    their count is logged. *)

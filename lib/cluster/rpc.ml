@@ -160,8 +160,6 @@ let stage t req =
   P.encode_request_v2_sink t.scratch req;
   Frame.frame_sink_into t.buf t.scratch
 
-let staged_bytes t = Buffer.length t.buf
-
 let write_all t payload =
   let n = String.length payload in
   let off = ref 0 in

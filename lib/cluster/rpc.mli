@@ -94,9 +94,6 @@ val stage : t -> Delphic_server.Protocol.request -> unit
     {!send}/{!call}, which drain the buffer first); staged requests reach
     the wire in staging order as a single coalesced write. *)
 
-val staged_bytes : t -> int
-(** Bytes currently staged and unsent — a flush-policy input. *)
-
 val flush_staged : t -> (unit, string) result
 (** Ship every staged request in one write+flush.  On [Error] the staged
     bytes are discarded (a retry on the same socket could split a frame);

@@ -400,7 +400,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      shared hash as in theta sketches), so the folded estimate lies between
      |∪| and the sum of the per-source union sizes; the cluster therefore
      keeps each session's stream on one estimator and folds only external
-     merges and spills.  Empty sources are
+     merges.  Empty sources are
      skipped, and a single non-empty source is copied verbatim — no coin,
      no halving — so a copy and a merge with an empty sketch are the exact
      identity. *)

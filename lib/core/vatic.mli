@@ -182,7 +182,7 @@ module Make (F : Delphic_family.Family.FAMILY) : sig
       between the shards' streams, so a caller that can keep overlapping
       sets on one shard should; the cluster never relies on this fold for
       its answers — it keeps each session on one estimator, replicated as
-      whole copies, and folds only spill holders and [MERGE]d tokens.
+      whole copies, and folds only [MERGE]d tokens.
 
       Raises [Invalid_argument] on an empty list, on sources built with
       different [(ε, δ, log2|Ω|, mode, B)] parameters, or on an entry level

@@ -9,9 +9,6 @@ val crc32 : string -> int
 
 val crc32_bytes : Bytes.t -> pos:int -> len:int -> int
 
-val be32 : Buffer.t -> int -> unit
-(** Append [v] as 4 big-endian bytes. *)
-
 val read_be32 : string -> int -> int
 (** Read 4 big-endian bytes at [off].  No bounds checking beyond the
     string's own. *)
@@ -41,7 +38,6 @@ type sink
 
 val sink_create : int -> sink
 val sink_clear : sink -> unit
-val sink_len : sink -> int
 
 val sink_contents : sink -> string
 (** A copy of the bytes written since the last {!sink_clear}. *)

@@ -9,11 +9,6 @@ type session = {
   mutable parse_rejects : int;
   mutable last_estimate : float;
   mutable merges : int;
-  mutable wire_cache : (float option * string) option;
-      (* the session's Fetch token keyed by the fetch's cutoff, memoised
-         until the next mutation: a coordinator polling EST (or WIN at a
-         stable cutoff bucket) on a quiescent shard pays the snapshot encode
-         once, not per gather *)
   mutable version : int;
       (* names the session's state for a versioned fetch; redrawn from
          [versions] at every mutation *)
@@ -28,10 +23,7 @@ type session = {
 let versions = Atomic.make 0
 let next_version () = 1 + Atomic.fetch_and_add versions 1
 
-(* Every mutation drops the memoised token and moves the version. *)
-let touch s =
-  s.wire_cache <- None;
-  s.version <- next_version ()
+let touch s = s.version <- next_version ()
 
 (* No lock: one thread owns a registry — a server's event loop, which also
    runs its checkpoints. *)
@@ -71,7 +63,6 @@ let open_session t ~name ~family ~epsilon ~delta ~log2_universe =
           parse_rejects = 0;
           last_estimate = 0.0;
           merges = 0;
-          wire_cache = None;
           version = next_version ();
         };
       Ok ()
@@ -161,14 +152,9 @@ let fetch_since ?cutoff t ~name ~since =
   with_session t name (fun s ->
       if since = s.version then Ok (s.version, None)
       else
-        match s.wire_cache with
-        | Some (key, encoded) when key = cutoff -> Ok (s.version, Some encoded)
-        | _ -> (
-          match Families.encode ~merges:s.merges ?cutoff s.runner with
-          | Ok encoded ->
-            s.wire_cache <- Some (cutoff, encoded);
-            Ok (s.version, Some encoded)
-          | Error msg -> Error (Protocol.Server_error msg)))
+        match Families.encode ~merges:s.merges ?cutoff s.runner with
+        | Ok encoded -> Ok (s.version, Some encoded)
+        | Error msg -> Error (Protocol.Server_error msg))
 
 let fetch ?cutoff t ~name =
   Result.map (fun (_, token) -> Option.get token) (fetch_since ?cutoff t ~name ~since:0)
@@ -250,7 +236,6 @@ let restore_from t ~name ~path =
             parse_rejects = 0;
             last_estimate = 0.0;
             merges = (Io.header io).Io.merges;
-            wire_cache = None;
             version = next_version ();
           };
         Ok ())

@@ -79,17 +79,11 @@ val fetch : ?cutoff:float -> t -> name:string -> (string, Protocol.error) result
 (** The session's state as one binary {!Delphic_core.Snapshot_io} token —
     the worker half of the cluster's gather step.  With [cutoff], entries
     last seen before that absolute instant are dropped from the token
-    ({!Families.encode}) — the windowed gather.  The token
-    is memoised per [(cutoff, state)] pair, so repeated idle gathers at a
-    stable cutoff bucket encode once. *)
-
-val fetch_since :
-  ?cutoff:float ->
-  t -> name:string -> since:int -> (int * string option, Protocol.error) result
-(** The versioned {!fetch}: the session's version, with [None] in place of
-    the token while the version still equals [since].  Every mutation
-    draws a new version from one counter per process (starting at 1), so
-    [since = 0] always gets the token. *)
+    ({!Families.encode}) — the windowed gather.  Each call encodes afresh;
+    a repeated gather asks the versioned [FETCH] through {!dispatch}, which
+    answers [UNCHANGED] while the version it names is still the session's.
+    Every mutation draws a new version from one counter per process
+    (starting at 1), so version 0 always gets the token. *)
 
 val merge_in : t -> name:string -> encoded:string -> (unit, Protocol.error) result
 (** Fold a snapshot token into session [name] (the two-source
@@ -100,15 +94,11 @@ val merge_in : t -> name:string -> encoded:string -> (unit, Protocol.error) resu
 val default_expr_samples : int
 (** Union draws per [EXPR] query when the request carries no [m=] (256). *)
 
-val max_expr_samples : int
-(** Hard cap on requested [m=] (65536); larger requests are clamped, not
-    refused — more samples only cost time. *)
-
 val expr_plan :
   expr:Protocol.Expr_ast.t -> m:int option -> (string list * int, Protocol.error) result
 (** The distinct leaf names an [EXPR] reads and its draw count ([m], default
-    {!default_expr_samples}, clamped to {!max_expr_samples}).  [Error
-    (Bad_params _)] when the expression names more than
+    {!default_expr_samples}, clamped to 65536 — more samples only cost
+    time).  [Error (Bad_params _)] when the expression names more than
     {!Delphic_expr.Expr.max_leaves} distinct sessions — checked before any
     leaf is read, here and on a coordinator. *)
 

@@ -24,38 +24,6 @@ type t = {
 
 let loop_exn t = match t.loop with Some l -> l | None -> assert false
 
-(* A journal-less server still answers HELLO: the fence only compares
-   generations for equality, so any value that differs across restarts of
-   the same process slot works.  A collision would silently skip the
-   coordinator's restart resync, so draw real entropy rather than hashing
-   (pid, time) — 30 random bits from the OS, with the hash only as a
-   fallback for hosts without /dev/urandom.  High bit keeps the value clear
-   of journal generations, which count up from 1. *)
-let ephemeral_generation () =
-  let entropy =
-    match open_in_bin "/dev/urandom" with
-    | exception Sys_error _ -> None
-    | ic ->
-      let v =
-        match really_input_string ic 4 with
-        | s ->
-          Some
-            ((Char.code s.[0] lsl 24)
-            lor (Char.code s.[1] lsl 16)
-            lor (Char.code s.[2] lsl 8)
-            lor Char.code s.[3])
-        | exception End_of_file -> None
-      in
-      close_in_noerr ic;
-      v
-  in
-  let entropy =
-    match entropy with
-    | Some v -> v
-    | None -> Hashtbl.hash (Unix.getpid (), Unix.gettimeofday (), Sys.time ())
-  in
-  0x40000000 lor (entropy land 0x3FFFFFFF)
-
 (* An ADD/ADDB without an explicit t= gets stamped here, at receive time,
    BEFORE dispatch and journaling — so the journal record carries the
    resolved timestamp and replay preserves window semantics.  Pre-timestamp
@@ -264,7 +232,7 @@ let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
       restored
   in
   let generation =
-    match wal with Some (w, _) -> Wal.generation w | None -> ephemeral_generation ()
+    match wal with Some (w, _) -> Wal.generation w | None -> Wal.random_generation ()
   in
   let t =
     {
@@ -293,7 +261,6 @@ let port t = t.port
 let registry t = t.registry
 let restored t = t.restored
 let generation t = t.generation
-let coord_epoch t = Atomic.get t.coord_epoch
 let request_stop t = Evloop.stop (loop_exn t)
 
 let serve t =

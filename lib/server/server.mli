@@ -88,12 +88,6 @@ val generation : t -> int
     number.  Either way it differs across restarts, which is all the
     cluster's rejoin fence compares. *)
 
-val coord_epoch : t -> int
-(** Highest coordinator fencing epoch any connection has announced with
-    [COORD] (0 until fencing is engaged).  Mutations arriving on a
-    connection stamped with a lower announce are refused with
-    [ERR FENCED <epoch>] — how a deposed primary's late writes die. *)
-
 val serve : t -> unit
 (** Run the event loop on the calling thread until {!request_stop}; on the
     way out, close client connections and snapshot all sessions to the

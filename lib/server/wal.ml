@@ -56,24 +56,59 @@ let journal_path dir = Filename.concat dir "journal"
 let generation_path dir = Filename.concat dir "generation"
 let checkpoint_dir t = Filename.concat t.dir "checkpoint"
 
+(* A generation no earlier process in the same slot is likely to have
+   served.  The fence only compares generations for equality, and a
+   collision would silently skip the coordinator's restart resync, so draw
+   real entropy rather than hashing (pid, time) — 30 random bits from the
+   OS, with the hash only as a fallback for hosts without /dev/urandom.
+   The 2^30 bit keeps the value nonzero: a coordinator reads 0 as "never
+   asked". *)
+let random_generation () =
+  let entropy =
+    match open_in_bin "/dev/urandom" with
+    | exception Sys_error _ -> None
+    | ic ->
+      let v =
+        match really_input_string ic 4 with
+        | s ->
+          Some
+            ((Char.code s.[0] lsl 24)
+            lor (Char.code s.[1] lsl 16)
+            lor (Char.code s.[2] lsl 8)
+            lor Char.code s.[3])
+        | exception End_of_file -> None
+      in
+      close_in_noerr ic;
+      v
+  in
+  let entropy =
+    match entropy with
+    | Some v -> v
+    | None -> Hashtbl.hash (Unix.getpid (), Unix.gettimeofday (), Sys.time ())
+  in
+  0x40000000 lor (entropy land 0x3FFFFFFF)
+
 (* Bump-and-persist: read the last epoch, write epoch+1 via tmp + rename +
    fsync so a crash mid-update leaves either the old or the new number,
-   never a torn one.  The fence only needs monotonicity, not contiguity. *)
+   never a torn one.  The fence only needs monotonicity, not contiguity.
+   A directory with no readable epoch starts from a random one: a worker
+   restarted on a wiped directory must not answer the generation its
+   predecessor did, or the coordinator takes the restart for a blip. *)
 let next_generation dir =
   let path = generation_path dir in
   let prev =
     match open_in path with
-    | exception Sys_error _ -> 0
+    | exception Sys_error _ -> None
     | ic ->
       let g =
         match input_line ic with
-        | line -> Option.value (int_of_string_opt (String.trim line)) ~default:0
-        | exception End_of_file -> 0
+        | line -> int_of_string_opt (String.trim line)
+        | exception End_of_file -> None
       in
       close_in_noerr ic;
       g
   in
-  let gen = prev + 1 in
+  let gen = match prev with Some g -> g + 1 | None -> random_generation () in
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect

@@ -53,11 +53,13 @@
 
     {2 Generation fencing}
 
-    Every {!open_} bumps and persists an integer generation.  A worker
-    returns it in the [HELLO] handshake; a coordinator that sees the number
-    change across a reconnect knows it is talking to a restarted process
-    whose state is only as fresh as the journal, and re-drives the delta
-    instead of assuming the connection blip preserved everything. *)
+    Every {!open_} bumps and persists an integer generation; a directory
+    with none starts from {!random_generation}, so a worker restarted on a
+    wiped directory does not repeat its predecessor's.  A worker returns
+    it in the [HELLO] handshake; a coordinator that sees the number change
+    across a reconnect knows it is talking to a restarted process whose
+    state is only as fresh as the journal, and re-drives the delta instead
+    of assuming the connection blip preserved everything. *)
 
 type fsync_policy =
   | Always  (** fsync after every record: survives power cuts, slowest *)
@@ -83,6 +85,10 @@ val open_ : dir:string -> fsync:fsync_policy -> t
 val generation : t -> int
 (** The epoch persisted by this {!open_} — strictly greater than any
     earlier process's over the same directory. *)
+
+val random_generation : unit -> int
+(** A nonzero 30-bit draw from the OS's entropy: where a fresh directory's
+    generation starts, and what a journal-less server answers to [HELLO]. *)
 
 val checkpoint_dir : t -> string
 

@@ -1,8 +1,9 @@
 (* Statistical service oracle.  Seeded op sequences — OPEN, ADDB, MERGE,
    EST, WIN — with one fault per run (a worker killed and restarted from
-   its WAL, or partitioned away and healed, or none), run against an
-   in-process loopback cluster of three journaled workers at R = 1 and
-   R = 2, and scored against [Exact]:
+   its WAL; the sketch session's home killed the same way while a full
+   window of its sets is unacknowledged; a worker partitioned away and
+   healed; or none), run against an in-process loopback cluster of three
+   journaled workers at R = 1 and R = 2, and scored against [Exact]:
 
    - exact-regime answers must match bitwise: every mid-stream EST/WIN that
      is not DEGRADED, and the settled answer once the fault has healed;
@@ -10,7 +11,10 @@
      more than ε with probability up to δ, and a per-run (1±ε) assert would
      fail a correct estimator δ of the time.  Each seed contributes its
      settled answer; a seed set is rejected only when the binomial tail
-     P[X >= misses | n, δ] falls below 1e-3.
+     P[X >= misses | n, δ] falls below 1e-3, and the failure names each
+     seed that missed, with its fault and settled ratio;
+   - once settled, no worker outside a session's replica window holds any
+     of its items: one session, one estimator, whatever failed.
 
    [test_oracle.ml] runs a fast seed set with the rest of the suite;
    [full.exe] runs 30 seeds per replication factor (CI runs it on its own:
@@ -83,10 +87,33 @@ let stop_worker (s, th) =
   Server.request_stop s;
   Thread.join th
 
-type fault = Kill_restart | Partition_heal | No_fault
+type fault = Kill_restart | Kill_window | Partition_heal | No_fault
 
-(* One seeded run; returns [Some miss] for the sketch session's settled
-   answer ([None] if it unexpectedly stayed exact and was checked
+let fault_name = function
+  | Kill_restart -> "kill"
+  | Kill_window -> "kill with a full window unacked"
+  | Partition_heal -> "partition"
+  | No_fault -> "no fault"
+
+(* The coordinator's placement: a session's replica window starts at ring
+   position [Hashtbl.hash name mod n]. *)
+let in_window ~replicas ~n name i = (i - (Hashtbl.hash name mod n) + n) mod n < replicas
+
+(* The items worker [port]'s copy of [name] holds, asked over a plain
+   connection. *)
+let items_on ~ctx port name =
+  match Rpc.connect ~host:"127.0.0.1" ~port ~timeout:2.0 () with
+  | Error e -> Alcotest.failf "%s: dial worker: %s" ctx (Rpc.describe_connect_error e)
+  | Ok c ->
+    let r = Rpc.call c (P.Stats { session = name }) in
+    Rpc.close c;
+    (match r with
+    | Ok (P.Stats_reply st) -> st.P.items
+    | Ok r -> Alcotest.failf "%s: worker STATS %s: %s" ctx name (P.render_response r)
+    | Error msg -> Alcotest.failf "%s: worker STATS %s: %s" ctx name msg)
+
+(* One seeded run; returns the fault and the sketch session's settled
+   ratio to truth ([None] if it unexpectedly stayed exact and was checked
    bitwise). *)
 let run ~replicas seed =
   let rng = Rng.create ~seed:((seed * 7919) + replicas) in
@@ -107,9 +134,10 @@ let run ~replicas seed =
       io_write = Chaos.wrap_write chaos Unix.write_substring;
     }
   in
+  let window = 64 in
   let coord =
     Coordinator.create ~replicas ~timeout:0.25 ~retries:1 ~backoff:0.01 ~batch:16
-      ~window:64 ~io
+      ~window ~io
       ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
       ~seed:(seed + 77) ()
   in
@@ -149,8 +177,20 @@ let run ~replicas seed =
   let check_exact what value expected =
     Alcotest.(check (float 0.0)) (Printf.sprintf "%s: %s is exact" ctx what) expected value
   in
-  let fault = match Rng.int rng 3 with 0 -> Kill_restart | 1 -> Partition_heal | _ -> No_fault in
+  (* one draw in six: two kill, two partition, one each for the window
+     shape and no fault — a seed's kill or partition stays the one it drew
+     before the window shape existed *)
+  let fault =
+    match Rng.int rng 6 with
+    | 0 | 3 -> Kill_restart
+    | 1 | 4 -> Partition_heal
+    | 2 -> Kill_window
+    | _ -> No_fault
+  in
   let victim = Rng.int rng 3 in
+  (* the window shape fells the sketch session's home: at R = 1 its only
+     replica *)
+  let victim = if fault = Kill_window then Hashtbl.hash k mod 3 else victim in
   let fault_at = 1 + Rng.int rng 4 in
   let heal_at = fault_at + 2 + Rng.int rng 4 in
   let down = ref false in
@@ -158,7 +198,7 @@ let run ~replicas seed =
     if !down then begin
       down := false;
       match fault with
-      | Kill_restart ->
+      | Kill_restart | Kill_window ->
         workers.(victim) <-
           start_worker ~n:(base + victim) ~port:ports.(victim) ~seed:((seed * 31) + victim + 100)
       | Partition_heal -> Chaos.heal chaos
@@ -172,6 +212,12 @@ let run ~replicas seed =
       down := true;
       match fault with
       | Kill_restart -> stop_worker workers.(victim)
+      | Kill_window ->
+        (* every earlier ack read, then one set short of a window shipped
+           to the home and none of its acks read *)
+        Coordinator.flush coord;
+        addb k ks (big gen (window - 1));
+        stop_worker workers.(victim)
       | Partition_heal -> Chaos.partition chaos [ ports.(victim) ]
       | No_fault -> ()
     end;
@@ -215,11 +261,20 @@ let run ~replicas seed =
     | Ok st when st.P.exact ->
       check_exact "sketch session still exact" estimate exact_k;
       None
-    | Ok _ ->
-      let epsilon, _, _ = sketch_params in
-      Some (Float.abs ((estimate /. exact_k) -. 1.0) > epsilon)
+    | Ok _ -> Some (fault, estimate /. exact_k)
     | Error e -> Alcotest.failf "%s: STATS: %s" ctx (P.describe_error e)
   in
+  List.iter
+    (fun name ->
+      Array.iteri
+        (fun i port ->
+          if not (in_window ~replicas ~n:3 name i) then
+            Alcotest.(check int)
+              (Printf.sprintf "%s (%s): worker %d, outside %s's window, holds none of it" ctx
+                 (fault_name fault) i name)
+              0 (items_on ~ctx port name))
+        ports)
+    [ x; k ];
   Coordinator.shutdown coord;
   Array.iter stop_worker workers;
   for i = 0 to 2 do
@@ -229,14 +284,25 @@ let run ~replicas seed =
   result
 
 let seed_set ~replicas seeds () =
-  let outcomes = List.filter_map (run ~replicas) seeds in
+  let outcomes =
+    List.filter_map (fun seed -> Option.map (fun o -> (seed, o)) (run ~replicas seed)) seeds
+  in
   let n = List.length outcomes in
-  let misses = List.length (List.filter Fun.id outcomes) in
-  let _, delta, _ = sketch_params in
+  let epsilon, delta, _ = sketch_params in
+  let missed =
+    List.filter (fun (_, (_, ratio)) -> Float.abs (ratio -. 1.0) > epsilon) outcomes
+  in
+  let misses = List.length missed in
   let tail = Delphic_util.Special.binomial_tail ~n ~p:delta misses in
   Alcotest.(check bool)
     (Printf.sprintf
-       "R=%d: %d of %d sketch answers miss by more than ε; P[X >= %d | n = %d, δ = %.1f] = %.2g \
-        must not fall below 1e-3"
-       replicas misses n misses n delta tail)
+       "R=%d: %d of %d sketch answers miss by more than ε (%s); P[X >= %d | n = %d, δ = %.1f] \
+        = %.2g must not fall below 1e-3"
+       replicas misses n
+       (String.concat ", "
+          (List.map
+             (fun (seed, (fault, ratio)) ->
+               Printf.sprintf "seed %d, %s: %.3f× truth" seed (fault_name fault) ratio)
+             missed))
+       misses n delta tail)
     true (tail >= 1e-3)

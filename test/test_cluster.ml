@@ -2,7 +2,8 @@
    servers, a real coordinator, real sockets.  Streams a rect workload
    through the scatter path, checks the gathered estimate against exact
    truth, then kills a session's home worker mid-stream and checks the
-   cluster keeps answering — flagged degraded, still inside the envelope. *)
+   cluster keeps answering — flagged degraded from its last good sketch —
+   and counts every acknowledged set once the home is back. *)
 
 module Server = Delphic_server.Server
 module Wal = Delphic_server.Wal
@@ -38,6 +39,19 @@ let stop_worker (s, th) =
   Server.request_stop s;
   Thread.join th
 
+(* Start worker [n] again on [port], once the stopped one has let it go:
+   from [wal] when given, else from whatever its spool holds. *)
+let restart_worker ?wal n ~port ~seed =
+  let rec create tries =
+    match Server.create ?wal ~port ~spool:(spool n) ~seed () with
+    | s -> s
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 0 ->
+      Thread.delay 0.05;
+      create (tries - 1)
+  in
+  let s = create 40 in
+  (s, Server.start s)
+
 let payload_of box =
   let lo = Rectangle.lo box and hi = Rectangle.hi box in
   let b = Buffer.create 32 in
@@ -67,8 +81,32 @@ let ok = function
     Alcotest.failf "unexpected error: %s"
       (P.render_response (P.Error_reply e))
 
+let wait_for ~timeout msg pred =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    match pred () with
+    | Some v -> v
+    | None ->
+      if Unix.gettimeofday () > deadline then Alcotest.fail msg
+      else begin
+        Thread.delay 0.02;
+        go ()
+      end
+  in
+  go ()
+
+(* The first answer of a gather that is not DEGRADED: a restarted worker
+   is redialled once its quarantine runs out. *)
+let settled_estimate coord ~name =
+  wait_for ~timeout:10.0 "the gather never came back fresh" (fun () ->
+      match Coordinator.estimate coord ~name with
+      | Ok (v, false, _) -> Some v
+      | Ok (_, true, _) | Error _ -> None)
+
 let test_scatter_gather_failover () =
-  let workers = List.init 3 (fun n -> start_worker n ~seed:(100 + n)) in
+  let workers = Array.init 3 (fun n -> start_worker n ~seed:(100 + n)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let workers = Array.to_list workers in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
   let coord =
     Coordinator.create ~timeout:5.0 ~backoff:0.01 ~workers:addrs ~seed:4242 ()
@@ -108,20 +146,28 @@ let test_scatter_gather_failover () =
   Alcotest.(check int) "and lands nowhere" (List.length stream) st.P.items;
 
   (* kill the session's home; its sketch survives as the coordinator's
-     last good snapshot from the phase-1 gather, and the rest spills *)
+     last good snapshot from the phase-1 gather, and the rest waits for
+     the home at the coordinator *)
   let victim = home "e2e" 3 in
   stop_worker (List.nth workers victim);
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"e2e" ~payload:(payload_of b)))
-    (Workload.Orders.bursty ~copies:10 rest);
+    (Workload.Orders.bursty ~copies:2 rest);
   let est2, degraded2, _ = ok (Coordinator.estimate coord ~name:"e2e") in
   Alcotest.(check bool) "degraded after losing a worker" true degraded2;
-  check_close "phase 2" est2 (truth (first @ rest));
+  check_close "phase 2 answers from the last good sketch" est2 (truth first);
 
-  (* the folded sketch round-trips as one snapshot token: cluster-of-clusters *)
+  (* the sketch round-trips as one snapshot token: cluster-of-clusters *)
   let encoded = ok (Coordinator.fetch coord ~name:"e2e") in
   Alcotest.(check bool) "sketch is one decodable token" true
     (Result.is_ok (Delphic_core.Snapshot_io.decode encoded));
+
+  (* the home comes back from the spool its stop wrote, and the waiting
+     sets land on it *)
+  let revived = restart_worker victim ~port:ports.(victim) ~seed:(110 + victim) in
+  let workers = List.mapi (fun i w -> if i = victim then revived else w) workers in
+  check_close "phase 3 counts the waiting sets" (settled_estimate coord ~name:"e2e")
+    (truth (first @ rest));
 
   (* a sketch built outside the pool joins the union through MERGE *)
   let extra =
@@ -160,17 +206,20 @@ let test_scatter_gather_failover () =
 
   ok (Coordinator.close coord ~name:"e2e");
   Coordinator.shutdown coord;
-  List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
+  List.iter stop_worker workers;
   List.iteri (fun n _ -> rm_rf (spool n)) workers
 
 (* Mid-stream worker kill during batched scatter must lose no acked set.
    Small exact-regime sessions make the check sharp: every worker sketch
-   stays an exact element list and the folded estimate equals the exact
-   union, so a single dropped set would show as a wrong count, not as
-   tolerable noise.  A small batch/window forces many partially-filled
-   frames across the kill boundary. *)
+   stays an exact element list and the estimate equals the exact union,
+   so a single dropped set would show as a wrong count, not as tolerable
+   noise.  A small batch/window forces partially-filled frames across the
+   kill boundary.  The home comes back without its spool: it is replaced
+   from the last good sketch, and the sets that waited for it land. *)
 let test_batched_kill_no_loss () =
-  let workers = List.init 2 (fun n -> start_worker (20 + n) ~seed:(300 + n)) in
+  let workers = Array.init 2 (fun n -> start_worker (20 + n) ~seed:(300 + n)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let workers = Array.to_list workers in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
   let coord =
     Coordinator.create ~timeout:5.0 ~backoff:0.01 ~batch:8 ~window:32
@@ -201,36 +250,29 @@ let test_batched_kill_no_loss () =
     rest;
   let est2, degraded2, _ = ok (Coordinator.estimate coord ~name:"nl") in
   Alcotest.(check bool) "degraded after the kill" true degraded2;
-  Alcotest.(check (float 0.0)) "no acked set lost" (truth (first @ rest)) est2;
+  Alcotest.(check (float 0.0)) "the last good sketch" (truth first) est2;
+  rm_rf (spool (20 + victim));
+  let revived = restart_worker (20 + victim) ~port:ports.(victim) ~seed:(310 + victim) in
+  Alcotest.(check (float 0.0)) "no acked set lost" (truth (first @ rest))
+    (settled_estimate coord ~name:"nl");
   ignore (Coordinator.close coord ~name:"nl");
   Coordinator.shutdown coord;
+  stop_worker revived;
   stop_worker (List.nth workers (1 - victim));
   List.iteri (fun n _ -> rm_rf (spool (20 + n))) workers
 
-let wait_for ~timeout msg pred =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec go () =
-    match pred () with
-    | Some v -> v
-    | None ->
-      if Unix.gettimeofday () > deadline then Alcotest.fail msg
-      else begin
-        Thread.delay 0.02;
-        go ()
-      end
-  in
-  go ()
-
 (* Cluster-wide WIN: the coordinator computes one absolute cutoff and ships
-   it in every Fetch, so the home and any spill holder expire against the
-   same instant — exact-regime content makes agreement a count equality,
-   not a tolerance check.  After a mid-ingest kill of the home the gather
-   answers DEGRADED from its last good (full) sketch plus the spilled sets,
-   and that fallback must be re-windowed coordinator-side: a stale sketch
-   honoring the cutoff contributes nothing old, so the degraded answer
-   still equals the exact suffix union. *)
+   it in the Fetch, so the replica expires against that instant —
+   exact-regime content makes agreement a count equality, not a tolerance
+   check.  After a mid-ingest kill of the home the gather answers DEGRADED
+   from its last good (full) sketch, and that fallback must be re-windowed
+   coordinator-side: a stale sketch honoring the cutoff contributes
+   nothing old, so the degraded answer equals the exact union of the band
+   it saw.  Once the home is back the waiting sets land on it. *)
 let test_win_cluster_kill () =
-  let workers = List.init 3 (fun n -> start_worker (40 + n) ~seed:(500 + n)) in
+  let workers = Array.init 3 (fun n -> start_worker (40 + n) ~seed:(500 + n)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let workers = Array.to_list workers in
   let addrs = List.map (fun (s, _) -> ("127.0.0.1", Server.port s)) workers in
   let coord =
     Coordinator.create ~timeout:5.0 ~backoff:0.01 ~batch:8 ~window:32
@@ -287,30 +329,35 @@ let test_win_cluster_kill () =
   let victim = home "w" 3 in
   stop_worker (List.nth workers victim);
   ingest ~t0:210.0 other;
-  (* the victim's staged payloads re-route to live workers on the flushes
-     that discover the dead connection; drive flushes until the degraded
-     windowed answer has absorbed them all *)
-  let wd =
-    wait_for ~timeout:10.0 "degraded WIN never absorbed the re-routed sets"
-      (fun () ->
-        Coordinator.flush coord;
-        match Coordinator.win coord ~name:"w" ~seconds:80.0 ~at:(Some 240.0) with
-        | Ok (v, true, _) when v = truth late -> Some v
-        | Ok _ | Error _ -> None)
-  in
-  (* cutoff 160: only the [late] band survives.  The victim's fallback is
-     its last good FULL sketch (first @ rest @ half) — were it not
-     re-windowed, [wd] would overshoot by the victim's old shard *)
-  Alcotest.(check (float 0.0)) "DEGRADED answer honors the cutoff" (truth late) wd;
+  let wd, dd, _ = ok (Coordinator.win coord ~name:"w" ~seconds:80.0 ~at:(Some 240.0)) in
+  Alcotest.(check bool) "WIN degraded after the kill" true dd;
+  (* cutoff 160: only the [late] band survives, and the last good sketch
+     saw its first half.  That fallback is the victim's FULL sketch
+     (first @ rest @ half) — were it not re-windowed, [wd] would count the
+     old bands too *)
+  Alcotest.(check (float 0.0)) "DEGRADED answer honors the cutoff" (truth half) wd;
   let wall, degraded_all, _ =
     ok (Coordinator.win coord ~name:"w" ~seconds:infinity ~at:None)
   in
   Alcotest.(check bool) "full window still degraded" true degraded_all;
+  Alcotest.(check (float 0.0)) "the full last good sketch" (truth (first @ rest @ half)) wall;
+  (* the home restarts from the spool its stop wrote; the other half of
+     the band waited for it *)
+  let revived = restart_worker (40 + victim) ~port:ports.(victim) ~seed:(510 + victim) in
+  let workers = List.mapi (fun i w -> if i = victim then revived else w) workers in
+  let wfresh =
+    wait_for ~timeout:10.0 "WIN never came back fresh" (fun () ->
+        match Coordinator.win coord ~name:"w" ~seconds:80.0 ~at:(Some 240.0) with
+        | Ok (v, false, _) -> Some v
+        | Ok (_, true, _) | Error _ -> None)
+  in
+  Alcotest.(check (float 0.0)) "fresh WIN counts the waiting sets" (truth late) wfresh;
+  let wall, _, _ = ok (Coordinator.win coord ~name:"w" ~seconds:infinity ~at:None) in
   Alcotest.(check (float 0.0)) "no acked set lost across the kill"
     (truth (first @ rest @ late)) wall;
   ignore (Coordinator.close coord ~name:"w");
   Coordinator.shutdown coord;
-  List.iteri (fun i w -> if i <> victim then stop_worker w) workers;
+  List.iter stop_worker workers;
   List.iteri (fun n _ -> rm_rf (spool (40 + n))) workers
 
 (* The gather gives the whole collect phase ONE shared deadline.  Four
@@ -457,22 +504,29 @@ let dials srv =
   in
   go 0
 
-(* Re-routing a dead worker's window dials each other worker at most once.
-   R = 1 over three workers: the session's home is a real server, the other
-   two are hung listeners whose short quarantine expires during each
-   0.3 s HELLO wait.  The home stops with eight payloads staged on it;
-   the EST that finds it dead re-routes them, finds no live worker and
-   answers DEGRADED from the last good sketch.  Dialing once per payload
-   would reach each hung listener again each time its quarantine ran out. *)
+(* Re-routing a dead worker's window dials each other replica at most once.
+   R = 3 over three workers: the session's home is a real server, and its
+   two peers refuse connections until, with the home stopped and eight
+   payloads staged on it, each becomes a hung listener.  The flush that
+   finds the home dead re-routes its window: each peer is dialed, its HELLO
+   waits out the 0.3 s timeout, and the window waits for a replica.
+   Picking targets per payload would dial each listener again whenever its
+   short quarantine ran out during the other's wait. *)
 let test_reroute_dials_once () =
   let name = List.find (fun n -> home n 3 = 0) (List.init 50 (Printf.sprintf "rd%d")) in
   let a = start_worker 130 ~seed:6000 in
+  (* two free ports, refusing connections until the listeners bind them *)
+  let free_port () =
+    let srv, p = Test_failover.raw_listener ~backlog:1 () in
+    Unix.close srv;
+    p
+  in
   (* a dial into a listener that never accepts connects, and its HELLO
      then waits out the whole timeout: a worker whose loop is stuck *)
-  let hung () = Test_failover.raw_listener ~backlog:64 in
-  let (h1, p1) = hung () and (h2, p2) = hung () in
+  let hung port = fst (Test_failover.raw_listener ~port ~backlog:64 ()) in
+  let p1 = free_port () and p2 = free_port () in
   let coord =
-    Coordinator.create ~timeout:0.3 ~backoff:0.01
+    Coordinator.create ~replicas:3 ~timeout:0.3 ~retries:0 ~backoff:0.001
       ~workers:[ ("127.0.0.1", Server.port (fst a)); ("127.0.0.1", p1); ("127.0.0.1", p2) ]
       ~seed:6060 ()
   in
@@ -489,19 +543,132 @@ let test_reroute_dials_once () =
   let est1, degraded1, _ = ok (Coordinator.estimate coord ~name) in
   Alcotest.(check bool) "home answers fresh" false degraded1;
   Alcotest.(check (float 0.0)) "home exact" (truth before) est1;
-  stop_worker a;
-  ignore (dials h1);
-  ignore (dials h2);
-  Thread.delay 0.1 (* past the quarantine the OPEN's dials left *);
   List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) after;
+  stop_worker a;
+  let h1 = hung p1 and h2 = hung p2 in
+  Thread.delay 0.2 (* past the quarantines the refused dials left *);
+  Coordinator.flush coord;
+  Alcotest.(check (pair int int)) "each hung replica dialed once" (1, 1) (dials h1, dials h2);
   let est2, degraded2, _ = ok (Coordinator.estimate coord ~name) in
-  Alcotest.(check bool) "degraded without a live worker" true degraded2;
+  Alcotest.(check bool) "degraded without a live replica" true degraded2;
   Alcotest.(check (float 0.0)) "last good sketch" (truth before) est2;
-  Alcotest.(check (pair int int)) "each hung worker dialed once" (1, 1) (dials h1, dials h2);
   Coordinator.shutdown coord;
   Unix.close h1;
   Unix.close h2;
   rm_rf (spool 130)
+
+(* R = 1 over three journaled workers, with the session's home stopped
+   after an EST has noticed it.  While it is down, [window] new sets are
+   acknowledged and wait at the coordinator, and the next one is refused
+   with an error naming the session; EST answers DEGRADED from the last
+   good sketch, and no worker outside the window takes a set.  Once the
+   home restarts from its journal the waiting sets land on it, and the
+   settled answer counts every acknowledged set exactly. *)
+let test_outage_waits_for_the_home () =
+  let name = "out" in
+  let window = 16 in
+  let wal n =
+    { Server.dir = spool (150 + n) ^ "-wal"; fsync = Wal.Interval 0.05; checkpoint_every = 64 }
+  in
+  let rm_wal n =
+    let dir = (wal n).Server.dir in
+    rm_rf (Filename.concat dir "checkpoint");
+    rm_rf dir
+  in
+  let workers =
+    Array.init 3 (fun n ->
+        rm_wal n;
+        rm_rf (spool (150 + n));
+        restart_worker ~wal:(wal n) (150 + n) ~port:0 ~seed:(1500 + n))
+  in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let coord =
+    Coordinator.create ~timeout:0.3 ~backoff:0.01 ~batch:4 ~window
+      ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+      ~seed:1515 ()
+  in
+  let gen = Rng.create ~seed:151 in
+  let first = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:10 ~max_side:6 in
+  let waiting =
+    Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:window ~max_side:6
+  in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) first;
+  Alcotest.(check (float 0.0)) "fresh before the outage" (truth first)
+    (settled_estimate coord ~name);
+  let victim = home name 3 in
+  stop_worker workers.(victim);
+  let _, noticed, _ = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check bool) "the EST notices the outage" true noticed;
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) waiting;
+  (match Coordinator.add coord ~name ~payload:"0 1 0 1" with
+  | Ok () -> Alcotest.fail "a set past the waiting window must be refused"
+  | Error e ->
+    Alcotest.(check string) "the refusal names the session"
+      (Printf.sprintf "session %s: %d sets already wait for an unreachable replica" name window)
+      (P.describe_error e));
+  let v, degraded, stale = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check bool) "DEGRADED while the home is down" true degraded;
+  Alcotest.(check (list int)) "the home is the stale position" [ victim ] stale;
+  Alcotest.(check (float 0.0)) "from the last good sketch" (truth first) v;
+  Array.iteri
+    (fun i (_, _) ->
+      if i <> victim then begin
+        let c = Test_server.connect ports.(i) in
+        (match P.parse_response (Test_server.rpc c ("STATS " ^ name)) with
+        | Ok (P.Stats_reply st) ->
+          Alcotest.(check int) (Printf.sprintf "worker %d outside the window holds nothing" i) 0
+            st.P.items
+        | _ -> Alcotest.failf "worker %d: STATS failed" i);
+        Test_server.disconnect c
+      end)
+    workers;
+  workers.(victim) <-
+    restart_worker ~wal:(wal victim) (150 + victim) ~port:ports.(victim) ~seed:(1600 + victim);
+  Alcotest.(check (float 0.0)) "every acknowledged set, exactly" (truth (first @ waiting))
+    (settled_estimate coord ~name);
+  Coordinator.shutdown coord;
+  Array.iter stop_worker workers;
+  Array.iteri
+    (fun n _ ->
+      rm_wal n;
+      rm_rf (spool (150 + n)))
+    workers
+
+(* A one-worker pool whose home dies with frames unacknowledged and comes
+   back empty.  No other worker can take the window, so it waits; at the
+   reconnect the home is replaced from the last good sketch first — its
+   CLOSE would wipe anything shipped earlier — and then the window lands.
+   The exact-regime answer counts every acknowledged set. *)
+let test_empty_home_gets_the_waiting_window () =
+  let name = "solo" in
+  let w = start_worker 160 ~seed:1700 in
+  let port = Server.port (fst w) in
+  let coord =
+    Coordinator.create ~timeout:0.3 ~backoff:0.01 ~batch:4 ~window:16
+      ~workers:[ ("127.0.0.1", port) ] ~seed:1717 ()
+  in
+  let gen = Rng.create ~seed:171 in
+  let first = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:10 ~max_side:6 in
+  let unacked = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:8 ~max_side:6 in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) first;
+  Alcotest.(check (float 0.0)) "fresh before the death" (truth first)
+    (settled_estimate coord ~name);
+  (* two full frames shipped, their acks not yet read *)
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) unacked;
+  stop_worker w;
+  rm_rf (spool 160);
+  let w = restart_worker 160 ~port ~seed:1800 in
+  Alcotest.(check (float 0.0)) "every acknowledged set" (truth (first @ unacked))
+    (settled_estimate coord ~name);
+  Coordinator.shutdown coord;
+  stop_worker w;
+  rm_rf (spool 160)
 
 (* The same line protocol end to end: a Frontend serving
    Coordinator.dispatch over TCP, exercised with a raw socket like any
@@ -1461,6 +1628,10 @@ let suite =
       test_slow_home_peer_answers;
     Alcotest.test_case "re-routing a dead worker's window dials each worker once" `Quick
       test_reroute_dials_once;
+    Alcotest.test_case "an outage at R=1 waits for the home and refuses past the window" `Quick
+      test_outage_waits_for_the_home;
+    Alcotest.test_case "a home that comes back empty gets the waiting window" `Quick
+      test_empty_home_gets_the_waiting_window;
     Alcotest.test_case "EXPR over a live cluster with worker loss" `Quick
       test_expr_cluster;
     Alcotest.test_case "sketch-regime EXPR on the coordinator" `Quick

@@ -6,6 +6,14 @@
 
 module Wal = Delphic_server.Wal
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -15,15 +23,7 @@ let fresh_dir =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "delphic-wal-%d-%d" (Unix.getpid ()) !n)
     in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
-    rm dir;
+    rm_rf dir;
     dir
 
 let journal dir = Filename.concat dir "journal"
@@ -450,11 +450,21 @@ let test_generation_fence () =
     (Printf.sprintf "generations strictly climb (%d < %d < %d)" g1 g2 g3)
     true
     (g1 < g2 && g2 < g3);
-  (* a different directory counts independently from 1 *)
+  (* a worker restarted on a wiped directory must not pass for the process
+     it replaces: a fresh directory starts from a random generation *)
   let other = fresh_dir () in
+  let first = Wal.open_ ~dir:other ~fsync:Wal.Never in
+  let g = Wal.generation first in
+  Wal.close first;
+  rm_rf other;
   let w = Wal.open_ ~dir:other ~fsync:Wal.Never in
-  Alcotest.(check int) "fresh directory starts over" 1 (Wal.generation w);
-  Wal.close w
+  Alcotest.(check bool)
+    (Printf.sprintf "a wiped directory never repeats its generation (%d, then %d)" g
+       (Wal.generation w))
+    true
+    (Wal.generation w <> g && Wal.generation w > 0);
+  Wal.close w;
+  rm_rf other
 
 let test_fsync_policy_strings () =
   let ok s p =
