@@ -612,11 +612,11 @@ let find_session t name =
 (* Where a session's next payload (or MERGE) goes: every usable replica of
    its window, and a replica left out is marked incomplete.  [] when no
    replica is usable: the payload then waits in the session's FIFO, and no
-   replica is marked, since none took anything its peers lack. *)
-let targets t si =
-  let live =
-    List.filter (fun w -> Option.is_some (ensure_conn t w) && not si.incomplete.(w.wid)) si.members
-  in
+   replica is marked, since none took anything its peers lack.  [dial:false]
+   counts only the connections already open. *)
+let targets ?(dial = true) t si =
+  let reachable w = if dial then Option.is_some (ensure_conn t w) else w.conn <> None in
+  let live = List.filter (fun w -> reachable w && not si.incomplete.(w.wid)) si.members in
   if live <> [] then
     List.iter (fun w -> if not (List.memq w live) then si.incomplete.(w.wid) <- true) si.members;
   live
@@ -631,13 +631,25 @@ let stage t ws name payload ~ts =
       if Queue.length w.staged >= t.batch then ship_worker t w)
     ws
 
-(* Stage the session's waiting sets on [ws], its usable replicas, oldest
-   first.  Only what waits now is released: a death while it ships parks
-   that worker's window in the FIFO again, for a later release. *)
-let release t si name ws =
-  let items = List.of_seq (Queue.to_seq si.waiting) in
-  Queue.clear si.waiting;
-  List.iter (fun (payload, ts) -> stage t ws name payload ~ts) items
+(* The session's [targets], with its waiting sets staged on them first,
+   oldest first, so whatever is staged next lands behind them.  With no
+   target the sets keep waiting.  Only what waits now is released: a death
+   while it ships parks that worker's window in the FIFO again, for a later
+   release.  Every path that places a session's sets goes through here. *)
+let place ?dial t si name =
+  let ws = targets ?dial t si in
+  if ws <> [] && not (Queue.is_empty si.waiting) then begin
+    let items = List.of_seq (Queue.to_seq si.waiting) in
+    Queue.clear si.waiting;
+    List.iter (fun (payload, ts) -> stage t ws name payload ~ts) items
+  end;
+  ws
+
+(* Release [name]'s waiting sets if a complete replica is usable.  A
+   session with nothing waiting is left alone: picking targets would mark
+   a down replica incomplete although nothing was placed without it. *)
+let release ?dial t name si =
+  if not (Queue.is_empty si.waiting) then ignore (place ?dial t si name)
 
 (* Mutations are refused while this coordinator may not own the pool: a
    warm standby answers queries only, and a deposed primary's writes are
@@ -654,7 +666,7 @@ let mutation_guard t =
    coordinator fenced; a re-routed payload was acknowledged already and
    always parks. *)
 let route ?(fresh = false) t si name payload ~ts =
-  match targets t si with
+  match place t si name with
   | [] ->
     let admitted =
       if not fresh then Ok ()
@@ -669,7 +681,6 @@ let route ?(fresh = false) t si name payload ~ts =
     in
     Result.map (fun () -> Queue.push (payload, ts) si.waiting) admitted
   | ws ->
-    release t si name ws;
     stage t ws name payload ~ts;
     Ok ()
 
@@ -700,7 +711,7 @@ let requeue t w =
     match Hashtbl.find_opt picked session with
     | Some ws when List.for_all (fun w -> w.conn <> None) ws -> ws
     | _ ->
-      let ws = targets t si in
+      let ws = place t si session in
       Hashtbl.replace picked session ws;
       ws
   in
@@ -821,11 +832,13 @@ let add_batch ?ts t ~name ~payloads =
         Ok (!accepted, List.rev !errors))
 
 let flush t =
-  (* Settle to quiescence: draining can park refused payloads, rerouting
-     them stages fresh frames, so repeat until nothing moves (bounded — a
-     refusal marks its replica incomplete, so a payload refused by every
-     replica ends up waiting). *)
+  (* Settle to quiescence: waiting sets are released onto the replicas
+     connected now (nothing is dialed), draining can park refused payloads,
+     rerouting them stages fresh frames, so repeat until nothing moves
+     (bounded — a refusal marks its replica incomplete, so a payload
+     refused by every replica ends up waiting). *)
   let rec go attempts =
+    Hashtbl.iter (release ~dial:false t) t.sessions;
     Array.iter
       (fun w ->
         flush_worker t w;
@@ -863,8 +876,7 @@ let flush t =
 let gather ?cutoff t si name =
   List.iter (fun w -> ignore (ensure_conn t w)) si.members;
   repair t si name;
-  if not (Queue.is_empty si.waiting) then (
-    match targets t si with [] -> () | ws -> release t si name ws);
+  release t name si;
   let deadline = Unix.gettimeofday () +. t.timeout in
   (* ask [w] for its token, naming the version the memo holds from [w]'s
      current connection at this cutoff *)
@@ -1218,6 +1230,15 @@ let session_descs t =
 
 let shutdown t =
   with_lock t (fun () ->
+      (* the last chance for waiting sets: dial each of their replicas
+         once more, quarantined or not *)
+      Hashtbl.iter
+        (fun name si ->
+          if not (Queue.is_empty si.waiting) then begin
+            List.iter (fun w -> w.quarantined_until <- 0.0) si.members;
+            release t name si
+          end)
+        t.sessions;
       flush t;
       let lost = Hashtbl.fold (fun _ si n -> n + Queue.length si.waiting) t.sessions 0 in
       if lost > 0 then

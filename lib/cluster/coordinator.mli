@@ -137,7 +137,10 @@ val add :
 (** Fire-and-forget into the pipeline: the payload is staged on the
     session's usable replicas and framed into an [ADDB] at the next flush
     point, or, with none usable, waits in the session's FIFO.  [Error]
-    names the session when [window] sets already wait there.  [ts] is the
+    names the session when [window] sets already wait there.  Waiting sets
+    exist only in this coordinator's memory: a crash or a standby takeover
+    loses them — at most [window] new sets plus each dead replica's
+    unacknowledged window per session.  [ts] is the
     ingest timestamp forwarded to the worker ([t=] on the wire); [None]
     lets the worker stamp its own receive time.  Parse errors surface
     asynchronously in {!stats} ([parse_rejects]), not here. *)
@@ -273,11 +276,14 @@ val flush : t -> unit
 (** Ship every staged payload and drain every pipelined ingest ack.
     {!close} and {!shutdown} call it; a gather does not — its [FETCH]
     queues behind the worker's staged frames, and reading the reply
-    retires the acks owed ahead of it.  Sets waiting for a replica stay
-    waiting: a gather or the session's next payload releases them.
+    retires the acks owed ahead of it.  Sets waiting for a replica are
+    released onto the complete replicas connected now; nothing is dialed,
+    so with none connected they keep waiting for a gather, the session's
+    next payload or {!shutdown}.
     Exposed for tests and benchmarks. *)
 
 val shutdown : t -> unit
-(** Flush, then close every worker connection.  The workers keep running —
-    they own the sessions.  Sets still waiting for a replica are lost, and
-    their count is logged. *)
+(** Dial once more — quarantined or not — the replicas of every session
+    with sets waiting, flush, then close every worker connection.  The
+    workers keep running — they own the sessions.  Sets that still found no
+    replica are lost, and their count is logged. *)
