@@ -74,15 +74,14 @@ type session_info = {
   mutable last_estimate : float;
   mutable rejects : int; (* payloads a primary ack listed as malformed *)
   mutable merges : int; (* the MERGE count the last decoded token carried *)
-  (* Memo: the cutoff and token of the last fresh gather and the sketch it
-     decoded to.  The next gather at that cutoff names the token's version
-     in its fetch, and a worker whose session has not moved answers
-     UNCHANGED instead of re-shipping it, so the decode is skipped too —
-     repeated EST (and repeated WIN at a stable cutoff bucket) on an idle
+  (* Memo: the token of the last fresh gather and the sketch it decoded
+     to.  The next gather names the token's version in its fetch, and a
+     worker whose session has not moved answers UNCHANGED instead of
+     re-shipping it, so the decode is skipped too — repeated EST on an idle
      cluster costs one short RPC.  A version is only asked about on the
      connection it came on: a restarted worker counts versions from 1
      again. *)
-  mutable memo : (float option * held * Families.t) option;
+  mutable memo : (held * Families.t) option;
 }
 
 type t = {
@@ -97,7 +96,6 @@ type t = {
       (* max payloads per ADDB/ADDL frame, and the staging high-water mark
          at which single ADDs are shipped (a client ADDB ships at once) *)
   clock : unit -> float; (* query instant for un-pinned WIN / EXPR w= *)
-  cutoff_bucket : float; (* window cutoffs quantize down to this grain *)
   seed : int;
   io : Rpc.io; (* socket ops for every worker connection (chaos hook) *)
   rng : Rng.t; (* backoff jitter; guarded by [lock] like everything else *)
@@ -127,7 +125,7 @@ type t = {
 
 let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     ?(backoff = 0.05) ?(window = 256) ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
-    ?(clock = Unix.gettimeofday) ?(cutoff_bucket = 1.0) ?(epoch = 0)
+    ?(clock = Unix.gettimeofday) ?(epoch = 0)
     ?(read_only = false) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
   if replicas < 1 then invalid_arg "Coordinator.create: need replicas >= 1";
@@ -137,8 +135,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
   if retries < 0 then invalid_arg "Coordinator.create: need retries >= 0";
   if window < 1 then invalid_arg "Coordinator.create: need window >= 1";
   if batch < 1 then invalid_arg "Coordinator.create: need batch >= 1";
-  if not (cutoff_bucket > 0.0) then
-    invalid_arg "Coordinator.create: need cutoff_bucket > 0";
   {
     workers =
       Array.of_list
@@ -166,7 +162,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     window;
     batch;
     clock;
-    cutoff_bucket;
     seed;
     io;
     rng = Rng.create ~seed:(seed lxor 0x2545F491);
@@ -854,56 +849,24 @@ let flush t =
   in
   go (Array.length t.workers + 2)
 
-(* Read one copy of [name].
+(* Ask one replica of [name] for [req w]'s answer.
 
    The replicas are reconnected first and an incomplete one is replaced;
    then the session's waiting sets are released onto the complete ones, so
-   the Fetch below queues behind them.  The first usable replica in ring
-   order is asked, falling to the next one if it fails, all under one
-   absolute deadline.  Each ask owes its reply in its worker's FIFO, so
-   collecting it retires the acks owed ahead of it.  A replica is only
-   asked while budget remains, and gets an equal share of it with the
-   usable replicas after it, so a hung home leaves its peer the time to
-   answer fresh.  When none answers, the last good token stands in and the
-   home goes to [stale_shards].  The token decodes verbatim: a healthy
-   cluster answers exactly what one estimator would.
-
-   [cutoff] makes the gather windowed: the absolute instant is computed once
-   by the caller and shipped verbatim in the Fetch.  A windowed gather never
-   updates the last good token (a restricted sketch must not become the
-   full-estimate fallback) and memoises its token under its own cutoff
-   key. *)
-let gather ?cutoff t si name =
+   the ask queues behind them.  The first usable replica in ring order is
+   asked, falling to the next one if it fails, all under one absolute
+   deadline.  Each ask owes its reply in its worker's FIFO, so collecting
+   it retires the acks owed ahead of it.  A replica is only asked while
+   budget remains, and gets an equal share of it with the usable replicas
+   after it, so a hung home leaves its peer the time to answer fresh.
+   [accept w reply] turns a reply into the answer; a reply it refuses
+   (e.g. UNKNOWN-SESSION from a worker that lost the session) marks the
+   replica incomplete.  [None] when no replica answered. *)
+let ask_replicas t si name ~req ~accept =
   List.iter (fun w -> ignore (ensure_conn t w)) si.members;
   repair t si name;
   release t name si;
   let deadline = Unix.gettimeofday () +. t.timeout in
-  (* ask [w] for its token, naming the version the memo holds from [w]'s
-     current connection at this cutoff *)
-  let send w =
-    let held =
-      match si.memo with
-      | Some (cut, h, _) when cut = cutoff && h.from = w.wid && h.serial = w.serial -> Some h
-      | _ -> None
-    in
-    let since = match held with Some h -> h.version | None -> 0 in
-    (w.serial, held, ask t w (P.Fetch_since { session = name; cutoff; since }))
-  in
-  let collect ~by w (serial, held, slot) =
-    match await ~deadline:by t w slot with
-    | Ok (P.Sketch_at { version; token = Some token }) ->
-      Some { from = w.wid; serial; version; token }
-    | Ok (P.Sketch_at { version; token = None })
-      when Option.map (fun h -> h.version) held = Some version ->
-      (* the memo's token stands for the answer *)
-      held
-    | Ok r ->
-      (* e.g. UNKNOWN-SESSION: a worker that lost the session *)
-      Log.warn (fun m -> m "worker %s: FETCH answered %s" (address w) (P.render_response r));
-      si.incomplete.(w.wid) <- true;
-      None
-    | Error _ -> None
-  in
   let rec read = function
     | [] -> None
     | w :: rest -> (
@@ -911,50 +874,81 @@ let gather ?cutoff t si name =
       let share = float (List.length (List.filter (usable si) (w :: rest))) in
       if not (usable si w && now < deadline) then read rest
       else
-        match collect ~by:(now +. ((deadline -. now) /. share)) w (send w) with
-        | Some token -> Some token
-        | None -> read rest)
+        match await ~deadline:(now +. ((deadline -. now) /. share)) t w (ask t w (req w)) with
+        | Error _ -> read rest
+        | Ok r -> (
+          match accept w r with
+          | Some answer -> Some answer
+          | None ->
+            Log.warn (fun m -> m "worker %s answered %s" (address w) (P.render_response r));
+            si.incomplete.(w.wid) <- true;
+            read rest))
   in
-  let replica = read si.members in
+  let answer = read si.members in
   reroute_orphans t;
-  match (replica, si.memo) with
-  | Some h, Some (cut, prev, sketch) when cut = cutoff && prev == h -> Ok (sketch, false, [])
-  | _ -> (
-    let decode token =
-      match Io.of_wire token with
-      | Ok io -> Some io
-      | Error msg ->
-        (* a token that would not decode is no fresher than no token *)
-        Log.warn (fun m -> m "session %s: bad sketch: %s" name msg);
-        None
-    in
-    let fresh = Option.bind replica (fun h -> Option.map (fun io -> (h, io)) (decode h.token)) in
-    let io =
-      match fresh with
-      | Some (h, io) ->
-        (* a windowed token is a restricted view: never the fallback *)
-        if cutoff = None then si.last_good <- Some h.token;
-        Some io
-      | None -> Option.bind si.last_good decode
-    in
-    match io with
-    | None -> Error (P.Server_error "no replica holds any data for this session")
-    | Some io -> (
-      si.merges <- (Io.header io).Io.merges;
-      match Families.of_io io ~seed:(next_seed t) with
-      | Error msg -> Error (P.Server_error msg)
-      | Ok sketch -> (
-        match fresh with
-        | Some (h, _) ->
-          si.memo <- Some (cutoff, h, sketch);
-          Ok (sketch, false, [])
-        | None -> Ok (sketch, true, [ si.home ]))))
+  answer
+
+(* A token that would not decode is no fresher than no token. *)
+let decode name token =
+  match Io.of_wire token with
+  | Ok io -> Some io
+  | Error msg ->
+    Log.warn (fun m -> m "session %s: bad sketch: %s" name msg);
+    None
+
+let rebuild t si io =
+  si.merges <- (Io.header io).Io.merges;
+  Result.map_error (fun msg -> P.Server_error msg) (Families.of_io io ~seed:(next_seed t))
+
+(* The session's last good token, rebuilt: what a read answers from when no
+   replica does. *)
+let fallback t si name =
+  match Option.bind si.last_good (decode name) with
+  | None -> Error (P.Server_error "no replica holds any data for this session")
+  | Some io -> rebuild t si io
+
+(* Read one copy of [name] as a sketch.  The fetch names the version of the
+   token the memo holds from that worker on that connection, and an idle
+   worker answers UNCHANGED.  A fresh token becomes the last good one; when
+   none comes, the last good token stands in and the home goes to
+   [stale_shards].  The token decodes verbatim: a healthy cluster answers
+   exactly what one estimator would. *)
+let gather t si name =
+  let held w =
+    match si.memo with
+    | Some (h, _) when h.from = w.wid && h.serial = w.serial -> Some h
+    | _ -> None
+  in
+  let req w =
+    let since = match held w with Some h -> h.version | None -> 0 in
+    P.Fetch_since { session = name; cutoff = None; since }
+  in
+  let accept w = function
+    | P.Sketch_at { version; token = Some token } ->
+      Some { from = w.wid; serial = w.serial; version; token }
+    | P.Sketch_at { version; token = None }
+      when Option.map (fun h -> h.version) (held w) = Some version ->
+      (* the memo's token stands for the answer *)
+      held w
+    | _ -> None
+  in
+  match (ask_replicas t si name ~req ~accept, si.memo) with
+  | Some h, Some (prev, sketch) when prev == h -> Ok (sketch, false, [])
+  | replica, _ -> (
+    match Option.bind replica (fun h -> Option.map (fun io -> (h, io)) (decode name h.token)) with
+    | Some (h, io) ->
+      si.last_good <- Some h.token;
+      Result.map
+        (fun sketch ->
+          si.memo <- Some (h, sketch);
+          (sketch, false, []))
+        (rebuild t si io)
+    | None -> Result.map (fun sketch -> (sketch, true, [ si.home ])) (fallback t si name))
 
 (* Gather [name] under the lock and hand the session and its sketch to [f]. *)
-let gathered ?cutoff t name f =
+let gathered t name f =
   with_lock t (fun () ->
-      Result.bind (find_session t name) (fun si ->
-          Result.bind (gather ?cutoff t si name) (f si)))
+      Result.bind (find_session t name) (fun si -> Result.bind (gather t si name) (f si)))
 
 let estimate t ~name =
   gathered t name (fun si (sketch, degraded, stale_shards) ->
@@ -962,50 +956,44 @@ let estimate t ~name =
       si.last_estimate <- value;
       Ok (value, degraded, stale_shards))
 
-(* The query's absolute cutoff, computed once coordinator-side.  An
-   un-pinned instant comes from the injectable clock and is quantized down
-   to [cutoff_bucket] so repeated idle-cluster WINs inside one bucket ship
-   byte-identical Fetch cutoffs, and the worker answers UNCHANGED to the
-   memo's version.  A pinned [at] is taken exactly (reproducible runs). *)
-let win_cutoff t ~seconds ~at =
-  let instant =
-    match at with
-    | Some a -> a
-    | None ->
-      let now = t.clock () in
-      Float.floor (now /. t.cutoff_bucket) *. t.cutoff_bucket
-  in
-  instant -. seconds
+(* Ask a replica [req] under the lock.  When none answers, [degraded] gets
+   the session's rebuilt last good token instead. *)
+let forwarded t name ~req ~accept ~degraded =
+  with_lock t (fun () ->
+      Result.bind (find_session t name) (fun si ->
+          match ask_replicas t si name ~req:(fun _ -> req) ~accept:(fun _ r -> accept si r) with
+          | Some answer -> Ok answer
+          | None -> Result.map (degraded si) (fallback t si name)))
 
+(* The query instant is pinned here, so a replica and a degraded fallback
+   expire against the same one. *)
 let win t ~name ~seconds ~at =
-  let cutoff = win_cutoff t ~seconds ~at in
-  (* an infinite window is a plain estimate: gather un-windowed so the fetch
-     shares EST's memo and refreshes the last good token *)
-  let cutoff = if Float.is_finite cutoff then Some cutoff else None in
-  gathered ?cutoff t name (fun _ (sketch, degraded, stale_shards) ->
-      let value =
-        match cutoff with
-        | None -> Families.estimate sketch
-        | Some c ->
-          (* re-filter the sketch: a fresh token is already restricted
-             (no-op), but a degraded gather's stale full fallback still
-             carries its timestamps and gets windowed correctly here *)
-          Families.estimate_window sketch ~cutoff:c
-      in
-      Ok (value, degraded, stale_shards))
+  let at = match at with Some a -> a | None -> t.clock () in
+  forwarded t name
+    ~req:(P.Win { session = name; seconds; at = Some at })
+    ~accept:(fun _ -> function P.Estimate { value; _ } -> Some (value, false, []) | _ -> None)
+    ~degraded:(fun si sketch ->
+      (Families.estimate_window sketch ~cutoff:(at -. seconds), true, [ si.home ]))
 
+(* The replica's figures, with the two that only this coordinator sees: the
+   rejects its acks listed and the estimate it last answered. *)
 let stats t ~name =
-  gathered t name (fun si (sketch, _, _) ->
-      Ok
-        {
-          P.family = Families.family_token sketch;
-          items = Families.items sketch;
-          entries = Families.entries sketch;
-          exact = Families.is_exact sketch;
-          last_estimate = si.last_estimate;
-          parse_rejects = si.rejects;
-          merges = si.merges;
-        })
+  let overlay si (s : P.stats) =
+    { s with last_estimate = si.last_estimate; parse_rejects = si.rejects }
+  in
+  forwarded t name
+    ~req:(P.Stats { session = name })
+    ~accept:(fun si -> function P.Stats_reply s -> Some (overlay si s) | _ -> None)
+    ~degraded:(fun si sketch ->
+      {
+        P.family = Families.family_token sketch;
+        items = Families.items sketch;
+        entries = Families.entries sketch;
+        exact = Families.is_exact sketch;
+        last_estimate = si.last_estimate;
+        parse_rejects = si.rejects;
+        merges = si.merges;
+      })
 
 (* An EXPR query needs no new worker verb: each leaf session is gathered
    exactly as EST gathers it — same degraded/last-good fallback, same
@@ -1025,8 +1013,7 @@ let expr_query ?w t ~expr ~m =
       | Ok (names, samples) ->
         let cutoff =
           match w with
-          | Some secs when Float.is_finite secs ->
-            Some (win_cutoff t ~seconds:secs ~at:None)
+          | Some secs when Float.is_finite secs -> Some (t.clock () -. secs)
           | Some _ | None -> None
         in
         let leaf name =
@@ -1053,10 +1040,9 @@ let expr_query ?w t ~expr ~m =
         in
         eval [] false names)
 
+(* The gather is un-windowed; [cutoff] restricts what is encoded. *)
 let fetch ?cutoff t ~name =
-  gathered ?cutoff t name (fun si (sketch, _, _) ->
-      (* restrict the encoded sketch too: a degraded gather may have read a
-         stale, un-windowed fallback *)
+  gathered t name (fun si (sketch, _, _) ->
       Result.map_error
         (fun msg -> P.Server_error msg)
         (Families.encode ~merges:si.merges ?cutoff sketch))

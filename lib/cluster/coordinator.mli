@@ -16,12 +16,12 @@
       [batch] payloads per frame) shipped as one coalesced write when the
       staging queue hits the batch high-water mark, with a bounded window
       of unacknowledged payloads;
-    - [EST]/[WIN]/[STATS]/[SNAPSHOT]/[EXPR] read one copy: the first
-      usable replica in ring order ships its sketch (a binary snapshot
-      token), and the coordinator decodes it.  Replicas are alternatives,
-      never addends, so a healthy cluster answers exactly what one
-      estimator over the whole stream would — the (ε,δ) guarantee of the
-      paper.
+    - [WIN] and [STATS] are answered by the first usable replica in ring
+      order, which holds the estimator; [EST]/[SNAPSHOT]/[EXPR] read one
+      copy: that replica ships its sketch (a binary snapshot token), and
+      the coordinator decodes it.  Replicas are alternatives, never
+      addends, so a healthy cluster answers exactly what one estimator
+      over the whole stream would — the (ε,δ) guarantee of the paper.
 
     Failure handling: every RPC is bounded by a timeout ({!Rpc}); a worker
     that fails is quarantined with exponential backoff and its staged
@@ -61,7 +61,6 @@ val create :
   ?io:Rpc.io ->
   ?proto:Rpc.proto ->
   ?clock:(unit -> float) ->
-  ?cutoff_bucket:float ->
   ?epoch:int ->
   ?read_only:bool ->
   workers:(string * int) list ->
@@ -91,7 +90,7 @@ val create :
     batches and SKETCH replies travel as binary records (no %-armoring,
     ADDB splice-journalled by the worker).  [proto] is ignored, kept only
     for source compatibility with callers that still pass [~proto:Rpc.V2].
-    [timeout] (default 2s) bounds every connect/send/recv — a gather gives
+    [timeout] (default 2s) bounds every connect/send/recv — a read gives
     the {e whole} collect phase one [timeout] as a shared absolute deadline,
     so one slow worker costs at most one timeout however many are slow, and
     each replica asked gets an equal share of what is left with the usable
@@ -103,13 +102,9 @@ val create :
     the per-worker staging high-water mark and the maximum payloads per
     [ADDB] frame — [batch = 1] ships one one-payload [ADDB] per set.
     [clock] (default [Unix.gettimeofday]) supplies the query instant for
-    un-pinned [WIN] and [EXPR w=] — injectable for deterministic
-    tests; [cutoff_bucket] (default 1s) quantizes clock-derived window
-    cutoffs down to that grain, so repeated idle-cluster windowed queries
-    inside one bucket ship byte-identical Fetch cutoffs, which the workers
-    answer [UNCHANGED] to the memo's version (a [WIN ... at=] pinned
-    instant is taken exactly).  Raises [Invalid_argument] on an empty pool or nonsensical
-    knobs. *)
+    un-pinned [WIN] and [EXPR w=], taken exactly — injectable for
+    deterministic tests.  Raises [Invalid_argument] on an empty pool or
+    nonsensical knobs. *)
 
 val dispatch : t -> Delphic_server.Protocol.request -> Delphic_server.Protocol.response
 (** The full request → response step, same contract as
@@ -167,9 +162,11 @@ val estimate :
     home position when no replica answered fresh this gather, so the value
     rests on the last good token.  [degraded] is exactly [stale_shards <> []]:
     with replication a dead replica whose peer answers does not degrade
-    the answer.  An idle session costs one short round trip: the gather's
-    fetch names the version of the token its memo holds from that
-    worker on that connection, and the worker answers [UNCHANGED]. *)
+    the answer.  A fresh gather stores its token as the last good one — the
+    degraded fallback of every read.  An idle session costs one short round
+    trip: the gather's fetch names the version of the token its memo holds
+    from that worker on that connection, and the worker answers
+    [UNCHANGED]. *)
 
 val win :
   t ->
@@ -177,17 +174,19 @@ val win :
   seconds:float ->
   at:float option ->
   (float * bool * int list, Delphic_server.Protocol.error) result
-(** Cluster-wide windowed estimate: the absolute cutoff is computed once
-    ([at], or the quantized coordinator clock, minus [seconds]) and shipped
-    in the Fetch, so the replica expires against that instant.  A degraded
-    gather's stale full fallback is re-windowed
-    coordinator-side against the same cutoff, so [DEGRADED] answers still
-    honor the window.  [seconds = infinity] degenerates to {!estimate}'s
-    gather (and shares its memo). *)
+(** Cluster-wide windowed estimate.  The query instant is pinned once
+    ([at], or the coordinator's clock) and forwarded as [WIN … at=] to the
+    first usable replica, whose own answer is returned.  When no replica
+    answers, the last good token is re-windowed against the same instant
+    and the answer is degraded, with the home as the stale shard.  A [WIN]
+    never refreshes the last good token or the memo. *)
 
 val stats : t -> name:string -> (Delphic_server.Protocol.stats, Delphic_server.Protocol.error) result
-(** The gathered sketch's figures; [merges] is the [MERGE] count the
-    answering replica's token carries. *)
+(** The first usable replica's [STATS], with [parse_rejects] (the payloads
+    this coordinator's acks listed as malformed) and [last_estimate] (its
+    last {!estimate}) laid over the worker's own.  When no replica answers,
+    the figures come from the last good token.  A [STATS] never refreshes
+    the last good token or the memo. *)
 
 val expr_query :
   ?w:float ->
@@ -211,8 +210,9 @@ val expr_query :
 
 val fetch : ?cutoff:float -> t -> name:string -> (string, Delphic_server.Protocol.error) result
 (** The gathered sketch as one wire token — coordinators compose: a parent
-    coordinator can treat this one as a worker ([cutoff] is the windowed
-    Fetch, forwarded to this pool's own workers). *)
+    coordinator can treat this one as a worker.  The gather is un-windowed
+    and refreshes the last good token like {!estimate}'s; [cutoff]
+    restricts only what is encoded. *)
 
 val snapshot_to : t -> name:string -> path:string -> (unit, Delphic_server.Protocol.error) result
 

@@ -31,7 +31,7 @@ let buffer_size t = Hashtbl.length t.buffer
 let add t x =
   (* Last-occurrence rule: only this arrival's coin decides survival. *)
   Hashtbl.remove t.buffer x;
-  if Rng.bernoulli t.rng (Float.ldexp 1.0 (-t.level)) then
+  if Rng.bernoulli_pow2 t.rng (-t.level) then
     Hashtbl.replace t.buffer x ();
   if Hashtbl.length t.buffer >= t.thresh then begin
     (* Buffer full: thin it with fair coins and halve p. *)
@@ -73,7 +73,7 @@ let merge a b ~seed =
     let absorb ~dup src =
       Hashtbl.iter
         (fun x () ->
-          if (not (dup x)) && Rng.bernoulli t.rng (Float.ldexp 1.0 (src.level - l0))
+          if (not (dup x)) && Rng.bernoulli_pow2 t.rng (src.level - l0)
           then Hashtbl.replace t.buffer x ())
         src.buffer
     in

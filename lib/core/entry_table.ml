@@ -173,6 +173,15 @@ struct
       if Array.unsafe_get hashes i >= 0 then f t.keys.(i) t.levels.(i)
     done
 
+  let count_since t cutoff counts =
+    let hashes = t.hashes and stamps = t.stamps in
+    for i = 0 to Array.length hashes - 1 do
+      if Array.unsafe_get hashes i >= 0 && Float.Array.unsafe_get stamps i >= cutoff then begin
+        let l = t.levels.(i) in
+        counts.(l) <- counts.(l) + 1
+      end
+    done
+
   let filter_levels f t =
     let hashes = t.hashes in
     for i = 0 to Array.length hashes - 1 do

@@ -46,6 +46,11 @@ end) : sig
   (** {!iter} without the timestamps — allocation-free, where {!iter} boxes
       each timestamp it hands out. *)
 
+  val count_since : t -> float -> int array -> unit
+  (** [count_since t cutoff counts] adds one to [counts.(level)] for every
+      entry whose timestamp is at least [cutoff].  Allocation-free, where a
+      windowed sum through {!iter} boxes each timestamp. *)
+
   val filter_levels : (K.t -> int -> int) -> t -> unit
   (** [f x level] returns the entry's new level, or a negative number to
       remove it; timestamps are kept.  Allocation-free; safe to call during

@@ -284,7 +284,7 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) = struct
     let kept = ref 0 in
     Tbl.iter
       (fun _ (j, _) ->
-        if Rng.bernoulli t.rng (Float.ldexp 1.0 (j - j0)) then incr kept)
+        if Rng.bernoulli_pow2 t.rng (j - j0) then incr kept)
       t.bucket;
     (j0, !kept)
 
@@ -328,7 +328,7 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) = struct
       let kept = ref 0 in
       Tbl.iter
         (fun x (j, _) ->
-          if Rng.bernoulli t.rng (Float.ldexp 1.0 (j - j0)) then begin
+          if Rng.bernoulli_pow2 t.rng (j - j0) then begin
             incr kept;
             survivors := x :: !survivors
           end)
@@ -376,7 +376,7 @@ module Make (A : Delphic_family.Family.APPROX_FAMILY) = struct
        let absorb ~dup ~other src =
          Tbl.iter
            (fun x (j, ts) ->
-             if (not (dup x)) && Rng.bernoulli t.rng (Float.ldexp 1.0 (j - !j0))
+             if (not (dup x)) && Rng.bernoulli_pow2 t.rng (j - !j0)
              then bucket_add ~ts:(ts_in other x ts) t x !j0)
            src.bucket
        in

@@ -210,7 +210,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     let level = ref (current_level t) in
     t.cardinality_calls <- t.cardinality_calls + 1;
     let n =
-      ref (if Rng.bernoulli t.rng (Float.ldexp 1.0 (- !level)) then 1.0 else 0.0)
+      ref (if Rng.bernoulli_pow2 t.rng (- !level) then 1.0 else 0.0)
     in
     let max_level = t.params.Params.max_level in
     let capacity = float_of_int t.params.Params.bucket_capacity in
@@ -240,7 +240,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
     let p0_level = min_sampling_level t in
     let kept = ref 0 in
     Bucket.iter_levels
-      (fun _ l -> if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - p0_level)) then incr kept)
+      (fun _ l -> if Rng.bernoulli_pow2 t.rng (l - p0_level) then incr kept)
       t.bucket;
     (p0_level, !kept)
 
@@ -271,11 +271,17 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
      an entry with ts ≥ cutoff is held with exactly probability 2^-ℓ among
      the elements whose last occurrence is in the window — the restricted
      sum is unbiased for |{x : last occurrence of x ≥ cutoff}|.  The level
-     histogram cannot answer this (it has no time axis), so this is a bucket
-     fold rather than an O(top) loop. *)
+     histogram has no time axis, so one bucket pass counts the windowed
+     entries per level first.  Every partial sum is a whole multiple of the
+     lowest power far below 2^53 of it, so the sum is exact in any order
+     and equals the per-entry sum bit for bit. *)
   let estimate_window t ~cutoff =
+    let counts = Array.make (t.top + 1) 0 in
+    Bucket.count_since t.bucket cutoff counts;
     let acc = ref 0.0 in
-    Bucket.iter (fun _ l ts -> if ts >= cutoff then acc := !acc +. Float.ldexp 1.0 l) t.bucket;
+    for l = 0 to t.top do
+      if counts.(l) > 0 then acc := !acc +. Float.ldexp (float_of_int counts.(l)) l
+    done;
     !acc
 
   (* Membership probe for the expression evaluator: the bucket never holds
@@ -295,7 +301,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
       let kept = ref 0 in
       Bucket.iter_levels
         (fun x l ->
-          if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - p0_level)) then begin
+          if Rng.bernoulli_pow2 t.rng (l - p0_level) then begin
             incr kept;
             survivors := x :: !survivors
           end)
@@ -458,7 +464,7 @@ module Make (F : Delphic_family.Family.FAMILY) = struct
               match Bucket.level bucket x with
               | -2 -> ()
               | -1 ->
-                if Rng.bernoulli t.rng (Float.ldexp 1.0 (l - l0)) then Bucket.add bucket x l0 ts
+                if Rng.bernoulli_pow2 t.rng (l - l0) then Bucket.add bucket x l0 ts
                 else if mark then Bucket.add bucket x (-2) 0.0
               | lv -> ignore (Bucket.upsert bucket x lv ts));
           go later

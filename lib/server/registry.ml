@@ -112,8 +112,10 @@ let estimate t ~name =
 
 (* Windowed estimate: the absolute cutoff is the pinned query instant (or
    the injectable clock's now) minus the window; [seconds = infinity] gives
-   [cutoff = -inf] and agrees with EST exactly.  [last_estimate] is the
-   full-stream STATS figure, so WIN leaves it alone. *)
+   [cutoff = -inf], which is EST exactly while the session is exact (a
+   sketch answers its Horvitz–Thompson sum, where EST resamples).
+   [last_estimate] is the full-stream STATS figure, so WIN leaves it
+   alone. *)
 let win t ~name ~seconds ~at =
   with_session t name (fun s ->
       let at = match at with Some a -> a | None -> now t in

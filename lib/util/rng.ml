@@ -75,6 +75,14 @@ let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
+(* [bernoulli t (Float.ldexp 1.0 e)] with the probability built here, where
+   it stays unboxed: a caller in another module would box it. *)
+let bernoulli_pow2 t e =
+  if e >= 0 then true
+  else
+    let p = Float.ldexp 1.0 e in
+    p > 0.0 && float t < p
+
 let gaussian t =
   (* Polar method; draws pairs, discards the spare for statelessness. *)
   let rec loop () =

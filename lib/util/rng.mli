@@ -5,8 +5,10 @@
     experiments are reproducible from a single integer seed.
 
     The state is the four 64-bit xoshiro words held unboxed in one 32-byte
-    buffer, so {!bits}, {!int}, {!bool} and {!bernoulli} allocate nothing
-    per draw (VATIC's estimate flips one coin per bucket entry).  {!int64}
+    buffer, so {!bits}, {!int}, {!bool}, {!bernoulli} and {!bernoulli_pow2}
+    allocate nothing per draw (VATIC's estimate flips one coin per bucket
+    entry; a probability built by the caller is boxed, which is why the
+    power-of-two coin takes the exponent).  {!int64}
     returns a boxed [int64], and a {!float} whose call is not inlined
     (any call from another module) returns a boxed float.  The golden test
     in [test/test_rng.ml] pins every function's stream for five seeds, so
@@ -48,6 +50,11 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0, 1]). *)
+
+val bernoulli_pow2 : t -> int -> bool
+(** [bernoulli_pow2 t e] is [bernoulli t (Float.ldexp 1.0 e)], draw for
+    draw (no draw when [e >= 0] or [2^e] underflows to 0), without boxing
+    the probability: the estimators flip one such coin per bucket entry. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (polar Box–Muller). *)

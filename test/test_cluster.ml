@@ -261,8 +261,8 @@ let test_batched_kill_no_loss () =
   stop_worker (List.nth workers (1 - victim));
   List.iteri (fun n _ -> rm_rf (spool (20 + n))) workers
 
-(* Cluster-wide WIN: the coordinator computes one absolute cutoff and ships
-   it in the Fetch, so the replica expires against that instant —
+(* Cluster-wide WIN: the coordinator pins one query instant and forwards
+   it as [WIN … at=], so the replica expires against that instant —
    exact-regime content makes agreement a count equality, not a tolerance
    check.  After a mid-ingest kill of the home the gather answers DEGRADED
    from its last good (full) sketch, and that fallback must be re-windowed
@@ -310,9 +310,10 @@ let test_win_cluster_kill () =
   let w2, _, _ = ok (Coordinator.win coord ~name:"w" ~seconds:125.0 ~at:(Some 130.0)) in
   Alcotest.(check (float 0.0)) "WIN covering both bands" (truth (first @ rest)) w2;
   let w3, _, _ = ok (Coordinator.win coord ~name:"w" ~seconds:infinity ~at:None) in
-  Alcotest.(check (float 0.0)) "WIN inf = EST" est1 est1;
+  let est2, _, _ = ok (Coordinator.estimate coord ~name:"w") in
+  Alcotest.(check (float 0.0)) "WIN inf = EST" est2 w3;
   Alcotest.(check (float 0.0)) "WIN inf folds everything" (truth (first @ rest)) w3;
-  (* repeated query at the same instant is stable: same cutoff, same memo *)
+  (* repeated query at the same instant is stable *)
   let w1', _, _ = ok (Coordinator.win coord ~name:"w" ~seconds:60.0 ~at:(Some 130.0)) in
   Alcotest.(check (float 0.0)) "repeat WIN identical" w1 w1';
   (* kill a worker mid-ingest of the third band *)
@@ -321,7 +322,7 @@ let test_win_cluster_kill () =
   ingest ~t0:200.0 half;
   (* a full gather before the kill: these workers run without a journal, so
      the victim's acked sets survive only as the coordinator's last good
-     sketch — which this estimate stores (windowed gathers never do) *)
+     sketch — which this estimate stores (a WIN never does) *)
   ignore (ok (Coordinator.estimate coord ~name:"w"));
   let whalf, dh, _ = ok (Coordinator.win coord ~name:"w" ~seconds:80.0 ~at:(Some 240.0)) in
   Alcotest.(check bool) "clean mid-band gather" false dh;
@@ -1555,6 +1556,178 @@ let test_restart_forgets_versions () =
     (Option.map (fun i -> String.sub sent (i + String.length asks) 2) first_ask);
   Coordinator.shutdown coord
 
+(* --- WIN and STATS are answered where the estimator lives ---------------- *)
+
+let direct_stats port name =
+  match direct_call port (P.Stats { session = name }) with
+  | P.Stats_reply st -> st
+  | r -> Alcotest.failf "direct STATS: %s" (P.render_response r)
+
+let direct_win port name ~seconds ~at =
+  match direct_call port (P.Win { session = name; seconds; at = Some at }) with
+  | P.Estimate { value; _ } -> value
+  | r -> Alcotest.failf "direct WIN: %s" (P.render_response r)
+
+(* A sketch-regime session that keeps taking sets between reads, so no
+   answer can come from a memo.  A WIN and a STATS through the coordinator
+   each read less than 1 KiB from the worker, where even a windowed token of
+   this session is about 10 KB; the WIN answer is the home's own [WIN … at=], bit for
+   bit, and the STATS item count is the home's. *)
+let test_forwarded_reads_ship_no_token () =
+  let name = "live" in
+  let workers = List.init 2 (fun n -> start_worker (170 + n) ~seed:(1900 + n)) in
+  let ports = List.map (fun (s, _) -> Server.port s) workers in
+  let port = List.nth ports (home name 2) in
+  let io, read, _ = metered_io () in
+  let coord =
+    Coordinator.create ~io ~timeout:5.0 ~backoff:0.01
+      ~workers:(List.map (fun p -> ("127.0.0.1", p)) ports)
+      ~seed:171 ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (170 + n))) workers)
+  @@ fun () ->
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:40.0);
+  let gen = Rng.create ~seed:172 in
+  let ingest ~ts =
+    let boxes =
+      Workload.Rectangles.uniform gen ~universe:1_000_000 ~dim:2 ~count:60 ~max_side:60_000
+    in
+    ignore (ok (Coordinator.add_batch coord ~ts ~name ~payloads:(List.map payload_of boxes)))
+  in
+  let metered f =
+    let before = Atomic.get read in
+    let r = f () in
+    (r, Atomic.get read - before)
+  in
+  let small what bytes =
+    Alcotest.(check bool) (Printf.sprintf "%s read %d bytes" what bytes) true (bytes < 1024)
+  in
+  List.iter (fun ts -> ingest ~ts) [ 10.0; 50.0; 100.0 ];
+  let st = direct_stats port name in
+  Alcotest.(check bool) "the session sketches" false st.P.exact;
+  ingest ~ts:120.0;
+  let (v, degraded, _), bytes =
+    metered (fun () -> ok (Coordinator.win coord ~name ~seconds:60.0 ~at:(Some 130.0)))
+  in
+  small "a fresh WIN" bytes;
+  Alcotest.(check bool) "WIN not degraded" false degraded;
+  Alcotest.(check int64) "WIN is the home's own answer, bit for bit"
+    (Int64.bits_of_float (direct_win port name ~seconds:60.0 ~at:130.0))
+    (Int64.bits_of_float v);
+  ingest ~ts:125.0;
+  let st, bytes = metered (fun () -> ok (Coordinator.stats coord ~name)) in
+  small "a fresh STATS" bytes;
+  Alcotest.(check int) "STATS items are the home's" (direct_stats port name).P.items st.P.items;
+  Alcotest.(check int) "every set counted" 300 st.P.items
+
+(* At R = 2 the home loses the session behind the coordinator's back (a
+   direct CLOSE).  The next WIN is refused there with UNKNOWN-SESSION: the
+   peer answers fresh and the home is marked incomplete.  The STATS after
+   it replaces the home from the peer's copy before it reads, so the home
+   holds the peer's items again. *)
+let test_forwarded_read_refused_by_home () =
+  let name = "lost" in
+  let workers = List.init 3 (fun n -> start_worker (180 + n) ~seed:(2000 + n)) in
+  let ports = Array.of_list (List.map (fun (s, _) -> Server.port s) workers) in
+  let h = home name 3 in
+  let coord =
+    Coordinator.create ~replicas:2 ~timeout:5.0 ~backoff:0.01
+      ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+      ~seed:181 ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (180 + n))) workers)
+  @@ fun () ->
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:182) ~universe:300 ~dim:2 ~count:30 ~max_side:6
+  in
+  ignore (ok (Coordinator.add_batch coord ~ts:100.0 ~name ~payloads:(List.map payload_of boxes)));
+  Coordinator.flush coord;
+  Alcotest.(check (list int)) "both replicas complete" [ 2 ]
+    [ List.nth (Coordinator.shard_freshness coord) h ];
+  (match direct_call ports.(h) (P.Close { session = name }) with
+  | P.Ok_reply _ -> ()
+  | r -> Alcotest.failf "direct CLOSE: %s" (P.render_response r));
+  let v, degraded, stale = ok (Coordinator.win coord ~name ~seconds:60.0 ~at:(Some 130.0)) in
+  Alcotest.(check bool) "WIN answers fresh" false degraded;
+  Alcotest.(check (list int)) "no stale position" [] stale;
+  Alcotest.(check (float 0.0)) "WIN answered by the peer, exactly" (truth boxes) v;
+  Alcotest.(check (list int)) "the home is incomplete" [ 1 ]
+    [ List.nth (Coordinator.shard_freshness coord) h ];
+  let st = ok (Coordinator.stats coord ~name) in
+  Alcotest.(check int) "STATS answers fresh" 30 st.P.items;
+  Alcotest.(check (list int)) "the home was replaced" [ 2 ]
+    [ List.nth (Coordinator.shard_freshness coord) h ];
+  Alcotest.(check int) "the home holds the peer's items"
+    (direct_stats ports.((h + 1) mod 3) name).P.items
+    (direct_stats ports.(h) name).P.items
+
+(* STATS lays the coordinator's own figures over a replica's: the rejects
+   its acks listed (a payload sent straight to a worker is not one of
+   them) and the value of its last EST (no EST reaches a worker, whose own
+   figure stays 0).  With the home stopped, at R = 2 the peer answers, so
+   the items include the sets ingested since; at R = 1 the last good token
+   answers, so they do not. *)
+let test_stats_overlay_and_fallback () =
+  let name = "ov" in
+  List.iter
+    (fun replicas ->
+      let base = 190 + (10 * replicas) in
+      let workers = Array.init 3 (fun n -> start_worker (base + n) ~seed:(2100 + n)) in
+      let ports = Array.map (fun (s, _) -> Server.port s) workers in
+      let h = home name 3 in
+      let coord =
+        Coordinator.create ~replicas ~timeout:2.0 ~backoff:0.01
+          ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+          ~seed:191 ()
+      in
+      let what = Printf.sprintf "R=%d: " replicas in
+      Fun.protect
+        ~finally:(fun () ->
+          Coordinator.shutdown coord;
+          Array.iteri (fun i w -> if i <> h then stop_worker w) workers;
+          Array.iteri (fun n _ -> rm_rf (spool (base + n))) workers)
+      @@ fun () ->
+      ok
+        (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+           ~log2_universe:17.0);
+      let gen = Rng.create ~seed:192 in
+      let band () = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:20 ~max_side:6 in
+      let first = band () and later = band () in
+      ignore
+        (ok (Coordinator.add_batch coord ~name ~payloads:("not a box" :: List.map payload_of first)));
+      let est, _, _ = ok (Coordinator.estimate coord ~name) in
+      Alcotest.(check (float 0.0)) (what ^ "EST exact") (truth first) est;
+      (match direct_call ports.((h + 1) mod 3) (P.Add { session = name; payload = "bogus"; ts = None }) with
+      | P.Error_reply _ -> ()
+      | r -> Alcotest.failf "direct bad ADD: %s" (P.render_response r));
+      stop_worker workers.(h);
+      (* an EST notices the stop, so [later] is not routed to the home *)
+      let est, degraded, _ = ok (Coordinator.estimate coord ~name) in
+      Alcotest.(check bool) (what ^ "EST degraded iff no replica is left") (replicas = 1) degraded;
+      ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of later)));
+      let st = ok (Coordinator.stats coord ~name) in
+      Alcotest.(check (float 0.0)) (what ^ "last_estimate is the coordinator's EST") est
+        st.P.last_estimate;
+      Alcotest.(check int) (what ^ "parse_rejects is the coordinator's count") 1 st.P.parse_rejects;
+      Alcotest.(check int)
+        (what ^ if replicas = 2 then "the peer answers" else "the last good token answers")
+        (if replicas = 2 then 40 else 20)
+        st.P.items)
+    [ 2; 1 ]
+
 (* --- the front door's shard_fresh ---------------------------------------- *)
 
 (* The first name in a fixed list that is homed at ring position [pos]. *)
@@ -1656,4 +1829,10 @@ let suite =
       test_restart_forgets_versions;
     Alcotest.test_case "the front door reports each ring position's fresh replicas" `Quick
       test_frontend_shard_fresh;
+    Alcotest.test_case "a live WIN and STATS ship no token" `Quick
+      test_forwarded_reads_ship_no_token;
+    Alcotest.test_case "a read refused by the home is answered by its peer" `Quick
+      test_forwarded_read_refused_by_home;
+    Alcotest.test_case "STATS lays the coordinator's figures over a replica's or the last good token's"
+      `Quick test_stats_overlay_and_fallback;
   ]

@@ -228,8 +228,25 @@ let test_draws_allocate_nothing () =
     check "int" (fun () -> Rng.int rng 1000);
     check "bool" (fun () -> Bool.to_int (Rng.bool rng));
     check "bernoulli" (fun () -> Bool.to_int (Rng.bernoulli rng 0.3));
+    check "bernoulli_pow2" (fun () -> Bool.to_int (Rng.bernoulli_pow2 rng (-3)));
     ignore (Sys.opaque_identity !acc)
   end
+
+(* The power-of-two coin is [bernoulli] at [2^e], draw for draw: the same
+   outcomes from twin generators, and the same number of draws taken —
+   none at p >= 1 or where 2^e underflows to 0 — so the two streams are
+   still in step afterwards. *)
+let test_bernoulli_pow2_matches () =
+  let a = Rng.create ~seed:15 and b = Rng.create ~seed:15 in
+  for e = -1100 to 70 do
+    for _ = 1 to 8 do
+      Alcotest.(check bool)
+        (Printf.sprintf "2^%d coin" e)
+        (Rng.bernoulli a (Float.ldexp 1.0 e))
+        (Rng.bernoulli_pow2 b e)
+    done;
+    Alcotest.(check int64) (Printf.sprintf "in step after 2^%d" e) (Rng.int64 a) (Rng.int64 b)
+  done
 
 let suite =
   [
@@ -248,4 +265,5 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "golden streams" `Quick test_golden_streams;
     Alcotest.test_case "hot draws allocate nothing" `Quick test_draws_allocate_nothing;
+    Alcotest.test_case "bernoulli_pow2 is bernoulli at 2^e" `Quick test_bernoulli_pow2_matches;
   ]

@@ -254,6 +254,57 @@ let test_timestamped_generators () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rate 0 must be rejected"
 
+(* A worker answers a forwarded EST or WIN on its only thread, so neither
+   read may allocate per bucket entry.  Two sketch-regime rect sessions of
+   different sizes (about 3k and 12k entries) must each stay under one
+   bound, and the windowed answer must equal the per-entry Horvitz–Thompson
+   sum over the snapshot's entries bit for bit.  Only meaningful in native
+   code. *)
+let test_sketch_reads_allocate_no_entry () =
+  let module Families = Delphic_server.Families in
+  let module Io = Delphic_core.Snapshot_io in
+  let sketch ~epsilon ~count =
+    let f =
+      Result.get_ok
+        (Families.create ~family:Delphic_server.Protocol.Rect ~epsilon ~delta:0.2
+           ~log2_universe:40.0 ~seed:7)
+    in
+    let gen = Rng.create ~seed:8 in
+    List.iteri
+      (fun i b ->
+        let lo = Delphic_sets.Rectangle.lo b and hi = Delphic_sets.Rectangle.hi b in
+        Families.add f ~ts:(float_of_int i) ~lineno:(i + 1)
+          (Printf.sprintf "%d %d %d %d" lo.(0) hi.(0) lo.(1) hi.(1)))
+      (Workload.Rectangles.uniform gen ~universe:1_000_000 ~dim:2 ~count ~max_side:60_000);
+    Alcotest.(check bool) "sketch regime" false (Families.is_exact f);
+    f
+  in
+  List.iter
+    (fun (epsilon, count) ->
+      let f = sketch ~epsilon ~count in
+      let cutoff = float_of_int (count / 2) in
+      let reference =
+        List.fold_left
+          (fun acc (l, ts, _) -> if ts >= cutoff then acc +. Float.ldexp 1.0 l else acc)
+          0.0
+          (Io.sketch_entries (Families.to_io f))
+      in
+      Alcotest.(check (float 0.0)) "windowed sum is the per-entry sum" reference
+        (Families.estimate_window f ~cutoff);
+      if Sys.backend_type = Sys.Native then begin
+        let words what read =
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (read ()));
+          let used = Gc.minor_words () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s over %d entries: %.0f minor words" what (Families.entries f) used)
+            true (used < 256.0)
+        in
+        words "estimate" (fun () -> Families.estimate f);
+        words "estimate_window" (fun () -> Families.estimate_window f ~cutoff)
+      end)
+    [ (0.4, 400); (0.2, 1024) ]
+
 let suite =
   [
     Alcotest.test_case "ranges poisson (tagged)" `Quick test_ranges_poisson_tagged;
@@ -265,4 +316,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_covering_window_is_full;
     Alcotest.test_case "re-occurrence refreshes" `Quick test_reoccurrence_refreshes;
     Alcotest.test_case "timestamped generators" `Quick test_timestamped_generators;
+    Alcotest.test_case "sketch reads allocate nothing per entry" `Quick
+      test_sketch_reads_allocate_no_entry;
   ]
