@@ -8,7 +8,7 @@ let log_src = Logs.Src.create "delphic.cluster" ~doc:"scatter/gather coordinator
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* One wire frame awaiting its single reply line: an [ADDB]/[ADDL]
-   carrying the whole array, kept so a death can replay its payloads.
+   carrying the whole array, kept so a death can park its payloads.
    [bts] is the frame's ingest timestamp — [ADDB] stamps a whole frame, so
    only same-timestamp payloads share one; [None] lets the worker stamp its
    own receive time. *)
@@ -29,7 +29,7 @@ type worker = {
          skips the re-open sweep. *)
   staged : (string * string * float option) Queue.t;
       (* routed but not yet framed: (session, payload, ts).  Nothing
-         here has touched the socket; a death replays these verbatim. *)
+         here has touched the socket; a death parks these verbatim. *)
   pending : owed Queue.t;
       (* the one FIFO of replies owed on [conn], in wire order.  Whoever
          reads a reply retires the head with it, so a drain can fill an
@@ -65,11 +65,12 @@ type session_info = {
          without the session).  It is neither fed nor read until [replace]
          overwrites it with a complete copy. *)
   waiting : (string * float option) Queue.t;
-      (* (payload, ts) that no usable replica could take, oldest first.
-         Released onto the replicas ahead of the session's next payload and
-         before a gather reads one, once a replica is complete again.  New
-         ingest parks here only while fewer than [window] sets wait; a dead
-         or refusing replica's unacked window always does. *)
+      (* (payload, ts) that no usable replica holds yet, oldest first: new
+         ingest while no replica is usable (only while fewer than [window]
+         sets wait), and every set a dead or refusing replica left
+         unacknowledged.  Only [place] stages them again, once a replica is
+         complete: ahead of the session's next payload, before each replica
+         a read asks, and at [flush] and [shutdown]. *)
   mutable last_good : string option; (* the replicas' last good full token *)
   mutable last_estimate : float;
   mutable rejects : int; (* payloads a primary ack listed as malformed *)
@@ -89,8 +90,7 @@ type t = {
   replicas : int; (* full copies of each session, on successive ring positions *)
   timeout : float;
   dial_timeout : float; (* TCP connect budget, separate from [timeout] *)
-  retries : int;
-  backoff : float; (* first retry delay; doubles per consecutive failure *)
+  backoff : float; (* first quarantine; doubles per consecutive failure *)
   window : int; (* unacked payload units per worker before a drain *)
   batch : int;
       (* max payloads per ADDB/ADDL frame, and the staging high-water mark
@@ -102,10 +102,6 @@ type t = {
   lock : Mutex.t;
   sessions : (string, session_info) Hashtbl.t;
   mutable seq : int; (* distinct seeds for successive decodes and draws *)
-  (* Payloads refused by an ack (e.g. UNKNOWN-SESSION from a worker that
-     lost the session): parked here by [retire_ack] — which can run deep
-     inside a drain — and re-routed at the next safe point. *)
-  orphans : (string * string * float option) Queue.t;
   (* --- fencing + warm-standby state --- *)
   mutable epoch : int;
       (* the fencing epoch announced to every worker connection ([COORD]);
@@ -123,8 +119,8 @@ type t = {
          clear, sourced from the workers because they are the durable truth *)
 }
 
-let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
-    ?(backoff = 0.05) ?(window = 256) ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
+let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(backoff = 0.05)
+    ?(window = 256) ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
     ?(clock = Unix.gettimeofday) ?(epoch = 0)
     ?(read_only = false) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
@@ -132,7 +128,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
   if timeout <= 0.0 then invalid_arg "Coordinator.create: need timeout > 0";
   if dial_timeout <= 0.0 then invalid_arg "Coordinator.create: need dial_timeout > 0";
   if epoch < 0 then invalid_arg "Coordinator.create: need epoch >= 0";
-  if retries < 0 then invalid_arg "Coordinator.create: need retries >= 0";
   if window < 1 then invalid_arg "Coordinator.create: need window >= 1";
   if batch < 1 then invalid_arg "Coordinator.create: need batch >= 1";
   {
@@ -157,7 +152,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     replicas = Stdlib.min replicas (List.length workers);
     timeout;
     dial_timeout;
-    retries;
     backoff;
     window;
     batch;
@@ -168,7 +162,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(retries = 3)
     lock = Mutex.create ();
     sessions = Hashtbl.create 4;
     seq = 0;
-    orphans = Queue.create ();
     epoch;
     fenced_by = 0;
     read_only;
@@ -216,10 +209,22 @@ let open_request name (si : session_info) =
       log2_universe = si.log2_universe;
     }
 
-(* --- worker lifecycle: connect with bounded retry, quarantine on death --- *)
+(* --- worker lifecycle: connect, quarantine on death --- *)
 
-let kill_requeue : (t -> worker -> unit) ref = ref (fun _ _ -> ())
+(* Park one of [w]'s sets in its session's waiting FIFO, for [place] to
+   stage again.  [w] missed it, so [w] is incomplete for the session
+   whenever a complete peer is connected to take it instead. *)
+let park t w session payload ts =
+  Option.iter
+    (fun si ->
+      Queue.push (payload, ts) si.waiting;
+      if List.exists (usable si) si.members then si.incomplete.(w.wid) <- true)
+    (Hashtbl.find_opt t.sessions session)
 
+(* A failure only records: the connection closes, the worker sits out a
+   jittered exponential backoff, its unanswered asks fail, and everything
+   it still owed — unacked frames first, then the never-sent staging queue
+   — is parked.  Nothing is routed from here; [place] does that. *)
 let quarantine t w =
   (match w.conn with Some c -> Rpc.close c | None -> ());
   w.conn <- None;
@@ -232,7 +237,15 @@ let quarantine t w =
   Log.warn (fun m ->
       m "worker %s quarantined for %.2fs (%d consecutive failures)" (address w) pause
         w.failures);
-  !kill_requeue t w
+  Queue.iter
+    (function
+      | Ask slot -> slot := Some (Error "connection lost before the reply")
+      | Frame b -> Array.iter (fun payload -> park t w b.bsession payload b.bts) b.bitems)
+    w.pending;
+  Queue.iter (fun (session, payload, ts) -> park t w session payload ts) w.staged;
+  Queue.clear w.pending;
+  Queue.clear w.staged;
+  w.in_flight <- 0
 
 (* Retire frame [b], the oldest owed on [w], against its [OKB] reply. *)
 let retire_ack t w b reply =
@@ -254,21 +267,19 @@ let retire_ack t w b reply =
     (* Refused whole without being ingested — typically UNKNOWN-SESSION
        from a worker that lost the session.  Counting the frame delivered
        would silently lose its payloads: a replica that refused is no
-       longer complete, and the payloads are parked for re-routing at the
-       next safe point (retiring can run deep inside a drain, where
-       routing would recurse). *)
+       longer complete, and the payloads are parked for [place]. *)
     Log.warn (fun m ->
-        m "worker %s: ingest refused (%s) — re-routing %d payload(s)" (address w)
+        m "worker %s: ingest refused (%s) — parking %d payload(s)" (address w)
           (P.describe_error e) (Array.length b.bitems));
     Option.iter (fun si -> si.incomplete.(w.wid) <- true) si;
-    Array.iter (fun payload -> Queue.push (b.bsession, payload, b.bts) t.orphans) b.bitems
+    Array.iter (fun payload -> park t w b.bsession payload b.bts) b.bitems
   | r ->
     (* non-error, non-ack: the reply stream itself is suspect *)
     Log.warn (fun m ->
         m "worker %s: unexpected ingest ack %s" (address w) (P.render_response r))
 
 (* Read one reply on [w]'s connection and retire the head of [w.pending]
-   with it.  A failed read quarantines [w], which requeues everything it
+   with it.  A failed read quarantines [w], which parks everything it
    still owes. *)
 let read_reply ?deadline t w conn =
   match Rpc.recv_timeout ?deadline conn with
@@ -286,7 +297,7 @@ let read_reply ?deadline t w conn =
 
 (* Read reply lines until at most [down_to] payload units remain unacked.
    One reply retires one whole frame (or fills an ask's slot).  On failure
-   the unacked frames are replayed through the router: at-least-once, and
+   the unacked frames are parked and later staged again: at-least-once, and
    a set seen twice by one estimator is a duplicate the union ignores. *)
 let rec drain_acks t w ~down_to =
   if w.in_flight > down_to then
@@ -316,7 +327,7 @@ let backup t session w =
     match List.find_opt (usable si) si.members with Some p -> p != w | None -> false)
 
 (* Ship what is staged on the connection as one coalesced write.  It is
-   already owed in [w.pending], so a transport failure replays it via the
+   already owed in [w.pending], so a transport failure parks it via the
    quarantine path. *)
 let write_staged t w conn =
   match Rpc.flush_staged conn with
@@ -332,10 +343,7 @@ let write_staged t w conn =
 let flush_worker t w =
   if not (Queue.is_empty w.staged) then
     match w.conn with
-    | None ->
-      (* connection already gone with payloads still staged: hand them to
-         the re-router directly *)
-      !kill_requeue t w
+    | None -> () (* unreachable: a death parks the staging queue *)
     | Some conn ->
       while not (Queue.is_empty w.staged) do
         let s0, p0, ts0 = Queue.pop w.staged in
@@ -524,56 +532,39 @@ let repair t si name =
 let repair_around t w =
   Hashtbl.iter (fun name si -> if List.memq w si.members then repair t si name) t.sessions
 
-(* The worker's connection if it is usable now: an existing one, or a fresh
-   connect-announce-resync-repair with [retries] attempts under exponential
-   backoff.  [None] while quarantined or unreachable.  A dial timeout
-   (black-holed address) skips the in-round retries — each would burn a
-   full dial budget against a host that is not answering SYNs — and
-   quarantines at once. *)
+(* The worker's connection if it is usable now: an existing one, or one
+   dial with connect-announce-resync-repair.  [None] while quarantined or
+   unreachable.  Any failure quarantines at once, so the quarantine's
+   backoff is the one retry schedule: nothing here sleeps on the caller's
+   thread. *)
 let ensure_conn t w =
   match w.conn with
   | Some c -> Some c
-  | None ->
-    if Unix.gettimeofday () < w.quarantined_until then None
-    else begin
-      let rec attempt i =
-        match
-          Rpc.connect ~io:t.io ~dial_timeout:t.dial_timeout ~host:w.host
-            ~port:w.port ~timeout:t.timeout ()
-        with
-        | Ok conn ->
-          if announce_epoch_on t w (Rpc.call conn) && resync t w conn then begin
-            w.conn <- Some conn;
-            w.serial <- w.serial + 1;
-            w.failures <- 0;
-            w.quarantined_until <- 0.0;
-            repair_around t w;
-            w.conn
-          end
-          else begin
-            Rpc.close conn;
-            quarantine t w;
-            None
-          end
-        | Error (Rpc.Dial_timeout _ as err) ->
-          Log.warn (fun m ->
-              m "worker %s unreachable: %s" (address w)
-                (Rpc.describe_connect_error err));
-          quarantine t w;
-          None
-        | Error (Rpc.Dial_failed msg) ->
-          if i >= t.retries then begin
-            Log.warn (fun m -> m "worker %s unreachable: %s" (address w) msg);
-            quarantine t w;
-            None
-          end
-          else begin
-            Thread.delay (t.backoff *. Float.ldexp 1.0 i);
-            attempt (i + 1)
-          end
-      in
-      attempt 0
-    end
+  | None when Unix.gettimeofday () < w.quarantined_until -> None
+  | None -> (
+    match
+      Rpc.connect ~io:t.io ~dial_timeout:t.dial_timeout ~host:w.host ~port:w.port
+        ~timeout:t.timeout ()
+    with
+    | Ok conn ->
+      if announce_epoch_on t w (Rpc.call conn) && resync t w conn then begin
+        w.conn <- Some conn;
+        w.serial <- w.serial + 1;
+        w.failures <- 0;
+        w.quarantined_until <- 0.0;
+        repair_around t w;
+        w.conn
+      end
+      else begin
+        Rpc.close conn;
+        quarantine t w;
+        None
+      end
+    | Error err ->
+      Log.warn (fun m ->
+          m "worker %s unreachable: %s" (address w) (Rpc.describe_connect_error err));
+      quarantine t w;
+      None)
 
 (* Take over a session whose placement history this coordinator never saw
    (an earlier owner routed it): each replica is read once.  The fullest
@@ -618,25 +609,32 @@ let targets ?(dial = true) t si =
 
 (* Stage one payload on [ws].  A worker is shipped when its staging
    reaches the batch high-water mark, and [add_batch] ships every worker
-   before it returns. *)
-let stage t ws name payload ~ts =
-  List.iter
-    (fun w ->
-      Queue.push (name, payload, ts) w.staged;
-      if Queue.length w.staged >= t.batch then ship_worker t w)
-    ws
+   before it returns.  A target that died since it was picked missed the
+   payload, so it is incomplete; with none left alive the payload waits. *)
+let stage t si ws name payload ~ts =
+  if List.exists (fun w -> w.conn <> None) ws then
+    List.iter
+      (fun w ->
+        if w.conn = None then si.incomplete.(w.wid) <- true
+        else begin
+          Queue.push (name, payload, ts) w.staged;
+          if Queue.length w.staged >= t.batch then ship_worker t w
+        end)
+      ws
+  else Queue.push (payload, ts) si.waiting
 
 (* The session's [targets], with its waiting sets staged on them first,
    oldest first, so whatever is staged next lands behind them.  With no
    target the sets keep waiting.  Only what waits now is released: a death
    while it ships parks that worker's window in the FIFO again, for a later
-   release.  Every path that places a session's sets goes through here. *)
+   release.  This is the one re-route: a failure only parks, and every set
+   that is staged again is staged from here. *)
 let place ?dial t si name =
   let ws = targets ?dial t si in
   if ws <> [] && not (Queue.is_empty si.waiting) then begin
     let items = List.of_seq (Queue.to_seq si.waiting) in
     Queue.clear si.waiting;
-    List.iter (fun (payload, ts) -> stage t ws name payload ~ts) items
+    List.iter (fun (payload, ts) -> stage t si ws name payload ~ts) items
   end;
   ws
 
@@ -645,6 +643,9 @@ let place ?dial t si name =
    a down replica incomplete although nothing was placed without it. *)
 let release ?dial t name si =
   if not (Queue.is_empty si.waiting) then ignore (place ?dial t si name)
+
+(* Sets waiting across every session: a drain that parks some grows it. *)
+let waiting_sets t = Hashtbl.fold (fun _ si n -> n + Queue.length si.waiting) t.sessions 0
 
 (* Mutations are refused while this coordinator may not own the pool: a
    warm standby answers queries only, and a deposed primary's writes are
@@ -655,83 +656,25 @@ let mutation_guard t =
   else if t.fenced_by > t.epoch then Error (P.Fenced t.fenced_by)
   else Ok ()
 
-(* Route one payload behind the session's waiting sets, or park it with
-   them when no replica is usable.  [fresh] ingest is refused once
-   [t.window] sets wait, or when dialing the replicas found this
-   coordinator fenced; a re-routed payload was acknowledged already and
-   always parks. *)
-let route ?(fresh = false) t si name payload ~ts =
+(* Route one fresh payload behind the session's waiting sets, or park it
+   with them when no replica is usable.  It is refused once [t.window] sets
+   wait, or when dialing the replicas found this coordinator fenced. *)
+let route t si name payload ~ts =
   match place t si name with
   | [] ->
     let admitted =
-      if not fresh then Ok ()
-      else
-        Result.bind (mutation_guard t) (fun () ->
-            if Queue.length si.waiting < t.window then Ok ()
-            else
-              Error
-                (P.Server_error
-                   (Printf.sprintf "session %s: %d sets already wait for an unreachable replica"
-                      name t.window)))
+      Result.bind (mutation_guard t) (fun () ->
+          if Queue.length si.waiting < t.window then Ok ()
+          else
+            Error
+              (P.Server_error
+                 (Printf.sprintf "session %s: %d sets already wait for an unreachable replica"
+                    name t.window)))
     in
     Result.map (fun () -> Queue.push (payload, ts) si.waiting) admitted
   | ws ->
-    stage t ws name payload ~ts;
+    stage t si ws name payload ~ts;
     Ok ()
-
-(* Re-route a dead worker's staged payloads and unacked frames — oldest
-   (sent-but-unacked) first, then the never-sent staging queue — and mark
-   its unanswered asks lost; wired into
-   [quarantine] via the forward reference because death and re-routing are
-   mutually recursive.  A payload a live replica already took lands there
-   again, which the union ignores; with no replica usable it waits.  Each
-   session's targets are picked once for the whole window, and again only
-   if one of them dies meanwhile: picking them dials every replica whose
-   quarantine has run out, and a worker that accepts but does not answer
-   costs a full [timeout] per dial. *)
-let requeue t w =
-  let orphans = ref [] in
-  Queue.iter
-    (function
-      | Ask slot -> slot := Some (Error "connection lost before the reply")
-      | Frame b ->
-        Array.iter (fun payload -> orphans := (b.bsession, payload, b.bts) :: !orphans) b.bitems)
-    w.pending;
-  Queue.iter (fun item -> orphans := item :: !orphans) w.staged;
-  Queue.clear w.pending;
-  Queue.clear w.staged;
-  w.in_flight <- 0;
-  let picked = Hashtbl.create 4 in
-  let targets_of session si =
-    match Hashtbl.find_opt picked session with
-    | Some ws when List.for_all (fun w -> w.conn <> None) ws -> ws
-    | _ ->
-      let ws = place t si session in
-      Hashtbl.replace picked session ws;
-      ws
-  in
-  List.iter
-    (fun (session, payload, ts) ->
-      Option.iter
-        (fun si ->
-          match targets_of session si with
-          | [] -> Queue.push (payload, ts) si.waiting
-          | ws -> stage t ws session payload ~ts)
-        (Hashtbl.find_opt t.sessions session))
-    (List.rev !orphans)
-
-let () = kill_requeue := requeue
-
-(* Re-route payloads parked by [retire_ack], once the drain that parked
-   them has unwound.  Each refusal marks its replica incomplete, so this
-   ends with the payloads staged on complete replicas or waiting. *)
-let reroute_orphans t =
-  while not (Queue.is_empty t.orphans) do
-    let session, payload, ts = Queue.pop t.orphans in
-    Option.iter
-      (fun si -> ignore (route t si session payload ~ts))
-      (Hashtbl.find_opt t.sessions session)
-  done
 
 (* --- public operations --- *)
 
@@ -792,18 +735,14 @@ let add ?ts t ~name ~payload =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
       | Error e -> Error e
-      | Ok si ->
-        let r = route ~fresh:true t si name payload ~ts in
-        reroute_orphans t;
-        r)
+      | Ok si -> route t si name payload ~ts)
 
 (* A whole client ADDB frame routed under one lock acquisition.  Every
    payload of a session goes to the same replicas, so the frame re-batches
    there whole.  The frame is already a batch, so nothing is held back:
    every worker with staged frames is shipped before the call returns, and
-   the sets reach the worker estimators without waiting for a read.
-   Shipping repeats until nothing is staged, since a drain can park refused
-   payloads and re-routing them stages more (bounded like [flush]). *)
+   the sets reach the worker estimators without waiting for a read.  What
+   a drain parks meanwhile waits for the next [place]. *)
 let add_batch ?ts t ~name ~payloads =
   with_lock t (fun () ->
       match Result.bind (mutation_guard t) (fun () -> find_session t name) with
@@ -813,50 +752,41 @@ let add_batch ?ts t ~name ~payloads =
         let errors = ref [] in
         List.iteri
           (fun i payload ->
-            match route ~fresh:true t si name payload ~ts with
+            match route t si name payload ~ts with
             | Ok () -> incr accepted
             | Error e -> errors := (i, P.describe_error e) :: !errors)
           payloads;
-        let has_staged w = not (Queue.is_empty w.staged) in
-        let rec ship attempts =
-          Array.iter (fun w -> if has_staged w then ship_worker t w) t.workers;
-          reroute_orphans t;
-          if attempts > 0 && Array.exists has_staged t.workers then ship (attempts - 1)
-        in
-        ship (Array.length t.workers + 2);
+        Array.iter (fun w -> if not (Queue.is_empty w.staged) then ship_worker t w) t.workers;
         Ok (!accepted, List.rev !errors))
 
 let flush t =
   (* Settle to quiescence: waiting sets are released onto the replicas
-     connected now (nothing is dialed), draining can park refused payloads,
-     rerouting them stages fresh frames, so repeat until nothing moves
-     (bounded — a refusal marks its replica incomplete, so a payload
-     refused by every replica ends up waiting). *)
+     connected now (nothing is dialed), and draining can park more, so
+     repeat while a drain parks anything (bounded — a death or a refusal
+     takes its replica out of the targets, so a set no replica takes ends
+     up waiting). *)
   let rec go attempts =
     Hashtbl.iter (release ~dial:false t) t.sessions;
+    let before = waiting_sets t in
     Array.iter
       (fun w ->
         flush_worker t w;
         if w.conn <> None then drain_acks t w ~down_to:0)
       t.workers;
-    reroute_orphans t;
-    if
-      attempts > 0
-      && Array.exists
-           (fun w -> w.in_flight > 0 || not (Queue.is_empty w.staged))
-           t.workers
-    then go (attempts - 1)
+    if attempts > 0 && waiting_sets t > before then go (attempts - 1)
   in
   go (Array.length t.workers + 2)
 
 (* Ask one replica of [name] for [req w]'s answer.
 
-   The replicas are reconnected first and an incomplete one is replaced;
-   then the session's waiting sets are released onto the complete ones, so
-   the ask queues behind them.  The first usable replica in ring order is
-   asked, falling to the next one if it fails, all under one absolute
-   deadline.  Each ask owes its reply in its worker's FIFO, so collecting
-   it retires the acks owed ahead of it.  A replica is only asked while
+   The replicas are dialed once and an incomplete one is replaced.  Before
+   each replica is asked, the session's waiting sets are released onto the
+   complete ones (nothing more is dialed), so the ask queues behind them:
+   a replica that died mid-read has its window on the next one before that
+   one's ask goes out.  The first usable replica in ring order is asked,
+   falling to the next one if it fails, all under one absolute deadline.
+   Each ask owes its reply in its worker's FIFO, so collecting it retires
+   the acks owed ahead of it.  A replica is only asked while
    budget remains, and gets an equal share of it with the usable replicas
    after it, so a hung home leaves its peer the time to answer fresh.
    [accept w reply] turns a reply into the answer; a reply it refuses
@@ -865,11 +795,11 @@ let flush t =
 let ask_replicas t si name ~req ~accept =
   List.iter (fun w -> ignore (ensure_conn t w)) si.members;
   repair t si name;
-  release t name si;
   let deadline = Unix.gettimeofday () +. t.timeout in
   let rec read = function
     | [] -> None
     | w :: rest -> (
+      release ~dial:false t name si;
       let now = Unix.gettimeofday () in
       let share = float (List.length (List.filter (usable si) (w :: rest))) in
       if not (usable si w && now < deadline) then read rest
@@ -884,9 +814,7 @@ let ask_replicas t si name ~req ~accept =
             si.incomplete.(w.wid) <- true;
             read rest))
   in
-  let answer = read si.members in
-  reroute_orphans t;
-  answer
+  read si.members
 
 (* A token that would not decode is no fresher than no token. *)
 let decode name token =
@@ -1226,7 +1154,7 @@ let shutdown t =
           end)
         t.sessions;
       flush t;
-      let lost = Hashtbl.fold (fun _ si n -> n + Queue.length si.waiting) t.sessions 0 in
+      let lost = waiting_sets t in
       if lost > 0 then
         Log.warn (fun m -> m "shutdown loses %d set(s) still waiting for a replica" lost);
       Array.iter

@@ -23,20 +23,22 @@
       addends, so a healthy cluster answers exactly what one estimator
       over the whole stream would — the (ε,δ) guarantee of the paper.
 
-    Failure handling: every RPC is bounded by a timeout ({!Rpc}); a worker
-    that fails is quarantined with exponential backoff and its staged
-    payloads plus every unacknowledged frame are replayed {e payload by
-    payload} through the same placement — at-least-once, and a set an
-    estimator sees twice is a duplicate the union ignores.  A replica
-    skipped while it was away is {e incomplete}: it is neither fed nor
-    read until, at its reconnect, it is replaced by a complete peer's copy
-    ([CLOSE], [OPEN], [MERGE] of a freshly fetched token).  While no
-    replica is usable a session's sets wait in one FIFO at the
-    coordinator: a dead or refusing replica's unacknowledged window always
-    joins it, and new ingest joins it while fewer than [window] sets wait
-    and is refused past that with an error naming the session.  The FIFO
-    is released onto the replicas once one is complete again, ahead of the
-    session's next payload and before any gather reads a replica.  So every
+    Failure handling: every RPC is bounded by a timeout ({!Rpc}).  A
+    failure only records; one placement step re-routes.  A worker that
+    fails — a lost reply, a failed write, a refused or timed-out dial — is
+    quarantined with exponential backoff (the one retry schedule: no dial
+    is retried in the same call), its unanswered asks fail, and its
+    unacknowledged frames and never-sent payloads are {e parked}, payload
+    by payload and oldest first, in one waiting FIFO per session.  A
+    replica that skipped or refused sets is {e incomplete}: it is neither
+    fed nor read until, at its reconnect, it is replaced by a complete
+    peer's copy ([CLOSE], [OPEN], [MERGE] of a freshly fetched token).
+    New ingest joins the FIFO while no replica is usable and fewer than
+    [window] sets wait, and is refused past that with an error naming the
+    session.  The FIFO is staged again only by placement, once a replica
+    is complete: ahead of the session's next payload, before each replica
+    a read asks, and at {!flush} and {!shutdown} — at-least-once, and a set
+    an estimator sees twice is a duplicate the union ignores.  So every
     session has exactly one estimator, whatever fails.  A gather that had
     to fall back to a last good token (or found nothing at all) flags the
     estimate [degraded] in the reply.
@@ -45,8 +47,9 @@
     generation — a restarted process, possibly recovered from its
     write-ahead journal — gets every session re-opened, and a replica that
     comes back without its session is incomplete.  An
-    acknowledgement-time refusal (e.g. [UNKNOWN-SESSION]) re-routes the
-    refused payloads instead of counting them delivered. *)
+    acknowledgement-time refusal (e.g. [UNKNOWN-SESSION]) marks the
+    replica incomplete and parks the refused payloads instead of counting
+    them delivered. *)
 
 type t
 
@@ -54,7 +57,6 @@ val create :
   ?replicas:int ->
   ?timeout:float ->
   ?dial_timeout:float ->
-  ?retries:int ->
   ?backoff:float ->
   ?window:int ->
   ?batch:int ->
@@ -73,8 +75,8 @@ val create :
     with R = 2 any single worker can be lost with no estimate degradation,
     because the gather reads the surviving copy.
     [dial_timeout] (default 2s) bounds each TCP connect separately from the
-    per-reply [timeout]; a dial that times out (black-holed host) skips the
-    in-round retries and quarantines at once.
+    per-reply [timeout].  A dial is made once per call: one that times out
+    (black-holed host) or is refused quarantines the worker at once.
     [epoch] (default 0 = fencing off) is the fencing epoch announced on
     every worker connection with [COORD] before any other traffic; workers
     refuse mutations from connections stamped with a superseded epoch, which
@@ -95,8 +97,9 @@ val create :
     so one slow worker costs at most one timeout however many are slow, and
     each replica asked gets an equal share of what is left with the usable
     replicas after it, so a hung home leaves its peer time to answer fresh;
-    [retries] (default 3) bounds reconnect attempts, with delays starting at
-    [backoff] (default 50ms) and doubling; [window] (default 256) is the
+    a failed worker is next dialed after a quarantine that starts at twice
+    [backoff] (default 50ms), doubles per consecutive failure up to 30s,
+    and is jittered by ±25%; [window] (default 256) is the
     unacknowledged-payload depth per worker, and the number of new sets a
     session may park while none of its replicas is usable; [batch] (default 64) is both
     the per-worker staging high-water mark and the maximum payloads per
@@ -134,8 +137,8 @@ val add :
     point, or, with none usable, waits in the session's FIFO.  [Error]
     names the session when [window] sets already wait there.  Waiting sets
     exist only in this coordinator's memory: a crash or a standby takeover
-    loses them — at most [window] new sets plus each dead replica's
-    unacknowledged window per session.  [ts] is the
+    loses them — at most [window] new sets plus each dead or refusing
+    replica's unacknowledged window per session.  [ts] is the
     ingest timestamp forwarded to the worker ([t=] on the wire); [None]
     lets the worker stamp its own receive time.  Parse errors surface
     asynchronously in {!stats} ([parse_rejects]), not here. *)

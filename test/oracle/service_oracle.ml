@@ -136,7 +136,7 @@ let run ~replicas seed =
   in
   let window = 64 in
   let coord =
-    Coordinator.create ~replicas ~timeout:0.25 ~retries:1 ~backoff:0.01 ~batch:16
+    Coordinator.create ~replicas ~timeout:0.25 ~backoff:0.01 ~batch:16
       ~window ~io
       ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
       ~seed:(seed + 77) ()

@@ -79,7 +79,7 @@ let run_seed ~seed ~write_cfg ~read_cfg ~expect_faults () =
   (* tiny batch/window: many frames and many ack drains, so the fault menu
      gets plenty of socket operations to bite on *)
   let coord =
-    Coordinator.create ~timeout:0.4 ~retries:2 ~backoff:0.01 ~batch:2 ~window:8
+    Coordinator.create ~timeout:0.4 ~backoff:0.01 ~batch:2 ~window:8
       ~io ~workers:addrs ~seed:(77 + seed) ()
   in
   let name = Printf.sprintf "chaos-%d" seed in
@@ -298,16 +298,18 @@ let test_corrupt_read () =
   Alcotest.(check string) "bytes outside the read untouched" "####"
     (Bytes.sub_string buf 0 4)
 
-(* A death mid-gather whose re-route lands on the worker the gather reads
-   next.  R=2 over two workers: session [s] is homed at A, session [t] at
-   B, and each worker holds a copy of both.  A partition of A during an
-   EST times out A's FETCH; the window A still owed — [s]'s frames and a
-   copy of [t]'s — is re-routed onto B, and it is big enough to push B past
-   the ack window, so B is drained mid-gather with [t]'s ack owed ahead of
-   the re-routed frames.  B's FETCH then queues behind what is left, and
-   its reply must still be read in order: the answer is fresh and exact, B
-   stays up, and once A is back and replaced every acked set is
-   counted. *)
+(* A death mid-gather whose parked window lands on the worker the gather
+   reads next.  R=2 over two workers: session [s] is homed at A, session
+   [t] at B, and each worker holds a copy of both.  A partition of A during
+   an EST times out A's FETCH, and the window A still owed is parked:
+   [s]'s frames in [s]'s waiting FIFO, a copy of [t]'s in [t]'s.  Before B
+   is asked, the gather releases [s]'s onto B, which pushes B past the ack
+   window, so B is drained mid-gather with [t]'s ack owed ahead of the
+   released frames.  B's FETCH then queues behind what is left, and its
+   reply must still be read in order: the answer is fresh and exact and
+   counts A's parked window, B stays up, and once A is back and replaced
+   every acked set is counted ([t]'s parked copy is released by [t]'s next
+   ingest). *)
 let test_reroute_onto_pending_fetch () =
   let s = Test_cluster.name_homed_at 0 2 and t = Test_cluster.name_homed_at 1 2 in
   let workers = List.init 2 (fun n -> start_worker (70 + n) ~seed:(3000 + n)) in
@@ -320,7 +322,7 @@ let test_reroute_onto_pending_fetch () =
     }
   in
   (* batch 2, window 8: neither worker is drained while it owes 7 units,
-     and the first re-routed frame pushes B past the window *)
+     and the first released frame pushes B past the window *)
   let coord =
     Coordinator.create ~io ~replicas:2 ~timeout:0.3 ~backoff:0.01 ~batch:2 ~window:8
       ~workers:(List.map (fun (w, _) -> ("127.0.0.1", Server.port w)) workers)
@@ -361,7 +363,10 @@ let test_reroute_onto_pending_fetch () =
   ingest t (List.filteri (fun i _ -> i < 2) tset);
   ingest s set2;
   Chaos.partition chaos [ port_a ];
-  est "re-route onto B mid-gather" s ~degraded:false (set1 @ set2);
+  est "A's parked window released onto B mid-gather" s ~degraded:false (set1 @ set2);
+  Alcotest.(check int) "B took A's parked window before its FETCH"
+    (List.length (set1 @ set2 @ set2))
+    (Test_cluster.direct_stats (Server.port (fst (List.nth workers 1))) s).P.items;
   Alcotest.(check int) "B survives the drain" 1 (Coordinator.live_workers coord);
   back_up ();
   ingest s set3;
@@ -373,11 +378,75 @@ let test_reroute_onto_pending_fetch () =
   List.iter stop_worker workers;
   List.iteri (fun n _ -> rm_rf (spool (70 + n))) workers
 
+(* A death marks the dead replica incomplete for the sessions it owed sets
+   to whenever a complete peer is connected, although nothing is placed at
+   that moment.  R = 2 over A and B, with [s] homed at A.  A partition of A
+   is found by the drain of a client ADDB: A's window is parked, and the
+   next placement comes only after A is back — the partition heals, and
+   the next EST redials A before it releases anything.  A returns over a
+   blip, with its sessions, so only the mark makes the reconnect replace
+   A's copy with B's, which holds the frames A never received: A then
+   holds exactly B's items. *)
+let test_death_marks_incomplete () =
+  let s = Test_cluster.name_homed_at 0 2 in
+  let workers = List.init 2 (fun n -> start_worker (74 + n) ~seed:(3100 + n)) in
+  let port n = Server.port (fst (List.nth workers n)) in
+  let chaos = Chaos.create (Chaos.config ~seed:75 ()) in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos Unix.read;
+      io_write = Chaos.wrap_write chaos Unix.write_substring;
+    }
+  in
+  (* batch 2, window 8: the eight-payload ADDB drains A while it ships *)
+  let coord =
+    Coordinator.create ~io ~replicas:2 ~timeout:0.3 ~backoff:0.01 ~batch:2 ~window:8
+      ~workers:[ ("127.0.0.1", port 0); ("127.0.0.1", port 1) ]
+      ~seed:76 ()
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (P.render_response (P.Error_reply e))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (74 + n))) workers)
+  @@ fun () ->
+  ok "OPEN"
+    (Coordinator.open_session coord ~name:s ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  let gen = Rng.create ~seed:77 in
+  let set1 = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:10 ~max_side:6 in
+  let set2 = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:8 ~max_side:6 in
+  let ingest boxes =
+    ignore (ok "ADDB" (Coordinator.add_batch coord ~name:s ~payloads:(List.map payload_of boxes)))
+  in
+  let est what boxes =
+    let v, d, _ = ok what (Coordinator.estimate coord ~name:s) in
+    Alcotest.(check bool) (what ^ ": fresh") false d;
+    Alcotest.(check (float 0.0)) (what ^ ": exact") (truth boxes) v
+  in
+  ingest set1;
+  est "clean" set1;
+  Chaos.partition chaos [ port 0 ];
+  ingest set2;
+  Alcotest.(check int) "the drain found A dead" 1 (Coordinator.live_workers coord);
+  Chaos.heal chaos;
+  Thread.delay 0.1 (* past A's quarantine *);
+  est "A back" (set1 @ set2);
+  Alcotest.(check int) "A was replaced with B's copy"
+    (Test_cluster.direct_stats (port 1) s).P.items
+    (Test_cluster.direct_stats (port 0) s).P.items
+
 let suite =
   [
     Alcotest.test_case "config validates" `Quick test_config_validates;
-    Alcotest.test_case "a death mid-gather re-routes onto a pending FETCH" `Quick
+    Alcotest.test_case "a death mid-gather re-routes onto the next replica before its FETCH" `Quick
       test_reroute_onto_pending_fetch;
+    Alcotest.test_case "a death marks its replica incomplete while a peer is complete" `Quick
+      test_death_marks_incomplete;
     Alcotest.test_case "seeded write faults are deterministic" `Quick
       test_write_determinism;
     Alcotest.test_case "partial write tears a prefix" `Quick test_partial_write;

@@ -509,10 +509,13 @@ let dials srv =
    R = 3 over three workers: the session's home is a real server, and its
    two peers refuse connections until, with the home stopped and eight
    payloads staged on it, each becomes a hung listener.  The flush that
-   finds the home dead re-routes its window: each peer is dialed, its HELLO
-   waits out the 0.3 s timeout, and the window waits for a replica.
-   Picking targets per payload would dial each listener again whenever its
-   short quarantine ran out during the other's wait. *)
+   finds the home dead only parks its window: a flush dials nothing, so
+   neither listener is dialed.  The next EST is the placement that
+   re-routes it: it dials each peer once, each HELLO waits out the 0.3 s
+   timeout, and the window keeps waiting.  Re-placing after each failed
+   dial would dial a listener again whenever its short quarantine ran out
+   during the other's wait.  The next ADD, a placement, dials each once
+   more. *)
 let test_reroute_dials_once () =
   let name = List.find (fun n -> home n 3 = 0) (List.init 50 (Printf.sprintf "rd%d")) in
   let a = start_worker 130 ~seed:6000 in
@@ -527,7 +530,7 @@ let test_reroute_dials_once () =
   let hung port = fst (Test_failover.raw_listener ~port ~backlog:64 ()) in
   let p1 = free_port () and p2 = free_port () in
   let coord =
-    Coordinator.create ~replicas:3 ~timeout:0.3 ~retries:0 ~backoff:0.001
+    Coordinator.create ~replicas:3 ~timeout:0.3 ~backoff:0.001
       ~workers:[ ("127.0.0.1", Server.port (fst a)); ("127.0.0.1", p1); ("127.0.0.1", p2) ]
       ~seed:6060 ()
   in
@@ -549,10 +552,17 @@ let test_reroute_dials_once () =
   let h1 = hung p1 and h2 = hung p2 in
   Thread.delay 0.2 (* past the quarantines the refused dials left *);
   Coordinator.flush coord;
-  Alcotest.(check (pair int int)) "each hung replica dialed once" (1, 1) (dials h1, dials h2);
+  Alcotest.(check (pair int int)) "the flush dials neither hung replica" (0, 0)
+    (dials h1, dials h2);
   let est2, degraded2, _ = ok (Coordinator.estimate coord ~name) in
+  Alcotest.(check (pair int int)) "the EST dials each hung replica once" (1, 1)
+    (dials h1, dials h2);
   Alcotest.(check bool) "degraded without a live replica" true degraded2;
   Alcotest.(check (float 0.0)) "last good sketch" (truth before) est2;
+  Thread.delay 0.05 (* past the quarantines the EST left *);
+  ok (Coordinator.add coord ~name ~payload:"0 1 0 1");
+  Alcotest.(check (pair int int)) "the ADD dials each hung replica once" (1, 1)
+    (dials h1, dials h2);
   Coordinator.shutdown coord;
   Unix.close h1;
   Unix.close h2;
@@ -639,10 +649,13 @@ let test_outage_waits_for_the_home () =
     workers
 
 (* A one-worker pool whose home dies with frames unacknowledged and comes
-   back empty.  No other worker can take the window, so it waits; at the
-   reconnect the home is replaced from the last good sketch first — its
-   CLOSE would wipe anything shipped earlier — and then the window lands.
-   The exact-regime answer counts every acknowledged set. *)
+   back empty.  The frames are written after the stop, into the dead
+   connection, so no ack can come for them (written before it, the worker
+   could still ack them and then lose them with its wiped spool).  No other
+   worker can take the window, so it waits; at the reconnect the home is
+   replaced from the last good sketch first — its CLOSE would wipe
+   anything shipped earlier — and then the window lands.  The
+   exact-regime answer counts every acknowledged set. *)
 let test_empty_home_gets_the_waiting_window () =
   let name = "solo" in
   let w = start_worker 160 ~seed:1700 in
@@ -660,10 +673,10 @@ let test_empty_home_gets_the_waiting_window () =
   List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) first;
   Alcotest.(check (float 0.0)) "fresh before the death" (truth first)
     (settled_estimate coord ~name);
-  (* two full frames shipped, their acks not yet read *)
-  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) unacked;
   stop_worker w;
   rm_rf (spool 160);
+  (* two full frames shipped into the dead connection *)
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) unacked;
   let w = restart_worker 160 ~port ~seed:1800 in
   Alcotest.(check (float 0.0)) "every acknowledged set" (truth (first @ unacked))
     (settled_estimate coord ~name);
@@ -1674,6 +1687,103 @@ let test_forwarded_read_refused_by_home () =
     (direct_stats ports.((h + 1) mod 3) name).P.items
     (direct_stats ports.(h) name).P.items
 
+(* An ingest frame refused at its ack, at R = 1 and R = 2.  The home loses
+   the session behind the coordinator's back (a direct CLOSE) after an EST
+   has stored the session's last good token, and the next ADDB's ack
+   answers UNKNOWN-SESSION.  The refused sets are parked, neither counted
+   delivered nor counted as rejects: at R = 2 the peer takes them, at R = 1
+   they wait until the home is replaced from the last good token.  Either
+   way the settled answer counts every acknowledged set, and the home is
+   complete again. *)
+let test_refused_ingest_parks () =
+  let name = "refused" in
+  List.iter
+    (fun replicas ->
+      let base = 230 + (10 * replicas) in
+      let workers = List.init 3 (fun n -> start_worker (base + n) ~seed:(2300 + n)) in
+      let ports = Array.of_list (List.map (fun (s, _) -> Server.port s) workers) in
+      let h = home name 3 in
+      let coord =
+        Coordinator.create ~replicas ~timeout:5.0 ~backoff:0.01
+          ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+          ~seed:231 ()
+      in
+      let what = Printf.sprintf "R=%d: " replicas in
+      Fun.protect
+        ~finally:(fun () ->
+          Coordinator.shutdown coord;
+          List.iter stop_worker workers;
+          List.iteri (fun n _ -> rm_rf (spool (base + n))) workers)
+      @@ fun () ->
+      ok
+        (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+           ~log2_universe:17.0);
+      let gen = Rng.create ~seed:232 in
+      let band () = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count:20 ~max_side:6 in
+      let first = band () and refused = band () in
+      ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of first)));
+      let est, _, _ = ok (Coordinator.estimate coord ~name) in
+      Alcotest.(check (float 0.0)) (what ^ "exact before the loss") (truth first) est;
+      (match direct_call ports.(h) (P.Close { session = name }) with
+      | P.Ok_reply _ -> ()
+      | r -> Alcotest.failf "direct CLOSE: %s" (P.render_response r));
+      ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of refused)));
+      Coordinator.flush coord;
+      Alcotest.(check (float 0.0)) (what ^ "every acknowledged set") (truth (first @ refused))
+        (settled_estimate coord ~name);
+      Alcotest.(check int) (what ^ "a refusal is not a reject") 0
+        (ok (Coordinator.stats coord ~name)).P.parse_rejects;
+      Alcotest.(check int) (what ^ "the home was replaced") replicas
+        (List.nth (Coordinator.shard_freshness coord) h);
+      Alcotest.(check int) (what ^ "the home holds every set")
+        (if replicas = 1 then 40 else (direct_stats ports.((h + 1) mod 3) name).P.items)
+        (direct_stats ports.(h) name).P.items)
+    [ 1; 2 ]
+
+(* A refused dial quarantines at once: the quarantine's backoff is the one
+   retry schedule, and nothing sleeps on the caller's thread (on a front
+   door, every client's).  R = 2 over a live worker and a port that
+   refuses connections: once that replica's quarantine has run out, an ADD
+   dials it again and returns within 0.1 s at the default backoff. *)
+let test_refused_dial_does_not_sleep () =
+  let a = start_worker 260 ~seed:2600 in
+  let refusing =
+    let srv, p = Test_failover.raw_listener ~backlog:1 () in
+    Unix.close srv;
+    p
+  in
+  let coord =
+    Coordinator.create ~replicas:2
+      ~workers:[ ("127.0.0.1", Server.port (fst a)); ("127.0.0.1", refusing) ]
+      ~seed:261 ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      stop_worker a;
+      rm_rf (spool 260))
+  @@ fun () ->
+  let name = "refusing" in
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:262) ~universe:300 ~dim:2 ~count:3 ~max_side:6
+  in
+  List.iter
+    (fun b ->
+      (* the first quarantine lasts at most 2.5 backoffs, each later one
+         twice the last; 0.3 s outlasts the second *)
+      Thread.delay 0.3;
+      let t0 = Unix.gettimeofday () in
+      ok (Coordinator.add coord ~name ~payload:(payload_of b));
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "ADD returns in %.3f s < 0.1 s" dt) true (dt < 0.1))
+    (List.filteri (fun i _ -> i < 2) boxes);
+  ok (Coordinator.add coord ~name ~payload:(payload_of (List.nth boxes 2)));
+  Alcotest.(check (float 0.0)) "the live replica counts every set" (truth boxes)
+    (settled_estimate coord ~name)
+
 (* STATS lays the coordinator's own figures over a replica's: the rejects
    its acks listed (a payload sent straight to a worker is not one of
    them) and the value of its last EST (no EST reaches a worker, whose own
@@ -1799,7 +1909,7 @@ let suite =
       test_slow_workers_share_one_deadline;
     Alcotest.test_case "a hung home at R=2 leaves its peer time to answer fresh" `Quick
       test_slow_home_peer_answers;
-    Alcotest.test_case "re-routing a dead worker's window dials each worker once" `Quick
+    Alcotest.test_case "re-routing a dead worker's window waits for a read that dials each worker once" `Quick
       test_reroute_dials_once;
     Alcotest.test_case "an outage at R=1 waits for the home and refuses past the window" `Quick
       test_outage_waits_for_the_home;
@@ -1833,6 +1943,10 @@ let suite =
       test_forwarded_reads_ship_no_token;
     Alcotest.test_case "a read refused by the home is answered by its peer" `Quick
       test_forwarded_read_refused_by_home;
+    Alcotest.test_case "an ingest frame refused at its ack parks, and the home is replaced" `Quick
+      test_refused_ingest_parks;
+    Alcotest.test_case "a refused dial quarantines without sleeping" `Quick
+      test_refused_dial_does_not_sleep;
     Alcotest.test_case "STATS lays the coordinator's figures over a replica's or the last good token's"
       `Quick test_stats_overlay_and_fallback;
   ]

@@ -290,7 +290,7 @@ let scenario_kill_worker seed =
   let boxes = boxes_for seed 24 in
   let plan = Chaos.kill_plan chaos ~procs:3 ~steps:(List.length boxes - 1) in
   let coord =
-    Coordinator.create ~replicas:2 ~timeout:0.5 ~retries:1 ~backoff:0.01
+    Coordinator.create ~replicas:2 ~timeout:0.5 ~backoff:0.01
       ~batch:4 ~window:16 ~workers:addrs ~seed:(77 + seed) ()
   in
   let name = Printf.sprintf "repl-%d" seed in
@@ -414,7 +414,7 @@ let scenario_partition_heal seed =
     }
   in
   let coord =
-    Coordinator.create ~replicas:2 ~timeout:0.3 ~retries:1 ~backoff:0.01
+    Coordinator.create ~replicas:2 ~timeout:0.3 ~backoff:0.01
       ~batch:4 ~window:16 ~io ~workers:addrs ~seed:(277 + seed) ()
   in
   let name = Printf.sprintf "part-%d" seed in
@@ -638,7 +638,7 @@ let test_standby_after_partition ~replicas ~warm () =
     }
   in
   let primary =
-    Coordinator.create ~replicas ~timeout:0.3 ~retries:1 ~backoff:0.01 ~batch:4 ~window:16
+    Coordinator.create ~replicas ~timeout:0.3 ~backoff:0.01 ~batch:4 ~window:16
       ~io ~epoch:1 ~workers:addrs ~seed:41 ()
   in
   let standby =
