@@ -19,14 +19,11 @@ type worker = {
   host : string;
   port : int;
   mutable conn : Rpc.t option;
-  mutable serial : int; (* connections made so far: names the current one *)
+  mutable serial : int;
+      (* connections made so far: names the current one, and > 0 once a
+         connection to this worker has completed *)
   mutable failures : int; (* consecutive, drives the backoff *)
   mutable quarantined_until : float; (* epoch seconds; 0.0 = available *)
-  mutable generation : int;
-      (* the worker's HELLO generation at the last successful resync; 0 =
-         never asked.  A reconnect that reads the same nonzero generation is
-         a connection blip — the process (and its state) survived — and
-         skips the re-open sweep. *)
   staged : (string * string * float option) Queue.t;
       (* routed but not yet framed: (session, payload, ts).  Nothing
          here has touched the socket; a death parks these verbatim. *)
@@ -112,8 +109,8 @@ type t = {
          exceeds [epoch] a newer primary owns the pool: this coordinator is
          deposed and refuses mutations rather than fight. *)
   mutable read_only : bool;
-      (* a warm standby: answers every query, refuses every mutation, until
-         [Failover] promotes it *)
+      (* a warm standby: answers every query, refuses every mutation and
+         writes nothing to workers, until [Failover] promotes it *)
   mutable max_worker_epoch : int;
       (* highest epoch seen in any worker HELLO — the floor a takeover must
          clear, sourced from the workers because they are the durable truth *)
@@ -121,8 +118,7 @@ type t = {
 
 let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(backoff = 0.05)
     ?(window = 256) ?(batch = 64) ?(io = Rpc.default_io) ?proto:_
-    ?(clock = Unix.gettimeofday) ?(epoch = 0)
-    ?(read_only = false) ~workers ~seed () =
+    ?(clock = Unix.gettimeofday) ?(epoch = 0) ~workers ~seed () =
   if workers = [] then invalid_arg "Coordinator.create: need at least one worker";
   if replicas < 1 then invalid_arg "Coordinator.create: need replicas >= 1";
   if timeout <= 0.0 then invalid_arg "Coordinator.create: need timeout > 0";
@@ -143,7 +139,6 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(backoff = 0.
                serial = 0;
                failures = 0;
                quarantined_until = 0.0;
-               generation = 0;
                staged = Queue.create ();
                pending = Queue.create ();
                in_flight = 0;
@@ -164,7 +159,7 @@ let create ?(replicas = 1) ?(timeout = 2.0) ?(dial_timeout = 2.0) ?(backoff = 0.
     seq = 0;
     epoch;
     fenced_by = 0;
-    read_only;
+    read_only = false;
     max_worker_epoch = 0;
   }
 
@@ -401,19 +396,25 @@ let ask t w req =
    callers only decide fallback. *)
 let call_sync t w req = await t w (ask t w req)
 
-(* After a (re)connect to a new process, or at first contact: re-open every
-   session.  An OPEN that succeeds on a worker this coordinator knew before
-   means the process came back without the session, so its replica copy is
-   incomplete.  SESSION-EXISTS means the worker kept (or recovered) it. *)
-let reopen t w conn =
+(* After every connect: re-open every session.  The OPEN replies say which
+   replicas are incomplete, so nothing needs to know whether the same
+   process answered.  SESSION-EXISTS means the worker kept (or recovered)
+   the session, and the OPEN changed nothing.  An OPEN that succeeds on a
+   worker this coordinator reached before means the process came back
+   without the session, so its replica copy is incomplete.  This costs one
+   round trip per session on every reconnect, connection blips included. *)
+let reopen t (w : worker) conn =
   let ok = ref true in
   Hashtbl.iter
     (fun name (si : session_info) ->
       if !ok then
         match Rpc.call conn (open_request name si) with
         | Ok (P.Ok_reply _) ->
-          if w.generation <> 0 && List.memq w si.members then
+          if w.serial > 0 && List.memq w si.members then begin
+            Log.info (fun m ->
+                m "worker %s came back without %s: its replica is incomplete" (address w) name);
             si.incomplete.(w.wid) <- true
+          end
         | Ok (P.Error_reply (P.Session_exists _)) -> ()
         | Ok r ->
           Log.warn (fun m ->
@@ -426,27 +427,17 @@ let reopen t w conn =
     t.sessions;
   !ok
 
-(* Epoch-fenced rejoin.  HELLO asks the worker who it is: a nonzero
-   generation equal to the one recorded at the last successful resync means
-   the same process answered — the disconnect was a connection blip and its
-   sessions are intact, so the re-open sweep is skipped.  Any other
-   generation — a restarted process, possibly recovered from its journal
-   minus the unsynced tail — is re-opened.  Either way a replica that
-   missed payloads while away is replaced afterwards ([repair_around]). *)
+(* Rejoin.  HELLO reads the worker's fencing epoch, the floor a takeover
+   must clear.  A primary then re-opens every session; a standby writes
+   nothing to workers, or a primary reconnecting later would read
+   SESSION-EXISTS from a copy the standby re-created empty.  A replica
+   that missed payloads while away is replaced afterwards
+   ([repair_around]). *)
 let resync t w conn =
   match Rpc.call conn P.Hello with
-  | Ok (P.Hello_reply { generation; epoch }) ->
+  | Ok (P.Epoch_reply { epoch }) ->
     if epoch > t.max_worker_epoch then t.max_worker_epoch <- epoch;
-    if generation <> 0 && generation = w.generation then true
-    else begin
-      if w.generation <> 0 then
-        Log.info (fun m ->
-            m "worker %s: generation %d -> %d — restarted, re-opening sessions"
-              (address w) w.generation generation);
-      let ok = reopen t w conn in
-      if ok then w.generation <- generation;
-      ok
-    end
+    t.read_only || reopen t w conn
   | Ok r ->
     Log.warn (fun m ->
         m "worker %s: HELLO answered %s" (address w) (P.render_response r));
@@ -1167,10 +1158,8 @@ let dispatch t (req : P.request) : P.response =
   let reply = function Ok r -> r | Error e -> P.Error_reply e in
   match req with
   | P.Ping -> P.Pong
-  (* The coordinator is a client-facing aggregate, not a restartable worker;
-     it has no journal generation to advertise — but it does carry the
-     fencing epoch, which a standby probes for. *)
-  | P.Hello -> P.Hello_reply { generation = 0; epoch = epoch t }
+  (* the fencing epoch, which a standby probes for *)
+  | P.Hello -> P.Epoch_reply { epoch = epoch t }
   (* Only the gather freshness is the coordinator's to report; the front
      door lays its connection figures over the zeros. *)
   | P.Server_stats ->

@@ -42,11 +42,12 @@
     session has exactly one estimator, whatever fails.  A gather that had
     to fall back to a last good token (or found nothing at all) flags the
     estimate [degraded] in the reply.
-    A worker that comes back is interrogated with [HELLO] first: the same
-    generation means a connection blip, so its sessions survived; a new
-    generation — a restarted process, possibly recovered from its
-    write-ahead journal — gets every session re-opened, and a replica that
-    comes back without its session is incomplete.  An
+    Every reconnect, connection blips included, re-opens every session on
+    the worker, one [OPEN] round trip each: [SESSION-EXISTS] means the
+    worker kept the session (or recovered it from its write-ahead
+    journal), and an [OPEN] that succeeds means a worker reached before
+    came back without it, so that replica is incomplete.  A standby
+    re-opens nothing: it writes nothing to workers until promoted.  An
     acknowledgement-time refusal (e.g. [UNKNOWN-SESSION]) marks the
     replica incomplete and parks the refused payloads instead of counting
     them delivered. *)
@@ -64,7 +65,6 @@ val create :
   ?proto:Rpc.proto ->
   ?clock:(unit -> float) ->
   ?epoch:int ->
-  ?read_only:bool ->
   workers:(string * int) list ->
   seed:int ->
   unit ->
@@ -80,10 +80,7 @@ val create :
     [epoch] (default 0 = fencing off) is the fencing epoch announced on
     every worker connection with [COORD] before any other traffic; workers
     refuse mutations from connections stamped with a superseded epoch, which
-    is how a deposed primary's late writes die.  [read_only] (default
-    false) starts the coordinator as a warm standby: every query is served,
-    every mutation is refused with [ERR READONLY] — {!set_read_only} flips
-    it at takeover.
+    is how a deposed primary's late writes die.
     [io] (default {!Rpc.default_io}) supplies the socket operations for
     every worker connection — the fault-injection hook: the chaos tests
     pass [Delphic_harness.Chaos] wrappers here and the coordinator's
@@ -247,7 +244,10 @@ val is_fenced : t -> bool
     primary owns the pool, and every mutation fails with [ERR FENCED]. *)
 
 val set_read_only : t -> bool -> unit
-(** Flip standby mode.  [set_read_only t false] is the promotion switch —
+(** Flip standby mode.  A coordinator starts as a primary.  A standby
+    serves every query, refuses every mutation with [ERR READONLY], and
+    writes nothing to workers: no re-open and no replica repair.
+    [set_read_only t false] is the promotion switch —
     normally driven by {!Failover}, after {!sync_sessions} and
     {!announce_epoch}.  Promotion adopts every session as {!open_session}
     adopts one it finds already held, since a standby never saw which

@@ -104,7 +104,6 @@ type response =
   | Sketch of string
   | Sketch_at of { version : int; token : string option }
   | Pong
-  | Hello_reply of { generation : int; epoch : int }
   | Server_stats_reply of server_stats
   | Epoch_reply of { epoch : int }
   | Sessions_reply of session_desc list
@@ -785,11 +784,6 @@ let render_response = function
     Printf.sprintf "SKETCH ver=%d %s" version (armor_payload encoded)
   | Sketch_at { version; token = None } -> Printf.sprintf "UNCHANGED ver=%d" version
   | Pong -> "PONG"
-  | Hello_reply { generation; epoch } ->
-    (* the epoch rides only when fencing is in play, so pre-failover probes
-       (and their tests) see the exact v1 shape *)
-    "HELLO " ^ string_of_int generation
-    ^ if epoch > 0 then " epoch=" ^ string_of_int epoch else ""
   | Server_stats_reply s ->
     Printf.sprintf "SRVSTATS conns=%d shed=%d domains=%d dispatched=%s wal_queue=%d wal_last_group=%d wal_groups=%d%s"
       s.conns s.shed
@@ -848,19 +842,6 @@ let parse_response line =
       | _ -> Error (Printf.sprintf "OKB: bad accepted count %S" accepted))
     | [] -> Error "OKB: missing accepted count")
   | "PONG" when rest = "" -> Ok Pong
-  | "HELLO" -> (
-    match tokens rest with
-    | [ gen ] -> (
-      match int_of_string_opt gen with
-      | Some generation -> Ok (Hello_reply { generation; epoch = 0 })
-      | None -> Error (Printf.sprintf "HELLO: bad generation %S" rest))
-    | [ gen; ep ] when String.length ep > 6 && String.sub ep 0 6 = "epoch=" -> (
-      match
-        (int_of_string_opt gen, int_of_string_opt (String.sub ep 6 (String.length ep - 6)))
-      with
-      | Some generation, Some epoch -> Ok (Hello_reply { generation; epoch })
-      | _ -> Error (Printf.sprintf "HELLO: malformed reply %S" rest))
-    | _ -> Error (Printf.sprintf "HELLO: malformed reply %S" rest))
   | "EPOCH" -> (
     match int_of_string_opt rest with
     | Some epoch -> Ok (Epoch_reply { epoch })

@@ -21,7 +21,7 @@
     CLOSE <session>                                 drop the session
     EXPR [m=<samples>] [w=<secs>] <expression>      set-expression cardinality estimate
     PING                                            liveness probe
-    HELLO                                           identity probe (reply: HELLO <generation> [epoch=<e>])
+    HELLO                                           epoch probe (reply: EPOCH <e>)
     COORD <epoch>                                   stamp this connection with a coordinator epoch
     SESSIONS                                        enumerate open sessions with their parameters
     LEASE                                           coordinator lease probe (reply: LEASE epoch=<e> role=...)
@@ -137,13 +137,10 @@ type request =
           1-based column. *)
   | Ping
   | Hello
-      (** wire form [HELLO] — identity probe: the server answers
-          [HELLO <generation>] ({!Hello_reply}), where the generation is a
-          number that changes every time the process (re)starts.  The
-          cluster coordinator uses it to tell "same worker, same state"
-          apart from "worker restarted and lost its unjournalled tail".
-          Pre-crash-safety servers answer [ERR UNSUPPORTED HELLO], which
-          callers treat as "generation unknown, assume restart". *)
+      (** wire form [HELLO] — epoch probe: the server answers [EPOCH <e>]
+          ({!Epoch_reply}), the highest coordinator epoch it has seen (0
+          when fencing has never been engaged).  A takeover reads it to
+          pick an epoch above every earlier primary's. *)
   | Server_stats
       (** wire form [STATS] with no session — process-wide figures: live
           connections, sheds, requests handled
@@ -280,18 +277,14 @@ type response =
           token reply is the binary record [\x01 'V' | be64 version |
           token] *)
   | Pong
-  | Hello_reply of { generation : int; epoch : int }
-      (** [HELLO <generation> [epoch=<e>]], the reply to {!Hello}; [epoch]
-          is the highest coordinator epoch this worker has seen (0, and
-          omitted on the wire, when fencing has never been engaged — the
-          pre-failover reply shape) *)
   | Server_stats_reply of server_stats
       (** [SRVSTATS conns=.. shed=.. domains=.. dispatched=a,b,..
           wal_queue=.. wal_last_group=.. wal_groups=.. [shard_fresh=a,b,..]],
           the reply to {!Server_stats} *)
   | Epoch_reply of { epoch : int }
       (** [EPOCH <e>], the reply to {!Coord_epoch}: the epoch now stamped on
-          the connection (a refused announce is [ERR FENCED <current>]) *)
+          the connection (a refused announce is [ERR FENCED <current>]);
+          and to {!Hello}: the highest epoch the server has seen *)
   | Sessions_reply of session_desc list
       (** [SESSIONS <k> (<name> <family> <eps> <delta> <log2u>){k}], the
           reply to {!Sessions} *)

@@ -306,9 +306,9 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   let reply = function Ok r -> r | Error e -> Protocol.Error_reply e in
   match req with
   | Protocol.Ping -> Protocol.Pong
-  (* The registry has no process identity; the TCP server intercepts HELLO
-     and answers with its real generation.  0 = "not generation-fenced". *)
-  | Protocol.Hello -> Protocol.Hello_reply { generation = 0; epoch = 0 }
+  (* The registry sees no coordinator epoch; the TCP server intercepts HELLO
+     and answers with its own. *)
+  | Protocol.Hello -> Protocol.Epoch_reply { epoch = 0 }
   (* Process-wide figures (conns, sheds, requests) live in the front door,
      not the session registry: it lays them over these zeros. *)
   | Protocol.Server_stats ->

@@ -15,7 +15,6 @@ type t = {
   port : int;
   restored : (string * (unit, string) result) list;
   wal : (Wal.t * wal_config) option;
-  generation : int;
   coord_epoch : int Atomic.t;
       (* highest coordinator fencing epoch ever announced on any connection;
          a mutation from a connection stamped lower is refused (FENCED) *)
@@ -71,8 +70,8 @@ let recover_from_wal registry w =
   | Some reason -> Log.warn (fun m -> m "journal tail dropped: %s" reason)
   | None -> ());
   Log.info (fun m ->
-      m "recovery: %d checkpointed sessions, %d journal records replayed (generation %d)"
-        (List.length restored) replayed (Wal.generation w));
+      m "recovery: %d checkpointed sessions, %d journal records replayed"
+        (List.length restored) replayed);
   restored
 
 (* Which verbs go through the journal: the ones that change what a future
@@ -159,10 +158,7 @@ let handle_request t ~ctx ~proto ~raw ~body =
   match parsed with
   | Error e -> Evloop.Reply (render (Protocol.Error_reply e))
   | Ok Protocol.Hello ->
-    Evloop.Reply
-      (render
-         (Protocol.Hello_reply
-            { generation = t.generation; epoch = Atomic.get t.coord_epoch }))
+    Evloop.Reply (render (Protocol.Epoch_reply { epoch = Atomic.get t.coord_epoch }))
   | Ok Protocol.Server_stats ->
     Evloop.Reply
       (render (overlay_stats (loop_exn t) (Registry.dispatch t.registry Protocol.Server_stats)))
@@ -231,9 +227,6 @@ let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
         restored;
       restored
   in
-  let generation =
-    match wal with Some (w, _) -> Wal.generation w | None -> Wal.random_generation ()
-  in
   let t =
     {
       registry;
@@ -242,7 +235,6 @@ let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
       port;
       restored;
       wal;
-      generation;
       coord_epoch = Atomic.make 0;
       loop = None;
     }
@@ -260,7 +252,6 @@ let create ?host ?(clock = Unix.gettimeofday) ?wal ?max_conns ~port
 let port t = t.port
 let registry t = t.registry
 let restored t = t.restored
-let generation t = t.generation
 let request_stop t = Evloop.stop (loop_exn t)
 
 let serve t =

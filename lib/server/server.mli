@@ -82,12 +82,6 @@ val registry : t -> Registry.t
 val restored : t -> (string * (unit, string) result) list
 (** Outcome of the spool (or checkpoint) restoration done by {!create}. *)
 
-val generation : t -> int
-(** The value served to [HELLO]: the journal generation when running with a
-    WAL (bumped on every {!create}), otherwise an ephemeral per-process
-    number.  Either way it differs across restarts, which is all the
-    cluster's rejoin fence compares. *)
-
 val serve : t -> unit
 (** Run the event loop on the calling thread until {!request_stop}; on the
     way out, close client connections and snapshot all sessions to the

@@ -13,9 +13,10 @@
 
     {v
     <dir>/journal          length-prefixed, CRC-framed records
-    <dir>/generation       the worker's epoch, bumped on every open
     <dir>/checkpoint/      <session>.snap files from the last checkpoint
     v}
+
+    Any other file in [dir] is ignored.
 
     A record is [u32 length | u32 CRC-32 of the body | body], both integers
     big-endian; the body is a v2 request frame body
@@ -49,17 +50,7 @@
     event-loop thread, which appends each mutation and runs the periodic
     checkpoint inline.  Nothing is appended during a spool, so a
     checkpoint retires the whole journal; an append from inside the
-    spool makes {!checkpoint} refuse to retire anything.
-
-    {2 Generation fencing}
-
-    Every {!open_} bumps and persists an integer generation; a directory
-    with none starts from {!random_generation}, so a worker restarted on a
-    wiped directory does not repeat its predecessor's.  A worker returns
-    it in the [HELLO] handshake; a coordinator that sees the number change
-    across a reconnect knows it is talking to a restarted process whose
-    state is only as fresh as the journal, and re-drives the delta instead
-    of assuming the connection blip preserved everything. *)
+    spool makes {!checkpoint} refuse to retire anything. *)
 
 type fsync_policy =
   | Always  (** fsync after every record: survives power cuts, slowest *)
@@ -78,17 +69,9 @@ val fsync_policy_to_string : fsync_policy -> string
 type t
 
 val open_ : dir:string -> fsync:fsync_policy -> t
-(** Create [dir] (and the checkpoint subdirectory) if needed, bump and
-    persist the generation, and open the journal for appending.  Raises
-    [Sys_error]/[Unix.Unix_error] if the directory is unusable. *)
-
-val generation : t -> int
-(** The epoch persisted by this {!open_} — strictly greater than any
-    earlier process's over the same directory. *)
-
-val random_generation : unit -> int
-(** A nonzero 30-bit draw from the OS's entropy: where a fresh directory's
-    generation starts, and what a journal-less server answers to [HELLO]. *)
+(** Create [dir] (and the checkpoint subdirectory) if needed and open the
+    journal for appending.  Raises [Sys_error]/[Unix.Unix_error] if the
+    directory is unusable. *)
 
 val checkpoint_dir : t -> string
 

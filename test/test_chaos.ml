@@ -440,6 +440,73 @@ let test_death_marks_incomplete () =
     (Test_cluster.direct_stats (port 1) s).P.items
     (Test_cluster.direct_stats (port 0) s).P.items
 
+(* A connection blip over an intact session changes nothing.  R = 2 over
+   A and B, with [s] homed at A.  A partition of A for one EST breaks the
+   coordinator's connection to it while the process and its sessions live
+   on.  The reconnect re-opens [s] on A all the same, one more OPEN on the
+   wire, and A answers SESSION-EXISTS: no replica is marked incomplete,
+   nothing is replaced (A's merge count stays 0), and the next EST is
+   fresh and exact. *)
+let test_blip_over_intact_session () =
+  let s = Test_cluster.name_homed_at 0 2 in
+  let workers = List.init 2 (fun n -> start_worker (76 + n) ~seed:(3200 + n)) in
+  let port n = Server.port (fst (List.nth workers n)) in
+  let chaos = Chaos.create (Chaos.config ~seed:78 ()) in
+  let metered, _, written = Test_cluster.metered_io () in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos metered.Rpc.io_read;
+      io_write = Chaos.wrap_write chaos metered.Rpc.io_write;
+    }
+  in
+  let coord =
+    Coordinator.create ~io ~replicas:2 ~timeout:0.3 ~backoff:0.01
+      ~workers:[ ("127.0.0.1", port 0); ("127.0.0.1", port 1) ]
+      ~seed:79 ()
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" what (P.render_response (P.Error_reply e))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (76 + n))) workers)
+  @@ fun () ->
+  ok "OPEN"
+    (Coordinator.open_session coord ~name:s ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  let boxes =
+    Workload.Rectangles.uniform (Rng.create ~seed:80) ~universe:300 ~dim:2 ~count:20 ~max_side:6
+  in
+  ignore (ok "ADDB" (Coordinator.add_batch coord ~name:s ~payloads:(List.map payload_of boxes)));
+  Coordinator.flush coord;
+  let opens () =
+    let sent = written () and pat = "OPEN " ^ s ^ " " in
+    let n = String.length pat in
+    let rec count i acc =
+      if i + n > String.length sent then acc
+      else count (i + 1) (if String.sub sent i n = pat then acc + 1 else acc)
+    in
+    count 0 0
+  in
+  let before = opens () in
+  Chaos.partition chaos [ port 0 ];
+  ignore (Coordinator.estimate coord ~name:s);
+  Alcotest.(check int) "the blip broke A's connection" 1 (Coordinator.live_workers coord);
+  Chaos.heal chaos;
+  Thread.delay 0.1 (* past A's quarantine *);
+  let v, degraded, _ = ok "EST" (Coordinator.estimate coord ~name:s) in
+  Alcotest.(check bool) "fresh after the blip" false degraded;
+  Alcotest.(check (float 0.0)) "exact after the blip" (truth boxes) v;
+  Alcotest.(check int) "the reconnect re-opened the session on A" (before + 1) (opens ());
+  Alcotest.(check (list int)) "no replica is incomplete" [ 2; 2 ]
+    (Coordinator.shard_freshness coord);
+  let st = Test_cluster.direct_stats (port 0) s in
+  Alcotest.(check int) "A was not replaced" 0 st.P.merges;
+  Alcotest.(check int) "A holds every set" (List.length boxes) st.P.items
+
 let suite =
   [
     Alcotest.test_case "config validates" `Quick test_config_validates;
@@ -447,6 +514,8 @@ let suite =
       test_reroute_onto_pending_fetch;
     Alcotest.test_case "a death marks its replica incomplete while a peer is complete" `Quick
       test_death_marks_incomplete;
+    Alcotest.test_case "a blip over an intact session re-opens and changes nothing" `Quick
+      test_blip_over_intact_session;
     Alcotest.test_case "seeded write faults are deterministic" `Quick
       test_write_determinism;
     Alcotest.test_case "partial write tears a prefix" `Quick test_partial_write;

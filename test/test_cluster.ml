@@ -12,6 +12,7 @@ module Registry = Delphic_server.Registry
 module Coordinator = Delphic_cluster.Coordinator
 module Frontend = Delphic_cluster.Frontend
 module Rpc = Delphic_cluster.Rpc
+module Chaos = Delphic_harness.Chaos
 module Rng = Delphic_util.Rng
 module Bigint = Delphic_util.Bigint
 module Rectangle = Delphic_sets.Rectangle
@@ -1146,8 +1147,8 @@ let fork_wal_worker ~wal_dir ~spool_dir ~port ~seed ~portfile =
     [| Sys.executable_name |]
     env Unix.stdin Unix.stdout Unix.stderr
 
-(* Raw-socket HELLO probe: [Some generation] once the worker answers. *)
-let hello_generation port =
+(* Raw-socket readiness probe: [Some ()] once the worker answers HELLO. *)
+let hello_ready port =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error _ -> None
   | fd -> (
@@ -1161,13 +1162,13 @@ let hello_generation port =
       output_string oc "HELLO\n";
       flush oc;
       match String.split_on_char ' ' (input_line ic) with
-      | [ "HELLO"; g ] -> finish (int_of_string_opt g)
+      | [ "EPOCH"; _ ] -> finish (Some ())
       | _ -> finish None
     with Unix.Unix_error _ | Sys_error _ | End_of_file -> finish None)
 
 (* The tentpole end to end: a journaled worker is killed with SIGKILL mid
-   conversation and restarted on the same port; the coordinator's HELLO
-   fence sees the new generation and re-drives; the WAL replay hands back
+   conversation and restarted on the same port; the coordinator's
+   reconnect re-opens every session and re-drives; the WAL replay hands back
    every acknowledged set.  Exact-regime equality makes the recovery check
    sharp: the estimate is a count, one lost set = wrong answer.  Crucially
    no gather runs before the kill, so the coordinator holds no last-good
@@ -1192,16 +1193,8 @@ let test_kill9_wal_recovery () =
           close_in_noerr ic;
           r)
   in
-  let gen_a =
-    wait_for ~timeout:10.0 "forked worker never answered HELLO" (fun () ->
-        hello_generation port)
-  in
-  Alcotest.(check bool) "journal generations count from 1" true (gen_a >= 1);
-  (* a journal-less sibling: its ephemeral generation must not look like a
-     journal epoch *)
+  wait_for ~timeout:10.0 "forked worker never answered HELLO" (fun () -> hello_ready port);
   let sibling, sibling_th = start_worker 30 ~seed:4100 in
-  Alcotest.(check bool) "ephemeral generation carries the high bit" true
-    (Server.generation sibling land 0x40000000 <> 0);
   let coord =
     Coordinator.create ~timeout:2.0 ~backoff:0.01 ~batch:8 ~window:32
       ~workers:[ ("127.0.0.1", port); ("127.0.0.1", Server.port sibling) ]
@@ -1227,21 +1220,13 @@ let test_kill9_wal_recovery () =
   Unix.kill pid_a Sys.sigkill;
   ignore (Unix.waitpid [] pid_a);
   let pid_b = fork_wal_worker ~wal_dir ~spool_dir ~port ~seed:4001 ~portfile in
-  let gen_b =
-    wait_for ~timeout:10.0 "restarted worker never answered HELLO" (fun () ->
-        match hello_generation port with
-        | Some g when g <> gen_a -> Some g
-        | _ -> None)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "the fence sees a new epoch (%d -> %d)" gen_a gen_b)
-    true (gen_b > gen_a);
+  wait_for ~timeout:10.0 "restarted worker never answered HELLO" (fun () -> hello_ready port);
 
   List.iter
     (fun b -> ok (Coordinator.add coord ~name:"crash" ~payload:(payload_of b)))
     rest;
   (* the coordinator notices the dead connection on first use, re-routes,
-     reconnects behind the HELLO fence and re-drives; give the quarantine a
+     reconnects, re-opens and re-drives; give the quarantine a
      few beats to expire before insisting on a clean gather *)
   let est =
     wait_for ~timeout:10.0 "cluster never produced a clean gather" (fun () ->
@@ -1491,7 +1476,7 @@ let test_restart_forgets_versions () =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
   in
-  let spawn ~port ~seed ~after =
+  let spawn ~port ~seed =
     let pid = fork_wal_worker ~wal_dir ~spool_dir ~port ~seed ~portfile in
     children := pid :: !children;
     let port =
@@ -1503,11 +1488,8 @@ let test_restart_forgets_versions () =
             close_in_noerr ic;
             r)
     in
-    let gen =
-      wait_for ~timeout:10.0 "forked worker never answered HELLO" (fun () ->
-          match hello_generation port with Some g when g <> after -> Some g | _ -> None)
-    in
-    (pid, port, gen)
+    wait_for ~timeout:10.0 "forked worker never answered HELLO" (fun () -> hello_ready port);
+    (pid, port)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1516,7 +1498,7 @@ let test_restart_forgets_versions () =
       rm_rf_deep spool_dir;
       if Sys.file_exists portfile then Sys.remove portfile)
   @@ fun () ->
-  let pid_a, port, gen_a = spawn ~port:0 ~seed:4200 ~after:0 in
+  let pid_a, port = spawn ~port:0 ~seed:4200 in
   let io, read, written = metered_io () in
   let coord =
     Coordinator.create ~io ~timeout:2.0 ~backoff:0.01 ~workers:[ ("127.0.0.1", port) ] ~seed:94 ()
@@ -1534,7 +1516,7 @@ let test_restart_forgets_versions () =
   ignore (ok (Coordinator.estimate coord ~name));
   kill pid_a;
   Sys.remove portfile;
-  ignore (spawn ~port ~seed:4201 ~after:gen_a);
+  ignore (spawn ~port ~seed:4201);
   let len = token_length port name in
   let mark = String.length (written ()) in
   let est, bytes =
@@ -1897,6 +1879,60 @@ let test_frontend_shard_fresh () =
   List.iteri (fun k w -> if k <> victim then stop_worker w) workers;
   List.iteri (fun k _ -> rm_rf (spool (110 + k))) workers
 
+(* A connection blip over a worker that lost a session.  R = 2 over two
+   workers.  The home loses the session behind the coordinator's back (a
+   direct CLOSE), then a partition of the home for one EST breaks the
+   coordinator's connection to it while the process lives on.  The
+   reconnect re-opens every session: the home's OPEN answers OK, so its
+   copy is incomplete and is replaced from its peer before the next set is
+   placed.  The home then counts every acknowledged set itself. *)
+let test_blip_reopens_and_repairs () =
+  let name = name_homed_at 0 2 in
+  let workers = List.init 2 (fun n -> start_worker (270 + n) ~seed:(2700 + n)) in
+  let ports = Array.of_list (List.map (fun (s, _) -> Server.port s) workers) in
+  let chaos = Chaos.create (Chaos.config ~seed:271 ()) in
+  let io =
+    {
+      Rpc.io_read = Chaos.wrap_read chaos Unix.read;
+      io_write = Chaos.wrap_write chaos Unix.write_substring;
+    }
+  in
+  let coord =
+    Coordinator.create ~io ~replicas:2 ~timeout:0.3 ~backoff:0.01
+      ~workers:(Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+      ~seed:272 ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown coord;
+      List.iter stop_worker workers;
+      List.iteri (fun n _ -> rm_rf (spool (270 + n))) workers)
+  @@ fun () ->
+  ok
+    (Coordinator.open_session coord ~name ~family:P.Rect ~epsilon:0.3 ~delta:0.2
+       ~log2_universe:17.0);
+  let gen = Rng.create ~seed:273 in
+  let band count = Workload.Rectangles.uniform gen ~universe:300 ~dim:2 ~count ~max_side:6 in
+  let first = band 20 and last = band 1 in
+  ignore (ok (Coordinator.add_batch coord ~name ~payloads:(List.map payload_of first)));
+  Coordinator.flush coord;
+  (match direct_call ports.(0) (P.Close { session = name }) with
+  | P.Ok_reply _ -> ()
+  | r -> Alcotest.failf "direct CLOSE: %s" (P.render_response r));
+  Chaos.partition chaos [ ports.(0) ];
+  ignore (Coordinator.estimate coord ~name);
+  Alcotest.(check int) "the partition broke the home's connection" 1
+    (Coordinator.live_workers coord);
+  Chaos.heal chaos;
+  Thread.delay 0.1 (* past the home's quarantine *);
+  List.iter (fun b -> ok (Coordinator.add coord ~name ~payload:(payload_of b))) last;
+  Coordinator.flush coord;
+  Alcotest.(check int) "the home counts every acknowledged set"
+    (List.length (first @ last))
+    (direct_stats ports.(0) name).P.items;
+  Alcotest.(check (float 0.0)) "the answer counts every set" (truth (first @ last))
+    (settled_estimate coord ~name)
+
 let suite =
   [
     Alcotest.test_case "scatter/gather with mid-stream worker loss" `Quick
@@ -1949,4 +1985,6 @@ let suite =
       test_refused_dial_does_not_sleep;
     Alcotest.test_case "STATS lays the coordinator's figures over a replica's or the last good token's"
       `Quick test_stats_overlay_and_fallback;
+    Alcotest.test_case "a blip re-opens, and a worker that lost a session is replaced at once"
+      `Quick test_blip_reopens_and_repairs;
   ]

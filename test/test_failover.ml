@@ -55,6 +55,19 @@ let stop_worker (s, th) =
   Server.request_stop s;
   Thread.join th
 
+(* Start worker [n] again on [port] from whatever its spool holds, once the
+   stopped one has let the port go. *)
+let restart_worker n ~port ~seed =
+  let rec create tries =
+    match Server.create ~port ~spool:(spool n) ~seed () with
+    | s -> s
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when tries > 0 ->
+      Thread.delay 0.05;
+      create (tries - 1)
+  in
+  let s = create 40 in
+  (s, Server.start s)
+
 let payload_of box =
   let lo = Rectangle.lo box and hi = Rectangle.hi box in
   let b = Buffer.create 32 in
@@ -265,7 +278,7 @@ let test_epoch_monotonic () =
    with
   | Ok c ->
     (match Rpc.call c P.Hello with
-    | Ok (P.Hello_reply { epoch; _ }) ->
+    | Ok (P.Epoch_reply { epoch }) ->
       Alcotest.(check int) "worker HELLO carries the fence" 6 epoch
     | Ok r -> Alcotest.failf "HELLO answered %s" (P.render_response r)
     | Error msg -> Alcotest.failf "HELLO failed: %s" msg);
@@ -518,7 +531,7 @@ let test_kill9_coordinator_failover () =
         | Error _ -> None
         | Ok c -> (
           match Rpc.call c P.Hello with
-          | Ok (P.Hello_reply { epoch = 1; _ }) -> Some c
+          | Ok (P.Epoch_reply { epoch = 1 }) -> Some c
           | _ ->
             Rpc.close c;
             None))
@@ -585,7 +598,7 @@ let test_kill9_coordinator_failover () =
       match Rpc.connect ~host:"127.0.0.1" ~port:p ~timeout:2.0 () with
       | Ok c ->
         (match Rpc.call c P.Hello with
-        | Ok (P.Hello_reply { epoch; _ }) ->
+        | Ok (P.Epoch_reply { epoch }) ->
           Alcotest.(check bool)
             (Printf.sprintf "worker %d fenced past epoch 1 (%d)" p epoch)
             true (epoch >= 2)
@@ -669,6 +682,60 @@ let test_standby_after_partition ~replicas ~warm () =
   List.iter stop_worker workers;
   List.iteri (fun i _ -> rm_rf (spool (base + i))) workers
 
+(* A standby writes nothing to workers.  R = 2 over two journal-less
+   workers.  A read-only standby learns session [x] and reads it; then
+   [x]'s home restarts on a wiped spool, and the standby's polls reach it
+   before the primary does.  Had the standby re-opened [x] there, the
+   primary's reconnect would read SESSION-EXISTS from an empty copy and
+   trust it.  The standby leaves the home alone, so the primary's OPEN
+   answers OK, the home is replaced from its peer, and the primary's
+   answer stays exact. *)
+let test_standby_writes_nothing () =
+  let name = "x" in
+  let home = Hashtbl.hash name mod 2 in
+  let workers = Array.init 2 (fun i -> start_worker (600 + i) ~seed:(6000 + i)) in
+  let ports = Array.map (fun (s, _) -> Server.port s) workers in
+  let addrs = Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports) in
+  let coord seed =
+    Coordinator.create ~replicas:2 ~timeout:1.0 ~backoff:0.01 ~workers:addrs ~seed ()
+  in
+  let primary = coord 601 and standby = coord 602 in
+  Coordinator.set_read_only standby true;
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.shutdown standby;
+      Coordinator.shutdown primary;
+      Array.iter stop_worker workers;
+      Array.iteri (fun i _ -> rm_rf (spool (600 + i))) workers)
+  @@ fun () ->
+  let boxes = boxes_for 60 20 in
+  open_rect primary ~name;
+  List.iter (fun b -> ok (Coordinator.add primary ~name ~payload:(payload_of b))) boxes;
+  Coordinator.flush primary;
+  let est, _, _ = ok (Coordinator.estimate primary ~name) in
+  Alcotest.(check (float 0.0)) "exact before the restart" (truth boxes) est;
+  Alcotest.(check int) "standby learns the session" 1 (Coordinator.sync_sessions standby);
+  ignore (ok (Coordinator.estimate standby ~name));
+  stop_worker workers.(home);
+  rm_rf (spool (600 + home));
+  workers.(home) <- restart_worker (600 + home) ~port:ports.(home) ~seed:6010;
+  ignore (Coordinator.sync_sessions standby);
+  Thread.delay 0.2;
+  ignore (Coordinator.sync_sessions standby);
+  (match Rpc.connect ~host:"127.0.0.1" ~port:ports.(home) ~timeout:2.0 () with
+  | Ok c ->
+    (match Rpc.call c (P.Stats { session = name }) with
+    | Ok (P.Error_reply (P.Unknown_session _)) -> ()
+    | Ok r -> Alcotest.failf "the standby wrote to the home: STATS %s" (P.render_response r)
+    | Error msg -> Alcotest.failf "STATS failed: %s" msg);
+    Rpc.close c
+  | Error err -> Alcotest.failf "dial the home: %s" (Rpc.describe_connect_error err));
+  ignore (Coordinator.estimate primary ~name);
+  Thread.delay 0.2;
+  let est, degraded, _ = ok (Coordinator.estimate primary ~name) in
+  Alcotest.(check bool) "the primary's gather is fresh" false degraded;
+  Alcotest.(check (float 0.0)) "the primary still counts every set" (truth boxes) est
+
 let repl_seeds = [ 11; 23; 37; 41; 53; 67; 79; 97 ]
 
 let matrix =
@@ -707,5 +774,7 @@ let suite =
       `Quick (test_standby_after_partition ~replicas:2 ~warm:false);
     Alcotest.test_case "a warm standby at R=2 replaces the replica the primary skipped"
       `Quick (test_standby_after_partition ~replicas:2 ~warm:true);
+    Alcotest.test_case "a standby writes nothing to a restarted worker" `Quick
+      test_standby_writes_nothing;
   ]
   @ matrix

@@ -569,17 +569,17 @@ let test_wire_forms () =
             degraded = true;
           }));
   (* replication-era forms: stale ring positions ride the DEGRADED flag,
-     fencing epochs ride HELLO, and both are absent pre-replication *)
+     and HELLO is answered with the fencing epoch *)
   Alcotest.(check string)
     "degraded estimate names its stale shards" "EST 150 DEGRADED shards=0,2"
     (P.render_response
        (P.Estimate { value = 150.0; degraded = true; stale_shards = [ 0; 2 ] }));
   Alcotest.(check string)
-    "pre-failover HELLO keeps the bare v1 shape" "HELLO 3"
-    (P.render_response (P.Hello_reply { generation = 3; epoch = 0 }));
+    "unfenced HELLO answers epoch 0" "EPOCH 0"
+    (P.render_response (P.Epoch_reply { epoch = 0 }));
   Alcotest.(check string)
-    "fenced HELLO carries the epoch" "HELLO 3 epoch=9"
-    (P.render_response (P.Hello_reply { generation = 3; epoch = 9 }));
+    "fenced HELLO carries the epoch" "EPOCH 9"
+    (P.render_response (P.Epoch_reply { epoch = 9 }));
   Alcotest.(check string)
     "COORD announces a fencing epoch" "COORD 7"
     (P.render_request (P.Coord_epoch { epoch = 7 }));
@@ -641,9 +641,8 @@ let test_response_roundtrip () =
             ];
         };
       P.Pong;
-      P.Hello_reply { generation = 1; epoch = 0 };
-      P.Hello_reply { generation = 0x40000000 lor 12345; epoch = 0 };
-      P.Hello_reply { generation = 17; epoch = 3 };
+      P.Epoch_reply { epoch = 0 };
+      P.Epoch_reply { epoch = 3 };
       P.Epoch_reply { epoch = 4 };
       P.Lease_reply { epoch = 4; primary = true };
       P.Lease_reply { epoch = 2; primary = false };
@@ -729,10 +728,10 @@ let dispatch reg line = Registry.dispatch reg (parse_ok line)
 let test_dispatch_lifecycle () =
   let reg = Registry.create ~seed:42 () in
   Alcotest.check response "ping" P.Pong (dispatch reg "PING");
-  (* the registry has no process identity; 0 = unfenced (the TCP server
-     overrides this with its real generation) *)
+  (* the registry sees no coordinator epoch (the TCP server answers with
+     its own) *)
   Alcotest.check response "hello"
-    (P.Hello_reply { generation = 0; epoch = 0 })
+    (P.Epoch_reply { epoch = 0 })
     (dispatch reg "HELLO");
   Alcotest.check response "open"
     (P.Ok_reply (Some "opened s1"))

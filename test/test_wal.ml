@@ -1,6 +1,6 @@
 (* Write-ahead journal: framed round-trips (fixed and qcheck), torn-tail
    and CRC-failure truncation via byte surgery on the journal file,
-   checkpoint truncation semantics, and the generation fence.  Every test
+   and checkpoint truncation semantics.  Every test
    drives the real file — the crash artifacts are produced with ftruncate
    and in-place byte flips, the same shapes a kill -9 leaves behind. *)
 
@@ -434,38 +434,6 @@ let test_win_survives_crash () =
   Wal.close w2;
   Wal.close w
 
-let test_generation_fence () =
-  let dir = fresh_dir () in
-  let w1 = Wal.open_ ~dir ~fsync:Wal.Never in
-  let g1 = Wal.generation w1 in
-  Wal.close w1;
-  let w2 = Wal.open_ ~dir ~fsync:Wal.Never in
-  let g2 = Wal.generation w2 in
-  Wal.close w2;
-  let w3 = Wal.open_ ~dir ~fsync:Wal.Never in
-  let g3 = Wal.generation w3 in
-  Wal.close w3;
-  Alcotest.(check bool) "first generation positive" true (g1 > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "generations strictly climb (%d < %d < %d)" g1 g2 g3)
-    true
-    (g1 < g2 && g2 < g3);
-  (* a worker restarted on a wiped directory must not pass for the process
-     it replaces: a fresh directory starts from a random generation *)
-  let other = fresh_dir () in
-  let first = Wal.open_ ~dir:other ~fsync:Wal.Never in
-  let g = Wal.generation first in
-  Wal.close first;
-  rm_rf other;
-  let w = Wal.open_ ~dir:other ~fsync:Wal.Never in
-  Alcotest.(check bool)
-    (Printf.sprintf "a wiped directory never repeats its generation (%d, then %d)" g
-       (Wal.generation w))
-    true
-    (Wal.generation w <> g && Wal.generation w > 0);
-  Wal.close w;
-  rm_rf other
-
 let test_fsync_policy_strings () =
   let ok s p =
     match Wal.fsync_policy_of_string s with
@@ -556,7 +524,6 @@ let suite =
       test_closed_session_not_resurrected;
     Alcotest.test_case "WIN answers survive kill and restart" `Quick
       test_win_survives_crash;
-    Alcotest.test_case "generation fence climbs" `Quick test_generation_fence;
     Alcotest.test_case "fsync policy strings" `Quick test_fsync_policy_strings;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_any_tear;
